@@ -31,7 +31,7 @@ fu = grid.integrate(np.abs(prob.f.values * u.values))
 print("absorption inequality: |eps| int|u|^2 = %.4f <= int|fu| = %.4f"
       % (0.5 * l2, fu))
 
-g = covariant_gradient(u, pp)
+g = covariant_gradient(u, prob.disc)
 g2 = np.sum(np.abs(g) ** 2, axis=-1)
 mc, rstar = morrey_campanato(u)
 print("|||u||| = %.4f (max at R=%.2f), covariant-gradient energy %.4f"

@@ -16,13 +16,12 @@ from .fields import (BallQuad, PotentialPair, biot_savart, example_field,
                      magnetic_matrix, make_potential_pair,
                      radial_derivative_parts, trapping_component)
 from .grids import RadialGrid, ScalarField, load_field, save_field
-from .multipliers import (Multiplier, SymmetricWeight, hessian_split,
-                          make_phi, make_varphi)
+from .multipliers import Multiplier, SymmetricWeight, make_phi, make_varphi
 from .norms import (NormReport, duality_gap, dyadic_dual, hardy_ratio,
                     mixed_radial_norm, morrey_campanato, sphere_sup,
                     theorem_lhs, theorem_rhs)
-from .resolvent import (DiscreteOperator, ResolventProblem, build_problem,
-                        covariant_gradient, make_datum,
+from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
+                        build_problem, covariant_gradient, make_datum,
                         radial_tangential_split, solve)
 from .verify import (IdentityReport, SweepReport, epsilon_sweep,
                      estimate_report, identity_residual, identity_scan,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -25,7 +24,8 @@ from .admissibility import admissibility_report
 from .errors import AccuracyError, ParameterError, SolverError
 from .fields import BUILTIN_POTENTIALS, make_potential_pair, trapping_component
 from .grids import RadialGrid, save_field
-from .resolvent import DATUM_BUILTINS, ResolventProblem, make_datum, solve
+from .resolvent import (DATUM_BUILTINS, Discretization, ResolventProblem,
+                        make_datum, solve)
 from .verify import epsilon_sweep, identity_scan
 
 RUN_TYPES = {
@@ -50,6 +50,9 @@ _DEFAULTS = {
 }
 
 
+_KEYS = {"n", "run", "grid", "potential", *_DEFAULTS}
+
+
 class ScenarioError(Exception):
     pass
 
@@ -57,6 +60,11 @@ class ScenarioError(Exception):
 def _resolve_scenario(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a mapping")
+    unknown = set(raw) - _KEYS
+    if unknown:
+        raise ScenarioError(
+            f"unknown scenario keys {sorted(map(str, unknown))}; "
+            f"choose from {sorted(_KEYS)}")
     sc = dict(_DEFAULTS)
     sc.update(raw)
     for key in ("n", "grid", "run"):
@@ -102,14 +110,16 @@ def _run_admissibility(sc):
 
 def _solve(sc):
     pp, grid = _build(sc)
+    disc = Discretization(grid, pp)
     f = make_datum(grid, sc["f"])
-    prob = ResolventProblem(pp=pp, lam=float(sc["lambda"]), eps=float(sc["eps"]), f=f)
+    prob = ResolventProblem(disc=disc, lam=float(sc["lambda"]),
+                            eps=float(sc["eps"]), f=f)
     u = solve(prob, tol=float(sc["tol"]))
-    return pp, grid, f, u
+    return disc, f, u
 
 
 def _run_solve(sc, out_dir: Path):
-    pp, grid, f, u = _solve(sc)
+    _disc, _f, u = _solve(sc)
     snap = out_dir / "solution.field"
     save_field(u, snap)
     return {
@@ -120,9 +130,9 @@ def _run_solve(sc, out_dir: Path):
 
 
 def _run_verify_identity(sc):
-    pp, grid, f, u = _solve(sc)
+    disc, f, u = _solve(sc)
     M = sc["M"] if sc["M"] is not None else 1.0
-    rep = identity_scan(u, f, pp, float(sc["lambda"]), float(sc["eps"]),
+    rep = identity_scan(u, f, disc, float(sc["lambda"]), float(sc["eps"]),
                         M=float(M), beta=float(sc["beta"]))
     return rep.to_json()
 
@@ -181,14 +191,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json-only", action="store_true",
                         help="suppress the human-readable summary line")
     parser.add_argument("--out-dir", default=".", help="report directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal parallelism")
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     if args.list_builtins:
         print(list_builtins(args.json))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Multiplier", "SymmetricWeight", "make_phi", "make_varphi", "hessian_split"]
+__all__ = ["Multiplier", "SymmetricWeight", "make_phi", "make_varphi"]
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,6 @@ class Multiplier:
     origin_atom: PointAtom | None = None
     sphere_atom: SphereAtom | None = None
 
-    def atoms(self):
-        out = []
-        if self.origin_atom is not None:
-            out.append(self.origin_atom)
-        if self.sphere_atom is not None:
-            out.append(self.sphere_atom)
-        return out
-
 
 @dataclass(frozen=True)
 class SymmetricWeight:
@@ -85,26 +77,6 @@ class SymmetricWeight:
     value: Callable = field(repr=False)       # varphi(r)
     lap_smooth: Callable = field(repr=False)  # smooth density of Delta varphi
     sphere_atom: SphereAtom = None
-
-    def sandwich_constants(self, r_lo: float, r_hi: float, R_lo: float | None = None,
-                           R_hi: float | None = None, samples: int = 2048):
-        """Report (C0, C) with C0 <x>^-1 <= varphi_R <= C <x>^-1 for r in
-        [r_lo, r_hi] and scale R in [R_lo, R_hi] (defaults: this R only).
-
-        A single pair valid for all R > 0 does not exist at fixed beta, so
-        the bracket is explicit.
-        """
-        if R_lo is None:
-            R_lo = R_hi = self.R
-        r = np.linspace(r_lo, r_hi, samples)
-        bracket = np.linspace(R_lo, R_hi, 16)
-        lo, hi = np.inf, 0.0
-        for R in bracket:
-            v = np.where(r <= R, self.beta / R, self.beta / r)
-            ratio = v * np.sqrt(1 + r ** 2)
-            lo = min(lo, float(ratio.min()))
-            hi = max(hi, float(ratio.max()))
-        return lo, hi
 
 
 def make_phi(n: int, R: float, M: float) -> Multiplier:
@@ -189,22 +161,3 @@ def make_varphi(n: int, R: float, beta: float) -> SymmetricWeight:
 
     return SymmetricWeight(n=n, R=R, beta=beta, value=value, lap_smooth=lap_smooth,
                            sphere_atom=SphereAtom(radius=R, density=-beta / R ** 2))
-
-
-def hessian_split(mult: Multiplier, x: np.ndarray, g: np.ndarray):
-    """Quadratic form g^H D^2 phi(x) g via the radial/tangential split:
-    phi''(|x|)|g_r|^2 + phi'(|x|)/|x| |g_tau|^2.
-
-    Vectorized over leading axes; g may be complex.
-    """
-    x = np.asarray(x, float)
-    g = np.asarray(g, complex)
-    r = np.sqrt(np.sum(x ** 2, axis=-1))
-    if np.any(r < 1e-14):
-        raise ParameterError("hessian_split is undefined at x = 0")
-    xhat = x / r[..., None]
-    gr = np.einsum("...i,...i->...", g, xhat)
-    g2 = np.sum(np.abs(g) ** 2, axis=-1)
-    gr2 = np.abs(gr) ** 2
-    gtau2 = np.maximum(g2 - gr2, 0.0)
-    return mult.d2phi(r) * gr2 + mult.dphi(r) / r * gtau2

@@ -12,8 +12,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import MorcamError, ParameterError
-from .fields import PotentialPair, radial_derivative_parts
+from .fields import radial_derivative_parts
 from .grids import RadialGrid, ScalarField
+from .resolvent import Discretization, covariant_gradient, radial_tangential_split
 
 __all__ = [
     "NormReport",
@@ -232,14 +233,12 @@ def sphere_sup(u: ScalarField):
     return float(vals[k]), float(radii[k + 2])
 
 
-def hardy_ratio(u: ScalarField, pp: PotentialPair) -> float:
+def hardy_ratio(u: ScalarField, disc: Discretization) -> float:
     """(int |u|^2/|x|^2) / (int |grad_A u|^2) on the grid; bounded by the
     Hardy constant 4/(n-2)^2 up to discretization slack."""
-    from .resolvent import covariant_gradient
-
     grid = u.grid
     num = float(grid.integrate(u.abs2() / grid.radii ** 2))
-    g = covariant_gradient(u, pp)
+    g = covariant_gradient(u, disc)
     den = float(grid.integrate(np.sum(np.abs(g) ** 2, axis=-1)))
     if den <= 0:
         raise MorcamError("hardy_ratio undefined: zero covariant-gradient energy")
@@ -251,7 +250,7 @@ def hardy_ratio(u: ScalarField, pp: PotentialPair) -> float:
 # ---------------------------------------------------------------------------
 
 
-def theorem_lhs(u: ScalarField, pp: PotentialPair, lam: float, M: float,
+def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
                 delta: float) -> NormReport:
     """Itemized left-hand side of the a priori estimate.
 
@@ -261,8 +260,6 @@ def theorem_lhs(u: ScalarField, pp: PotentialPair, lam: float, M: float,
     gradient integral, and the sphere supremum (3D) or int |u|^2/|x|^3
     (n >= 4).  total applies the delta weight to the last group.
     """
-    from .resolvent import covariant_gradient, radial_tangential_split
-
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
     grid = u.grid
@@ -272,7 +269,7 @@ def theorem_lhs(u: ScalarField, pp: PotentialPair, lam: float, M: float,
     bracket = np.sqrt(1 + r ** 2)
     u2 = u.abs2()
 
-    g = covariant_gradient(u, pp)
+    g = covariant_gradient(u, disc)
     g2 = np.sum(np.abs(g) ** 2, axis=-1)
     mc_sq, rstar = _mc_sup_sq(grid, g2)
     rep.values["grad_mc_sq"] = mc_sq
@@ -281,7 +278,7 @@ def theorem_lhs(u: ScalarField, pp: PotentialPair, lam: float, M: float,
     if n == 3:
         rep.values["origin_sq"] = abs(grid.interpolate_origin(u.values)) ** 2
 
-    _, _, drv_minus, _, v_minus = radial_derivative_parts(pp, grid.points)
+    _, _, drv_minus, _, v_minus = radial_derivative_parts(disc.pp, grid.points)
     rep.values["drV_minus"] = (M / 2) * float(grid.integrate(drv_minus * u2))
     rep.values["V_minus"] = float(grid.integrate(v_minus * u2 / bracket))
     rep.values["lambda_term"] = lam * float(grid.integrate(u2 / bracket))

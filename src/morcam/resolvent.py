@@ -25,6 +25,7 @@ from .fields import PotentialPair
 from .grids import RadialGrid, ScalarField
 
 __all__ = [
+    "Discretization",
     "ResolventProblem",
     "DiscreteOperator",
     "build_problem",
@@ -60,23 +61,20 @@ def link_phases(grid: RadialGrid, pp: PotentialPair):
     return phases
 
 
-class DiscreteOperator:
-    """Matrix-free application of (-Delta_A^h + V - lambda - i eps)u.
+class Discretization:
+    """One sampling of a potential pair on a grid: the link phases and the
+    electric potential that define -Delta_A^h + V.
 
-    The hop between x and x + h e_k carries the link phase; the diagonal
-    holds 2n/h^2 + V(x) - lambda - i eps.  Singular V samples are capped
-    at 1/h^2 (with a warning) to keep the operator bounded.
+    The operator, the covariant gradient and the identity and estimate
+    checks all read the same samples.  Singular V samples are capped at
+    1/h^2 (with a warning) to keep the operator bounded.
     """
 
-    def __init__(self, grid: RadialGrid, pp: PotentialPair, lam: float, eps: float):
-        if eps == 0:
-            raise ParameterError("eps must be nonzero")
-        if lam < 0:
-            raise ParameterError(f"lambda must be >= 0, got {lam}")
+    def __init__(self, grid: RadialGrid, pp: PotentialPair):
+        if pp.n != grid.n:
+            raise ParameterError("potential and grid dimensions differ")
         self.grid = grid
         self.pp = pp
-        self.lam = float(lam)
-        self.eps = float(eps)
         self.phases = link_phases(grid, pp)
         V = pp.eval_V(grid.points)
         cap = 1.0 / grid.h ** 2
@@ -87,24 +85,50 @@ class DiscreteOperator:
             V = np.clip(V, -cap, cap)
         self.V = V
 
-    def _hop(self, u: np.ndarray) -> np.ndarray:
-        """Sum over axes of phase-twisted neighbor values (Dirichlet
-        zero outside the box)."""
-        g = self.grid
-        out = np.zeros_like(u)
-        for k in range(g.n):
-            sl_lo = [slice(None)] * g.n
-            sl_hi = [slice(None)] * g.n
-            sl_lo[k] = slice(None, -1)
-            sl_hi[k] = slice(1, None)
-            sl_lo, sl_hi = tuple(sl_lo), tuple(sl_hi)
+    def hop(self, u: np.ndarray, outs, combine=np.add) -> None:
+        """Add U_k u(x + h e_k) into outs[k] at the lower end of each
+        axis-k edge, and combine conj(U_k) u(x) into outs[k] at its upper
+        end: np.add gives the Laplacian's neighbor sum, np.subtract the
+        centered gradient's difference.  Dirichlet zero outside the box."""
+        n = self.grid.n
+        for k, out in enumerate(outs):
+            lo = [slice(None)] * n
+            hi = [slice(None)] * n
+            lo[k] = slice(None, -1)
+            hi[k] = slice(1, None)
+            lo, hi = tuple(lo), tuple(hi)
+            up = out[hi]
             if self.phases is None:
-                out[sl_lo] += u[sl_hi]
-                out[sl_hi] += u[sl_lo]
+                out[lo] += u[hi]
+                combine(up, u[lo], out=up)
             else:
-                U = self.phases[k][sl_lo]
-                out[sl_lo] += U * u[sl_hi]
-                out[sl_hi] += np.conj(U) * u[sl_lo]
+                U = self.phases[k][lo]
+                out[lo] += U * u[hi]
+                combine(up, np.conj(U) * u[lo], out=up)
+
+
+class DiscreteOperator:
+    """Matrix-free application of (-Delta_A^h + V - lambda - i eps)u.
+
+    The hop between x and x + h e_k carries the link phase; the diagonal
+    holds 2n/h^2 + V(x) - lambda - i eps.
+    """
+
+    def __init__(self, disc: Discretization, lam: float, eps: float):
+        lam, eps = float(lam), float(eps)
+        if not (math.isfinite(eps) and eps != 0):
+            raise ParameterError(f"eps must be finite and nonzero, got {eps}")
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
+        self.disc = disc
+        self.grid = disc.grid
+        self.lam = lam
+        self.eps = eps
+
+    def _hop(self, u: np.ndarray) -> np.ndarray:
+        """Sum over axes of phase-twisted neighbor values."""
+        out = np.zeros_like(u)
+        self.disc.hop(u, [out] * self.grid.n)
         return out
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -112,7 +136,7 @@ class DiscreteOperator:
         u = np.asarray(u, complex).reshape(g.shape)
         h2 = g.h ** 2
         lap = (self._hop(u) - 2 * g.n * u) / h2
-        return -lap + (self.V - self.lam - 1j * self.eps) * u
+        return -lap + (self.disc.V - self.lam - 1j * self.eps) * u
 
     # --- free-operator preconditioner ------------------------------------
 
@@ -140,20 +164,17 @@ class DiscreteOperator:
 
 @dataclass
 class ResolventProblem:
-    pp: PotentialPair
+    disc: Discretization
     lam: float
     eps: float
     f: ScalarField
     op: DiscreteOperator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.eps == 0:
-            raise ParameterError("eps must be nonzero")
-        if self.lam < 0:
-            raise ParameterError(f"lambda must be >= 0, got {self.lam}")
         grid = self.f.grid
-        if self.pp.n != grid.n:
-            raise ParameterError("potential and grid dimensions differ")
+        if grid != self.disc.grid:
+            raise ParameterError("datum and discretization grids differ")
+        self.op = DiscreteOperator(self.disc, self.lam, self.eps)
         band = grid.L - 2 * grid.h
         edge = np.abs(grid.points).max(axis=-1) > band
         fmax = np.abs(self.f.values).max()
@@ -162,7 +183,6 @@ class ResolventProblem:
                 "datum is not supported at distance >= 2h from the box "
                 "boundary; Dirichlet truncation error is uncontrolled",
                 stacklevel=2)
-        self.op = DiscreteOperator(grid, self.pp, self.lam, self.eps)
 
     @property
     def grid(self) -> RadialGrid:
@@ -215,8 +235,9 @@ def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
     else:
         n, L, h = grid_spec
         grid = RadialGrid(int(n), float(L), float(h))
+    disc = Discretization(grid, pp)
     f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
-    return ResolventProblem(pp=pp, lam=float(lam), eps=float(eps), f=f)
+    return ResolventProblem(disc=disc, lam=float(lam), eps=float(eps), f=f)
 
 
 def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
@@ -256,7 +277,7 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
         achieved_residual=res)
 
 
-def covariant_gradient(u: ScalarField, pp: PotentialPair) -> np.ndarray:
+def covariant_gradient(u: ScalarField, disc: Discretization) -> np.ndarray:
     """Centered covariant gradient with the operator's link phases:
     component k is (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h.
 
@@ -264,26 +285,11 @@ def covariant_gradient(u: ScalarField, pp: PotentialPair) -> np.ndarray:
     assumed outside the box.
     """
     grid = u.grid
-    phases = link_phases(grid, pp)
-    vals = u.values
+    if grid != disc.grid:
+        raise ParameterError("field and discretization grids differ")
     out = np.zeros(grid.shape + (grid.n,), dtype=complex)
-    h = grid.h
-    for k in range(grid.n):
-        up = np.zeros_like(vals)
-        dn = np.zeros_like(vals)
-        sl_lo = [slice(None)] * grid.n
-        sl_hi = [slice(None)] * grid.n
-        sl_lo[k] = slice(None, -1)
-        sl_hi[k] = slice(1, None)
-        sl_lo, sl_hi = tuple(sl_lo), tuple(sl_hi)
-        if phases is None:
-            up[sl_lo] = vals[sl_hi]
-            dn[sl_hi] = vals[sl_lo]
-        else:
-            U = phases[k]
-            up[sl_lo] = U[sl_lo] * vals[sl_hi]
-            dn[sl_hi] = np.conj(U[sl_lo]) * vals[sl_lo]
-        out[..., k] = (up - dn) / (2 * h)
+    disc.hop(u.values, [out[..., k] for k in range(grid.n)], np.subtract)
+    out /= 2 * grid.h
     return out
 
 

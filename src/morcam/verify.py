@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admissibility import AdmissibilityReport, admissibility_report
-from .errors import MorcamError, SolverError
+from .errors import MorcamError, ParameterError, SolverError
 from .fields import PotentialPair, radial_derivative_parts, trapping_component
 from .grids import RadialGrid, ScalarField
 from .multipliers import Multiplier, SymmetricWeight, make_phi, make_varphi
 from .norms import NormReport, theorem_lhs, theorem_rhs
-from .resolvent import (ResolventProblem, covariant_gradient, make_datum,
+from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
+                        covariant_gradient, epsilon_floor, make_datum,
                         radial_tangential_split, solve)
 
 __all__ = [
@@ -73,74 +74,80 @@ class IdentityReport:
         }
 
 
-def identity_residual(u: ScalarField, f: ScalarField, pp: PotentialPair,
-                      lam: float, eps: float, mult: Multiplier,
-                      weight: SymmetricWeight,
-                      include_btau: bool = True) -> IdentityReport:
-    """Evaluate both sides of the multiplier identity on (u, f).
+def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
+                      lam: float, eps: float,
+                      scales: list[tuple[Multiplier, SymmetricWeight]],
+                      include_btau: bool = True) -> list[IdentityReport]:
+    """Evaluate both sides of the multiplier identity on (u, f), one
+    IdentityReport per (Multiplier, SymmetricWeight) pair in scales.
 
     Smooth densities are paired by midpoint quadrature; the bilaplacian
     atoms pair with |u|^2 through origin interpolation and shell-averaged
-    surface integrals.  eps carries the sign of the absorption.
+    surface integrals.  eps carries the sign of the absorption.  The
+    scale-independent samples are taken once for all scales.
     """
     if u.grid != f.grid:
         raise MorcamError("u and f must share a grid")
     grid = u.grid
-    n, h, r = grid.n, grid.h, grid.radii
+    pp = disc.pp
+    h, r = grid.h, grid.radii
     u2 = u.abs2()
+    conj_u = np.conj(u.values)
 
-    g = covariant_gradient(u, pp)
+    g = covariant_gradient(u, disc)
     g_r, g_tau = radial_tangential_split(g, grid)
+    g_r2, g_tau2 = np.abs(g_r) ** 2, g_tau ** 2
     g2 = np.sum(np.abs(g) ** 2, axis=-1)
-
-    lhs = {}
-    # Hessian quadratic form via the radial/tangential split
-    lhs["hessian"] = float(grid.integrate(
-        mult.d2phi(r) * np.abs(g_r) ** 2 + mult.dphi(r) / r * g_tau ** 2))
-    lhs["weight_gradient"] = -float(grid.integrate(weight.value(r) * g2))
-
-    # -(1/4 Delta^2 phi - 1/2 Delta varphi) paired with |u|^2
-    bilap = float(grid.integrate(mult.bilap_smooth(r) * u2))
-    if mult.origin_atom is not None:
-        bilap += mult.origin_atom.mass * abs(grid.interpolate_origin(u.values)) ** 2
-    if mult.sphere_atom is not None:
-        bilap += mult.sphere_atom.density * grid.surface_integral(u2, mult.sphere_atom.radius)
-    lapw = float(grid.integrate(weight.lap_smooth(r) * u2))
-    lapw += weight.sphere_atom.density * grid.surface_integral(u2, weight.sphere_atom.radius)
-    lhs["bilaplacian"] = -0.25 * bilap + 0.5 * lapw
-
     drv = radial_derivative_parts(pp, grid.points)[0]
-    V = pp.eval_V(grid.points)
-    lhs["potential"] = -float(grid.integrate(
-        (0.5 * mult.dphi(r) * drv + weight.value(r) * V) * u2))
-
-    if include_btau and pp.A is not None:
+    trapping = include_btau and pp.A is not None
+    if trapping:
         btau = trapping_component(pp, grid.points)
         bdotg = np.einsum("...i,...i->...", btau, np.conj(g))
-        lhs["trapping"] = float(grid.integrate(
-            np.imag(mult.dphi(r) * u.values * bdotg)))
-    else:
-        lhs["trapping"] = 0.0
-
-    lhs["energy_weight"] = lam * float(grid.integrate(weight.value(r) * u2))
-
     xhat = grid.points / r[..., None]
-    grad_phi_dot = mult.dphi(r) * np.einsum("...i,...i->...", xhat, np.conj(g))
-    rhs = {}
-    # The commutator multiplier is (1/2)[H, phi]u = -(phi' xhat . grad_A u
-    # + (1/2) Delta phi u); pairing f against it flips the sign of the
-    # gradient and absorption terms relative to the weight term.
-    rhs["datum_gradient"] = -float(grid.integrate(np.real(
-        f.values * (grad_phi_dot + 0.5 * mult.lap_phi(r) * np.conj(u.values)))))
-    rhs["datum_weight"] = float(grid.integrate(np.real(
-        f.values * weight.value(r) * np.conj(u.values))))
-    rhs["absorption"] = -eps * float(grid.integrate(np.imag(
-        u.values * grad_phi_dot)))
+    xdotg = np.einsum("...i,...i->...", xhat, np.conj(g))
 
-    return IdentityReport(lhs_terms=lhs, rhs_terms=rhs, h=h, R=mult.R)
+    reports = []
+    for mult, weight in scales:
+        dphi = mult.dphi(r)
+        w = weight.value(r)
+        lhs = {}
+        # Hessian quadratic form via the radial/tangential split
+        lhs["hessian"] = float(grid.integrate(
+            mult.d2phi(r) * g_r2 + dphi / r * g_tau2))
+        lhs["weight_gradient"] = -float(grid.integrate(w * g2))
+
+        # -(1/4 Delta^2 phi - 1/2 Delta varphi) paired with |u|^2
+        bilap = float(grid.integrate(mult.bilap_smooth(r) * u2))
+        if mult.origin_atom is not None:
+            bilap += mult.origin_atom.mass * abs(grid.interpolate_origin(u.values)) ** 2
+        if mult.sphere_atom is not None:
+            bilap += mult.sphere_atom.density * grid.surface_integral(u2, mult.sphere_atom.radius)
+        lapw = float(grid.integrate(weight.lap_smooth(r) * u2))
+        lapw += weight.sphere_atom.density * grid.surface_integral(u2, weight.sphere_atom.radius)
+        lhs["bilaplacian"] = -0.25 * bilap + 0.5 * lapw
+
+        lhs["potential"] = -float(grid.integrate(
+            (0.5 * dphi * drv + w * disc.V) * u2))
+        lhs["trapping"] = float(grid.integrate(
+            np.imag(dphi * u.values * bdotg))) if trapping else 0.0
+        lhs["energy_weight"] = lam * float(grid.integrate(w * u2))
+
+        grad_phi_dot = dphi * xdotg
+        rhs = {}
+        # The commutator multiplier is (1/2)[H, phi]u = -(phi' xhat . grad_A u
+        # + (1/2) Delta phi u); pairing f against it flips the sign of the
+        # gradient and absorption terms relative to the weight term.
+        rhs["datum_gradient"] = -float(grid.integrate(np.real(
+            f.values * (grad_phi_dot + 0.5 * mult.lap_phi(r) * conj_u))))
+        rhs["datum_weight"] = float(grid.integrate(np.real(
+            f.values * w * conj_u)))
+        rhs["absorption"] = -eps * float(grid.integrate(np.imag(
+            u.values * grad_phi_dot)))
+        reports.append(IdentityReport(lhs_terms=lhs, rhs_terms=rhs, h=h, R=mult.R))
+    return reports
 
 
-def identity_scan(u: ScalarField, f: ScalarField, pp: PotentialPair,
+def identity_scan(u: ScalarField, f: ScalarField, disc: Discretization,
                   lam: float, eps: float, M: float = 1.0,
                   beta: float = 1e-3, R_list=None):
     """Evaluate the identity at several multiplier scales and return the
@@ -148,14 +155,10 @@ def identity_scan(u: ScalarField, f: ScalarField, pp: PotentialPair,
     grid = u.grid
     if R_list is None:
         R_list = [grid.L / 8, grid.L / 4, grid.L / 2]
-    worst = None
-    for R in R_list:
-        mult = make_phi(grid.n, R, M)
-        weight = make_varphi(grid.n, R, beta)
-        rep = identity_residual(u, f, pp, lam, eps, mult, weight)
-        if worst is None or rep.residual_rel > worst.residual_rel:
-            worst = rep
-    return worst
+    scales = [(make_phi(grid.n, R, M), make_varphi(grid.n, R, beta))
+              for R in R_list]
+    reports = identity_residual(u, f, disc, lam, eps, scales)
+    return max(reports, key=lambda rep: rep.residual_rel)
 
 
 def manufactured_identity(pp: PotentialPair, grid: RadialGrid, u_fn,
@@ -163,12 +166,11 @@ def manufactured_identity(pp: PotentialPair, grid: RadialGrid, u_fn,
                           beta: float = 1e-3, R_list=None):
     """Sample a prescribed smooth u, manufacture f = -H^h u + (lam+i eps)u
     with the discrete operator, and scan the identity."""
-    from .resolvent import DiscreteOperator
-
     u = ScalarField.from_callable(grid, u_fn)
-    op = DiscreteOperator(grid, pp, lam, eps)
+    disc = Discretization(grid, pp)
+    op = DiscreteOperator(disc, lam, eps)
     f = ScalarField(grid, -op.apply(u.values))
-    return identity_scan(u, f, pp, lam, eps, M=M, beta=beta, R_list=R_list)
+    return identity_scan(u, f, disc, lam, eps, M=M, beta=beta, R_list=R_list)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,7 @@ def _pick_delta(adm: AdmissibilityReport) -> float:
     return 0.1
 
 
-def estimate_report(u: ScalarField, f: ScalarField, pp: PotentialPair,
+def estimate_report(u: ScalarField, f: ScalarField, disc: Discretization,
                     lam: float, eps: float, M: float | None = None,
                     delta: float | None = None,
                     adm: AdmissibilityReport | None = None):
@@ -197,7 +199,7 @@ def estimate_report(u: ScalarField, f: ScalarField, pp: PotentialPair,
     n = u.grid.n
     notes = []
     if adm is None and (M is None or delta is None):
-        adm = admissibility_report(pp, n)
+        adm = admissibility_report(disc.pp, n)
     if adm is not None and not adm.admissible:
         notes.append("configuration not admissible; estimate run is diagnostic")
     if M is None:
@@ -207,7 +209,7 @@ def estimate_report(u: ScalarField, f: ScalarField, pp: PotentialPair,
             M = 2.0  # stand-in for the M -> infinity optimum
     if delta is None:
         delta = _pick_delta(adm)
-    lhs = theorem_lhs(u, pp, lam, M, delta)
+    lhs = theorem_lhs(u, disc, lam, M, delta)
     rhs = theorem_rhs(f, lam, eps)
     lhs.notes.extend(notes)
     if rhs.total > 0:
@@ -275,11 +277,11 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
     """Solve the resolvent problem for each eps and collect estimate
     ratios.  Solver failures are recorded per entry and the sweep
     continues."""
-    from .resolvent import epsilon_floor
-
     eps_list = list(eps_list)
-    if any(e <= 0 for e in eps_list):
-        raise MorcamError("eps values must be positive (sign handled separately)")
+    if not all(math.isfinite(e) and e > 0 for e in eps_list):
+        raise ParameterError(
+            f"eps values must be finite and positive (sign handled "
+            f"separately), got {eps_list}")
     floor = epsilon_floor(grid.L)
     for e in eps_list:
         if e < floor:
@@ -287,13 +289,16 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                 f"eps={e} below the truncation floor {floor:.3g} for L={grid.L}; "
                 "box truncation error may dominate", stacklevel=2)
     f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
+    # sampled after the admissibility quadrature, whose temporaries set the
+    # sweep's peak memory, so that the two do not add up
     adm = admissibility_report(pp, grid.n)
+    disc = Discretization(grid, pp)
     report = SweepReport()
     for eps in sorted(eps_list, reverse=True):
         try:
-            prob = ResolventProblem(pp=pp, lam=lam, eps=eps, f=f)
+            prob = ResolventProblem(disc=disc, lam=lam, eps=eps, f=f)
             u = solve(prob, tol=tol)
-            lhs, rhs, ratio = estimate_report(u, f, pp, lam, eps, M=M,
+            lhs, rhs, ratio = estimate_report(u, f, disc, lam, eps, M=M,
                                               delta=delta, adm=adm)
             report.add(eps, lhs.total, rhs.total, ratio)
         except SolverError as exc:

@@ -14,7 +14,7 @@ from morcam.fields import (PotentialPair, biot_savart, example_field,
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, sphere_area
 from morcam.norms import duality_gap, hardy_ratio, theorem_lhs
-from morcam.resolvent import build_problem, make_datum, solve
+from morcam.resolvent import Discretization, build_problem, make_datum, solve
 from morcam.verify import epsilon_sweep, estimate_report, manufactured_identity
 
 rng = np.random.default_rng(2024)
@@ -181,7 +181,8 @@ def test_05_norm_duality(capsys):
 def test_06_hardy_inequality(capsys):
     grid = RadialGrid(3, 8.0, 0.25)
     r = np.random.default_rng(66)
-    pairs = [PotentialPair(3), example_field("ex13")]
+    discs = [Discretization(grid, PotentialPair(3)),
+             Discretization(grid, example_field("ex13"))]
     worst = 0.0
     for _ in range(50):
         c = r.uniform(-2, 2, 3)
@@ -189,8 +190,8 @@ def test_06_hardy_inequality(capsys):
         th = r.uniform(0, 1)
         d2 = np.sum((grid.points - c) ** 2, axis=-1)
         u = ScalarField(grid, np.exp(-a * d2) * np.exp(1j * th * grid.points[..., 0]))
-        for pp in pairs:
-            worst = max(worst, hardy_ratio(u, pp))
+        for disc in discs:
+            worst = max(worst, hardy_ratio(u, disc))
     bound = 4 * (1 + 5 * grid.h)
     ok = worst <= bound
     _report(capsys, 6, "weighted mass controlled by covariant-gradient energy",
@@ -321,7 +322,7 @@ def test_11_lhs_positivity(capsys):
         assert adm.admissible
         prob = build_problem(pp, 1.0, 0.5, {"name": "gaussian", "width": 0.8}, grid)
         u = solve(prob, tol=1e-10)
-        lhs, _, _ = estimate_report(u, prob.f, pp, 1.0, 0.5, adm=adm)
+        lhs, _, _ = estimate_report(u, prob.f, prob.disc, 1.0, 0.5, adm=adm)
         terms = {k: v for k, v in lhs.values.items() if k != "delta"}
         scale = sum(abs(v) for v in terms.values())
         worst = min(worst, min(terms.values()) / scale)

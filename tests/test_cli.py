@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 import yaml
 
 from morcam.cli import main
@@ -61,6 +62,19 @@ def test_solve_writes_loadable_snapshot(tmp_path):
     u = load_field(out / "solution.field")
     assert np.isfinite(u.values).all()
     assert np.abs(u.values).max() > 0
+
+
+def test_verify_identity_samples_link_phases_once(tmp_path, link_phase_calls):
+    code, _ = run(tmp_path, {
+        "n": 3, "run": "verify-identity",
+        "potential": {"A": {"name": "ex13"}},
+        "grid": {"L": 4.0, "h": 0.5},
+        "lambda": 1.0, "eps": 1.0,
+        "f": {"name": "gaussian", "width": 0.6},
+        "tol": 1e-8,
+    }, extra=["--json-only"])
+    assert code == 0
+    assert len(link_phase_calls) == 1
 
 
 def test_verify_identity_run(tmp_path):
@@ -125,6 +139,30 @@ def test_bad_parameter_is_exit_3(tmp_path):
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
     assert "scenario" in doc
+
+
+@pytest.mark.parametrize("run_type, bad", [
+    ("sweep", {"eps_list": [0.0]}),
+    ("solve", {"lambda": float("nan")}),
+    ("solve", {"eps": float("inf")}),
+])
+def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, run_type, bad):
+    code, out = run(tmp_path, {
+        "n": 3, "run": run_type, "grid": {"L": 4.0, "h": 0.5},
+        "f": {"name": "gaussian", "width": 0.6}, **bad,
+    })
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+
+
+def test_unknown_scenario_key_is_exit_2(tmp_path):
+    code, out = run(tmp_path, {
+        "n": 3, "run": "solve", "grid": {"L": 4.0, "h": 0.5}, "grid_typo": 1})
+    assert code == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parse"
+    assert "grid_typo" in doc["detail"]
 
 
 def test_missing_scenario_is_exit_2(capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from morcam.errors import ParameterError
-from morcam.multipliers import (hessian_split, make_phi, make_varphi,
-                                sphere_area)
+from morcam.grids import RadialGrid
+from morcam.multipliers import make_phi, make_varphi, sphere_area
+from morcam.resolvent import radial_tangential_split
 
 rng = np.random.default_rng(7)
 
@@ -166,41 +167,37 @@ def test_varphi_beta_range():
     make_varphi(4, 1.0, 0.37)  # (n-1)/2n = 0.375 for n = 4
 
 
-def test_varphi_sandwich_shrinks_with_beta():
-    big = make_varphi(3, 1.0, 0.2).sandwich_constants(0.1, 10.0)
-    small = make_varphi(3, 1.0, 0.002).sandwich_constants(0.1, 10.0)
-    assert small[1] < big[1]
-    assert small[1] < 0.01
-    assert 0 < small[0] <= small[1]
-
-
 # --- hessian split -----------------------------------------------------------
+
+
+def split_form(mult, grid, g):
+    """phi''|g_r|^2 + phi'/r |g_tau|^2 per node, as identity_residual
+    forms the Hessian term."""
+    g_r, g_tau = radial_tangential_split(g, grid)
+    r = grid.radii
+    return mult.d2phi(r) * np.abs(g_r) ** 2 + mult.dphi(r) / r * g_tau ** 2
 
 
 def test_hessian_split_radial_and_tangential():
     mult = make_phi(3, 1.0, 0.5)
-    x = np.array([0.0, 0.0, 2.0])
-    g_rad = np.array([0.0, 0.0, 3.0])
-    assert np.isclose(hessian_split(mult, x, g_rad), mult.d2phi(2.0) * 9.0)
-    g_tan = np.array([1.0, 2.0, 0.0])
-    assert np.isclose(hessian_split(mult, x, g_tan), mult.dphi(2.0) / 2.0 * 5.0)
+    grid = RadialGrid(3, 2.0, 0.5)
+    r = grid.radii
+    xhat = grid.points / r[..., None]
+    assert np.allclose(split_form(mult, grid, 3.0 * xhat), mult.d2phi(r) * 9.0)
+    tan = np.cross([0.0, 0.0, 1.0], xhat)
+    assert np.allclose(split_form(mult, grid, tan),
+                       mult.dphi(r) / r * np.sum(tan ** 2, axis=-1))
 
 
 def test_hessian_split_matches_dense_form():
     mult = make_phi(4, 1.3, 0.7)
-    for _ in range(20):
-        x = rng.standard_normal(4)
-        x *= rng.uniform(0.3, 3.0) / np.linalg.norm(x)
-        g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        r = np.linalg.norm(x)
-        xhat = x / r
-        P = np.outer(xhat, xhat)
-        H = mult.d2phi(r) * P + mult.dphi(r) / r * (np.eye(4) - P)
-        dense = np.real(np.conj(g) @ H @ g)
-        assert abs(hessian_split(mult, x, g) - dense) < 1e-12 * max(1.0, abs(dense))
-
-
-def test_hessian_split_rejects_origin():
-    mult = make_phi(3, 1.0, 0.5)
-    with pytest.raises(ParameterError):
-        hessian_split(mult, np.zeros(3), np.ones(3))
+    grid = RadialGrid(4, 1.5, 0.5)
+    g = (rng.standard_normal(grid.shape + (4,))
+         + 1j * rng.standard_normal(grid.shape + (4,)))
+    r = grid.radii[..., None, None]
+    xhat = grid.points / grid.radii[..., None]
+    P = xhat[..., :, None] * xhat[..., None, :]
+    H = mult.d2phi(r) * P + mult.dphi(r) / r * (np.eye(4) - P)
+    dense = np.real(np.einsum("...i,...ij,...j->...", np.conj(g), H, g))
+    err = np.abs(split_form(mult, grid, g) - dense)
+    assert np.all(err < 1e-12 * np.maximum(1.0, np.abs(dense)))

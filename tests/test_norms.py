@@ -9,6 +9,7 @@ from morcam.grids import RadialGrid, ScalarField
 from morcam.norms import (RadialQuad, duality_gap, dyadic_dual, hardy_ratio,
                           mixed_radial_norm, morrey_campanato, sphere_sup,
                           theorem_lhs, theorem_rhs, weighted_sup_norm)
+from morcam.resolvent import Discretization
 
 rng = np.random.default_rng(11)
 
@@ -212,21 +213,21 @@ def test_sphere_sup_gaussian_maximizer():
 def test_hardy_gaussian_free():
     grid = RadialGrid(3, 6.0, 0.125)
     u = ScalarField.from_callable(grid, lambda X: np.exp(-np.sum(X ** 2, axis=-1)))
-    assert hardy_ratio(u, PotentialPair(3)) <= 4.0
+    assert hardy_ratio(u, Discretization(grid, PotentialPair(3))) <= 4.0
 
 
 def test_hardy_magnetic():
     grid = RadialGrid(3, 6.0, 0.25)
-    pp = example_field("ex13")
+    disc = Discretization(grid, example_field("ex13"))
     for _ in range(5):
         u = random_bump(grid, spread=1.5)
-        assert hardy_ratio(u, pp) <= 4.0 * (1 + 5 * grid.h)
+        assert hardy_ratio(u, disc) <= 4.0 * (1 + 5 * grid.h)
 
 
 def test_hardy_zero_is_undefined():
     grid = RadialGrid(3, 2.0, 0.5)
     with pytest.raises(MorcamError):
-        hardy_ratio(ScalarField.zeros(grid), PotentialPair(3))
+        hardy_ratio(ScalarField.zeros(grid), Discretization(grid, PotentialPair(3)))
 
 
 # --- estimate sides ----------------------------------------------------------
@@ -234,7 +235,8 @@ def test_hardy_zero_is_undefined():
 
 def test_theorem_lhs_zero_field():
     grid = RadialGrid(3, 2.0, 0.25)
-    rep = theorem_lhs(ScalarField.zeros(grid), PotentialPair(3), 0.0, 1.0, 0.1)
+    rep = theorem_lhs(ScalarField.zeros(grid), Discretization(grid, PotentialPair(3)),
+                      0.0, 1.0, 0.1)
     for key, value in rep.values.items():
         if key != "delta":
             assert value == 0.0
@@ -244,7 +246,7 @@ def test_theorem_lhs_zero_field():
 def test_theorem_lhs_free_case_vanishing_terms():
     grid = RadialGrid(3, 4.0, 0.25)
     u = random_bump(grid, spread=1.0)
-    rep = theorem_lhs(u, PotentialPair(3), 0.0, 1.0, 0.1)
+    rep = theorem_lhs(u, Discretization(grid, PotentialPair(3)), 0.0, 1.0, 0.1)
     assert rep.values["drV_minus"] == 0.0
     assert rep.values["V_minus"] == 0.0
     assert rep.values["lambda_term"] == 0.0
@@ -258,7 +260,7 @@ def test_theorem_lhs_matches_direct_quadrature():
     pp = make_potential_pair(3, None, {"name": "gaussian", "amplitude": -1.0})
     u = ScalarField.from_callable(grid, lambda X: np.exp(-np.sum(X ** 2, axis=-1)))
     lam, M, delta = 0.7, 1.3, 0.05
-    rep = theorem_lhs(u, pp, lam, M, delta)
+    rep = theorem_lhs(u, Discretization(grid, pp), lam, M, delta)
 
     r = grid.radii
     u2 = u.abs2()
@@ -283,7 +285,8 @@ def test_theorem_lhs_matches_direct_quadrature():
 def test_theorem_lhs_rejects_negative_lambda():
     grid = RadialGrid(3, 2.0, 0.5)
     with pytest.raises(ParameterError):
-        theorem_lhs(ScalarField.zeros(grid), PotentialPair(3), -1.0, 1.0, 0.1)
+        theorem_lhs(ScalarField.zeros(grid), Discretization(grid, PotentialPair(3)),
+                    -1.0, 1.0, 0.1)
 
 
 def test_theorem_rhs_shell_indicator():
@@ -311,7 +314,7 @@ def test_theorem_rhs_rejects_zero_eps():
 def test_norm_report_json_layout():
     grid = RadialGrid(3, 4.0, 0.25)
     u = random_bump(grid, spread=1.0)
-    rep = theorem_lhs(u, PotentialPair(3), 0.0, 1.0, 0.1)
+    rep = theorem_lhs(u, Discretization(grid, PotentialPair(3)), 0.0, 1.0, 0.1)
     out = rep.to_json()
     assert "grad_mc_sq" in out and "grad_mc_sq_Rstar" in out
     assert out["total"] == pytest.approx(rep.total)

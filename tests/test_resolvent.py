@@ -4,7 +4,7 @@ import pytest
 from morcam.errors import ParameterError, SolverError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
-from morcam.resolvent import (DiscreteOperator, build_problem,
+from morcam.resolvent import (DiscreteOperator, Discretization, build_problem,
                               covariant_gradient, epsilon_floor, link_phases,
                               make_datum, radial_tangential_split, solve)
 
@@ -26,7 +26,7 @@ def random_field(grid, seed=0):
 
 def test_free_operator_is_seven_point_laplacian():
     grid = small_grid()
-    op = DiscreteOperator(grid, PotentialPair(3), lam=0.3, eps=0.7)
+    op = DiscreteOperator(Discretization(grid, PotentialPair(3)), lam=0.3, eps=0.7)
     u = random_field(grid).values
     out = op.apply(u)
 
@@ -41,20 +41,19 @@ def test_free_operator_is_seven_point_laplacian():
 
 
 def test_operator_parameter_checks():
-    grid = small_grid()
-    pp = PotentialPair(3)
-    with pytest.raises(ParameterError):
-        DiscreteOperator(grid, pp, lam=1.0, eps=0.0)
-    with pytest.raises(ParameterError):
-        DiscreteOperator(grid, pp, lam=-0.1, eps=1.0)
+    disc = Discretization(small_grid(), PotentialPair(3))
+    for lam, eps in ((1.0, 0.0), (-0.1, 1.0), (np.nan, 1.0), (np.inf, 1.0),
+                     (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)):
+        with pytest.raises(ParameterError):
+            DiscreteOperator(disc, lam=lam, eps=eps)
 
 
 def test_singular_potential_capped_with_warning():
     grid = small_grid()
     pp = make_potential_pair(3, None, {"name": "coulomb", "c": -10.0})
     with pytest.warns(UserWarning, match="capped"):
-        op = DiscreteOperator(grid, pp, lam=0.0, eps=1.0)
-    assert np.abs(op.V).max() <= 1.0 / grid.h ** 2 + 1e-12
+        disc = Discretization(grid, pp)
+    assert np.abs(disc.V).max() <= 1.0 / grid.h ** 2 + 1e-12
 
 
 def test_link_phases_unit_modulus():
@@ -71,8 +70,9 @@ def test_operator_hermitian_apart_from_shift():
     # i.e. Im shift is the only non-Hermitian part
     grid = small_grid()
     pp = example_field("ex13")
-    op_p = DiscreteOperator(grid, pp, lam=0.4, eps=0.9)
-    op_m = DiscreteOperator(grid, pp, lam=0.4, eps=-0.9)
+    disc = Discretization(grid, pp)
+    op_p = DiscreteOperator(disc, lam=0.4, eps=0.9)
+    op_m = DiscreteOperator(disc, lam=0.4, eps=-0.9)
     u, v = random_field(grid, 1).values, random_field(grid, 2).values
     lhs = np.vdot(v, op_p.apply(u))
     rhs = np.vdot(op_m.apply(v), u)
@@ -196,7 +196,7 @@ def test_solver_error_carries_residual():
 def test_plain_gradient_of_linear_profile():
     grid = small_grid(h=0.25)
     u = ScalarField.from_callable(grid, lambda X: X[..., 0] + 0j)
-    g = covariant_gradient(u, PotentialPair(3))
+    g = covariant_gradient(u, Discretization(grid, PotentialPair(3)))
     core = (slice(2, -2),) * 3
     assert np.abs(g[core + (0,)] - 1.0).max() < 1e-12
     assert np.abs(g[core + (1,)]).max() < 1e-12
@@ -218,8 +218,9 @@ def test_covariant_gradient_gauge_covariance_pointwise():
     u = ScalarField.from_callable(
         grid, lambda X: np.exp(-np.sum(X ** 2, axis=-1) + 0j))
     ph = np.exp(1j * chi(grid.points))
-    g0 = covariant_gradient(u, base)
-    g1 = covariant_gradient(ScalarField(grid, ph * u.values), shifted)
+    g0 = covariant_gradient(u, Discretization(grid, base))
+    g1 = covariant_gradient(ScalarField(grid, ph * u.values),
+                            Discretization(grid, shifted))
     core = (slice(2, -2),) * 3
     err = np.abs(g1[core] - ph[core + (None,)] * g0[core]).max()
     assert err < 1e-12 * np.abs(g0).max()

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from morcam.errors import MorcamError
+from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, make_varphi
+from morcam.resolvent import DiscreteOperator, Discretization
 from morcam.verify import (IdentityReport, SweepReport, epsilon_sweep,
                            estimate_report, identity_residual, identity_scan,
                            manufactured_identity, resonance_functionals)
@@ -26,7 +27,8 @@ def test_identity_trivial_on_zero_solution():
     z = ScalarField.zeros(grid)
     mult = make_phi(3, 1.0, 1.0)
     weight = make_varphi(3, 1.0, 1e-3)
-    rep = identity_residual(z, z, PotentialPair(3), 1.0, 1.0, mult, weight)
+    [rep] = identity_residual(z, z, Discretization(grid, PotentialPair(3)), 1.0, 1.0,
+                              [(mult, weight)])
     assert rep.lhs_total == 0.0 and rep.rhs_total == 0.0
     assert rep.residual_abs == 0.0
 
@@ -35,8 +37,8 @@ def test_identity_grid_mismatch_rejected():
     a = ScalarField.zeros(RadialGrid(3, 4.0, 0.5))
     b = ScalarField.zeros(RadialGrid(3, 4.0, 0.25))
     with pytest.raises(MorcamError):
-        identity_residual(a, b, PotentialPair(3), 1.0, 1.0,
-                          make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))
+        identity_residual(a, b, Discretization(a.grid, PotentialPair(3)), 1.0, 1.0,
+                          [(make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))])
 
 
 def test_manufactured_identity_refines_under_h():
@@ -66,14 +68,12 @@ def test_trapping_term_negligible_for_nontrapping_vortex():
     pp = example_field("ex13")
     grid = RadialGrid(3, 8.0, 0.25)
     u = ScalarField.from_callable(grid, bump)
-    from morcam.resolvent import DiscreteOperator
-    op = DiscreteOperator(grid, pp, 0.0, 1.0)
-    f = ScalarField(grid, -op.apply(u.values))
-    mult = make_phi(3, 2.0, 1.0)
-    weight = make_varphi(3, 2.0, 1e-3)
-    with_b = identity_residual(u, f, pp, 0.0, 1.0, mult, weight)
-    without = identity_residual(u, f, pp, 0.0, 1.0, mult, weight,
-                                include_btau=False)
+    disc = Discretization(grid, pp)
+    f = ScalarField(grid, -DiscreteOperator(disc, 0.0, 1.0).apply(u.values))
+    scales = [(make_phi(3, 2.0, 1.0), make_varphi(3, 2.0, 1e-3))]
+    [with_b] = identity_residual(u, f, disc, 0.0, 1.0, scales)
+    [without] = identity_residual(u, f, disc, 0.0, 1.0, scales,
+                                  include_btau=False)
     scale = sum(abs(v) for v in with_b.lhs_terms.values())
     assert abs(with_b.lhs_terms["trapping"]) < 1e-8 * scale
     assert without.lhs_terms["trapping"] == 0.0
@@ -84,20 +84,38 @@ def test_identity_scan_picks_worst_scale():
     pp = PotentialPair(3)
     grid = RadialGrid(3, 8.0, 0.5)
     u = ScalarField.from_callable(grid, bump)
-    from morcam.resolvent import DiscreteOperator
-    op = DiscreteOperator(grid, pp, 0.0, 1.0)
-    f = ScalarField(grid, -op.apply(u.values))
-    worst = identity_scan(u, f, pp, 0.0, 1.0)
-    singles = [identity_scan(u, f, pp, 0.0, 1.0, R_list=[R]).residual_rel
+    disc = Discretization(grid, pp)
+    f = ScalarField(grid, -DiscreteOperator(disc, 0.0, 1.0).apply(u.values))
+    worst = identity_scan(u, f, disc, 0.0, 1.0)
+    singles = [identity_scan(u, f, disc, 0.0, 1.0, R_list=[R]).residual_rel
                for R in (1.0, 2.0, 4.0)]
     assert worst.residual_rel == pytest.approx(max(singles))
+
+
+def test_identity_scales_share_one_sampling():
+    # one call over three scales gives exactly the reports of three
+    # single-scale calls
+    pp = make_potential_pair(3, {"name": "ex13"},
+                             {"name": "gaussian", "amplitude": 0.5})
+    grid = RadialGrid(3, 4.0, 0.25)
+    u = ScalarField.from_callable(grid, bump)
+    disc = Discretization(grid, pp)
+    f = ScalarField(grid, -DiscreteOperator(disc, 0.0, 1.0).apply(u.values))
+    scales = [(make_phi(3, R, 1.0), make_varphi(3, R, 1e-3))
+              for R in (0.5, 1.0, 2.0)]
+    together = identity_residual(u, f, disc, 0.0, 1.0, scales)
+    apart = [identity_residual(u, f, disc, 0.0, 1.0, [s])[0] for s in scales]
+    assert len(together) == 3
+    for a, b in zip(together, apart):
+        assert a.lhs_terms == b.lhs_terms and a.rhs_terms == b.rhs_terms
+        assert a.R == b.R
 
 
 def test_identity_json_layout():
     grid = RadialGrid(3, 4.0, 0.5)
     u = ScalarField.from_callable(grid, bump)
-    rep = identity_residual(u, u, PotentialPair(3), 1.0, 1.0,
-                            make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))
+    [rep] = identity_residual(u, u, Discretization(grid, PotentialPair(3)), 1.0, 1.0,
+                              [(make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))])
     doc = rep.to_json()
     assert doc["lhs_total"] == pytest.approx(sum(doc["lhs_terms"].values()))
     assert doc["residual_abs"] == pytest.approx(
@@ -111,7 +129,8 @@ def test_identity_json_layout():
 def test_estimate_report_trivial():
     grid = RadialGrid(3, 4.0, 0.5)
     z = ScalarField.zeros(grid)
-    lhs, rhs, ratio = estimate_report(z, z, PotentialPair(3), 1.0, 0.5)
+    lhs, rhs, ratio = estimate_report(z, z, Discretization(grid, PotentialPair(3)),
+                                      1.0, 0.5)
     assert lhs.total == 0.0 and rhs.total == 0.0 and ratio == 0.0
 
 
@@ -119,7 +138,7 @@ def test_estimate_report_inadmissible_notes():
     grid = RadialGrid(3, 4.0, 0.5)
     pp = make_potential_pair(3, None, {"name": "coulomb", "c": -1.0})
     u = ScalarField.from_callable(grid, bump)
-    lhs, rhs, ratio = estimate_report(u, u, pp, 1.0, 0.5)
+    lhs, rhs, ratio = estimate_report(u, u, Discretization(grid, pp), 1.0, 0.5)
     assert any("not admissible" in note for note in lhs.notes)
     assert math.isfinite(ratio)
 
@@ -168,8 +187,18 @@ def test_epsilon_sweep_runs_and_warns_below_floor():
 
 def test_epsilon_sweep_rejects_nonpositive_eps():
     grid = RadialGrid(3, 4.0, 0.5)
-    with pytest.raises(MorcamError):
-        epsilon_sweep(PotentialPair(3), 1.0, "point", [1.0, -0.1], grid)
+    for eps_list in ([1.0, -0.1], [0.0], [1.0, math.nan], [math.inf]):
+        with pytest.raises(ParameterError):
+            epsilon_sweep(PotentialPair(3), 1.0, "point", eps_list, grid)
+
+
+def test_epsilon_sweep_samples_link_phases_once(link_phase_calls):
+    grid = RadialGrid(3, 4.0, 0.5)
+    pp = make_potential_pair(3, {"name": "ex13"}, None)
+    rep = epsilon_sweep(pp, 1.0, {"name": "gaussian", "width": 0.6},
+                        [1.0, 0.5, 0.25], grid, tol=1e-8)
+    assert len(rep.entries) == 3
+    assert len(link_phase_calls) == 1
 
 
 # --- resonance functionals ---------------------------------------------------
