@@ -1,8 +1,10 @@
 """Solving the magnetic resolvent equation -Hu + (lambda + i eps)u = f.
 
 The operator H = -Delta_A + V is discretized with unit-modulus link
-phases (so gauge covariance survives discretization) and solved with a
-DST-preconditioned Krylov iteration. The absorption parameter eps makes
+phases (so gauge covariance survives discretization) and solved with
+GMRES, right preconditioned by the exact inverse of the free shifted
+operator (the sine matrix S_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)) applied
+along each axis diagonalizes it). The absorption parameter eps makes
 the problem uniquely solvable; the basic energy inequality
 |eps| int |u|^2 <= int |f u| holds exactly in the limit and numerically
 to solver tolerance.

@@ -12,7 +12,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import MorcamError, ParameterError
-from .fields import radial_derivative_parts
 from .grids import RadialGrid, ScalarField
 from .resolvent import Discretization, covariant_gradient, radial_tangential_split
 
@@ -166,6 +165,26 @@ def _block_divergence(radii: np.ndarray, contributions: np.ndarray) -> bool:
     return False
 
 
+#: Radii per evaluation of w in the mixed-norm quadrature: bounds the memory
+#: of w's temporaries (an n x n field matrix per point for |B_tau|).
+QUAD_BLOCK = 256
+
+
+def _sphere_sups(w: Callable, n: int, quad: RadialQuad):
+    """The quadrature radii and, per radius, the max of w over the
+    direction sample, evaluating w on QUAD_BLOCK radii at a time."""
+    dirs = quad.directions(n)
+    radii = np.arange(quad.dr / 2, quad.r_max, quad.dr)
+    sups = np.empty(radii.size)
+    for lo in range(0, radii.size, QUAD_BLOCK):
+        r = radii[lo:lo + QUAD_BLOCK]
+        vals = np.asarray(w(r[:, None, None] * dirs[None, :, :]), float)
+        if vals.shape != (r.size, dirs.shape[0]):
+            raise MorcamError("w must return one value per sample point")
+        sups[lo:lo + QUAD_BLOCK] = vals.max(axis=1)
+    return radii, sups
+
+
 def mixed_radial_norm(w: Callable, p: int, weight_exponent: float,
                       n: int = 3, quad: RadialQuad = RadialQuad()) -> float:
     """Mixed norm ( int_0^inf sup_{|x|=r} (|x|^e w(x))^p dr )^(1/p).
@@ -176,13 +195,8 @@ def mixed_radial_norm(w: Callable, p: int, weight_exponent: float,
     """
     if p not in (1, 2):
         raise ParameterError(f"p must be 1 or 2, got {p}")
-    dirs = quad.directions(n)
-    radii = np.arange(quad.dr / 2, quad.r_max, quad.dr)
-    pts = radii[:, None, None] * dirs[None, :, :]
-    vals = np.asarray(w(pts), float)
-    if vals.shape != (radii.size, dirs.shape[0]):
-        raise MorcamError("w must return one value per sample point")
-    sup_r = radii ** weight_exponent * vals.max(axis=1)
+    radii, sups = _sphere_sups(w, n, quad)
+    sup_r = radii ** weight_exponent * sups
     contributions = sup_r ** p * quad.dr
     if _block_divergence(radii, contributions):
         return math.inf
@@ -195,11 +209,8 @@ def weighted_sup_norm(w: Callable, weight_exponent: float, n: int,
     """sup over R^n of |x|^e w(x) on the radial/angular sample, with +inf
     when the radial profile of the sup still grows at either end of the
     sampled range."""
-    dirs = quad.directions(n)
-    radii = np.arange(quad.dr / 2, quad.r_max, quad.dr)
-    pts = radii[:, None, None] * dirs[None, :, :]
-    vals = np.asarray(w(pts), float)
-    sup_r = radii ** weight_exponent * vals.max(axis=1)
+    radii, sups = _sphere_sups(w, n, quad)
+    sup_r = radii ** weight_exponent * sups
     with np.errstate(divide="ignore"):
         j = np.floor(np.log2(radii)).astype(np.int64)
     j -= j.min()
@@ -258,7 +269,8 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     interpolation (3D); (M/2) int (d_r V)_- |u|^2; the delta-weighted
     group int <x>^-1 V_- |u|^2, lambda int |u|^2/<x>, the tangential
     gradient integral, and the sphere supremum (3D) or int |u|^2/|x|^3
-    (n >= 4).  total applies the delta weight to the last group.
+    (n >= 4).  total applies the delta weight to the last group.  V and
+    d_r V are those of the operator, capped as in disc.V.
     """
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
@@ -278,8 +290,9 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     if n == 3:
         rep.values["origin_sq"] = abs(grid.interpolate_origin(u.values)) ** 2
 
-    _, _, drv_minus, _, v_minus = radial_derivative_parts(disc.pp, grid.points)
+    drv_minus = np.maximum(-disc.radial_derivative(), 0.0)
     rep.values["drV_minus"] = (M / 2) * float(grid.integrate(drv_minus * u2))
+    v_minus = np.maximum(-disc.V, 0.0)
     rep.values["V_minus"] = float(grid.integrate(v_minus * u2 / bracket))
     rep.values["lambda_term"] = lam * float(grid.integrate(u2 / bracket))
 

@@ -4,24 +4,26 @@ box and iterative solution of -Hu + (lambda + i eps)u = f.
 The magnetic coupling enters only through unit-modulus link phases
 exp(-i h A_k(midpoint)) on grid edges (Peierls substitution), which keeps
 the discrete operator gauge covariant and Hermitian for real V.  The
-homogeneous Dirichlet truncation is handled by zero padding; the free
-part is diagonalized exactly by DST-I, which doubles as the
-complex-shifted preconditioner for the Krylov solve.
+homogeneous Dirichlet truncation is handled by zero padding.  The free
+part is diagonalized exactly by the orthonormal sine matrix
+S_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)) along every axis (the DST-I as a
+dense matrix, applied by matrix products); its shifted inverse is the
+preconditioner of a right-preconditioned GMRES(restart) solve written on
+numpy alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ParameterError, SolverError
-from .fields import PotentialPair
+from .fields import PotentialPair, radial_derivative_parts
 from .grids import RadialGrid, ScalarField
 
 __all__ = [
@@ -42,6 +44,13 @@ __all__ = [
 #: 1/sqrt(eps) stays below the box size.
 EPS_FLOOR_FACTOR = 1.0 / 16.0
 
+#: GMRES restart length: a solve keeps RESTART + 1 Krylov basis vectors.
+RESTART = 100
+#: Grid-sized complex arrays a solve holds besides its Krylov basis: the
+#: link phases, V, the datum, solution, residual and the temporaries of the
+#: operator and the preconditioner.
+WORK_VECTORS = 12
+
 
 def epsilon_floor(L: float) -> float:
     return EPS_FLOOR_FACTOR * 4.0 / L ** 2
@@ -61,29 +70,52 @@ def link_phases(grid: RadialGrid, pp: PotentialPair):
     return phases
 
 
+def _check_memory(grid: RadialGrid) -> None:
+    """Refuse a grid whose solve would not fit in physical memory: the
+    estimate is RESTART + 1 Krylov basis vectors plus WORK_VECTORS work
+    vectors of grid.size complex values."""
+    need = (RESTART + 1 + WORK_VECTORS) * grid.size * 16
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ParameterError(
+            f"grid of {grid.size} nodes needs about {need / 2 ** 30:.3g} GiB "
+            f"to solve on, more than the {have / 2 ** 30:.3g} GiB of "
+            f"physical memory")
+
+
 class Discretization:
     """One sampling of a potential pair on a grid: the link phases and the
     electric potential that define -Delta_A^h + V.
 
     The operator, the covariant gradient and the identity and estimate
     checks all read the same samples.  Singular V samples are capped at
-    1/h^2 (with a warning) to keep the operator bounded.
+    1/h^2 (with a warning) to keep the operator bounded; ``capped`` marks
+    where.  A grid too large to solve on is refused before any sampling.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
         if pp.n != grid.n:
             raise ParameterError("potential and grid dimensions differ")
+        _check_memory(grid)
         self.grid = grid
         self.pp = pp
         self.phases = link_phases(grid, pp)
         V = pp.eval_V(grid.points)
         cap = 1.0 / grid.h ** 2
-        if np.any(np.abs(V) > cap):
+        self.capped = np.abs(V) > cap
+        if self.capped.any():
             warnings.warn(
                 f"electric potential capped at {cap:.3g} on "
-                f"{int(np.sum(np.abs(V) > cap))} nodes", stacklevel=2)
+                f"{int(self.capped.sum())} nodes", stacklevel=2)
             V = np.clip(V, -cap, cap)
         self.V = V
+
+    def radial_derivative(self) -> np.ndarray:
+        """d_r V at the nodes, zero where the cap bit (the capped V is
+        flat there)."""
+        drv = radial_derivative_parts(self.pp, self.grid.points)[0]
+        drv[self.capped] = 0.0
+        return drv
 
     def hop(self, u: np.ndarray, outs, combine=np.add) -> None:
         """Add U_k u(x + h e_k) into outs[k] at the lower end of each
@@ -150,16 +182,52 @@ class DiscreteOperator:
         return total
 
     def preconditioner(self) -> Callable:
-        denom = self._free_eigenvalues() - self.lam - 1j * self.eps
+        """The exact inverse of the free shifted operator (A = V = 0),
+        v -> S diag(1/(mu - lambda - i eps)) S v with the sine matrix S
+        along every axis, acting on flat complex vectors."""
         shape = self.grid.shape
+        S = _sine_matrix(self.grid.m)
+        inv = 1.0 / (self._free_eigenvalues() - self.lam - 1j * self.eps)
+        inv_re, inv_im = inv.real.copy(), inv.imag.copy()
 
         def minv(v):
             v = np.asarray(v, complex).reshape(shape)
-            w = sfft.dstn(v, type=1, norm="ortho")
-            w /= denom
-            return sfft.idstn(w, type=1, norm="ortho").ravel()
+            a, b = np.empty((2,) + shape), np.empty((2,) + shape)
+            a[0], a[1] = v.real, v.imag
+            a, b = _sine_transform(a, b, S)
+            np.multiply(a[0], inv_re, out=b[0])
+            b[0] -= a[1] * inv_im
+            np.multiply(a[0], inv_im, out=b[1])
+            b[1] += a[1] * inv_re
+            b, a = _sine_transform(b, a, S)
+            out = np.empty(shape, complex)
+            out.real, out.imag = b[0], b[1]
+            return out.ravel()
 
         return minv
+
+
+def _sine_matrix(m: int) -> np.ndarray:
+    """Orthonormal DST-I matrix S_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)),
+    j, k = 1..m.  S is symmetric and orthogonal, so it is its own inverse."""
+    k = np.arange(1, m + 1)
+    return math.sqrt(2.0 / (m + 1)) * np.sin(math.pi * np.outer(k, k) / (m + 1))
+
+
+def _sine_transform(x: np.ndarray, spare: np.ndarray, S: np.ndarray):
+    """Apply S along every grid axis of the stacked real and imaginary
+    parts x, of shape (2, m, ..., m), one matrix product per axis with
+    x and spare as alternating buffers.  Returns (result, spare)."""
+    m = S.shape[0]
+    n = x.ndim - 1
+    for k in range(n):
+        if k == n - 1:
+            np.matmul(x.reshape(-1, m), S, out=spare.reshape(-1, m))
+        else:
+            batch = (2 * m ** k, m, m ** (n - 1 - k))
+            np.matmul(S, x.reshape(batch), out=spare.reshape(batch))
+        x, spare = spare, x
+    return x, spare
 
 
 @dataclass
@@ -241,40 +309,80 @@ def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
 
 
 def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
-          restart: int = 100) -> ScalarField:
+          restart: int = RESTART) -> ScalarField:
     """Solve -Hu + (lambda + i eps)u = f to relative apply-residual <= tol.
 
-    Krylov iteration (GMRES) on (H - lambda - i eps)u = -f, left
-    preconditioned by the exact inverse of the free shifted operator.
+    GMRES(restart) on (H - lambda - i eps)u = -f, right preconditioned by
+    the exact inverse of the free shifted operator, for at most maxiter
+    Krylov iterations; u.residual is the true relative residual.
     Raises SolverError (with the achieved residual) on nonconvergence.
     """
     op = prob.op
     grid = prob.grid
     b = (-prob.f.values).ravel()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0:
+    if not b.any():
         return ScalarField.zeros(grid)
+    x, res = _gmres(lambda v: op.apply(v).ravel(), op.preconditioner(), b,
+                    tol, restart, maxiter)
+    if res > tol:
+        raise SolverError(
+            f"resolvent solve did not reach relative residual {tol}",
+            achieved_residual=res)
+    u = ScalarField(grid, x.reshape(grid.shape))
+    u.residual = res
+    return u
 
-    A = LinearOperator((grid.size, grid.size),
-                       matvec=lambda v: op.apply(v).ravel(),
-                       dtype=complex)
-    minv = op.preconditioner()
-    M = LinearOperator((grid.size, grid.size), matvec=minv, dtype=complex)
 
-    x = None
-    rtol = tol / 10
-    for _ in range(3):
-        x, _info = gmres(A, b, x0=x, M=M, rtol=rtol, atol=0.0,
-                         restart=restart, maxiter=maxiter)
-        res = np.linalg.norm(op.apply(x).ravel() - b) / bnorm
+def _gmres(apply, minv, b, tol, restart, maxiter):
+    """Right-preconditioned GMRES(restart) for apply(x) = b from x = 0
+    (Saad & Schultz 1986), stopping once ||b - apply(x)|| <= tol ||b|| or
+    after maxiter iterations.  Returns x and its relative residual.
+
+    Arnoldi runs on v -> apply(minv(v)) with classical Gram-Schmidt done
+    twice (Giraud, Langou & Rozloznik 2005) and tracks the residual by
+    Givens rotations.  A cycle ends by adding minv(V y) to x and computing
+    r = b - apply(x) once: r is both the convergence test and the start of
+    the next cycle.
+    """
+    bnorm = np.linalg.norm(b)
+    x = np.zeros_like(b)
+    r, res, its = b, 1.0, 0
+    V = np.empty((restart + 1, b.size), complex)
+    while its < maxiter:
+        H = np.zeros((restart + 1, restart), complex)
+        cs, sn = np.zeros(restart), np.zeros(restart, complex)
+        g = np.zeros(restart + 1, complex)
+        g[0] = np.linalg.norm(r)
+        V[0] = r / g[0]
+        for j in range(min(restart, maxiter - its)):
+            its += 1
+            w = apply(minv(V[j]))
+            for _ in range(2):
+                c = np.conj(V[:j + 1] @ np.conj(w))
+                w -= V[:j + 1].T @ c
+                H[:j + 1, j] += c
+            hnext = np.linalg.norm(w)
+            for i in range(j):
+                H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
+                                        cs[i] * H[i + 1, j] - np.conj(sn[i]) * H[i, j])
+            a = H[j, j]
+            d = math.hypot(abs(a), hnext)
+            phase = a / abs(a) if a != 0 else 1.0
+            cs[j], sn[j] = abs(a) / d, phase * hnext / d
+            H[j, j] = phase * d
+            g[j + 1] = -np.conj(sn[j]) * g[j]
+            g[j] *= cs[j]
+            if abs(g[j + 1]) <= tol * bnorm:
+                break
+            np.divide(w, hnext, out=V[j + 1])
+        k = j + 1
+        y = np.linalg.solve(H[:k, :k], g[:k])
+        x += minv(V[:k].T @ y)
+        r = b - apply(x)
+        res = np.linalg.norm(r) / bnorm
         if res <= tol:
-            u = ScalarField(grid, x.reshape(grid.shape))
-            u.residual = res
-            return u
-        rtol /= 100
-    raise SolverError(
-        f"resolvent solve did not reach relative residual {tol}",
-        achieved_residual=res)
+            break
+    return x, res
 
 
 def covariant_gradient(u: ScalarField, disc: Discretization) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .admissibility import AdmissibilityReport, admissibility_report
 from .errors import MorcamError, ParameterError, SolverError
-from .fields import PotentialPair, radial_derivative_parts, trapping_component
+from .fields import PotentialPair, trapping_component
 from .grids import RadialGrid, ScalarField
 from .multipliers import Multiplier, SymmetricWeight, make_phi, make_varphi
 from .norms import NormReport, theorem_lhs, theorem_rhs
@@ -98,7 +98,7 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     g_r, g_tau = radial_tangential_split(g, grid)
     g_r2, g_tau2 = np.abs(g_r) ** 2, g_tau ** 2
     g2 = np.sum(np.abs(g) ** 2, axis=-1)
-    drv = radial_derivative_parts(pp, grid.points)[0]
+    drv = disc.radial_derivative()
     trapping = include_btau and pp.A is not None
     if trapping:
         btau = trapping_component(pp, grid.points)
@@ -166,8 +166,8 @@ def manufactured_identity(pp: PotentialPair, grid: RadialGrid, u_fn,
                           beta: float = 1e-3, R_list=None):
     """Sample a prescribed smooth u, manufacture f = -H^h u + (lam+i eps)u
     with the discrete operator, and scan the identity."""
-    u = ScalarField.from_callable(grid, u_fn)
     disc = Discretization(grid, pp)
+    u = ScalarField.from_callable(grid, u_fn)
     op = DiscreteOperator(disc, lam, eps)
     f = ScalarField(grid, -op.apply(u.values))
     return identity_scan(u, f, disc, lam, eps, M=M, beta=beta, R_list=R_list)
@@ -288,11 +288,9 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
             warnings.warn(
                 f"eps={e} below the truncation floor {floor:.3g} for L={grid.L}; "
                 "box truncation error may dominate", stacklevel=2)
-    f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
-    # sampled after the admissibility quadrature, whose temporaries set the
-    # sweep's peak memory, so that the two do not add up
-    adm = admissibility_report(pp, grid.n)
     disc = Discretization(grid, pp)
+    f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
+    adm = admissibility_report(pp, grid.n)
     report = SweepReport()
     for eps in sorted(eps_list, reverse=True):
         try:

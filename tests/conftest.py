@@ -15,3 +15,29 @@ def link_phase_calls(monkeypatch):
 
     monkeypatch.setattr(resolvent, "link_phases", counted)
     return calls
+
+
+@pytest.fixture
+def operator_calls(monkeypatch):
+    """Counts of DiscreteOperator.apply calls ("apply") and of calls to
+    the callables DiscreteOperator.preconditioner returns ("precond")."""
+    calls = {"apply": 0, "precond": 0}
+    Op = resolvent.DiscreteOperator
+    apply, preconditioner = Op.apply, Op.preconditioner
+
+    def counted_apply(op, u):
+        calls["apply"] += 1
+        return apply(op, u)
+
+    def counted_preconditioner(op):
+        minv = preconditioner(op)
+
+        def counted(v):
+            calls["precond"] += 1
+            return minv(v)
+
+        return counted
+
+    monkeypatch.setattr(Op, "apply", counted_apply)
+    monkeypatch.setattr(Op, "preconditioner", counted_preconditioner)
+    return calls

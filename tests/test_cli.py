@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import morcam
 from morcam.cli import main
 from morcam.grids import load_field
 
@@ -154,6 +160,28 @@ def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, run_type, bad):
     assert code == 3
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
+
+
+def test_grid_too_large_for_memory_is_exit_3(tmp_path):
+    # 1024^4 nodes: over 2 PB of Krylov basis, refused before any sampling
+    start = time.perf_counter()
+    code, out = run(tmp_path, {
+        "n": 4, "run": "solve", "grid": {"L": 64.0, "h": 0.125}})
+    assert code == 3
+    assert time.perf_counter() - start < 10.0
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert "physical memory" in doc["detail"]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(morcam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, morcam.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_unknown_scenario_key_is_exit_2(tmp_path):

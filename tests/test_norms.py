@@ -282,6 +282,22 @@ def test_theorem_lhs_matches_direct_quadrature():
     assert np.isclose(rep.total, total, rtol=1e-12)
 
 
+def test_theorem_lhs_reads_the_capped_potential():
+    # coulomb c = -10 exceeds the cap 1/h^2 = 4 inside r = 2.5: the left
+    # side is evaluated on the V the operator solves with
+    grid = RadialGrid(3, 4.0, 0.5)
+    pp = make_potential_pair(3, None, {"name": "coulomb", "c": -10.0})
+    with pytest.warns(UserWarning, match="capped"):
+        disc = Discretization(grid, pp)
+    u = ScalarField(grid, np.exp(-np.sum(grid.points ** 2, axis=-1)))
+    rep = theorem_lhs(u, disc, 1.0, 1.0, 0.1)
+    capped = np.maximum(-np.clip(pp.eval_V(grid.points), -4.0, 4.0), 0.0)
+    expect = grid.integrate(capped * u.abs2() / np.sqrt(1 + grid.radii ** 2))
+    assert rep.values["V_minus"] == pytest.approx(expect, rel=1e-12)
+    assert rep.values["V_minus"] == pytest.approx(6.18, abs=5e-3)
+    assert np.all(disc.radial_derivative()[disc.capped] == 0.0)
+
+
 def test_theorem_lhs_rejects_negative_lambda():
     grid = RadialGrid(3, 2.0, 0.5)
     with pytest.raises(ParameterError):

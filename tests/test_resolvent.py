@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morcam.errors import ParameterError, SolverError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
@@ -148,6 +150,30 @@ def test_free_solve_matches_exact_spectral_inverse():
     exact = prob.op.preconditioner()((-prob.f.values).ravel()).reshape(grid.shape)
     scale = np.abs(exact).max()
     assert np.abs(u.values - exact).max() < 1e-9 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 4]), m=st.sampled_from([4, 8, 12, 16]),
+       lam=st.floats(0.0, 20.0), eps=st.floats(0.1, 10.0),
+       sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2 ** 16))
+def test_preconditioner_inverts_free_operator(n, m, lam, eps, sign, seed):
+    # m + 1 = 5, 13 and 17 are prime, the lengths a plain FFT handles worst
+    grid = RadialGrid(n, m / 4, 0.5)
+    op = DiscreteOperator(Discretization(grid, PotentialPair(n)), lam, sign * eps)
+    v = random_field(grid, seed).values.ravel()
+    back = op.apply(op.preconditioner()(v)).ravel()
+    assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("lam, eps", [(1.0, 1.0), (0.0, 0.01), (3.0, -0.1)])
+def test_free_solve_takes_one_krylov_iteration(operator_calls, lam, eps):
+    # the preconditioner is the free operator's exact inverse: one Arnoldi
+    # step, then the solution update and its residual check
+    grid = small_grid(h=0.25)
+    prob = build_problem(PotentialPair(3), lam, eps, "point", grid)
+    u = solve(prob, tol=1e-12)
+    assert u.residual <= 1e-12
+    assert operator_calls == {"apply": 2, "precond": 2}
 
 
 def test_solve_reaches_requested_residual():
