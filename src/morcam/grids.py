@@ -90,6 +90,18 @@ class RadialGrid:
         """Flat indices sorting nodes by |x| (used for sup_R scans)."""
         return np.argsort(self.radii, axis=None, kind="stable")
 
+    @cached_property
+    def radii_sorted(self) -> np.ndarray:
+        """The node radii in radii_sort order."""
+        return self.radii.ravel()[self.radii_sort]
+
+    @cached_property
+    def dyadic_index(self) -> np.ndarray:
+        """floor(log2 |x|) per node, flat: node x lies in the dyadic shell
+        2^j <= |x| < 2^(j+1).  No node sits at the origin, and |j| stays
+        below 1100 for any double radius, so int16 holds it."""
+        return np.floor(np.log2(self.radii.ravel())).astype(np.int16)
+
     def integrate(self, values: np.ndarray) -> complex | float:
         return values.sum() * self.cell_volume
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MorcamError, ParameterError
 from .grids import RadialGrid, ScalarField
-from .resolvent import Discretization, covariant_gradient, radial_tangential_split
+from .resolvent import Discretization, covariant_gradient, gradient_split
 
 __all__ = [
     "NormReport",
@@ -55,9 +55,8 @@ class NormReport:
 
 def _mc_sup_sq(grid: RadialGrid, weights: np.ndarray):
     """sup over node radii R of (1/R) * sum_{|x| <= R} weights * h^n."""
-    order = grid.radii_sort
-    r_sorted = grid.radii.ravel()[order]
-    w_sorted = np.asarray(weights, float).ravel()[order]
+    r_sorted = grid.radii_sorted
+    w_sorted = np.asarray(weights, float).ravel()[grid.radii_sort]
     csum = np.cumsum(w_sorted) * grid.cell_volume
     ratios = csum / r_sorted
     k = int(np.argmax(ratios))
@@ -90,10 +89,8 @@ def dyadic_dual(f: ScalarField, j_min: int | None = None, j_max: int | None = No
         j_min = dj_min
     if j_max is None:
         j_max = dj_max
-    r = grid.radii.ravel()
     w = f.abs2().ravel() * grid.cell_volume
-    with np.errstate(divide="ignore"):
-        j = np.floor(np.log2(np.maximum(r, 1e-300))).astype(np.int64)
+    j = grid.dyadic_index
     inside = (j >= j_min) & (j <= j_max)
     idx = j[inside] - j_min
     shells = np.bincount(idx, weights=w[inside], minlength=j_max - j_min + 1)
@@ -249,8 +246,8 @@ def hardy_ratio(u: ScalarField, disc: Discretization) -> float:
     Hardy constant 4/(n-2)^2 up to discretization slack."""
     grid = u.grid
     num = float(grid.integrate(u.abs2() / grid.radii ** 2))
-    g = covariant_gradient(u, disc)
-    den = float(grid.integrate(np.sum(np.abs(g) ** 2, axis=-1)))
+    g2, _ = gradient_split(covariant_gradient(u, disc), grid)
+    den = float(grid.integrate(g2))
     if den <= 0:
         raise MorcamError("hardy_ratio undefined: zero covariant-gradient energy")
     return num / den
@@ -281,8 +278,7 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     bracket = np.sqrt(1 + r ** 2)
     u2 = u.abs2()
 
-    g = covariant_gradient(u, disc)
-    g2 = np.sum(np.abs(g) ** 2, axis=-1)
+    g2, g_r = gradient_split(covariant_gradient(u, disc), grid)
     mc_sq, rstar = _mc_sup_sq(grid, g2)
     rep.values["grad_mc_sq"] = mc_sq
     rep.rstar["grad_mc_sq"] = rstar
@@ -296,8 +292,8 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     rep.values["V_minus"] = float(grid.integrate(v_minus * u2 / bracket))
     rep.values["lambda_term"] = lam * float(grid.integrate(u2 / bracket))
 
-    _, gtau = radial_tangential_split(g, grid)
-    rep.values["tangential"] = float(grid.integrate(gtau ** 2 / r))
+    gtau2 = np.maximum(g2 - np.square(g_r.real) - np.square(g_r.imag), 0.0)
+    rep.values["tangential"] = float(grid.integrate(gtau2 / r))
 
     if n == 3:
         sval, srad = sphere_sup(u)

@@ -34,7 +34,7 @@ __all__ = [
     "make_datum",
     "solve",
     "covariant_gradient",
-    "radial_tangential_split",
+    "gradient_split",
     "link_phases",
     "epsilon_floor",
 ]
@@ -90,7 +90,8 @@ class Discretization:
     The operator, the covariant gradient and the identity and estimate
     checks all read the same samples.  Singular V samples are capped at
     1/h^2 (with a warning) to keep the operator bounded; ``capped`` marks
-    where.  A grid too large to solve on is refused before any sampling.
+    where.  d_r V is sampled on first use and kept.  A grid too large to
+    solve on is refused before any sampling.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
@@ -109,13 +110,18 @@ class Discretization:
                 f"{int(self.capped.sum())} nodes", stacklevel=2)
             V = np.clip(V, -cap, cap)
         self.V = V
+        self._drv = None
 
     def radial_derivative(self) -> np.ndarray:
         """d_r V at the nodes, zero where the cap bit (the capped V is
-        flat there)."""
-        drv = radial_derivative_parts(self.pp, self.grid.points)[0]
-        drv[self.capped] = 0.0
-        return drv
+        flat there).  Sampled on the first call; later calls return the
+        same read-only array."""
+        if self._drv is None:
+            drv = radial_derivative_parts(self.pp, self.grid.points)[0]
+            drv[self.capped] = 0.0
+            drv.flags.writeable = False
+            self._drv = drv
+        return self._drv
 
     def hop(self, u: np.ndarray, outs, combine=np.add) -> None:
         """Add U_k u(x + h e_k) into outs[k] at the lower end of each
@@ -143,7 +149,7 @@ class DiscreteOperator:
     """Matrix-free application of (-Delta_A^h + V - lambda - i eps)u.
 
     The hop between x and x + h e_k carries the link phase; the diagonal
-    holds 2n/h^2 + V(x) - lambda - i eps.
+    2n/h^2 + V(x) - lambda - i eps is formed once per operator.
     """
 
     def __init__(self, disc: Discretization, lam: float, eps: float):
@@ -156,19 +162,18 @@ class DiscreteOperator:
         self.grid = disc.grid
         self.lam = lam
         self.eps = eps
-
-    def _hop(self, u: np.ndarray) -> np.ndarray:
-        """Sum over axes of phase-twisted neighbor values."""
-        out = np.zeros_like(u)
-        self.disc.hop(u, [out] * self.grid.n)
-        return out
+        g = self.grid
+        self._diag = (2 * g.n / g.h ** 2 + disc.V - lam) - 1j * eps
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self.grid
         u = np.asarray(u, complex).reshape(g.shape)
-        h2 = g.h ** 2
-        lap = (self._hop(u) - 2 * g.n * u) / h2
-        return -lap + (self.disc.V - self.lam - 1j * self.eps) * u
+        out = self._diag * u
+        hop = np.zeros_like(u)
+        self.disc.hop(u, [hop] * g.n)
+        hop *= 1.0 / g.h ** 2
+        out -= hop
+        return out
 
     # --- free-operator preconditioner ------------------------------------
 
@@ -243,10 +248,14 @@ class ResolventProblem:
         if grid != self.disc.grid:
             raise ParameterError("datum and discretization grids differ")
         self.op = DiscreteOperator(self.disc, self.lam, self.eps)
-        band = grid.L - 2 * grid.h
-        edge = np.abs(grid.points).max(axis=-1) > band
-        fmax = np.abs(self.f.values).max()
-        if fmax > 0 and np.abs(self.f.values[edge]).max() > 1e-10 * fmax:
+        # the nodes with |x_k| > L - 2h for some k are the two outer index
+        # layers at each end of every axis
+        vals = self.f.values
+        layers = [0, 1, grid.m - 2, grid.m - 1]
+        edge = max(np.abs(np.take(vals, layers, axis=k)).max()
+                   for k in range(grid.n))
+        fmax = np.abs(vals).max()
+        if fmax > 0 and edge > 1e-10 * fmax:
             warnings.warn(
                 "datum is not supported at distance >= 2h from the box "
                 "boundary; Dirichlet truncation error is uncontrolled",
@@ -312,14 +321,16 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
           restart: int = RESTART) -> ScalarField:
     """Solve -Hu + (lambda + i eps)u = f to relative apply-residual <= tol.
 
-    GMRES(restart) on (H - lambda - i eps)u = -f, right preconditioned by
-    the exact inverse of the free shifted operator, for at most maxiter
-    Krylov iterations; u.residual is the true relative residual.
+    GMRES(restart) on (H - lambda - i eps)(-u) = f, right preconditioned
+    by the exact inverse of the free shifted operator, for at most maxiter
+    Krylov iterations; u.residual is the true relative residual.  Solving
+    for -u reads f in place instead of a negated copy; negation is exact,
+    so u is the same as from the system with right-hand side -f.
     Raises SolverError (with the achieved residual) on nonconvergence.
     """
     op = prob.op
     grid = prob.grid
-    b = (-prob.f.values).ravel()
+    b = prob.f.values.ravel()
     if not b.any():
         return ScalarField.zeros(grid)
     x, res = _gmres(lambda v: op.apply(v).ravel(), op.preconditioner(), b,
@@ -328,6 +339,7 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
             achieved_residual=res)
+    x *= -1
     u = ScalarField(grid, x.reshape(grid.shape))
     u.residual = res
     return u
@@ -389,24 +401,30 @@ def covariant_gradient(u: ScalarField, disc: Discretization) -> np.ndarray:
     """Centered covariant gradient with the operator's link phases:
     component k is (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h.
 
-    Returns a complex array of shape (*grid.shape, n); Dirichlet zero is
-    assumed outside the box.
+    Returns a complex array of shape (*grid.shape, n), a view of
+    components stored axis-first (each g[..., k] is contiguous); Dirichlet
+    zero is assumed outside the box.
     """
     grid = u.grid
     if grid != disc.grid:
         raise ParameterError("field and discretization grids differ")
-    out = np.zeros(grid.shape + (grid.n,), dtype=complex)
-    disc.hop(u.values, [out[..., k] for k in range(grid.n)], np.subtract)
-    out /= 2 * grid.h
-    return out
+    comps = np.zeros((grid.n,) + grid.shape, dtype=complex)
+    disc.hop(u.values, comps, np.subtract)
+    comps /= 2 * grid.h
+    return np.moveaxis(comps, 0, -1)
 
 
-def radial_tangential_split(g: np.ndarray, grid: RadialGrid):
-    """Split a vector field into its radial component g . x/|x| (complex)
-    and the tangential magnitude sqrt(|g|^2 - |g_r|^2) (clamped at 0)."""
-    g = np.asarray(g, complex)
-    xhat = grid.points / grid.radii[..., None]
-    g_r = np.einsum("...i,...i->...", g, xhat)
-    g2 = np.sum(np.abs(g) ** 2, axis=-1)
-    gtau2 = np.maximum(g2 - np.abs(g_r) ** 2, 0.0)
-    return g_r, np.sqrt(gtau2)
+def gradient_split(g: np.ndarray, grid: RadialGrid):
+    """|g|^2 and the radial component g_r = g . x/|x| (complex) of a
+    vector field g of shape (*grid.shape, n), formed one axis at a time
+    from the components and the 1-D node coordinates.  The tangential
+    part is |g_tau|^2 = |g|^2 - |g_r|^2."""
+    n = grid.n
+    g2 = np.zeros(grid.shape)
+    g_r = np.zeros(grid.shape, complex)
+    for k, gk in enumerate(np.moveaxis(g, -1, 0)):
+        g2 += np.square(gk.real)
+        g2 += np.square(gk.imag)
+        g_r += gk * grid.coords_1d.reshape((-1,) + (1,) * (n - 1 - k))
+    g_r /= grid.radii
+    return g2, g_r

@@ -18,8 +18,8 @@ from .grids import RadialGrid, ScalarField
 from .multipliers import Multiplier, SymmetricWeight, make_phi, make_varphi
 from .norms import NormReport, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
-                        covariant_gradient, epsilon_floor, make_datum,
-                        radial_tangential_split, solve)
+                        covariant_gradient, epsilon_floor, gradient_split,
+                        make_datum, solve)
 
 __all__ = [
     "IdentityReport",
@@ -95,16 +95,15 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     conj_u = np.conj(u.values)
 
     g = covariant_gradient(u, disc)
-    g_r, g_tau = radial_tangential_split(g, grid)
-    g_r2, g_tau2 = np.abs(g_r) ** 2, g_tau ** 2
-    g2 = np.sum(np.abs(g) ** 2, axis=-1)
+    g2, g_r = gradient_split(g, grid)
+    g_r2 = np.square(g_r.real) + np.square(g_r.imag)
+    g_tau2 = np.maximum(g2 - g_r2, 0.0)
+    xdotg = np.conj(g_r)
     drv = disc.radial_derivative()
     trapping = include_btau and pp.A is not None
     if trapping:
         btau = trapping_component(pp, grid.points)
         bdotg = np.einsum("...i,...i->...", btau, np.conj(g))
-    xhat = grid.points / r[..., None]
-    xdotg = np.einsum("...i,...i->...", xhat, np.conj(g))
 
     reports = []
     for mult, weight in scales:
@@ -299,21 +298,27 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
             lhs, rhs, ratio = estimate_report(u, f, disc, lam, eps, M=M,
                                               delta=delta, adm=adm)
             report.add(eps, lhs.total, rhs.total, ratio)
+            # free this eps's operator and solution before the next solve
+            del prob, u
         except SolverError as exc:
             report.errors[eps] = str(exc)
     return report
 
 
-def resonance_functionals(u: ScalarField, pp: PotentialPair, R_list=None) -> dict:
+def resonance_functionals(u: ScalarField, disc: Discretization,
+                          R_list=None) -> dict:
     """Zero-resonance diagnostics: sup and largest-R value of
-    (1/R) int_{|x|<=R} [|V| + <x>^-2] |u|^2, plus int |V| |u|^2."""
+    (1/R) int_{|x|<=R} [|V| + <x>^-2] |u|^2, plus int |V| |u|^2, with V
+    the operator's, capped as in disc.V."""
     grid = u.grid
+    if grid != disc.grid:
+        raise ParameterError("field and discretization grids differ")
     if R_list is None:
         R_list = [R for R in (2.0, 4.0, grid.L / 2, grid.L) if R > 1]
     if not R_list or min(R_list) <= 1 or max(R_list) > grid.L * math.sqrt(grid.n):
         raise MorcamError("R_list must lie in (1, sqrt(n) L]")
     r = grid.radii
-    Vabs = np.abs(pp.eval_V(grid.points))
+    Vabs = np.abs(disc.V)
     dens = (Vabs + 1.0 / (1 + r ** 2)) * u.abs2()
     out_vals = {}
     for R in sorted(R_list):

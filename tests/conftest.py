@@ -18,6 +18,21 @@ def link_phase_calls(monkeypatch):
 
 
 @pytest.fixture
+def radial_derivative_samples(monkeypatch):
+    """A list that gains the node shape of each sampling of d_r V made
+    through morcam.resolvent's binding of radial_derivative_parts."""
+    shapes = []
+    original = resolvent.radial_derivative_parts
+
+    def counted(pp, x, *args, **kwargs):
+        shapes.append(x.shape[:-1])
+        return original(pp, x, *args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "radial_derivative_parts", counted)
+    return shapes
+
+
+@pytest.fixture
 def operator_calls(monkeypatch):
     """Counts of DiscreteOperator.apply calls ("apply") and of calls to
     the callables DiscreteOperator.preconditioner returns ("precond")."""

@@ -6,7 +6,7 @@ import pytest
 from morcam.errors import ParameterError
 from morcam.grids import RadialGrid
 from morcam.multipliers import make_phi, make_varphi, sphere_area
-from morcam.resolvent import radial_tangential_split
+from morcam.resolvent import gradient_split
 
 rng = np.random.default_rng(7)
 
@@ -173,9 +173,10 @@ def test_varphi_beta_range():
 def split_form(mult, grid, g):
     """phi''|g_r|^2 + phi'/r |g_tau|^2 per node, as identity_residual
     forms the Hessian term."""
-    g_r, g_tau = radial_tangential_split(g, grid)
+    g2, g_r = gradient_split(g, grid)
+    g_r2 = np.abs(g_r) ** 2
     r = grid.radii
-    return mult.d2phi(r) * np.abs(g_r) ** 2 + mult.dphi(r) / r * g_tau ** 2
+    return mult.d2phi(r) * g_r2 + mult.dphi(r) / r * np.maximum(g2 - g_r2, 0.0)
 
 
 def test_hessian_split_radial_and_tangential():

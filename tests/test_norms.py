@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
@@ -127,10 +129,24 @@ def test_duality_ball_pair():
     assert rhs > 1.2 * lhs
 
 
-def test_duality_random_pairs():
-    grid = RadialGrid(3, 4.0, 0.25)
-    for _ in range(25):
-        f, g = random_bump(grid), random_bump(grid)
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([RadialGrid(3, 4.0, 0.25), RadialGrid(3, 2.0, 0.125),
+                             RadialGrid(4, 2.0, 0.5)]),
+       decay=st.floats(0.0, 4.0), seed=st.integers(0, 2 ** 16))
+def test_duality_random_pairs(grid, decay, seed):
+    # on these grids every node lies in a dyadic shell N(f) counts, so no
+    # mass is dropped and the pairing bound holds exactly
+    r = np.random.default_rng(seed)
+
+    def field():
+        vals = r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape)
+        return ScalarField(grid, vals * (1 + grid.radii) ** -r.uniform(0, decay))
+
+    def bump():
+        c, w = r.uniform(-2.0, 2.0, grid.n), r.uniform(0.5, 1.5)
+        return ScalarField(grid, np.exp(-np.sum((grid.points - c) ** 2, axis=-1) / w ** 2))
+
+    for f, g in ((field(), field()), (bump(), bump())):
         lhs, rhs = duality_gap(f, g)
         assert lhs <= rhs * (1 + 1e-10)
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +9,9 @@ from hypothesis import strategies as st
 from morcam.errors import ParameterError, SolverError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
-from morcam.resolvent import (DiscreteOperator, Discretization, build_problem,
-                              covariant_gradient, epsilon_floor, link_phases,
-                              make_datum, radial_tangential_split, solve)
+from morcam.resolvent import (DiscreteOperator, Discretization, ResolventProblem,
+                              build_problem, covariant_gradient, epsilon_floor,
+                              gradient_split, link_phases, make_datum, solve)
 
 rng = np.random.default_rng(5)
 
@@ -67,18 +70,76 @@ def test_link_phases_unit_modulus():
         assert np.allclose(np.abs(ph), 1.0)
 
 
-def test_operator_hermitian_apart_from_shift():
-    # <(H - la - i eps)u, v> - <u, (H - la + i eps)v> should vanish,
-    # i.e. Im shift is the only non-Hermitian part
-    grid = small_grid()
-    pp = example_field("ex13")
-    disc = Discretization(grid, pp)
-    op_p = DiscreteOperator(disc, lam=0.4, eps=0.9)
-    op_m = DiscreteOperator(disc, lam=0.4, eps=-0.9)
-    u, v = random_field(grid, 1).values, random_field(grid, 2).values
+def random_pair(n, seed, gauge=None):
+    """A smooth random (A, V) on R^n; gauge (Q, b) adds grad chi = Qx + b
+    to A, the gradient of chi(x) = x.Qx/2 + b.x."""
+    r = np.random.default_rng(seed)
+    M, c = r.standard_normal((n, n)), r.standard_normal(n)
+    a, w = r.uniform(-3.0, 3.0), r.uniform(0.5, 2.0)
+
+    def A(X):
+        out = X @ M.T + c * np.sin(X)
+        if gauge is not None:
+            out = out + X @ gauge[0] + gauge[1]
+        return out
+
+    return PotentialPair(n, A=A, V=lambda X: a * np.exp(-np.sum(X ** 2, axis=-1) / w ** 2))
+
+
+operator_cases = dict(n=st.sampled_from([3, 4]), lam=st.floats(0.0, 20.0),
+                      eps=st.floats(0.01, 10.0), sign=st.sampled_from([1.0, -1.0]),
+                      seed=st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=25, deadline=None)
+@given(**operator_cases)
+def test_operator_hermitian_apart_from_shift(n, lam, eps, sign, seed):
+    # <(H - la - i eps)u, v> = <u, (H - la + i eps)v>: the imaginary shift
+    # is the only non-Hermitian part
+    grid = RadialGrid(n, 1.0, 0.25)
+    disc = Discretization(grid, random_pair(n, seed))
+    op_p = DiscreteOperator(disc, lam, sign * eps)
+    op_m = DiscreteOperator(disc, lam, -sign * eps)
+    u, v = random_field(grid, seed + 1).values, random_field(grid, seed + 2).values
     lhs = np.vdot(v, op_p.apply(u))
     rhs = np.vdot(op_m.apply(v), u)
-    assert abs(lhs - rhs) < 1e-10 * abs(lhs)
+    scale = np.linalg.norm(op_p.apply(u)) * np.linalg.norm(v)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(**operator_cases)
+def test_operator_absorption_identity(n, lam, eps, sign, seed):
+    # Im <(H - la - i eps)u, u> = -eps ||u||^2 for Hermitian H
+    grid = RadialGrid(n, 1.0, 0.25)
+    op = DiscreteOperator(Discretization(grid, random_pair(n, seed)), lam, sign * eps)
+    u = random_field(grid, seed + 1).values
+    form = np.vdot(u, op.apply(u))
+    norm2 = np.vdot(u, u).real
+    scale = np.linalg.norm(op.apply(u)) * math.sqrt(norm2)
+    assert abs(form.imag + sign * eps * norm2) <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(**operator_cases)
+def test_apply_gauge_covariance(n, lam, eps, sign, seed):
+    # A -> A + grad chi pairs with u -> e^{i chi} u; for quadratic chi the
+    # midpoint link sampling integrates grad chi exactly, so the discrete
+    # operator commutes with the gauge factor up to roundoff
+    r = np.random.default_rng(seed + 3)
+    Q = r.standard_normal((n, n))
+    Q = Q + Q.T
+    b = r.standard_normal(n)
+    grid = RadialGrid(n, 1.0, 0.25)
+    X = grid.points
+    ph = np.exp(1j * (0.5 * np.einsum("...i,ij,...j->...", X, Q, X) + X @ b))
+    op0 = DiscreteOperator(Discretization(grid, random_pair(n, seed)), lam, sign * eps)
+    op1 = DiscreteOperator(Discretization(grid, random_pair(n, seed, (Q, b))),
+                           lam, sign * eps)
+    u = random_field(grid, seed + 1).values
+    expect = ph * op0.apply(u)
+    err = np.abs(op1.apply(ph * u) - expect).max()
+    assert err <= 1e-12 * np.abs(expect).max()
 
 
 # --- data --------------------------------------------------------------------
@@ -116,6 +177,26 @@ def test_problem_warns_on_boundary_supported_datum():
     with pytest.warns(UserWarning, match="boundary"):
         build_problem(PotentialPair(3), 1.0, 1.0,
                       {"name": "gaussian", "width": 6.0}, grid)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_boundary_warning_reads_the_two_outer_layers(n):
+    # the nodes with |x_k| > L - 2h are index layers 0, 1, m-2 and m-1
+    grid = RadialGrid(n, 2.0, 0.5)
+    disc = Discretization(grid, PotentialPair(n))
+    m = grid.m
+    for layer, warns in ((1, True), (m - 2, True), (2, False), (m - 3, False)):
+        for k in range(n):
+            idx = [m // 2] * n
+            vals = np.zeros(grid.shape, complex)
+            vals[tuple(idx)] = 1.0
+            idx[k] = layer
+            vals[tuple(idx)] = 1.0
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ResolventProblem(disc=disc, lam=1.0, eps=1.0,
+                                 f=ScalarField(grid, vals))
+            assert any("boundary" in str(w.message) for w in caught) == warns
 
 
 def test_problem_parameter_checks():
@@ -253,18 +334,37 @@ def test_covariant_gradient_gauge_covariance_pointwise():
 
 
 def test_radial_tangential_split_pythagoras():
+    # the radial part never exceeds the whole: |g_tau|^2 = |g|^2 - |g_r|^2 >= 0
     grid = small_grid()
     g = (rng.standard_normal(grid.shape + (3,))
          + 1j * rng.standard_normal(grid.shape + (3,)))
-    g_r, g_tau = radial_tangential_split(g, grid)
-    total = np.abs(g_r) ** 2 + g_tau ** 2
-    assert np.allclose(total, np.sum(np.abs(g) ** 2, axis=-1), atol=1e-12)
+    g2, g_r = gradient_split(g, grid)
+    assert np.allclose(g2, np.sum(np.abs(g) ** 2, axis=-1), atol=1e-12)
+    assert np.all(np.abs(g_r) ** 2 <= g2 * (1 + 1e-12))
 
 
 def test_radial_component_of_radial_field():
     grid = small_grid()
     xhat = grid.points / grid.radii[..., None]
     g = 2.5 * xhat.astype(complex)
-    g_r, g_tau = radial_tangential_split(g, grid)
+    g2, g_r = gradient_split(g, grid)
     assert np.allclose(g_r, 2.5)
-    assert np.abs(g_tau).max() < 1e-7
+    assert np.abs(g2 - np.abs(g_r) ** 2).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gradient_split_matches_dense_form(n):
+    # against |g|^2 and g . xhat formed on the full (*shape, n) arrays,
+    # for a plain array and for covariant_gradient's axis-first view
+    grid = RadialGrid(n, 2.0, 0.5)
+    xhat = grid.points / grid.radii[..., None]
+    u = random_field(grid, 3)
+    for g in (covariant_gradient(u, Discretization(grid, example_field("ex13")
+                                                   if n == 3 else PotentialPair(n))),
+              rng.standard_normal(grid.shape + (n,))
+              + 1j * rng.standard_normal(grid.shape + (n,))):
+        g2, g_r = gradient_split(g, grid)
+        dense2 = np.sum(np.abs(g) ** 2, axis=-1)
+        dense_r = np.einsum("...i,...i->...", g, xhat)
+        assert np.abs(g2 - dense2).max() <= 1e-14 * dense2.max()
+        assert np.abs(g_r - dense_r).max() <= 1e-14 * np.abs(dense_r).max()

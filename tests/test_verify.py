@@ -201,6 +201,17 @@ def test_epsilon_sweep_samples_link_phases_once(link_phase_calls):
     assert len(link_phase_calls) == 1
 
 
+def test_epsilon_sweep_samples_radial_derivative_once(radial_derivative_samples):
+    # the admissibility quadrature samples d_r V off the grid through its
+    # own binding, which the fixture does not count
+    grid = RadialGrid(3, 4.0, 0.5)
+    pp = make_potential_pair(3, None, {"name": "gaussian", "amplitude": -1.0})
+    rep = epsilon_sweep(pp, 1.0, {"name": "gaussian", "width": 0.6},
+                        [1.0, 0.5, 0.25], grid, tol=1e-8)
+    assert len(rep.entries) == 3
+    assert radial_derivative_samples == [grid.shape]
+
+
 # --- resonance functionals ---------------------------------------------------
 
 
@@ -209,7 +220,7 @@ def test_resonance_functionals_decay_for_compact_u():
     u = ScalarField.from_callable(
         grid, lambda X: np.exp(-2.0 * np.sum(X ** 2, axis=-1)) + 0j)
     pp = make_potential_pair(3, None, {"name": "gaussian", "amplitude": 1.0})
-    out = resonance_functionals(u, pp, R_list=[2.0, 4.0, 8.0])
+    out = resonance_functionals(u, Discretization(grid, pp), R_list=[2.0, 4.0, 8.0])
     # the mass saturates, so the 1/R functional decays roughly like 1/R
     assert out["per_R"][4.0] < out["per_R"][2.0]
     assert out["per_R"][8.0] < out["per_R"][4.0]
@@ -222,8 +233,22 @@ def test_resonance_functionals_decay_for_compact_u():
 def test_resonance_functionals_validate_radii():
     grid = RadialGrid(3, 4.0, 0.5)
     u = ScalarField.from_callable(grid, bump)
-    pp = PotentialPair(3)
+    disc = Discretization(grid, PotentialPair(3))
     with pytest.raises(MorcamError):
-        resonance_functionals(u, pp, R_list=[0.5, 2.0])
+        resonance_functionals(u, disc, R_list=[0.5, 2.0])
     with pytest.raises(MorcamError):
-        resonance_functionals(u, pp, R_list=[100.0])
+        resonance_functionals(u, disc, R_list=[100.0])
+    with pytest.raises(ParameterError):
+        resonance_functionals(u, Discretization(RadialGrid(3, 4.0, 0.25), PotentialPair(3)))
+
+
+def test_resonance_functionals_read_the_capped_potential():
+    # coulomb c = -10 exceeds the cap 1/h^2 = 4 inside r = 2.5; the
+    # uncapped V would give V_mass 29.32
+    grid = RadialGrid(3, 4.0, 0.5)
+    pp = make_potential_pair(3, None, {"name": "coulomb", "c": -10.0})
+    with pytest.warns(UserWarning, match="capped"):
+        disc = Discretization(grid, pp)
+    u = ScalarField(grid, np.exp(-np.sum(grid.points ** 2, axis=-1)))
+    out = resonance_functionals(u, disc)
+    assert out["V_mass"] == pytest.approx(7.87, abs=5e-3)
