@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .fields import PotentialPair, radial_derivative_parts, trapping_component
+from .fields import (PotentialPair, _check_points, _radial_contraction,
+                     magnetic_matrix, radial_derivative_parts)
 from .norms import RadialQuad, mixed_radial_norm, weighted_sup_norm
 
 __all__ = [
@@ -63,55 +64,41 @@ class AdmissibilityReport:
         }
 
 
-def _btau_mag(pp: PotentialPair):
-    # Cancellation noise in B_tau scales with the full field magnitude;
-    # left in, it mimics a divergent integrand for non-trapping fields.
-    def w(X):
-        from .fields import magnetic_matrix
-        B = magnetic_matrix(pp, X)
-        r = np.asarray(X, float)
-        xhat = r / np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), 1e-300)
-        bt = np.einsum("...i,...ij->...j", xhat, B)
-        mag = np.sqrt(np.sum(bt ** 2, axis=-1))
-        scale = np.sqrt(np.sum(B ** 2, axis=(-2, -1)))
-        return np.where(mag > 1e-9 * scale, mag, 0.0)
-    return w
-
-
-def _drv_plus(pp: PotentialPair):
-    def w(X):
-        return radial_derivative_parts(pp, X)[1]
-    return w
-
-
-def _v_plus_screened(pp: PotentialPair):
-    def w(X):
-        vplus = radial_derivative_parts(pp, X)[3]
-        r2 = np.sum(np.asarray(X, float) ** 2, axis=-1)
-        return vplus / np.sqrt(1 + r2)
-    return w
-
-
 def compute_constants(pp: PotentialPair, n: int | None = None,
                       quad: RadialQuad = RadialQuad()):
     """(C1, C2, C3) for the given potential pair.
 
     n = 3: mixed radial norms of |B_tau|, (d_r V)_+, <x>^-1 V_+ with
     exponents (3/2, p=2), (2, p=1), (2, p=1).  n >= 4: weighted sup norms
-    with exponents 2, 3, 3.  +inf propagates as a value.
+    with exponents 2, 3, 3.  A constant whose potential is absent is 0;
+    +inf propagates as a value.
     """
     n = pp.n if n is None else n
     if n != pp.n:
         raise ParameterError("requested dimension differs from the potential's")
-    if n == 3:
-        C1 = 0.0 if pp.A is None else mixed_radial_norm(_btau_mag(pp), 2, 1.5, n=3, quad=quad)
-        C2 = 0.0 if pp.V is None else mixed_radial_norm(_drv_plus(pp), 1, 2.0, n=3, quad=quad)
-        C3 = 0.0 if pp.V is None else mixed_radial_norm(_v_plus_screened(pp), 1, 2.0, n=3, quad=quad)
-    else:
-        C1 = 0.0 if pp.A is None else weighted_sup_norm(_btau_mag(pp), 2.0, n, quad=quad)
-        C2 = 0.0 if pp.V is None else weighted_sup_norm(_drv_plus(pp), 3.0, n, quad=quad)
-        C3 = 0.0 if pp.V is None else weighted_sup_norm(_v_plus_screened(pp), 3.0, n, quad=quad)
-    return C1, C2, C3
+
+    def btau_mag(X):
+        # Cancellation noise in B_tau scales with the full field magnitude;
+        # left in, it mimics a divergent integrand for non-trapping fields.
+        B = magnetic_matrix(pp, X)
+        mag = np.sqrt(np.sum(_radial_contraction(X, B) ** 2, axis=-1))
+        scale = np.sqrt(np.sum(B ** 2, axis=(-2, -1)))
+        return np.where(mag > 1e-9 * scale, mag, 0.0)
+
+    def v_plus_screened(X):
+        X = _check_points(pp, X, require_nonzero=True)
+        return np.maximum(pp.eval_V(X), 0.0) / np.sqrt(1 + np.sum(X ** 2, axis=-1))
+
+    # (potential the constant needs, weight, 3D (exponent, p), n >= 4 exponent)
+    rows = [
+        (pp.A, btau_mag, (1.5, 2), 2.0),
+        (pp.V, lambda X: np.maximum(radial_derivative_parts(pp, X), 0.0), (2.0, 1), 3.0),
+        (pp.V, v_plus_screened, (2.0, 1), 3.0),
+    ]
+    return tuple(0.0 if part is None
+                 else mixed_radial_norm(w, p, e3, n=3, quad=quad) if n == 3
+                 else weighted_sup_norm(w, e, n, quad=quad)
+                 for part, w, (e3, p), e in rows)
 
 
 def condition_value_3d(M, C1: float, C2: float):

@@ -29,7 +29,7 @@ from .resolvent import (DATUM_BUILTINS, Discretization, ResolventProblem,
 from .verify import epsilon_sweep, identity_scan
 
 RUN_TYPES = {
-    "fields-check": "sample B_tau and divergence statistics of the potential",
+    "fields-check": "max and mean |B_tau| over random sample points",
     "admissibility": "constants C1, C2, C3 and the smallness verdict",
     "solve": "solve the resolvent problem once and snapshot the solution",
     "verify-identity": "solve, then evaluate the multiplier identity",
@@ -82,8 +82,11 @@ def _resolve_scenario(raw: dict) -> dict:
 
 
 def _build(sc):
-    pp = make_potential_pair(int(sc["n"]), sc["potential"]["A"], sc["potential"]["V"])
-    grid = RadialGrid(int(sc["n"]), float(sc["grid"]["L"]), float(sc["grid"]["h"]))
+    n = sc["n"]
+    if not float(n).is_integer():
+        raise ParameterError(f"n must be an integer, got {n!r}")
+    pp = make_potential_pair(int(n), sc["potential"]["A"], sc["potential"]["V"])
+    grid = RadialGrid(int(n), float(sc["grid"]["L"]), float(sc["grid"]["h"]))
     return pp, grid
 
 
@@ -105,7 +108,7 @@ def _run_fields_check(sc):
 
 def _run_admissibility(sc):
     pp, _grid = _build(sc)
-    return admissibility_report(pp, int(sc["n"])).to_json()
+    return admissibility_report(pp).to_json()
 
 
 def _solve(sc):

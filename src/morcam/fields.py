@@ -28,6 +28,7 @@ __all__ = [
     "example_field",
     "make_potential_pair",
     "BUILTIN_POTENTIALS",
+    "resolve_builtin",
 ]
 
 _ORIGIN_TOL = 1e-14
@@ -120,43 +121,35 @@ def magnetic_matrix(pp: PotentialPair, x: np.ndarray, step: float | None = None)
     return J - np.swapaxes(J, -1, -2)
 
 
-def trapping_component(pp: PotentialPair, x: np.ndarray, step: float | None = None) -> np.ndarray:
+def _radial_contraction(x: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row vector times matrix (x/|x|) B per point: result_j =
+    sum_i xhat_i B_ij, for points x of shape (..., n) away from the origin
+    and field matrices B of shape (..., n, n)."""
+    r = np.sqrt(np.sum(x ** 2, axis=-1))[..., None]
+    return np.einsum("...i,...ij->...j", x / np.maximum(r, 1e-300), B)
+
+
+def trapping_component(pp: PotentialPair, x: np.ndarray) -> np.ndarray:
     """Trapping (tangential) component B_tau(x) = (x/|x|) B(x).
 
     In three dimensions this equals (x/|x|) x curl A.  B_tau . x = 0 by
     antisymmetry of B.
     """
     x = _check_points(pp, x, require_nonzero=True)
-    B = magnetic_matrix(pp, x, step=step)
-    r = np.sqrt(np.sum(x ** 2, axis=-1))[..., None]
-    xhat = x / r
-    # (x/|x|) B, row vector times matrix: result_j = sum_i xhat_i B_ij
-    return np.einsum("...i,...ij->...j", xhat, B)
+    return _radial_contraction(x, magnetic_matrix(pp, x))
 
 
-def radial_derivative_parts(pp: PotentialPair, x: np.ndarray, step: float = 1e-6):
-    """Split V and its radial derivative into positive/negative parts.
-
-    Returns (dV_r, dV_r_plus, dV_r_minus, V_plus, V_minus) with
-    f = f_plus - f_minus and f_plus * f_minus = 0 pointwise.
-    """
+def radial_derivative_parts(pp: PotentialPair, x: np.ndarray) -> np.ndarray:
+    """Radial derivative d_r V = grad V . x/|x|: the analytic dV_r when
+    given, zero when V vanishes, otherwise a central difference with
+    step 1e-6 along x/|x|."""
     x = _check_points(pp, x, require_nonzero=True)
-    V = pp.eval_V(x)
     if pp.dV_r is not None:
-        dvr = np.asarray(pp.dV_r(x), float)
-    elif pp.V is None:
-        dvr = np.zeros(x.shape[:-1])
-    else:
-        r = np.sqrt(np.sum(x ** 2, axis=-1))[..., None]
-        xhat = x / r
-        dvr = (pp.eval_V(x + step * xhat) - pp.eval_V(x - step * xhat)) / (2 * step)
-    return (
-        dvr,
-        np.maximum(dvr, 0.0),
-        np.maximum(-dvr, 0.0),
-        np.maximum(V, 0.0),
-        np.maximum(-V, 0.0),
-    )
+        return np.asarray(pp.dV_r(x), float)
+    if pp.V is None:
+        return np.zeros(x.shape[:-1])
+    step = 1e-6 * (x / np.sqrt(np.sum(x ** 2, axis=-1))[..., None])
+    return (pp.eval_V(x + step) - pp.eval_V(x - step)) / 2e-6
 
 
 # ---------------------------------------------------------------------------
@@ -352,33 +345,6 @@ def _radial_V(fV, fdV):
     return V, dVr
 
 
-def _make_coulomb(c=-1.0):
-    return _radial_V(lambda r: c / r, lambda r: -c / r ** 2)
-
-
-def _make_inverse_square(c=1.0):
-    return _radial_V(lambda r: c / r ** 2, lambda r: -2 * c / r ** 3)
-
-
-def _make_gaussian(amplitude=-1.0, width=1.0):
-    return _radial_V(
-        lambda r: amplitude * np.exp(-(r / width) ** 2),
-        lambda r: amplitude * np.exp(-(r / width) ** 2) * (-2 * r / width ** 2),
-    )
-
-
-def _make_exp_screened(amplitude=1.0):
-    # V = a exp(-r)/<r>, <r> = sqrt(1 + r^2)
-    def fV(r):
-        return amplitude * np.exp(-r) / np.sqrt(1 + r ** 2)
-
-    def fdV(r):
-        br = np.sqrt(1 + r ** 2)
-        return amplitude * np.exp(-r) * (-1.0 / br - r / br ** 3)
-
-    return _radial_V(fV, fdV)
-
-
 BUILTIN_POTENTIALS = {
     "zero": {"kind": "both", "params": {}, "doc": "A = 0 or V = 0"},
     "ex13": {"kind": "A", "params": {},
@@ -393,48 +359,66 @@ BUILTIN_POTENTIALS = {
                      "doc": "V = amplitude * exp(-|x|)/<x>"},
 }
 
+#: Radial profiles (V(r), d_r V(r)) of the electric built-ins, made from
+#: the parameters of BUILTIN_POTENTIALS as keywords.
+_ELECTRIC = {
+    "coulomb": lambda c: (lambda r: c / r, lambda r: -c / r ** 2),
+    "inverse_square": lambda c: (lambda r: c / r ** 2, lambda r: -2 * c / r ** 3),
+    "gaussian": lambda amplitude, width: (
+        lambda r: amplitude * np.exp(-(r / width) ** 2),
+        lambda r: amplitude * np.exp(-(r / width) ** 2) * (-2 * r / width ** 2)),
+    # V = a exp(-r)/<r>, <r> = sqrt(1 + r^2)
+    "exp_screened": lambda amplitude: (
+        lambda r: amplitude * np.exp(-r) / np.sqrt(1 + r ** 2),
+        lambda r: amplitude * np.exp(-r) * (-1.0 / np.sqrt(1 + r ** 2)
+                                            - r / np.sqrt(1 + r ** 2) ** 3)),
+}
+
+
+def resolve_builtin(spec, defaults: dict, what: str):
+    """(name, params) of a built-in spec: a name, or a mapping with "name"
+    and parameter overrides.  defaults maps each built-in's name to its
+    parameter defaults, which params starts from.  A spec that is not a
+    name or a mapping, a missing or unknown name, or an unknown parameter
+    raises ParameterError."""
+    if isinstance(spec, str):
+        spec = {"name": spec}
+    params = dict(spec) if isinstance(spec, dict) else {}
+    name = params.pop("name", None)
+    if not isinstance(name, str) or name not in defaults:
+        raise ParameterError(f"{what} spec {spec!r} names no built-in; "
+                             f"choose from {sorted(defaults)}")
+    bad = set(params) - set(defaults[name])
+    if bad:
+        raise ParameterError(
+            f"unknown parameters for {what} '{name}': {sorted(map(str, bad))}")
+    return name, {**defaults[name], **params}
+
 
 def make_potential_pair(n: int, A_spec=None, V_spec=None) -> PotentialPair:
-    """Assemble a PotentialPair from named built-ins.
+    """Assemble a PotentialPair from built-ins named in BUILTIN_POTENTIALS.
 
-    A_spec/V_spec are dicts {"name": ..., **params} or None.
+    A_spec/V_spec are resolved by resolve_builtin; None means "zero".
     """
 
-    def norm(spec):
-        if spec is None:
-            return "zero", {}
-        if isinstance(spec, str):
-            return spec, {}
-        spec = dict(spec)
-        return spec.pop("name"), spec
+    def builtins(kind):
+        return {name: info["params"] for name, info in BUILTIN_POTENTIALS.items()
+                if info["kind"] in (kind, "both")}
 
-    a_name, a_par = norm(A_spec)
-    v_name, v_par = norm(V_spec)
+    a_name, _ = resolve_builtin("zero" if A_spec is None else A_spec,
+                                builtins("A"), "magnetic")
+    v_name, v_par = resolve_builtin("zero" if V_spec is None else V_spec,
+                                    builtins("V"), "electric")
 
     A = A_jac = domain_check = None
-    if a_name == "zero":
-        pass
-    elif a_name in ("ex13", "ex14"):
+    if a_name != "zero":
         if n != 3:
             raise ParameterError(f"{a_name} is a 3D potential, got n={n}")
-        pp = example_field("ex13" if a_name == "ex13" else "ex14_singular")
+        pp = example_field({"ex13": "ex13", "ex14": "ex14_singular"}[a_name])
         A, A_jac, domain_check = pp.A, pp.A_jac, pp.domain_check
-    else:
-        raise ParameterError(f"unknown magnetic built-in: {a_name}")
-
     V = dV_r = None
-    if v_name == "zero":
-        pass
-    elif v_name == "coulomb":
-        V, dV_r = _make_coulomb(**v_par)
-    elif v_name == "inverse_square":
-        V, dV_r = _make_inverse_square(**v_par)
-    elif v_name == "gaussian":
-        V, dV_r = _make_gaussian(**v_par)
-    elif v_name == "exp_screened":
-        V, dV_r = _make_exp_screened(**v_par)
-    else:
-        raise ParameterError(f"unknown electric built-in: {v_name}")
+    if v_name != "zero":
+        V, dV_r = _radial_V(*_ELECTRIC[v_name](**v_par))
 
     return PotentialPair(n, A=A, V=V, A_jac=A_jac, dV_r=dV_r,
                          domain_check=domain_check,

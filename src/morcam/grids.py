@@ -6,6 +6,7 @@ sits at the origin and weights like 1/|x|, 1/|x|^2, 1/|x|^3 stay finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,8 +35,9 @@ class RadialGrid:
     def __post_init__(self):
         if self.n < 1:
             raise GridError(f"dimension must be >= 1, got {self.n}")
-        if self.L <= 0 or self.h <= 0:
-            raise GridError("L and h must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.L, self.h)):
+            raise GridError(
+                f"L and h must be finite and positive, got L={self.L}, h={self.h}")
         ratio = self.L / self.h
         if abs(ratio - round(ratio)) > 1e-9:
             raise GridError(f"L/h must be an integer, got {ratio}")

@@ -92,8 +92,8 @@ def make_phi(n: int, R: float, M: float) -> Multiplier:
     """
     if R <= 0:
         raise ParameterError(f"scale R must be positive, got {R}")
-    if M < 0:
-        raise ParameterError(f"M must be >= 0, got {M}")
+    if not (math.isfinite(M) and M >= 0):
+        raise ParameterError(f"M must be finite and >= 0, got {M}")
     if n < 3:
         raise ParameterError(f"dimension must be >= 3, got {n}")
     c = (n - 1) / (2 * n)

@@ -267,10 +267,15 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     group int <x>^-1 V_- |u|^2, lambda int |u|^2/<x>, the tangential
     gradient integral, and the sphere supremum (3D) or int |u|^2/|x|^3
     (n >= 4).  total applies the delta weight to the last group.  V and
-    d_r V are those of the operator, capped as in disc.V.
+    d_r V are those of the operator, capped as in disc.V.  M >= 0 and
+    delta > 0 must be finite.
     """
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
+    if not (math.isfinite(M) and M >= 0):
+        raise ParameterError(f"M must be finite and >= 0, got {M}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ParameterError(f"delta must be finite and positive, got {delta}")
     grid = u.grid
     n = grid.n
     rep = NormReport()

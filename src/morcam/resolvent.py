@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .fields import PotentialPair, radial_derivative_parts
+from .fields import PotentialPair, radial_derivative_parts, resolve_builtin
 from .grids import RadialGrid, ScalarField
 
 __all__ = [
@@ -117,7 +117,7 @@ class Discretization:
         flat there).  Sampled on the first call; later calls return the
         same read-only array."""
         if self._drv is None:
-            drv = radial_derivative_parts(self.pp, self.grid.points)[0]
+            drv = radial_derivative_parts(self.pp, self.grid.points)
             drv[self.capped] = 0.0
             drv.flags.writeable = False
             self._drv = drv
@@ -275,18 +275,10 @@ DATUM_BUILTINS = {
 
 
 def make_datum(grid: RadialGrid, spec) -> ScalarField:
-    """Built-in data: gaussian / shell bump / point-like bump."""
-    if isinstance(spec, str):
-        spec = {"name": spec}
-    spec = dict(spec)
-    name = spec.pop("name")
-    if name not in DATUM_BUILTINS:
-        raise ParameterError(f"unknown datum built-in: {name}")
-    params = dict(DATUM_BUILTINS[name])
-    bad = set(spec) - set(params)
-    if bad:
-        raise ParameterError(f"unknown parameters for datum '{name}': {sorted(bad)}")
-    params.update(spec)
+    """Built-in data: gaussian / shell bump / point-like bump / wave
+    packet, named as resolve_builtin takes them, with DATUM_BUILTINS'
+    defaults."""
+    name, params = resolve_builtin(spec, DATUM_BUILTINS, "datum")
     amp = float(params["amplitude"])
     if name in ("gaussian", "point", "wave"):
         width = params["width"]
@@ -323,16 +315,22 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
 
     GMRES(restart) on (H - lambda - i eps)(-u) = f, right preconditioned
     by the exact inverse of the free shifted operator, for at most maxiter
-    Krylov iterations; u.residual is the true relative residual.  Solving
-    for -u reads f in place instead of a negated copy; negation is exact,
-    so u is the same as from the system with right-hand side -f.
-    Raises SolverError (with the achieved residual) on nonconvergence.
+    Krylov iterations; u.residual is the true relative residual (0 for
+    f = 0).  Solving for -u reads f in place instead of a negated copy;
+    negation is exact, so u is the same as from the system with
+    right-hand side -f.  A tol that is not finite and positive raises
+    ParameterError before any operator application; nonconvergence raises
+    SolverError (with the achieved residual).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     op = prob.op
     grid = prob.grid
     b = prob.f.values.ravel()
     if not b.any():
-        return ScalarField.zeros(grid)
+        u = ScalarField.zeros(grid)
+        u.residual = 0.0
+        return u
     x, res = _gmres(lambda v: op.apply(v).ravel(), op.preconditioner(), b,
                     tol, restart, maxiter)
     if res > tol:

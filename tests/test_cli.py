@@ -137,22 +137,31 @@ def test_unknown_run_type_is_exit_2(tmp_path):
 
 
 def test_bad_parameter_is_exit_3(tmp_path):
-    code, out = run(tmp_path, {
-        "n": 3, "run": "solve", "grid": {"L": 4.0, "h": 0.5},
-        "f": {"name": "no-such-datum"},
-    })
-    assert code == 3
-    doc = json.loads((out / "error.json").read_text())
-    assert doc["error"] == "parameter"
-    assert "scenario" in doc
+    # an unknown built-in name, a spec without a name, an unknown parameter
+    for bad in ({"f": {"name": "no-such-datum"}}, {"f": {"width": 1}},
+                {"potential": {"A": {"c": 1}}},
+                {"potential": {"A": {"name": "ex13", "strength": 5}}}):
+        code, out = run(tmp_path, {
+            "n": 3, "run": "solve", "grid": {"L": 4.0, "h": 0.5}, **bad,
+        })
+        assert code == 3, bad
+        doc = json.loads((out / "error.json").read_text())
+        assert doc["error"] == "parameter"
+        assert "scenario" in doc
 
 
 @pytest.mark.parametrize("run_type, bad", [
     ("sweep", {"eps_list": [0.0]}),
     ("solve", {"lambda": float("nan")}),
     ("solve", {"eps": float("inf")}),
+    ("solve", {"tol": float("nan")}),
+    ("solve", {"tol": 0.0}),
+    ("solve", {"tol": -1.0}),
+    ("solve", {"grid": {"L": float("inf"), "h": 0.5}}),
+    ("solve", {"grid": {"L": 4.0, "h": float("inf")}}),
+    ("solve", {"n": 3.7}),
 ])
-def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, run_type, bad):
+def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, operator_calls, run_type, bad):
     code, out = run(tmp_path, {
         "n": 3, "run": run_type, "grid": {"L": 4.0, "h": 0.5},
         "f": {"name": "gaussian", "width": 0.6}, **bad,
@@ -160,6 +169,30 @@ def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, run_type, bad):
     assert code == 3
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
+    assert operator_calls["apply"] == 0  # rejected before any solve starts
+
+
+@pytest.mark.parametrize("run_type, bad", [
+    ("verify-identity", {"M": float("nan")}),
+    ("sweep", {"delta": float("nan"), "eps_list": [1.0]}),
+    ("sweep", {"delta": -1.0, "eps_list": [1.0]}),
+])
+def test_nonfinite_or_negative_estimate_parameter_is_exit_3(tmp_path, run_type, bad):
+    code, out = run(tmp_path, {
+        "n": 3, "run": run_type, "grid": {"L": 4.0, "h": 0.5},
+        "f": {"name": "gaussian", "width": 0.6}, "tol": 1e-8, **bad,
+    })
+    assert code == 3
+    assert json.loads((out / "error.json").read_text())["error"] == "parameter"
+
+
+def test_zero_datum_solve_reports_zero_residual(tmp_path):
+    code, out = run(tmp_path, {
+        "n": 3, "run": "solve", "grid": {"L": 4.0, "h": 0.5},
+        "f": {"name": "gaussian", "amplitude": 0},
+    }, extra=["--json-only"])
+    assert code == 0
+    assert json.loads((out / "solve.json").read_text())["result"]["residual"] == 0.0
 
 
 def test_grid_too_large_for_memory_is_exit_3(tmp_path):

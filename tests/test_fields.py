@@ -155,37 +155,18 @@ def test_ex14_family_needs_convergent_alpha():
 
 
 def test_radial_parts_quadratic():
+    # no dV_r: central difference of V = |x|^2, d_r V = 2|x|
     pp = PotentialPair(3, V=lambda x: np.sum(np.asarray(x) ** 2, axis=-1))
-    x = np.array([0.0, 0.0, 2.0])
-    dvr, plus, minus, vplus, vminus = radial_derivative_parts(pp, x)
+    dvr = radial_derivative_parts(pp, np.array([0.0, 0.0, 2.0]))
     assert np.isclose(dvr, 4.0, atol=1e-6)
-    assert np.isclose(plus, 4.0, atol=1e-6)
-    assert minus == 0.0
-    assert np.isclose(vplus, 4.0)
-    assert vminus == 0.0
 
 
 def test_radial_parts_coulomb_signs():
     rep = make_potential_pair(3, None, {"name": "coulomb", "c": 1.0})
-    x = np.array([1.0, 0.0, 0.0])
-    dvr, plus, minus, _, _ = radial_derivative_parts(rep, x)
-    assert np.isclose(dvr, -1.0)
-    assert plus == 0.0 and np.isclose(minus, 1.0)
+    assert np.isclose(radial_derivative_parts(rep, np.array([1.0, 0.0, 0.0])), -1.0)
 
     att = make_potential_pair(3, None, {"name": "coulomb", "c": -1.0})
-    x = np.array([0.0, 2.0, 0.0])
-    dvr, plus, minus, _, _ = radial_derivative_parts(att, x)
-    assert np.isclose(dvr, 0.25)
-    assert np.isclose(plus, 0.25) and minus == 0.0
-
-
-def test_radial_parts_complementary():
-    pp = make_potential_pair(3, None, {"name": "gaussian", "amplitude": 1.0})
-    pts = random_points(100)
-    dvr, plus, minus, vplus, vminus = radial_derivative_parts(pp, pts)
-    assert np.allclose(plus - minus, dvr)
-    assert np.abs(plus * minus).max() == 0.0
-    assert np.abs(vplus * vminus).max() == 0.0
+    assert np.isclose(radial_derivative_parts(att, np.array([0.0, 2.0, 0.0])), 0.25)
 
 
 # --- Biot-Savart -------------------------------------------------------------
@@ -230,6 +211,15 @@ def test_make_potential_pair_rejects_unknown():
         make_potential_pair(3, None, {"name": "nope"})
     with pytest.raises(ParameterError):
         make_potential_pair(4, {"name": "ex13"}, None)
+    # an unknown parameter, a missing name, or a spec that is neither a
+    # name nor a mapping
+    for A_spec, V_spec in (({"name": "ex13", "strength": 5}, None),
+                           ({"name": "zero", "c": 3}, None),
+                           (None, {"name": "coulomb", "width": 1.0}),
+                           ({"c": 1}, None), (None, {"c": 1}),
+                           (3, None), (None, ["coulomb"])):
+        with pytest.raises(ParameterError):
+            make_potential_pair(3, A_spec, V_spec)
 
 
 def test_dimension_floor():

@@ -61,6 +61,23 @@ def test_singular_potential_capped_with_warning():
     assert np.abs(disc.V).max() <= 1.0 / grid.h ** 2 + 1e-12
 
 
+def test_discretization_samples_V_once(monkeypatch):
+    # with an analytic dV_r, d_r V needs no V samples of its own
+    points = []
+    eval_V = PotentialPair.eval_V
+
+    def counted(pp, x):
+        points.append(np.asarray(x).shape[:-1])
+        return eval_V(pp, x)
+
+    monkeypatch.setattr(PotentialPair, "eval_V", counted)
+    grid = small_grid()
+    disc = Discretization(grid, make_potential_pair(
+        3, None, {"name": "exp_screened", "amplitude": 0.3}))
+    disc.radial_derivative()
+    assert points == [grid.shape]
+
+
 def test_link_phases_unit_modulus():
     grid = small_grid()
     assert link_phases(grid, PotentialPair(3)) is None
@@ -170,6 +187,8 @@ def test_datum_rejects_bad_specs():
         make_datum(grid, "vortex")
     with pytest.raises(ParameterError):
         make_datum(grid, {"name": "gaussian", "wavelength": 2.0})
+    with pytest.raises(ParameterError):
+        make_datum(grid, {"width": 1.0})
 
 
 def test_problem_warns_on_boundary_supported_datum():
