@@ -24,6 +24,7 @@ from .admissibility import admissibility_report
 from .errors import AccuracyError, ParameterError, SolverError
 from .fields import BUILTIN_POTENTIALS, make_potential_pair, trapping_component
 from .grids import RadialGrid, save_field
+from .multipliers import check_estimate_parameters
 from .resolvent import (DATUM_BUILTINS, Discretization, ResolventProblem,
                         make_datum, solve)
 from .verify import epsilon_sweep, identity_scan
@@ -133,10 +134,11 @@ def _run_solve(sc, out_dir: Path):
 
 
 def _run_verify_identity(sc):
+    M = float(sc["M"]) if sc["M"] is not None else 1.0
+    check_estimate_parameters(M=M)
     disc, f, u = _solve(sc)
-    M = sc["M"] if sc["M"] is not None else 1.0
     rep = identity_scan(u, f, disc, float(sc["lambda"]), float(sc["eps"]),
-                        M=float(M), beta=float(sc["beta"]))
+                        M=M, beta=float(sc["beta"]))
     return rep.to_json()
 
 

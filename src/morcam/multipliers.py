@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Multiplier", "SymmetricWeight", "make_phi", "make_varphi"]
+__all__ = ["Multiplier", "SymmetricWeight", "make_phi", "make_varphi",
+           "check_estimate_parameters"]
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,18 @@ class SymmetricWeight:
     sphere_atom: SphereAtom = None
 
 
+def check_estimate_parameters(M: float | None = None,
+                              delta: float | None = None) -> None:
+    """Raise ParameterError unless the multiplier constant M is finite and
+    >= 0 and the estimate weight delta is finite and positive; None skips
+    a check (the value is then chosen later from the admissibility
+    verdict)."""
+    if M is not None and not (math.isfinite(M) and M >= 0):
+        raise ParameterError(f"M must be finite and >= 0, got {M}")
+    if delta is not None and not (math.isfinite(delta) and delta > 0):
+        raise ParameterError(f"delta must be finite and positive, got {delta}")
+
+
 def make_phi(n: int, R: float, M: float) -> Multiplier:
     """Build the scaled radial multiplier.
 
@@ -92,8 +105,7 @@ def make_phi(n: int, R: float, M: float) -> Multiplier:
     """
     if R <= 0:
         raise ParameterError(f"scale R must be positive, got {R}")
-    if not (math.isfinite(M) and M >= 0):
-        raise ParameterError(f"M must be finite and >= 0, got {M}")
+    check_estimate_parameters(M=M)
     if n < 3:
         raise ParameterError(f"dimension must be >= 3, got {n}")
     c = (n - 1) / (2 * n)

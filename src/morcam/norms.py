@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import MorcamError, ParameterError
 from .grids import RadialGrid, ScalarField
+from .multipliers import check_estimate_parameters
 from .resolvent import Discretization, covariant_gradient, gradient_split
 
 __all__ = [
@@ -144,7 +145,9 @@ class RadialQuad:
 def _block_divergence(radii: np.ndarray, contributions: np.ndarray) -> bool:
     """True when dyadic blocks of the 1-D integral fail to decay toward
     either end of the sampled range (the truncated integral then is not a
-    stable approximation of a finite value)."""
+    stable approximation of a finite value).  An end whose blocks beyond
+    the outermost nonzero one are all exactly zero has decayed: the
+    integrand vanishes there."""
     with np.errstate(divide="ignore"):
         j = np.floor(np.log2(np.maximum(radii, 1e-300))).astype(np.int64)
     j -= j.min()
@@ -155,9 +158,11 @@ def _block_divergence(radii: np.ndarray, contributions: np.ndarray) -> bool:
     total = blocks.sum()
     sig = 1e-10 * total
     lo, hi = nz[0], nz[-1]
-    if blocks[hi] > sig and blocks[hi] >= 0.9 * blocks[hi - 1] and blocks[hi - 1] > sig:
+    if (hi == blocks.size - 1 and blocks[hi] > sig
+            and blocks[hi] >= 0.9 * blocks[hi - 1] and blocks[hi - 1] > sig):
         return True
-    if blocks[lo] > sig and blocks[lo] >= 0.9 * blocks[lo + 1] and blocks[lo + 1] > sig:
+    if (lo == 0 and blocks[lo] > sig
+            and blocks[lo] >= 0.9 * blocks[lo + 1] and blocks[lo + 1] > sig):
         return True
     return False
 
@@ -205,7 +210,8 @@ def weighted_sup_norm(w: Callable, weight_exponent: float, n: int,
                       quad: RadialQuad = RadialQuad()) -> float:
     """sup over R^n of |x|^e w(x) on the radial/angular sample, with +inf
     when the radial profile of the sup still grows at either end of the
-    sampled range."""
+    sampled range (an end where it vanishes identically has decayed, as
+    in _block_divergence)."""
     radii, sups = _sphere_sups(w, n, quad)
     sup_r = radii ** weight_exponent * sups
     with np.errstate(divide="ignore"):
@@ -217,9 +223,11 @@ def weighted_sup_norm(w: Callable, weight_exponent: float, n: int,
     if nz.size >= 3:
         sig = 1e-10 * block_sup.max()
         lo, hi = nz[0], nz[-1]
-        if block_sup[hi] > sig and block_sup[hi] > 1.05 * block_sup[hi - 1]:
+        if (hi == block_sup.size - 1 and block_sup[hi] > sig
+                and block_sup[hi] > 1.05 * block_sup[hi - 1]):
             return math.inf
-        if block_sup[lo] > sig and block_sup[lo] > 1.05 * block_sup[lo + 1]:
+        if (lo == 0 and block_sup[lo] > sig
+                and block_sup[lo] > 1.05 * block_sup[lo + 1]):
             return math.inf
     return float(sup_r.max())
 
@@ -272,10 +280,7 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     """
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
-    if not (math.isfinite(M) and M >= 0):
-        raise ParameterError(f"M must be finite and >= 0, got {M}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ParameterError(f"delta must be finite and positive, got {delta}")
+    check_estimate_parameters(M, delta)
     grid = u.grid
     n = grid.n
     rep = NormReport()
@@ -318,15 +323,16 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     return rep
 
 
-def theorem_rhs(f: ScalarField, lam: float, eps: float):
-    """Right-hand side N(f)^2 + (|eps| + lambda) N(f/sqrt(lambda))^2.
+def theorem_rhs(dual: tuple[float, float], lam: float, eps: float):
+    """Right-hand side N(f)^2 + (|eps| + lambda) N(f/sqrt(lambda))^2 from
+    dual = dyadic_dual(f), which an eps sweep computes once for its datum.
 
     For lambda = 0 the second term is undefined as written; only N(f)^2
     is returned and the report carries a lambda-zero flag.
     """
     if eps == 0:
         raise ParameterError("eps must be nonzero")
-    nf, tail = dyadic_dual(f)
+    nf, tail = dual
     rep = NormReport()
     rep.values["N_f_sq"] = nf ** 2
     rep.values["N_f_tail"] = tail

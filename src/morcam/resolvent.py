@@ -315,12 +315,16 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
 
     GMRES(restart) on (H - lambda - i eps)(-u) = f, right preconditioned
     by the exact inverse of the free shifted operator, for at most maxiter
-    Krylov iterations; u.residual is the true relative residual (0 for
-    f = 0).  Solving for -u reads f in place instead of a negated copy;
-    negation is exact, so u is the same as from the system with
-    right-hand side -f.  A tol that is not finite and positive raises
-    ParameterError before any operator application; nonconvergence raises
-    SolverError (with the achieved residual).
+    Krylov iterations.  It starts from that inverse applied to f, which
+    solves the free problem (A = V = 0) outright, and checks the true
+    residual before each restart cycle, the first included, so a free
+    solve costs one preconditioner and one operator application.
+    u.residual is the true relative residual (0 for f = 0).  Solving for
+    -u reads f in place instead of a negated copy; negation is exact, so u
+    is the same as from the system with right-hand side -f.  A tol that is
+    not finite and positive raises ParameterError before any operator
+    application; nonconvergence raises SolverError (with the achieved
+    residual).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
@@ -344,21 +348,26 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
 
 
 def _gmres(apply, minv, b, tol, restart, maxiter):
-    """Right-preconditioned GMRES(restart) for apply(x) = b from x = 0
-    (Saad & Schultz 1986), stopping once ||b - apply(x)|| <= tol ||b|| or
-    after maxiter iterations.  Returns x and its relative residual.
+    """Right-preconditioned GMRES(restart) for apply(x) = b from
+    x0 = minv(b) (Saad & Schultz 1986), stopping once
+    ||b - apply(x)|| <= tol ||b|| or after maxiter iterations.  Returns x
+    and its relative residual.
 
-    Arnoldi runs on v -> apply(minv(v)) with classical Gram-Schmidt done
-    twice (Giraud, Langou & Rozloznik 2005) and tracks the residual by
-    Givens rotations.  A cycle ends by adding minv(V y) to x and computing
-    r = b - apply(x) once: r is both the convergence test and the start of
-    the next cycle.
+    Every cycle, the first included, begins with the true residual
+    r = b - apply(x) and the convergence test, so an exact minv returns
+    x0 after one minv and one apply.  Otherwise Arnoldi runs from r on
+    v -> apply(minv(v)) with classical Gram-Schmidt done twice (Giraud,
+    Langou & Rozloznik 2005) and Givens rotations tracking the residual;
+    the cycle ends by adding minv(V y) to x.
     """
     bnorm = np.linalg.norm(b)
-    x = np.zeros_like(b)
-    r, res, its = b, 1.0, 0
+    x, its = minv(b), 0
     V = np.empty((restart + 1, b.size), complex)
-    while its < maxiter:
+    while True:
+        r = b - apply(x)
+        res = np.linalg.norm(r) / bnorm
+        if res <= tol or its >= maxiter:
+            return x, res
         H = np.zeros((restart + 1, restart), complex)
         cs, sn = np.zeros(restart), np.zeros(restart, complex)
         g = np.zeros(restart + 1, complex)
@@ -388,11 +397,6 @@ def _gmres(apply, minv, b, tol, restart, maxiter):
         k = j + 1
         y = np.linalg.solve(H[:k, :k], g[:k])
         x += minv(V[:k].T @ y)
-        r = b - apply(x)
-        res = np.linalg.norm(r) / bnorm
-        if res <= tol:
-            break
-    return x, res
 
 
 def covariant_gradient(u: ScalarField, disc: Discretization) -> np.ndarray:

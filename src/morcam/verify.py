@@ -15,8 +15,9 @@ from .admissibility import AdmissibilityReport, admissibility_report
 from .errors import MorcamError, ParameterError, SolverError
 from .fields import PotentialPair, trapping_component
 from .grids import RadialGrid, ScalarField
-from .multipliers import Multiplier, SymmetricWeight, make_phi, make_varphi
-from .norms import NormReport, theorem_lhs, theorem_rhs
+from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters,
+                          make_phi, make_varphi)
+from .norms import NormReport, dyadic_dual, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                         covariant_gradient, epsilon_floor, gradient_split,
                         make_datum, solve)
@@ -186,11 +187,12 @@ def _pick_delta(adm: AdmissibilityReport) -> float:
     return 0.1
 
 
-def estimate_report(u: ScalarField, f: ScalarField, disc: Discretization,
-                    lam: float, eps: float, M: float | None = None,
-                    delta: float | None = None,
+def estimate_report(u: ScalarField, dual: tuple[float, float],
+                    disc: Discretization, lam: float, eps: float,
+                    M: float | None = None, delta: float | None = None,
                     adm: AdmissibilityReport | None = None):
-    """(lhs NormReport, rhs NormReport, ratio) for the a priori estimate.
+    """(lhs NormReport, rhs NormReport, ratio) for the a priori estimate
+    of the solution u for the datum f with dual = dyadic_dual(f).
 
     Inadmissible configurations are still evaluated (with a warning
     note); such runs are diagnostic.
@@ -209,7 +211,7 @@ def estimate_report(u: ScalarField, f: ScalarField, disc: Discretization,
     if delta is None:
         delta = _pick_delta(adm)
     lhs = theorem_lhs(u, disc, lam, M, delta)
-    rhs = theorem_rhs(f, lam, eps)
+    rhs = theorem_rhs(dual, lam, eps)
     lhs.notes.extend(notes)
     if rhs.total > 0:
         ratio = lhs.total / rhs.total
@@ -281,6 +283,7 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
         raise ParameterError(
             f"eps values must be finite and positive (sign handled "
             f"separately), got {eps_list}")
+    check_estimate_parameters(M, delta)
     floor = epsilon_floor(grid.L)
     for e in eps_list:
         if e < floor:
@@ -289,13 +292,14 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                 "box truncation error may dominate", stacklevel=2)
     disc = Discretization(grid, pp)
     f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
+    dual = dyadic_dual(f)
     adm = admissibility_report(pp, grid.n)
     report = SweepReport()
     for eps in sorted(eps_list, reverse=True):
         try:
             prob = ResolventProblem(disc=disc, lam=lam, eps=eps, f=f)
             u = solve(prob, tol=tol)
-            lhs, rhs, ratio = estimate_report(u, f, disc, lam, eps, M=M,
+            lhs, rhs, ratio = estimate_report(u, dual, disc, lam, eps, M=M,
                                               delta=delta, adm=adm)
             report.add(eps, lhs.total, rhs.total, ratio)
             # free this eps's operator and solution before the next solve

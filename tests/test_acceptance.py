@@ -13,7 +13,7 @@ from morcam.fields import (PotentialPair, biot_savart, example_field,
                            make_potential_pair, trapping_component)
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, sphere_area
-from morcam.norms import duality_gap, hardy_ratio, theorem_lhs
+from morcam.norms import duality_gap, dyadic_dual, hardy_ratio, theorem_lhs
 from morcam.resolvent import Discretization, build_problem, make_datum, solve
 from morcam.verify import epsilon_sweep, estimate_report, manufactured_identity
 
@@ -322,7 +322,8 @@ def test_11_lhs_positivity(capsys):
         assert adm.admissible
         prob = build_problem(pp, 1.0, 0.5, {"name": "gaussian", "width": 0.8}, grid)
         u = solve(prob, tol=1e-10)
-        lhs, _, _ = estimate_report(u, prob.f, prob.disc, 1.0, 0.5, adm=adm)
+        lhs, _, _ = estimate_report(u, dyadic_dual(prob.f), prob.disc, 1.0, 0.5,
+                                    adm=adm)
         terms = {k: v for k, v in lhs.values.items() if k != "delta"}
         scale = sum(abs(v) for v in terms.values())
         worst = min(worst, min(terms.values()) / scale)

@@ -8,7 +8,7 @@ from morcam.admissibility import (admissibility_report, check_condition_3d,
                                   check_condition_nd, compute_constants,
                                   condition_value_3d, dense_grid_minimum)
 from morcam.errors import ParameterError
-from morcam.fields import make_potential_pair
+from morcam.fields import PotentialPair, make_potential_pair
 from morcam.norms import RadialQuad
 
 rng = np.random.default_rng(11)
@@ -48,6 +48,25 @@ def test_constants_inverse_square_4d():
     assert rep.threshold == 3.0
     assert abs(rep.value - 4.0) < 1e-9
     assert not rep.admissible
+
+
+@pytest.mark.parametrize("n, C2_ref", [(3, 0.581344), (4, 1.118703), (5, 1.118703)])
+def test_drv_vanishing_beyond_a_radius_gives_finite_C2(n, C2_ref):
+    # V = 0.4 exp(-(|x| - 2)^2): (d_r V)_+ is exactly 0 beyond r = 2 while
+    # its dyadic blocks still grow toward it.  C2_ref is the 1-D integral of
+    # r^2 (d_r V)_+ over [0, 2] (n = 3) or the max of r^3 (d_r V)_+ (n >= 4)
+    def V(X):
+        r = np.sqrt(np.sum(X ** 2, axis=-1))
+        return 0.4 * np.exp(-(r - 2) ** 2)
+
+    def dV_r(X):
+        r = np.sqrt(np.sum(X ** 2, axis=-1))
+        return -0.8 * (r - 2) * np.exp(-(r - 2) ** 2)
+
+    pp = PotentialPair(n, V=V, dV_r=dV_r)
+    _C1, C2, _C3 = compute_constants(pp, quad=LIGHT)
+    assert C2 == pytest.approx(C2_ref, rel=1e-3)
+    assert admissibility_report(pp, quad=LIGHT).admissible
 
 
 def test_screened_potential_admissible():

@@ -160,6 +160,11 @@ def test_bad_parameter_is_exit_3(tmp_path):
     ("solve", {"grid": {"L": float("inf"), "h": 0.5}}),
     ("solve", {"grid": {"L": 4.0, "h": float("inf")}}),
     ("solve", {"n": 3.7}),
+    ("sweep", {"delta": float("nan")}),
+    ("sweep", {"delta": 0.0}),
+    ("sweep", {"M": float("nan")}),
+    ("verify-identity", {"M": float("nan")}),
+    ("verify-identity", {"M": -1.0}),
 ])
 def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, operator_calls, run_type, bad):
     code, out = run(tmp_path, {

@@ -325,14 +325,14 @@ def test_theorem_rhs_shell_indicator():
     grid = RadialGrid(3, 4.0, 0.0625)
     vals = ((grid.radii >= 1.0) & (grid.radii < 2.0)).astype(complex)
     f = ScalarField(grid, vals)
-    rep = theorem_rhs(f, 1.0, 1.0)
+    rep = theorem_rhs(dyadic_dual(f), 1.0, 1.0)
     assert abs(rep.total - 56 * math.pi) / (56 * math.pi) < 0.02
 
 
 def test_theorem_rhs_lambda_zero_convention():
     grid = RadialGrid(3, 4.0, 0.25)
     f = random_bump(grid, spread=1.0)
-    rep = theorem_rhs(f, 0.0, 1.0)
+    rep = theorem_rhs(dyadic_dual(f), 0.0, 1.0)
     assert rep.total == rep.values["N_f_sq"]
     assert any("lambda=0" in note for note in rep.notes)
 
@@ -340,7 +340,7 @@ def test_theorem_rhs_lambda_zero_convention():
 def test_theorem_rhs_rejects_zero_eps():
     grid = RadialGrid(3, 2.0, 0.5)
     with pytest.raises(ParameterError):
-        theorem_rhs(ScalarField.zeros(grid), 1.0, 0.0)
+        theorem_rhs(dyadic_dual(ScalarField.zeros(grid)), 1.0, 0.0)
 
 
 def test_norm_report_json_layout():

@@ -265,15 +265,31 @@ def test_preconditioner_inverts_free_operator(n, m, lam, eps, sign, seed):
     assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
 
 
+@pytest.mark.parametrize("n, L", [(3, 4.0), (4, 2.0)])
 @pytest.mark.parametrize("lam, eps", [(1.0, 1.0), (0.0, 0.01), (3.0, -0.1)])
-def test_free_solve_takes_one_krylov_iteration(operator_calls, lam, eps):
-    # the preconditioner is the free operator's exact inverse: one Arnoldi
-    # step, then the solution update and its residual check
-    grid = small_grid(h=0.25)
-    prob = build_problem(PotentialPair(3), lam, eps, "point", grid)
+def test_free_solve_costs_one_preconditioner_and_one_apply(operator_calls, n, L,
+                                                           lam, eps):
+    # the preconditioner is the free operator's exact inverse, so the start
+    # minv(f) passes the first residual check before any Arnoldi step
+    grid = RadialGrid(n, L, 0.25)
+    prob = build_problem(PotentialPair(n), lam, eps,
+                         {"name": "point", "width": 0.25}, grid)
     u = solve(prob, tol=1e-12)
     assert u.residual <= 1e-12
-    assert operator_calls == {"apply": 2, "precond": 2}
+    assert operator_calls == {"apply": 1, "precond": 1}
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.25, 0.05])
+def test_magnetic_solve_application_count(operator_calls, eps):
+    # pinned at the count of the zero start: starting from minv(f) must not
+    # cost iterations when the preconditioner is not exact
+    pp = make_potential_pair(3, {"name": "ex13"}, {"name": "gaussian", "amplitude": 0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the point datum reaches the boundary
+        prob = build_problem(pp, 1.0, eps, "point", small_grid())
+    u = solve(prob, tol=1e-10)
+    assert u.residual <= 1e-10
+    assert operator_calls == {"apply": 14, "precond": 14}
 
 
 def test_solve_reaches_requested_residual():

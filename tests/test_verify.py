@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from morcam import verify
 from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, make_varphi
-from morcam.resolvent import DiscreteOperator, Discretization
+from morcam.norms import dyadic_dual, theorem_rhs
+from morcam.resolvent import DiscreteOperator, Discretization, make_datum
 from morcam.verify import (IdentityReport, SweepReport, epsilon_sweep,
                            estimate_report, identity_residual, identity_scan,
                            manufactured_identity, resonance_functionals)
@@ -129,8 +131,8 @@ def test_identity_json_layout():
 def test_estimate_report_trivial():
     grid = RadialGrid(3, 4.0, 0.5)
     z = ScalarField.zeros(grid)
-    lhs, rhs, ratio = estimate_report(z, z, Discretization(grid, PotentialPair(3)),
-                                      1.0, 0.5)
+    lhs, rhs, ratio = estimate_report(z, dyadic_dual(z),
+                                      Discretization(grid, PotentialPair(3)), 1.0, 0.5)
     assert lhs.total == 0.0 and rhs.total == 0.0 and ratio == 0.0
 
 
@@ -138,7 +140,8 @@ def test_estimate_report_inadmissible_notes():
     grid = RadialGrid(3, 4.0, 0.5)
     pp = make_potential_pair(3, None, {"name": "coulomb", "c": -1.0})
     u = ScalarField.from_callable(grid, bump)
-    lhs, rhs, ratio = estimate_report(u, u, Discretization(grid, pp), 1.0, 0.5)
+    lhs, rhs, ratio = estimate_report(u, dyadic_dual(u), Discretization(grid, pp),
+                                      1.0, 0.5)
     assert any("not admissible" in note for note in lhs.notes)
     assert math.isfinite(ratio)
 
@@ -210,6 +213,25 @@ def test_epsilon_sweep_samples_radial_derivative_once(radial_derivative_samples)
                         [1.0, 0.5, 0.25], grid, tol=1e-8)
     assert len(rep.entries) == 3
     assert radial_derivative_samples == [grid.shape]
+
+
+def test_epsilon_sweep_computes_dual_norm_once(monkeypatch):
+    # N(f) depends on f alone; the per-eps right-hand sides reuse it
+    calls = []
+
+    def counted(f, *args):
+        calls.append(f)
+        return dyadic_dual(f, *args)
+
+    monkeypatch.setattr(verify, "dyadic_dual", counted)
+    grid = RadialGrid(3, 4.0, 0.5)
+    spec = {"name": "gaussian", "width": 0.6}
+    rep = epsilon_sweep(PotentialPair(3), 1.0, spec, [1.0, 0.5, 0.25], grid,
+                        tol=1e-8)
+    assert len(calls) == 1
+    f = make_datum(grid, spec)
+    assert [e["rhs"] for e in rep.entries] == [
+        theorem_rhs(dyadic_dual(f), 1.0, eps).total for eps in (1.0, 0.5, 0.25)]
 
 
 # --- resonance functionals ---------------------------------------------------
