@@ -15,7 +15,7 @@ import numpy as np
 from morcam.fields import make_potential_pair
 from morcam.grids import RadialGrid
 from morcam.norms import morrey_campanato
-from morcam.resolvent import build_problem, covariant_gradient, solve
+from morcam.resolvent import build_problem, gradient_split, solve
 
 grid = RadialGrid(3, 8.0, 0.25)
 pp = make_potential_pair(3, {"name": "ex13"},
@@ -33,8 +33,7 @@ fu = grid.integrate(np.abs(prob.f.values * u.values))
 print("absorption inequality: |eps| int|u|^2 = %.4f <= int|fu| = %.4f"
       % (0.5 * l2, fu))
 
-g = covariant_gradient(u, prob.disc)
-g2 = np.sum(np.abs(g) ** 2, axis=-1)
+g2, _ = gradient_split(u, prob.disc)
 mc, rstar = morrey_campanato(u)
 print("|||u||| = %.4f (max at R=%.2f), covariant-gradient energy %.4f"
       % (mc, rstar, grid.integrate(g2)))

@@ -19,16 +19,14 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import (PotentialPair, _check_points, _radial_contraction,
-                     magnetic_matrix, radial_derivative_parts)
+                     magnetic_matrix, radial_derivative_parts, sq_norm)
 from .norms import RadialQuad, mixed_radial_norm, weighted_sup_norm
 
 __all__ = [
     "AdmissibilityReport",
     "compute_constants",
-    "condition_value_3d",
     "check_condition_3d",
     "check_condition_nd",
-    "dense_grid_minimum",
     "admissibility_report",
 ]
 
@@ -81,13 +79,13 @@ def compute_constants(pp: PotentialPair, n: int | None = None,
         # Cancellation noise in B_tau scales with the full field magnitude;
         # left in, it mimics a divergent integrand for non-trapping fields.
         B = magnetic_matrix(pp, X)
-        mag = np.sqrt(np.sum(_radial_contraction(X, B) ** 2, axis=-1))
-        scale = np.sqrt(np.sum(B ** 2, axis=(-2, -1)))
+        mag = np.sqrt(sq_norm(_radial_contraction(X, B)))
+        scale = np.sqrt(sq_norm(B.reshape(B.shape[:-2] + (-1,))))
         return np.where(mag > 1e-9 * scale, mag, 0.0)
 
     def v_plus_screened(X):
         X = _check_points(pp, X, require_nonzero=True)
-        return np.maximum(pp.eval_V(X), 0.0) / np.sqrt(1 + np.sum(X ** 2, axis=-1))
+        return np.maximum(pp.eval_V(X), 0.0) / np.sqrt(1 + sq_norm(X))
 
     # (potential the constant needs, weight, 3D (exponent, p), n >= 4 exponent)
     rows = [
@@ -99,27 +97,6 @@ def compute_constants(pp: PotentialPair, n: int | None = None,
                  else mixed_radial_norm(w, p, e3, n=3, quad=quad) if n == 3
                  else weighted_sup_norm(w, e, n, quad=quad)
                  for part, w, (e3, p), e in rows)
-
-
-def condition_value_3d(M, C1: float, C2: float):
-    """g(M) = (M + 1/2)^2 / M * C1^2 + 2 (M + 1/2) * C2."""
-    M = np.asarray(M, float)
-    return (M + 0.5) ** 2 / M * C1 ** 2 + 2 * (M + 0.5) * C2
-
-
-def dense_grid_minimum(C1: float, C2: float, lo: float = 1e-6, hi: float = 1e6,
-                       points: int = 100_000):
-    """Minimize g(M) by a dense log-spaced scan plus one local refinement
-    pass (independent of the closed form; used as the test oracle)."""
-    grid = np.logspace(math.log10(lo), math.log10(hi), points)
-    vals = condition_value_3d(grid, C1, C2)
-    k = int(np.argmin(vals))
-    a = grid[max(k - 2, 0)]
-    b = grid[min(k + 2, points - 1)]
-    fine = np.linspace(a, b, 40_000)
-    fvals = condition_value_3d(fine, C1, C2)
-    j = int(np.argmin(fvals))
-    return float(fvals[j]), float(fine[j])
 
 
 def check_condition_3d(C1: float, C2: float, C3: float = math.nan) -> AdmissibilityReport:

@@ -135,7 +135,7 @@ def _run_solve(sc, out_dir: Path):
 
 def _run_verify_identity(sc):
     M = float(sc["M"]) if sc["M"] is not None else 1.0
-    check_estimate_parameters(M=M)
+    check_estimate_parameters(M=M, beta=float(sc["beta"]), n=sc["n"])
     disc, f, u = _solve(sc)
     rep = identity_scan(u, f, disc, float(sc["lambda"]), float(sc["eps"]),
                         M=M, beta=float(sc["beta"]))

@@ -34,6 +34,11 @@ __all__ = [
 _ORIGIN_TOL = 1e-14
 
 
+def sq_norm(x: np.ndarray) -> np.ndarray:
+    """|x|^2 over the last axis of a point array (..., n)."""
+    return np.einsum("...i,...i->...", x, x)
+
+
 @dataclass
 class PotentialPair:
     """Magnetic potential A and electric potential V with optional
@@ -74,7 +79,7 @@ def _check_points(pp: PotentialPair, x: np.ndarray, require_nonzero=False) -> np
     if x.shape[-1] != pp.n:
         raise DomainError(f"points have dimension {x.shape[-1]}, potential has {pp.n}")
     if require_nonzero:
-        r = np.sqrt(np.sum(x ** 2, axis=-1))
+        r = np.sqrt(sq_norm(x))
         if np.any(r < _ORIGIN_TOL):
             raise DomainError("evaluation at x = 0 is not defined")
     if pp.domain_check is not None:
@@ -89,7 +94,7 @@ def jacobian_fd(A: Callable, x: np.ndarray, step: float | None = None) -> np.nda
     """
     x = np.asarray(x, float)
     n = x.shape[-1]
-    r = np.sqrt(np.sum(x ** 2, axis=-1))
+    r = np.sqrt(sq_norm(x))
     if step is None:
         h = 1e-5 * np.maximum(1.0, r)[..., None]
     else:
@@ -125,7 +130,7 @@ def _radial_contraction(x: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row vector times matrix (x/|x|) B per point: result_j =
     sum_i xhat_i B_ij, for points x of shape (..., n) away from the origin
     and field matrices B of shape (..., n, n)."""
-    r = np.sqrt(np.sum(x ** 2, axis=-1))[..., None]
+    r = np.sqrt(sq_norm(x))[..., None]
     return np.einsum("...i,...ij->...j", x / np.maximum(r, 1e-300), B)
 
 
@@ -148,7 +153,7 @@ def radial_derivative_parts(pp: PotentialPair, x: np.ndarray) -> np.ndarray:
         return np.asarray(pp.dV_r(x), float)
     if pp.V is None:
         return np.zeros(x.shape[:-1])
-    step = 1e-6 * (x / np.sqrt(np.sum(x ** 2, axis=-1))[..., None])
+    step = 1e-6 * (x / np.sqrt(sq_norm(x))[..., None])
     return (pp.eval_V(x + step) - pp.eval_V(x - step)) / 2e-6
 
 
@@ -223,7 +228,7 @@ def biot_savart(B_fn: Callable, x, quad: BallQuad = BallQuad()) -> np.ndarray:
 
 def _ex13_A(x):
     x = np.asarray(x, float)
-    r2 = np.sum(x ** 2, axis=-1)[..., None]
+    r2 = sq_norm(x)[..., None]
     out = np.empty_like(x)
     out[..., 0] = (-x[..., 1] / r2[..., 0])
     out[..., 1] = (x[..., 0] / r2[..., 0])
@@ -249,7 +254,7 @@ def _ex13_jac(x):
 
 
 def _ex13_check(x):
-    r2 = np.sum(np.asarray(x, float) ** 2, axis=-1)
+    r2 = sq_norm(np.asarray(x, float))
     if np.any(r2 < _ORIGIN_TOL ** 2):
         raise DomainError("ex13 potential is singular at the origin")
 
@@ -314,7 +319,7 @@ def example_field(kind: str, *, h=None, omega=None, alpha=None,
 
         def B_dir(Y):
             Y = np.asarray(Y, float)
-            r = np.sqrt(np.sum(Y ** 2, axis=-1))
+            r = np.sqrt(sq_norm(Y))
             r = np.where(r < 1e-300, 1e-300, r)
             yhat = Y / r[..., None]
             g = np.asarray(h(yhat @ omega), float) * r ** (-alpha)
@@ -335,11 +340,11 @@ def example_field(kind: str, *, h=None, omega=None, alpha=None,
 
 def _radial_V(fV, fdV):
     def V(x):
-        r = np.sqrt(np.sum(np.asarray(x, float) ** 2, axis=-1))
+        r = np.sqrt(sq_norm(np.asarray(x, float)))
         return fV(r)
 
     def dVr(x):
-        r = np.sqrt(np.sum(np.asarray(x, float) ** 2, axis=-1))
+        r = np.sqrt(sq_norm(np.asarray(x, float)))
         return fdV(r)
 
     return V, dVr

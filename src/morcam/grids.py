@@ -24,7 +24,8 @@ class RadialGrid:
     """Uniform cell-centered grid on [-L, L]^n with spacing h.
 
     1-D node coordinates are -L + (i + 1/2)h for i = 0..m-1 with m = 2L/h;
-    L/h must be an integer.  Radial shells are bins of thickness h in |x|,
+    L/h must be an integer.  Radial bins collect the nodes of one radius
+    (see radial_index); radial shells are bins of thickness h in |x|,
     shell k collecting nodes with k*h <= |x| < (k+1)*h.
     """
 
@@ -70,56 +71,71 @@ class RadialGrid:
         axes = np.meshgrid(*([self.coords_1d] * self.n), indexing="ij")
         return np.stack(axes, axis=-1)
 
-    @cached_property
-    def radii(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.points ** 2, axis=-1))
+    # --- exact radial index -------------------------------------------------
+    # With s_k = 2 i_k + 1 - m (odd), 4|x|^2/h^2 = q = sum_k s_k^2 and every
+    # s_k^2 = 1 (mod 8), so b = (q - n)/8 is an integer: nodes share a bin
+    # exactly when they share a radius, and every radial reduction is a sum
+    # over bins.
 
     @cached_property
-    def shell_index(self) -> np.ndarray:
-        return np.floor(self.radii / self.h).astype(np.int64)
+    def radial_index(self) -> np.ndarray:
+        """Radial bin b = sum_k (s_k^2 - 1)/8 of each node, flat.  Kept as
+        intp, the index type np.bincount reads without a converted copy."""
+        s = np.arange(1 - self.m, self.m, 2)
+        t = (s * s - 1) // 8
+        b = t
+        for _ in range(self.n - 1):
+            b = np.add.outer(b, t)
+        return b.ravel()
+
+    @property
+    def n_bins(self) -> int:
+        return self.n * ((self.m - 1) ** 2 - 1) // 8 + 1
+
+    @cached_property
+    def bin_radii(self) -> np.ndarray:
+        """|x| of the nodes in each bin, (h/2) sqrt(8b + n).  Some bins hold
+        no node; their sums are zero."""
+        return self.h / 2 * np.sqrt(8.0 * np.arange(self.n_bins) + self.n)
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """|x| at the nodes, shape grid.shape: the bin radii gathered."""
+        return self.bin_radii[self.radial_index].reshape(self.shape)
+
+    @cached_property
+    def bin_shells(self) -> np.ndarray:
+        """Shell floor(|x|/h) = floor(sqrt(8b + n)/2) of each bin (exact:
+        a correctly rounded sqrt keeps floor(sqrt q) for q < 2^51)."""
+        return np.sqrt(8.0 * np.arange(self.n_bins) + self.n).astype(np.intp) // 2
 
     @property
     def n_shells(self) -> int:
-        return int(self.shell_index.max()) + 1
+        return int(self.bin_shells[-1]) + 1
 
     @cached_property
     def shell_radii(self) -> np.ndarray:
         """Representative radius (k + 1/2)h of each shell."""
         return (np.arange(self.n_shells) + 0.5) * self.h
 
-    @cached_property
-    def radii_sort(self) -> np.ndarray:
-        """Flat indices sorting nodes by |x| (used for sup_R scans)."""
-        return np.argsort(self.radii, axis=None, kind="stable")
-
-    @cached_property
-    def radii_sorted(self) -> np.ndarray:
-        """The node radii in radii_sort order."""
-        return self.radii.ravel()[self.radii_sort]
-
-    @cached_property
-    def dyadic_index(self) -> np.ndarray:
-        """floor(log2 |x|) per node, flat: node x lies in the dyadic shell
-        2^j <= |x| < 2^(j+1).  No node sits at the origin, and |j| stays
-        below 1100 for any double radius, so int16 holds it."""
-        return np.floor(np.log2(self.radii.ravel())).astype(np.int16)
-
     def integrate(self, values: np.ndarray) -> complex | float:
         return values.sum() * self.cell_volume
 
-    def shell_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum of values*h^n per radial shell."""
-        return np.bincount(
-            self.shell_index.ravel(), weights=np.asarray(values, float).ravel(),
-            minlength=self.n_shells,
-        ) * self.cell_volume
+    def bin_sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of real node values * h^n per radial bin."""
+        return np.bincount(self.radial_index, weights=np.asarray(values, float).ravel(),
+                           minlength=self.n_bins) * self.cell_volume
 
-    def surface_integral(self, values: np.ndarray, R: float) -> float:
+    def shell_sums(self, sums: np.ndarray) -> np.ndarray:
+        """Per-shell totals of per-bin sums (bin_sums)."""
+        return np.bincount(self.bin_shells, weights=sums, minlength=self.n_shells)
+
+    def surface_integral(self, sums: np.ndarray, R: float) -> float:
         """Approximate integral over the sphere |x| = R by a shell-volume
-        average over R - h/2 <= |x| < R + h/2."""
-        r = self.radii
-        mask = (r >= R - self.h / 2) & (r < R + self.h / 2)
-        return float(np.sum(np.asarray(values, float)[mask]) * self.cell_volume / self.h)
+        average over R - h/2 <= |x| < R + h/2, from per-bin sums
+        (bin_sums)."""
+        r = self.bin_radii
+        return float(sums[(r >= R - self.h / 2) & (r < R + self.h / 2)].sum() / self.h)
 
     def origin_neighbors(self) -> np.ndarray:
         """Flat indices of the 2^n nodes nearest the origin."""
@@ -163,7 +179,9 @@ class ScalarField:
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     def abs2(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+        a = np.abs(self.values)
+        a *= a
+        return a
 
     def l2_norm_sq(self) -> float:
         return float(self.grid.integrate(self.abs2()))

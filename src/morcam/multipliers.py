@@ -81,15 +81,19 @@ class SymmetricWeight:
 
 
 def check_estimate_parameters(M: float | None = None,
-                              delta: float | None = None) -> None:
+                              delta: float | None = None,
+                              beta: float | None = None, n: int = 3) -> None:
     """Raise ParameterError unless the multiplier constant M is finite and
-    >= 0 and the estimate weight delta is finite and positive; None skips
-    a check (the value is then chosen later from the admissibility
-    verdict)."""
+    >= 0, the estimate weight delta is finite and positive, and the
+    symmetric-weight constant beta lies in (0, (n-1)/(2n)) for dimension
+    n; None skips a check (the value is then chosen later from the
+    admissibility verdict)."""
     if M is not None and not (math.isfinite(M) and M >= 0):
         raise ParameterError(f"M must be finite and >= 0, got {M}")
     if delta is not None and not (math.isfinite(delta) and delta > 0):
         raise ParameterError(f"delta must be finite and positive, got {delta}")
+    if beta is not None and not (0 < beta < (n - 1) / (2 * n)):
+        raise ParameterError(f"beta={beta} outside (0, {(n - 1) / (2 * n)}) for n={n}")
 
 
 def make_phi(n: int, R: float, M: float) -> Multiplier:
@@ -154,11 +158,7 @@ def make_varphi(n: int, R: float, beta: float) -> SymmetricWeight:
     """
     if R <= 0:
         raise ParameterError(f"scale R must be positive, got {R}")
-    beta_max = (n - 1) / (2 * n)
-    if not (0 < beta < beta_max):
-        raise ParameterError(
-            f"beta={beta} outside (0, {beta_max}) for n={n}"
-        )
+    check_estimate_parameters(beta=beta, n=n)
 
     def value(r):
         r = np.asarray(r, float)

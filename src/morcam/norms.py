@@ -14,7 +14,7 @@ import numpy as np
 from .errors import MorcamError, ParameterError
 from .grids import RadialGrid, ScalarField
 from .multipliers import check_estimate_parameters
-from .resolvent import Discretization, covariant_gradient, gradient_split
+from .resolvent import Discretization, gradient_split
 
 __all__ = [
     "NormReport",
@@ -55,13 +55,13 @@ class NormReport:
 
 
 def _mc_sup_sq(grid: RadialGrid, weights: np.ndarray):
-    """sup over node radii R of (1/R) * sum_{|x| <= R} weights * h^n."""
-    r_sorted = grid.radii_sorted
-    w_sorted = np.asarray(weights, float).ravel()[grid.radii_sort]
-    csum = np.cumsum(w_sorted) * grid.cell_volume
-    ratios = csum / r_sorted
+    """sup over node radii R of (1/R) * sum_{|x| <= R} weights * h^n for
+    weights >= 0: a cumulative sum over the radial bins.  An empty bin
+    repeats its predecessor's sum at a larger R, so the sup and its radius
+    are those of an occupied bin."""
+    ratios = np.cumsum(grid.bin_sums(weights)) / grid.bin_radii
     k = int(np.argmax(ratios))
-    return float(ratios[k]), float(r_sorted[k])
+    return float(ratios[k]), float(grid.bin_radii[k])
 
 
 def morrey_campanato(u: ScalarField):
@@ -90,11 +90,11 @@ def dyadic_dual(f: ScalarField, j_min: int | None = None, j_max: int | None = No
         j_min = dj_min
     if j_max is None:
         j_max = dj_max
-    w = f.abs2().ravel() * grid.cell_volume
-    j = grid.dyadic_index
+    w = grid.bin_sums(f.abs2())
+    j = np.floor(np.log2(grid.bin_radii)).astype(np.intp)
     inside = (j >= j_min) & (j <= j_max)
-    idx = j[inside] - j_min
-    shells = np.bincount(idx, weights=w[inside], minlength=j_max - j_min + 1)
+    shells = np.bincount(j[inside] - j_min, weights=w[inside],
+                         minlength=j_max - j_min + 1)
     terms = np.sqrt(2.0 ** (np.arange(j_min, j_max + 1) + 1.0) * shells)
     value = float(terms.sum())
     dropped = float(w[~inside].sum())
@@ -241,8 +241,12 @@ def sphere_sup(u: ScalarField):
     points only lowers the discrete sup, the conservative direction for
     a left-hand-side quantity.
     """
-    grid = u.grid
-    shells = grid.shell_sums(u.abs2()) / grid.h
+    return _sphere_sup(u.grid, u.grid.bin_sums(u.abs2()))
+
+
+def _sphere_sup(grid: RadialGrid, su2: np.ndarray):
+    """sphere_sup from the bin sums of |u|^2."""
+    shells = grid.shell_sums(su2) / grid.h
     radii = grid.shell_radii
     vals = (shells / radii ** 2)[2:]
     k = int(np.argmax(vals))
@@ -253,8 +257,8 @@ def hardy_ratio(u: ScalarField, disc: Discretization) -> float:
     """(int |u|^2/|x|^2) / (int |grad_A u|^2) on the grid; bounded by the
     Hardy constant 4/(n-2)^2 up to discretization slack."""
     grid = u.grid
-    num = float(grid.integrate(u.abs2() / grid.radii ** 2))
-    g2, _ = gradient_split(covariant_gradient(u, disc), grid)
+    num = float(grid.bin_sums(u.abs2()) @ grid.bin_radii ** -2)
+    g2, _ = gradient_split(u, disc)
     den = float(grid.integrate(g2))
     if den <= 0:
         raise MorcamError("hardy_ratio undefined: zero covariant-gradient energy")
@@ -284,34 +288,48 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     grid = u.grid
     n = grid.n
     rep = NormReport()
-    r = grid.radii
+    r = grid.bin_radii
     bracket = np.sqrt(1 + r ** 2)
-    u2 = u.abs2()
 
-    g2, g_r = gradient_split(covariant_gradient(u, disc), grid)
+    g2, g_r = gradient_split(u, disc)
     mc_sq, rstar = _mc_sup_sq(grid, g2)
     rep.values["grad_mc_sq"] = mc_sq
     rep.rstar["grad_mc_sq"] = rstar
+    # |g_tau|^2 = |g|^2 - |g_r|^2 in place, g_r's parts squared as scratch
+    for part in (g_r.real, g_r.imag):
+        np.square(part, out=part)
+        g2 -= part
+    del g_r
+    np.maximum(g2, 0.0, out=g2)
+    tangential = float(grid.bin_sums(g2) @ (1 / r))
 
     if n == 3:
         rep.values["origin_sq"] = abs(grid.interpolate_origin(u.values)) ** 2
 
-    drv_minus = np.maximum(-disc.radial_derivative(), 0.0)
-    rep.values["drV_minus"] = (M / 2) * float(grid.integrate(drv_minus * u2))
-    v_minus = np.maximum(-disc.V, 0.0)
-    rep.values["V_minus"] = float(grid.integrate(v_minus * u2 / bracket))
-    rep.values["lambda_term"] = lam * float(grid.integrate(u2 / bracket))
-
-    gtau2 = np.maximum(g2 - np.square(g_r.real) - np.square(g_r.imag), 0.0)
-    rep.values["tangential"] = float(grid.integrate(gtau2 / r))
+    u2 = u.abs2()
+    rep.values["drV_minus"] = rep.values["V_minus"] = 0.0
+    if disc.pp.V is not None:
+        # the non-radial weights (d_r V)_- and V_- go through g2's buffer
+        weight = g2
+        np.negative(disc.radial_derivative(), out=weight)
+        np.maximum(weight, 0.0, out=weight)
+        rep.values["drV_minus"] = (M / 2) * grid.cell_volume * float(
+            np.dot(weight.ravel(), u2.ravel()))
+        np.negative(disc.V, out=weight)
+        np.maximum(weight, 0.0, out=weight)
+        weight *= u2
+        rep.values["V_minus"] = float(grid.bin_sums(weight) @ (1 / bracket))
+    su2 = grid.bin_sums(u2)
+    rep.values["lambda_term"] = lam * float(su2 @ (1 / bracket))
+    rep.values["tangential"] = tangential
 
     if n == 3:
-        sval, srad = sphere_sup(u)
+        sval, srad = _sphere_sup(grid, su2)
         rep.values["sphere_sup"] = sval
         rep.rstar["sphere_sup"] = srad
         group_last = sval
     else:
-        rep.values["cube_weight"] = float(grid.integrate(u2 / r ** 3))
+        rep.values["cube_weight"] = float(su2 @ r ** -3)
         group_last = rep.values["cube_weight"]
 
     main = rep.values["grad_mc_sq"] + rep.values.get("origin_sq", 0.0) \

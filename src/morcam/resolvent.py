@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .fields import PotentialPair, radial_derivative_parts, resolve_builtin
+from .fields import PotentialPair, radial_derivative_parts, resolve_builtin, sq_norm
 from .grids import RadialGrid, ScalarField
 
 __all__ = [
@@ -123,26 +123,24 @@ class Discretization:
             self._drv = drv
         return self._drv
 
-    def hop(self, u: np.ndarray, outs, combine=np.add) -> None:
-        """Add U_k u(x + h e_k) into outs[k] at the lower end of each
-        axis-k edge, and combine conj(U_k) u(x) into outs[k] at its upper
-        end: np.add gives the Laplacian's neighbor sum, np.subtract the
-        centered gradient's difference.  Dirichlet zero outside the box."""
-        n = self.grid.n
-        for k, out in enumerate(outs):
-            lo = [slice(None)] * n
-            hi = [slice(None)] * n
-            lo[k] = slice(None, -1)
-            hi[k] = slice(1, None)
-            lo, hi = tuple(lo), tuple(hi)
-            up = out[hi]
-            if self.phases is None:
-                out[lo] += u[hi]
-                combine(up, u[lo], out=up)
-            else:
-                U = self.phases[k][lo]
-                out[lo] += U * u[hi]
-                combine(up, np.conj(U) * u[lo], out=up)
+    def hop(self, u: np.ndarray, k: int, out: np.ndarray, combine=np.add) -> None:
+        """Add U_k u(x + h e_k) into out at the lower end of each axis-k
+        edge, and combine conj(U_k) u(x) into out at its upper end: np.add
+        gives the Laplacian's neighbor sum, np.subtract the centered
+        gradient's difference.  Dirichlet zero outside the box."""
+        lo = [slice(None)] * self.grid.n
+        hi = [slice(None)] * self.grid.n
+        lo[k] = slice(None, -1)
+        hi[k] = slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        up = out[hi]
+        if self.phases is None:
+            out[lo] += u[hi]
+            combine(up, u[lo], out=up)
+        else:
+            U = self.phases[k][lo]
+            out[lo] += U * u[hi]
+            combine(up, np.conj(U) * u[lo], out=up)
 
 
 class DiscreteOperator:
@@ -170,7 +168,8 @@ class DiscreteOperator:
         u = np.asarray(u, complex).reshape(g.shape)
         out = self._diag * u
         hop = np.zeros_like(u)
-        self.disc.hop(u, [hop] * g.n)
+        for k in range(g.n):
+            self.disc.hop(u, k, hop)
         hop *= 1.0 / g.h ** 2
         out -= hop
         return out
@@ -285,7 +284,7 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
         if width is None:
             width = 2 * grid.h
         center = np.broadcast_to(np.asarray(params["center"], float), (grid.n,))
-        d2 = np.sum((grid.points - center) ** 2, axis=-1)
+        d2 = sq_norm(grid.points - center)
         vals = amp * np.exp(-d2 / float(width) ** 2)
         if name == "wave":
             # modulation shifts the spectral content to |k|^2 + O(1/width^2)
@@ -399,34 +398,44 @@ def _gmres(apply, minv, b, tol, restart, maxiter):
         x += minv(V[:k].T @ y)
 
 
-def covariant_gradient(u: ScalarField, disc: Discretization) -> np.ndarray:
-    """Centered covariant gradient with the operator's link phases:
-    component k is (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h.
-
-    Returns a complex array of shape (*grid.shape, n), a view of
-    components stored axis-first (each g[..., k] is contiguous); Dirichlet
-    zero is assumed outside the box.
-    """
+def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Component k of the centered covariant gradient with the operator's
+    link phases, (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h,
+    written into out (a complex array of grid.shape) when given;
+    Dirichlet zero is assumed outside the box."""
     grid = u.grid
     if grid != disc.grid:
         raise ParameterError("field and discretization grids differ")
-    comps = np.zeros((grid.n,) + grid.shape, dtype=complex)
-    disc.hop(u.values, comps, np.subtract)
-    comps /= 2 * grid.h
-    return np.moveaxis(comps, 0, -1)
+    if out is None:
+        out = np.zeros(grid.shape, complex)
+    else:
+        out[...] = 0
+    disc.hop(u.values, k, out, np.subtract)
+    out /= 2 * grid.h
+    return out
 
 
-def gradient_split(g: np.ndarray, grid: RadialGrid):
-    """|g|^2 and the radial component g_r = g . x/|x| (complex) of a
-    vector field g of shape (*grid.shape, n), formed one axis at a time
-    from the components and the 1-D node coordinates.  The tangential
-    part is |g_tau|^2 = |g|^2 - |g_r|^2."""
+def gradient_split(u: ScalarField, disc: Discretization, btau=None):
+    """|g|^2 and the radial component g_r = g . x/|x| (complex) of the
+    covariant gradient g of u, and btau . conj(g) when a vector field btau
+    of shape (*grid.shape, n) is given: (g2, g_r) or (g2, g_r, b.conj(g)).
+    One axis at a time through one reused component buffer and the 1-D
+    node coordinates.  The tangential part is |g_tau|^2 = |g|^2 - |g_r|^2."""
+    grid = u.grid
     n = grid.n
     g2 = np.zeros(grid.shape)
     g_r = np.zeros(grid.shape, complex)
-    for k, gk in enumerate(np.moveaxis(g, -1, 0)):
-        g2 += np.square(gk.real)
-        g2 += np.square(gk.imag)
-        g_r += gk * grid.coords_1d.reshape((-1,) + (1,) * (n - 1 - k))
-    g_r /= grid.radii
-    return g2, g_r
+    bg = None if btau is None else np.zeros(grid.shape, complex)
+    buf, sq = np.empty(grid.shape, complex), np.empty(grid.shape)
+    for k in range(n):
+        gk = covariant_gradient(u, disc, k, out=buf)
+        for part in (gk.real, gk.imag):
+            g2 += np.square(part, out=sq)
+        if bg is not None:
+            bg += btau[..., k] * np.conj(gk)
+        gk *= grid.coords_1d.reshape((-1,) + (1,) * (n - 1 - k))
+        g_r += gk
+    for part in (g_r.real, g_r.imag):
+        part /= grid.radii
+    return (g2, g_r) if bg is None else (g2, g_r, bg)

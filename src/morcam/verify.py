@@ -19,8 +19,7 @@ from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters
                           make_phi, make_varphi)
 from .norms import NormReport, dyadic_dual, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
-                        covariant_gradient, epsilon_floor, gradient_split,
-                        make_datum, solve)
+                        epsilon_floor, gradient_split, make_datum, solve)
 
 __all__ = [
     "IdentityReport",
@@ -85,26 +84,36 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     Smooth densities are paired by midpoint quadrature; the bilaplacian
     atoms pair with |u|^2 through origin interpolation and shell-averaged
     surface integrals.  eps carries the sign of the absorption.  The
-    scale-independent samples are taken once for all scales.
+    scale-independent densities are summed per radial bin once for all
+    scales, and each scale evaluates its radial profiles on the bin radii.
     """
     if u.grid != f.grid:
         raise MorcamError("u and f must share a grid")
     grid = u.grid
     pp = disc.pp
-    h, r = grid.h, grid.radii
+    h, r = grid.h, grid.bin_radii
+    S = grid.bin_sums
     u2 = u.abs2()
-    conj_u = np.conj(u.values)
 
-    g = covariant_gradient(u, disc)
-    g2, g_r = gradient_split(g, grid)
-    g_r2 = np.square(g_r.real) + np.square(g_r.imag)
-    g_tau2 = np.maximum(g2 - g_r2, 0.0)
-    xdotg = np.conj(g_r)
-    drv = disc.radial_derivative()
     trapping = include_btau and pp.A is not None
     if trapping:
-        btau = trapping_component(pp, grid.points)
-        bdotg = np.einsum("...i,...i->...", btau, np.conj(g))
+        g2, g_r, bdotg = gradient_split(u, disc, trapping_component(pp, grid.points))
+        s_trap = S(np.imag(u.values * bdotg))
+        del bdotg
+    else:
+        g2, g_r = gradient_split(u, disc)
+    g_r2 = np.square(g_r.real) + np.square(g_r.imag)
+    s_g2, s_gr2 = S(g2), S(g_r2)
+    s_gtau2 = S(np.maximum(g2 - g_r2, 0.0))
+    del g2, g_r2
+    xdotg = np.conj(g_r)
+    s_u2 = S(u2)
+    s_drv = S(disc.radial_derivative() * u2)
+    s_V = S(disc.V * u2)
+    s_fxg = S(np.real(f.values * xdotg))
+    s_fu = S(np.real(f.values * np.conj(u.values)))
+    s_uxg = S(np.imag(u.values * xdotg))
+    origin = abs(grid.interpolate_origin(u.values)) ** 2
 
     reports = []
     for mult, weight in scales:
@@ -112,37 +121,30 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
         w = weight.value(r)
         lhs = {}
         # Hessian quadratic form via the radial/tangential split
-        lhs["hessian"] = float(grid.integrate(
-            mult.d2phi(r) * g_r2 + dphi / r * g_tau2))
-        lhs["weight_gradient"] = -float(grid.integrate(w * g2))
+        lhs["hessian"] = float(mult.d2phi(r) @ s_gr2 + (dphi / r) @ s_gtau2)
+        lhs["weight_gradient"] = -float(w @ s_g2)
 
         # -(1/4 Delta^2 phi - 1/2 Delta varphi) paired with |u|^2
-        bilap = float(grid.integrate(mult.bilap_smooth(r) * u2))
+        bilap = float(mult.bilap_smooth(r) @ s_u2)
         if mult.origin_atom is not None:
-            bilap += mult.origin_atom.mass * abs(grid.interpolate_origin(u.values)) ** 2
+            bilap += mult.origin_atom.mass * origin
         if mult.sphere_atom is not None:
-            bilap += mult.sphere_atom.density * grid.surface_integral(u2, mult.sphere_atom.radius)
-        lapw = float(grid.integrate(weight.lap_smooth(r) * u2))
-        lapw += weight.sphere_atom.density * grid.surface_integral(u2, weight.sphere_atom.radius)
+            bilap += mult.sphere_atom.density * grid.surface_integral(s_u2, mult.sphere_atom.radius)
+        lapw = float(weight.lap_smooth(r) @ s_u2)
+        lapw += weight.sphere_atom.density * grid.surface_integral(s_u2, weight.sphere_atom.radius)
         lhs["bilaplacian"] = -0.25 * bilap + 0.5 * lapw
 
-        lhs["potential"] = -float(grid.integrate(
-            (0.5 * dphi * drv + w * disc.V) * u2))
-        lhs["trapping"] = float(grid.integrate(
-            np.imag(dphi * u.values * bdotg))) if trapping else 0.0
-        lhs["energy_weight"] = lam * float(grid.integrate(w * u2))
+        lhs["potential"] = -float(0.5 * dphi @ s_drv + w @ s_V)
+        lhs["trapping"] = float(dphi @ s_trap) if trapping else 0.0
+        lhs["energy_weight"] = lam * float(w @ s_u2)
 
-        grad_phi_dot = dphi * xdotg
         rhs = {}
         # The commutator multiplier is (1/2)[H, phi]u = -(phi' xhat . grad_A u
         # + (1/2) Delta phi u); pairing f against it flips the sign of the
         # gradient and absorption terms relative to the weight term.
-        rhs["datum_gradient"] = -float(grid.integrate(np.real(
-            f.values * (grad_phi_dot + 0.5 * mult.lap_phi(r) * conj_u))))
-        rhs["datum_weight"] = float(grid.integrate(np.real(
-            f.values * w * conj_u)))
-        rhs["absorption"] = -eps * float(grid.integrate(np.imag(
-            u.values * grad_phi_dot)))
+        rhs["datum_gradient"] = -float(dphi @ s_fxg + 0.5 * mult.lap_phi(r) @ s_fu)
+        rhs["datum_weight"] = float(w @ s_fu)
+        rhs["absorption"] = -eps * float(dphi @ s_uxg)
         reports.append(IdentityReport(lhs_terms=lhs, rhs_terms=rhs, h=h, R=mult.R))
     return reports
 
@@ -321,18 +323,16 @@ def resonance_functionals(u: ScalarField, disc: Discretization,
         R_list = [R for R in (2.0, 4.0, grid.L / 2, grid.L) if R > 1]
     if not R_list or min(R_list) <= 1 or max(R_list) > grid.L * math.sqrt(grid.n):
         raise MorcamError("R_list must lie in (1, sqrt(n) L]")
-    r = grid.radii
-    Vabs = np.abs(disc.V)
-    dens = (Vabs + 1.0 / (1 + r ** 2)) * u.abs2()
-    out_vals = {}
-    for R in sorted(R_list):
-        mass = float(np.sum(dens[r <= R]) * grid.cell_volume)
-        out_vals[R] = mass / R
+    r = grid.bin_radii
+    u2 = u.abs2()
+    s_V = grid.bin_sums(np.abs(disc.V) * u2)
+    dens = s_V + grid.bin_sums(u2) / (1 + r ** 2)
+    out_vals = {R: float(dens[r <= R].sum()) / R for R in sorted(R_list)}
     largest = max(out_vals)
     return {
         "sup": max(out_vals.values()),
         "at_largest_R": out_vals[largest],
         "largest_R": largest,
         "per_R": out_vals,
-        "V_mass": float(grid.integrate(Vabs * u.abs2())),
+        "V_mass": float(s_V.sum()),
     }

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from morcam import resolvent
+from morcam.fields import PotentialPair
+from morcam.grids import ScalarField
 
 
 @pytest.fixture
@@ -56,3 +59,17 @@ def operator_calls(monkeypatch):
     monkeypatch.setattr(Op, "apply", counted_apply)
     monkeypatch.setattr(Op, "preconditioner", counted_preconditioner)
     return calls
+
+
+@pytest.fixture
+def split_of(monkeypatch):
+    """split_of(g, grid): resolvent.gradient_split of a given vector field
+    g of shape (*grid.shape, n), fed in through morcam.resolvent's
+    covariant_gradient in place of the gradient of a field."""
+    def split(g, grid):
+        monkeypatch.setattr(resolvent, "covariant_gradient",
+                            lambda u, disc, k, out=None: np.array(g[..., k], complex))
+        disc = resolvent.Discretization(grid, PotentialPair(grid.n))
+        return resolvent.gradient_split(ScalarField.zeros(grid), disc)
+
+    return split

@@ -1,0 +1,30 @@
+"""Brute-force reference computations the tests compare morcam against.
+
+Importable from the test modules: pytest puts this directory on sys.path
+(rootdir-relative conftest, no package).
+"""
+
+import math
+
+import numpy as np
+
+
+def condition_value_3d(M, C1: float, C2: float):
+    """g(M) = (M + 1/2)^2 / M * C1^2 + 2 (M + 1/2) * C2."""
+    M = np.asarray(M, float)
+    return (M + 0.5) ** 2 / M * C1 ** 2 + 2 * (M + 0.5) * C2
+
+
+def dense_grid_minimum(C1: float, C2: float, lo: float = 1e-6, hi: float = 1e6,
+                       points: int = 100_000):
+    """Minimize g(M) by a dense log-spaced scan plus one local refinement
+    pass (independent of the closed form)."""
+    grid = np.logspace(math.log10(lo), math.log10(hi), points)
+    vals = condition_value_3d(grid, C1, C2)
+    k = int(np.argmin(vals))
+    a = grid[max(k - 2, 0)]
+    b = grid[min(k + 2, points - 1)]
+    fine = np.linspace(a, b, 40_000)
+    fvals = condition_value_3d(fine, C1, C2)
+    j = int(np.argmin(fvals))
+    return float(fvals[j]), float(fine[j])

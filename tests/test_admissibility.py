@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from morcam.admissibility import (admissibility_report, check_condition_3d,
-                                  check_condition_nd, compute_constants,
-                                  condition_value_3d, dense_grid_minimum)
+                                  check_condition_nd, compute_constants)
 from morcam.errors import ParameterError
 from morcam.fields import PotentialPair, make_potential_pair
 from morcam.norms import RadialQuad
+from oracles import condition_value_3d, dense_grid_minimum
 
 rng = np.random.default_rng(11)
 

@@ -165,6 +165,9 @@ def test_bad_parameter_is_exit_3(tmp_path):
     ("sweep", {"M": float("nan")}),
     ("verify-identity", {"M": float("nan")}),
     ("verify-identity", {"M": -1.0}),
+    ("verify-identity", {"beta": float("nan")}),
+    ("verify-identity", {"beta": 0.0}),
+    ("verify-identity", {"beta": 0.5}),
 ])
 def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, operator_calls, run_type, bad):
     code, out = run(tmp_path, {

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morcam.grids import GridError, RadialGrid, ScalarField, load_field, save_field
 
@@ -27,8 +29,37 @@ def test_grid_rejects_bad_spacing():
 
 def test_shell_partition_covers_all_nodes():
     grid = RadialGrid(3, 4.0, 0.5)
-    counts = np.bincount(grid.shell_index.ravel(), minlength=grid.n_shells)
+    counts = grid.shell_sums(grid.bin_sums(np.ones(grid.shape))) / grid.cell_volume
     assert counts.sum() == grid.size
+    brute = np.bincount(np.floor(grid.radii / grid.h).astype(int).ravel())
+    assert np.array_equal(counts, brute)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([3, 4, 5]), half_m=st.integers(1, 5),
+       h=st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0]))
+def test_radial_index_bins_one_radius(n, half_m, h):
+    # every bin b holds the nodes of the one q = 4|x|^2/h^2 = 8b + n, and
+    # its radius is the nodes' radius to within 4 ulp (h is a power of two,
+    # so the node coordinates themselves carry no rounding)
+    grid = RadialGrid(n, half_m * h, h)
+    s = 2 * np.indices(grid.shape) + 1 - grid.m
+    q = np.sum(s ** 2, axis=0).ravel()
+    b = grid.radial_index
+    assert np.array_equal(q, 8 * b + n)
+    assert b.max() < grid.n_bins
+    node_r = np.sqrt(np.sum(grid.points ** 2, axis=-1)).ravel()
+    assert np.all(np.abs(grid.bin_radii[b] - node_r) <= 4 * np.spacing(node_r))
+
+
+@pytest.mark.parametrize("grid", [RadialGrid(3, 2.0, 0.25), RadialGrid(4, 1.5, 0.25)])
+def test_surface_integral_matches_node_band(grid):
+    # against the band R - h/2 <= |x| < R + h/2 masked on the node radii
+    w = np.random.default_rng(5).random(grid.shape)
+    r = np.sqrt(np.sum(grid.points ** 2, axis=-1))
+    for R in (0.3, 0.7, 1.0, 1.3):
+        brute = w[(r >= R - grid.h / 2) & (r < R + grid.h / 2)].sum() * grid.cell_volume / grid.h
+        assert abs(grid.surface_integral(grid.bin_sums(w), R) - brute) <= 1e-12 * brute
 
 
 def test_integrate_constant():
@@ -41,7 +72,7 @@ def test_surface_integral_sphere_area():
     # integral of 1 over |x| = R should approach 4 pi R^2
     grid = RadialGrid(3, 4.0, 0.125)
     R = 2.0
-    approx = grid.surface_integral(np.ones(grid.shape), R)
+    approx = grid.surface_integral(grid.bin_sums(np.ones(grid.shape)), R)
     assert abs(approx - 4 * math.pi * R ** 2) / (4 * math.pi * R ** 2) < 0.01
 
 

@@ -6,7 +6,6 @@ import pytest
 from morcam.errors import ParameterError
 from morcam.grids import RadialGrid
 from morcam.multipliers import make_phi, make_varphi, sphere_area
-from morcam.resolvent import gradient_split
 
 rng = np.random.default_rng(7)
 
@@ -170,27 +169,27 @@ def test_varphi_beta_range():
 # --- hessian split -----------------------------------------------------------
 
 
-def split_form(mult, grid, g):
+def split_form(split_of, mult, grid, g):
     """phi''|g_r|^2 + phi'/r |g_tau|^2 per node, as identity_residual
     forms the Hessian term."""
-    g2, g_r = gradient_split(g, grid)
+    g2, g_r = split_of(g, grid)
     g_r2 = np.abs(g_r) ** 2
     r = grid.radii
     return mult.d2phi(r) * g_r2 + mult.dphi(r) / r * np.maximum(g2 - g_r2, 0.0)
 
 
-def test_hessian_split_radial_and_tangential():
+def test_hessian_split_radial_and_tangential(split_of):
     mult = make_phi(3, 1.0, 0.5)
     grid = RadialGrid(3, 2.0, 0.5)
     r = grid.radii
     xhat = grid.points / r[..., None]
-    assert np.allclose(split_form(mult, grid, 3.0 * xhat), mult.d2phi(r) * 9.0)
+    assert np.allclose(split_form(split_of, mult, grid, 3.0 * xhat), mult.d2phi(r) * 9.0)
     tan = np.cross([0.0, 0.0, 1.0], xhat)
-    assert np.allclose(split_form(mult, grid, tan),
+    assert np.allclose(split_form(split_of, mult, grid, tan),
                        mult.dphi(r) / r * np.sum(tan ** 2, axis=-1))
 
 
-def test_hessian_split_matches_dense_form():
+def test_hessian_split_matches_dense_form(split_of):
     mult = make_phi(4, 1.3, 0.7)
     grid = RadialGrid(4, 1.5, 0.5)
     g = (rng.standard_normal(grid.shape + (4,))
@@ -200,5 +199,5 @@ def test_hessian_split_matches_dense_form():
     P = xhat[..., :, None] * xhat[..., None, :]
     H = mult.d2phi(r) * P + mult.dphi(r) / r * (np.eye(4) - P)
     dense = np.real(np.einsum("...i,...ij,...j->...", np.conj(g), H, g))
-    err = np.abs(split_form(mult, grid, g) - dense)
+    err = np.abs(split_form(split_of, mult, grid, g) - dense)
     assert np.all(err < 1e-12 * np.maximum(1.0, np.abs(dense)))

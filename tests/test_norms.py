@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
-from morcam.norms import (RadialQuad, duality_gap, dyadic_dual, hardy_ratio,
-                          mixed_radial_norm, morrey_campanato, sphere_sup,
-                          theorem_lhs, theorem_rhs, weighted_sup_norm)
+from morcam.norms import (RadialQuad, _mc_sup_sq, duality_gap, dyadic_dual,
+                          hardy_ratio, mixed_radial_norm, morrey_campanato,
+                          sphere_sup, theorem_lhs, theorem_rhs, weighted_sup_norm)
 from morcam.resolvent import Discretization
 
 rng = np.random.default_rng(11)
@@ -48,7 +49,7 @@ def test_mc_inverse_radius_flat_profile():
     # u = 1/|x|: (1/R) int_{<=R} r^-2 = 4 pi for every R <= L
     grid = RadialGrid(3, 4.0, 0.0625)
     u = ScalarField(grid, (1.0 / grid.radii).astype(complex))
-    order = grid.radii_sort
+    order = np.argsort(grid.radii, axis=None, kind="stable")
     r = grid.radii.ravel()[order]
     csum = np.cumsum(u.abs2().ravel()[order]) * grid.cell_volume
     profile = csum / r
@@ -62,6 +63,57 @@ def test_mc_homogeneity():
     v1, _ = morrey_campanato(u)
     v2, _ = morrey_campanato(3.0 * u)
     assert np.isclose(v2, 3.0 * v1)
+
+
+# --- radial reductions against node-level oracles -----------------------------
+
+ORACLE_GRIDS = [RadialGrid(3, 2.0, 0.25), RadialGrid(3, 1.5, 0.125), RadialGrid(4, 1.5, 0.25)]
+
+
+def node_radii(grid):
+    return np.sqrt(np.sum(grid.points ** 2, axis=-1)).ravel()
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_mc_sup_matches_node_scan(grid):
+    # sup over node radii R of (1/R) sum_{|x| <= R} w h^n, every R scanned
+    w = np.random.default_rng(1).random(grid.shape)
+    r = node_radii(grid)
+    R = np.unique(r)
+    ratios = (r[None, :] <= R[:, None] * (1 + 1e-12)) @ w.ravel() * grid.cell_volume / R
+    k = int(np.argmax(ratios))
+    sup, rstar = _mc_sup_sq(grid, w)
+    assert abs(sup - ratios[k]) <= 1e-12 * ratios[k]
+    assert abs(rstar - R[k]) <= 1e-12 * R[k]
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_sphere_sup_matches_node_shells(grid):
+    u = ScalarField(grid, np.sqrt(np.random.default_rng(2).random(grid.shape)))
+    shells = np.bincount(np.floor(node_radii(grid) / grid.h).astype(int),
+                         weights=u.abs2().ravel()) * grid.cell_volume / grid.h
+    radii = (np.arange(shells.size) + 0.5) * grid.h
+    vals = (shells / radii ** 2)[2:]
+    value, rstar = sphere_sup(u)
+    assert abs(value - vals.max()) <= 1e-12 * vals.max()
+    assert rstar == radii[int(np.argmax(vals)) + 2]
+
+
+@pytest.mark.parametrize("grid", ORACLE_GRIDS)
+def test_dyadic_dual_matches_node_shells(grid):
+    f = ScalarField(grid, np.sqrt(np.random.default_rng(3).random(grid.shape)))
+    w = f.abs2().ravel() * grid.cell_volume
+    j = np.floor(np.log2(node_radii(grid))).astype(int)
+    for j_min, j_max in ((None, None), (-1, 0)):
+        lo = math.ceil(math.log2(grid.h / 2)) if j_min is None else j_min
+        hi = math.floor(math.log2(grid.L)) if j_max is None else j_max
+        terms = [math.sqrt(2.0 ** (i + 1) * w[j == i].sum()) for i in range(lo, hi + 1)]
+        dropped = w[(j < lo) | (j > hi)].sum()
+        last = [t for t in terms if t > 0][-1]
+        value, tail = dyadic_dual(f, j_min, j_max)
+        assert abs(value - sum(terms)) <= 1e-12 * sum(terms)
+        expect_tail = last + math.sqrt(2.0 ** (hi + 2) * dropped)
+        assert abs(tail - expect_tail) <= 1e-12 * expect_tail
 
 
 # --- dyadic dual -------------------------------------------------------------
@@ -312,6 +364,26 @@ def test_theorem_lhs_reads_the_capped_potential():
     assert rep.values["V_minus"] == pytest.approx(expect, rel=1e-12)
     assert rep.values["V_minus"] == pytest.approx(6.18, abs=5e-3)
     assert np.all(disc.radial_derivative()[disc.capped] == 0.0)
+
+
+@pytest.mark.parametrize("A, V", [(None, None),
+                                  ("ex13", {"name": "exp_screened", "amplitude": -0.3})])
+def test_theorem_lhs_peak_memory(A, V):
+    # transient allocations of one call, in grid-sized float arrays, after
+    # the grid's and the discretization's caches are warm; 13.5 when the
+    # left side sorted every node radius and kept the (n, *shape) gradient
+    grid = RadialGrid(3, 4.0, 0.25)
+    disc = Discretization(grid, make_potential_pair(3, A, V))
+    r = np.random.default_rng(4)
+    u = ScalarField(grid, r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape))
+    theorem_lhs(u, disc, 1.0, 0.5, 0.1)
+    tracemalloc.start()
+    try:
+        theorem_lhs(u, disc, 1.0, 0.5, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * grid.size * 8
 
 
 def test_theorem_lhs_rejects_negative_lambda():

@@ -20,6 +20,11 @@ def small_grid(h=0.5, L=4.0):
     return RadialGrid(3, L, h)
 
 
+def full_gradient(u, disc):
+    """The covariant gradient as one (*grid.shape, n) array."""
+    return np.stack([covariant_gradient(u, disc, k) for k in range(u.grid.n)], axis=-1)
+
+
 def random_field(grid, seed=0):
     r = np.random.default_rng(seed)
     vals = r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape)
@@ -338,7 +343,7 @@ def test_solver_error_carries_residual():
 def test_plain_gradient_of_linear_profile():
     grid = small_grid(h=0.25)
     u = ScalarField.from_callable(grid, lambda X: X[..., 0] + 0j)
-    g = covariant_gradient(u, Discretization(grid, PotentialPair(3)))
+    g = full_gradient(u, Discretization(grid, PotentialPair(3)))
     core = (slice(2, -2),) * 3
     assert np.abs(g[core + (0,)] - 1.0).max() < 1e-12
     assert np.abs(g[core + (1,)]).max() < 1e-12
@@ -360,45 +365,51 @@ def test_covariant_gradient_gauge_covariance_pointwise():
     u = ScalarField.from_callable(
         grid, lambda X: np.exp(-np.sum(X ** 2, axis=-1) + 0j))
     ph = np.exp(1j * chi(grid.points))
-    g0 = covariant_gradient(u, Discretization(grid, base))
-    g1 = covariant_gradient(ScalarField(grid, ph * u.values),
-                            Discretization(grid, shifted))
+    g0 = full_gradient(u, Discretization(grid, base))
+    g1 = full_gradient(ScalarField(grid, ph * u.values),
+                       Discretization(grid, shifted))
     core = (slice(2, -2),) * 3
     err = np.abs(g1[core] - ph[core + (None,)] * g0[core]).max()
     assert err < 1e-12 * np.abs(g0).max()
 
 
-def test_radial_tangential_split_pythagoras():
+def test_radial_tangential_split_pythagoras(split_of):
     # the radial part never exceeds the whole: |g_tau|^2 = |g|^2 - |g_r|^2 >= 0
     grid = small_grid()
     g = (rng.standard_normal(grid.shape + (3,))
          + 1j * rng.standard_normal(grid.shape + (3,)))
-    g2, g_r = gradient_split(g, grid)
+    g2, g_r = split_of(g, grid)
     assert np.allclose(g2, np.sum(np.abs(g) ** 2, axis=-1), atol=1e-12)
     assert np.all(np.abs(g_r) ** 2 <= g2 * (1 + 1e-12))
 
 
-def test_radial_component_of_radial_field():
+def test_radial_component_of_radial_field(split_of):
     grid = small_grid()
     xhat = grid.points / grid.radii[..., None]
     g = 2.5 * xhat.astype(complex)
-    g2, g_r = gradient_split(g, grid)
+    g2, g_r = split_of(g, grid)
     assert np.allclose(g_r, 2.5)
     assert np.abs(g2 - np.abs(g_r) ** 2).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_gradient_split_matches_dense_form(n):
-    # against |g|^2 and g . xhat formed on the full (*shape, n) arrays,
-    # for a plain array and for covariant_gradient's axis-first view
+def test_gradient_split_matches_dense_form(n, split_of):
+    # against |g|^2, g . xhat and btau . conj(g) formed on the full
+    # (*shape, n) arrays, for the covariant gradient of a field and for a
+    # plain array
     grid = RadialGrid(n, 2.0, 0.5)
     xhat = grid.points / grid.radii[..., None]
     u = random_field(grid, 3)
-    for g in (covariant_gradient(u, Discretization(grid, example_field("ex13")
-                                                   if n == 3 else PotentialPair(n))),
-              rng.standard_normal(grid.shape + (n,))
-              + 1j * rng.standard_normal(grid.shape + (n,))):
-        g2, g_r = gradient_split(g, grid)
+    disc = Discretization(grid, example_field("ex13") if n == 3 else PotentialPair(n))
+    btau = rng.standard_normal(grid.shape + (n,))
+    g = full_gradient(u, disc)
+    g2, g_r, bg = gradient_split(u, disc, btau)
+    dense_b = np.einsum("...i,...i->...", btau, np.conj(g))
+    assert np.abs(bg - dense_b).max() <= 1e-14 * np.abs(dense_b).max()
+    cases = [(g, (g2, g_r))]
+    g = rng.standard_normal(grid.shape + (n,)) + 1j * rng.standard_normal(grid.shape + (n,))
+    cases.append((g, split_of(g, grid)))
+    for g, (g2, g_r) in cases:
         dense2 = np.sum(np.abs(g) ** 2, axis=-1)
         dense_r = np.einsum("...i,...i->...", g, xhat)
         assert np.abs(g2 - dense2).max() <= 1e-14 * dense2.max()
