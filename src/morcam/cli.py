@@ -128,6 +128,8 @@ def _run_solve(sc, out_dir: Path):
     save_field(u, snap)
     return {
         "residual": float(u.residual),
+        "iterations": u.iterations,
+        "cycles": u.cycles,
         "l2_norm": math.sqrt(u.l2_norm_sq()),
         "snapshot": str(snap),
     }

@@ -10,6 +10,14 @@ S_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)) along every axis (the DST-I as a
 dense matrix, applied by matrix products); its shifted inverse is the
 preconditioner of a right-preconditioned GMRES(restart) solve written on
 numpy alone.
+
+The solve refines in mixed precision.  The iterate and the true residual
+f - Au at the head of every restart cycle are complex128; each cycle's
+Arnoldi process runs on a complex64 twin of the operator and of its
+preconditioner (float32 sine matrix and eigenvalue table) with a
+complex64 Krylov basis, and adds its complex64 correction to the
+complex128 iterate.  Accuracy below float32 precision comes from the
+next cycle's true residual, not from the cycle itself.
 """
 
 from __future__ import annotations
@@ -39,21 +47,27 @@ __all__ = [
     "epsilon_floor",
 ]
 
-#: Multiplier c in the truncation protocol eps >= c * 4 / L^2.  The box
-#: resolvent only tracks the whole-space one while the absorption length
-#: 1/sqrt(eps) stays below the box size.
-EPS_FLOOR_FACTOR = 1.0 / 16.0
-
-#: GMRES restart length: a solve keeps RESTART + 1 Krylov basis vectors.
+#: GMRES restart length: a solve keeps RESTART + 1 complex64 Krylov basis
+#: vectors.
 RESTART = 100
-#: Grid-sized complex arrays a solve holds besides its Krylov basis: the
-#: link phases, V, the datum, solution, residual and the temporaries of the
-#: operator and the preconditioner.
-WORK_VECTORS = 12
+#: A complex64 cycle stops once its Givens estimate has fallen to this
+#: fraction of the cycle's true residual (or to the tolerance): float32
+#: resolves the correction to a few units in its last place, and the next
+#: cycle continues from the complex128 true residual.
+CYCLE_REDUCTION = 16 * float(np.finfo(np.float32).eps)
+#: Grid-sized complex128 arrays a solve holds besides its Krylov basis: the
+#: link phases, V, the datum, solution, residual, the complex64 operator's
+#: diagonal and phases, and the temporaries of both operators and both
+#: preconditioners (14.4 by tracemalloc over a 32^3 ex13 solve).
+WORK_VECTORS = 15
 
 
-def epsilon_floor(L: float) -> float:
-    return EPS_FLOOR_FACTOR * 4.0 / L ** 2
+def epsilon_floor(L: float, lam: float) -> float:
+    """The eps at which the damping number Im sqrt(lambda + i eps) L is 1,
+    (2/L) sqrt(lambda + 1/L^2).  Below it the box is shorter than one
+    damping length 1/Im sqrt(lambda + i eps), and box eigenvalues near
+    lambda, not the whole-space resolvent, set the Dirichlet answer."""
+    return 2.0 / L * math.sqrt(lam + 1.0 / L ** 2)
 
 
 def link_phases(grid: RadialGrid, pp: PotentialPair):
@@ -72,9 +86,9 @@ def link_phases(grid: RadialGrid, pp: PotentialPair):
 
 def _check_memory(grid: RadialGrid) -> None:
     """Refuse a grid whose solve would not fit in physical memory: the
-    estimate is RESTART + 1 Krylov basis vectors plus WORK_VECTORS work
-    vectors of grid.size complex values."""
-    need = (RESTART + 1 + WORK_VECTORS) * grid.size * 16
+    estimate is RESTART + 1 complex64 Krylov basis vectors plus
+    WORK_VECTORS complex128 work vectors of grid.size values."""
+    need = ((RESTART + 1) * 8 + WORK_VECTORS * 16) * grid.size
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ParameterError(
@@ -123,22 +137,25 @@ class Discretization:
             self._drv = drv
         return self._drv
 
-    def hop(self, u: np.ndarray, k: int, out: np.ndarray, combine=np.add) -> None:
+    def hop(self, u: np.ndarray, k: int, out: np.ndarray, combine=np.add,
+            phases=None) -> None:
         """Add U_k u(x + h e_k) into out at the lower end of each axis-k
         edge, and combine conj(U_k) u(x) into out at its upper end: np.add
         gives the Laplacian's neighbor sum, np.subtract the centered
-        gradient's difference.  Dirichlet zero outside the box."""
+        gradient's difference.  Dirichlet zero outside the box.  phases
+        replaces self.phases by the same phases in another precision."""
         lo = [slice(None)] * self.grid.n
         hi = [slice(None)] * self.grid.n
         lo[k] = slice(None, -1)
         hi[k] = slice(1, None)
         lo, hi = tuple(lo), tuple(hi)
         up = out[hi]
-        if self.phases is None:
+        phases = self.phases if phases is None else phases
+        if phases is None:
             out[lo] += u[hi]
             combine(up, u[lo], out=up)
         else:
-            U = self.phases[k][lo]
+            U = phases[k][lo]
             out[lo] += U * u[hi]
             combine(up, np.conj(U) * u[lo], out=up)
 
@@ -147,10 +164,14 @@ class DiscreteOperator:
     """Matrix-free application of (-Delta_A^h + V - lambda - i eps)u.
 
     The hop between x and x + h e_k carries the link phase; the diagonal
-    2n/h^2 + V(x) - lambda - i eps is formed once per operator.
+    2n/h^2 + V(x) - lambda - i eps is formed once per operator.  dtype
+    (complex128 or complex64) is the precision of the diagonal, the link
+    phases, the preconditioner's tables and of every vector apply and the
+    preconditioner take and return.
     """
 
-    def __init__(self, disc: Discretization, lam: float, eps: float):
+    def __init__(self, disc: Discretization, lam: float, eps: float,
+                 dtype=np.complex128):
         lam, eps = float(lam), float(eps)
         if not (math.isfinite(eps) and eps != 0):
             raise ParameterError(f"eps must be finite and nonzero, got {eps}")
@@ -160,16 +181,20 @@ class DiscreteOperator:
         self.grid = disc.grid
         self.lam = lam
         self.eps = eps
+        self.dtype = np.dtype(dtype)
         g = self.grid
-        self._diag = (2 * g.n / g.h ** 2 + disc.V - lam) - 1j * eps
+        diag = (2 * g.n / g.h ** 2 + disc.V - lam) - 1j * eps
+        self._diag = diag.astype(self.dtype, copy=False)
+        self._phases = (None if disc.phases is None else
+                        [p.astype(self.dtype, copy=False) for p in disc.phases])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         g = self.grid
-        u = np.asarray(u, complex).reshape(g.shape)
+        u = np.asarray(u, self.dtype).reshape(g.shape)
         out = self._diag * u
         hop = np.zeros_like(u)
         for k in range(g.n):
-            self.disc.hop(u, k, hop)
+            self.disc.hop(u, k, hop, phases=self._phases)
         hop *= 1.0 / g.h ** 2
         out -= hop
         return out
@@ -188,15 +213,16 @@ class DiscreteOperator:
     def preconditioner(self) -> Callable:
         """The exact inverse of the free shifted operator (A = V = 0),
         v -> S diag(1/(mu - lambda - i eps)) S v with the sine matrix S
-        along every axis, acting on flat complex vectors."""
-        shape = self.grid.shape
-        S = _sine_matrix(self.grid.m)
+        along every axis, acting on flat vectors of the operator's dtype."""
+        shape, dtype = self.grid.shape, self.dtype
+        real = np.finfo(dtype).dtype
+        S = _sine_matrix(self.grid.m).astype(real, copy=False)
         inv = 1.0 / (self._free_eigenvalues() - self.lam - 1j * self.eps)
-        inv_re, inv_im = inv.real.copy(), inv.imag.copy()
+        inv_re, inv_im = inv.real.astype(real), inv.imag.astype(real)
 
         def minv(v):
-            v = np.asarray(v, complex).reshape(shape)
-            a, b = np.empty((2,) + shape), np.empty((2,) + shape)
+            v = np.asarray(v, dtype).reshape(shape)
+            a, b = np.empty((2,) + shape, real), np.empty((2,) + shape, real)
             a[0], a[1] = v.real, v.imag
             a, b = _sine_transform(a, b, S)
             np.multiply(a[0], inv_re, out=b[0])
@@ -204,7 +230,7 @@ class DiscreteOperator:
             np.multiply(a[0], inv_im, out=b[1])
             b[1] += a[1] * inv_re
             b, a = _sine_transform(b, a, S)
-            out = np.empty(shape, complex)
+            out = np.empty(shape, dtype)
             out.real, out.imag = b[0], b[1]
             return out.ravel()
 
@@ -314,11 +340,13 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
 
     GMRES(restart) on (H - lambda - i eps)(-u) = f, right preconditioned
     by the exact inverse of the free shifted operator, for at most maxiter
-    Krylov iterations.  It starts from that inverse applied to f, which
-    solves the free problem (A = V = 0) outright, and checks the true
-    residual before each restart cycle, the first included, so a free
-    solve costs one preconditioner and one operator application.
-    u.residual is the true relative residual (0 for f = 0).  Solving for
+    Krylov iterations, with complex64 cycles refining a complex128 iterate
+    (see _gmres).  It starts from that inverse applied to f, which solves
+    the free problem (A = V = 0) outright, and checks the true residual
+    before each restart cycle, the first included, so a free solve costs
+    one preconditioner and one operator application.  u.residual is the
+    true relative residual (0 for f = 0), u.iterations the number of
+    Arnoldi steps and u.cycles the number of restart cycles.  Solving for
     -u reads f in place instead of a negated copy; negation is exact, so u
     is the same as from the system with right-hand side -f.  A tol that is
     not finite and positive raises ParameterError before any operator
@@ -327,59 +355,69 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
-    op = prob.op
     grid = prob.grid
     b = prob.f.values.ravel()
     if not b.any():
         u = ScalarField.zeros(grid)
-        u.residual = 0.0
+        u.residual, u.iterations, u.cycles = 0.0, 0, 0
         return u
-    x, res = _gmres(lambda v: op.apply(v).ravel(), op.preconditioner(), b,
-                    tol, restart, maxiter)
+    x, res, its, cycles = _gmres(prob.op, b, tol, restart, maxiter)
     if res > tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
             achieved_residual=res)
     x *= -1
     u = ScalarField(grid, x.reshape(grid.shape))
-    u.residual = res
+    u.residual, u.iterations, u.cycles = res, its, cycles
     return u
 
 
-def _gmres(apply, minv, b, tol, restart, maxiter):
-    """Right-preconditioned GMRES(restart) for apply(x) = b from
-    x0 = minv(b) (Saad & Schultz 1986), stopping once
-    ||b - apply(x)|| <= tol ||b|| or after maxiter iterations.  Returns x
-    and its relative residual.
+def _gmres(op, b, tol, restart, maxiter):
+    """Right-preconditioned GMRES(restart) for op.apply(x) = b from
+    x0 = minv(b) (Saad & Schultz 1986), with minv = op.preconditioner(),
+    stopping once ||b - op.apply(x)|| <= tol ||b|| or after maxiter
+    iterations.  Returns x, its relative residual, the number of Arnoldi
+    steps and the number of cycles.
 
-    Every cycle, the first included, begins with the true residual
-    r = b - apply(x) and the convergence test, so an exact minv returns
-    x0 after one minv and one apply.  Otherwise Arnoldi runs from r on
-    v -> apply(minv(v)) with classical Gram-Schmidt done twice (Giraud,
-    Langou & Rozloznik 2005) and Givens rotations tracking the residual;
-    the cycle ends by adding minv(V y) to x.
+    Every cycle, the first included, begins with the complex128 true
+    residual r = b - op.apply(x) and the convergence test, so an exact
+    minv returns x0 after one minv and one apply and builds nothing else.
+    Otherwise Arnoldi runs from r / ||r|| on v -> apply(minv(v)) of the
+    complex64 twin of op, with classical Gram-Schmidt done twice (Giraud,
+    Langou & Rozloznik 2005) over a complex64 basis and Givens rotations
+    tracking the residual in complex128, until the estimate falls to
+    max(tol ||b||, CYCLE_REDUCTION ||r||).  The cycle ends by adding the
+    complex64 minv(V y) to x: GMRES-based iterative refinement (Carson &
+    Higham 2018).  The twin and the basis are built at the first cycle.
     """
     bnorm = np.linalg.norm(b)
-    x, its = minv(b), 0
-    V = np.empty((restart + 1, b.size), complex)
+    minv = op.preconditioner()
+    x, its, cycles = minv(b), 0, 0
     while True:
-        r = b - apply(x)
-        res = np.linalg.norm(r) / bnorm
-        if res <= tol or its >= maxiter:
-            return x, res
+        r = b - op.apply(x).ravel()
+        rnorm = np.linalg.norm(r)
+        if rnorm <= tol * bnorm or its >= maxiter:
+            return x, rnorm / bnorm, its, cycles
+        if not cycles:
+            low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64)
+            minv32 = low.preconditioner()
+            V = np.empty((restart + 1, b.size), np.complex64)
+        cycles += 1
+        cut = max(tol * bnorm / rnorm, CYCLE_REDUCTION)
         H = np.zeros((restart + 1, restart), complex)
         cs, sn = np.zeros(restart), np.zeros(restart, complex)
         g = np.zeros(restart + 1, complex)
-        g[0] = np.linalg.norm(r)
-        V[0] = r / g[0]
+        g[0] = 1.0
+        np.divide(r, rnorm, out=V[0])
+        del r
         for j in range(min(restart, maxiter - its)):
             its += 1
-            w = apply(minv(V[j]))
+            w = low.apply(minv32(V[j])).ravel()
             for _ in range(2):
                 c = np.conj(V[:j + 1] @ np.conj(w))
                 w -= V[:j + 1].T @ c
                 H[:j + 1, j] += c
-            hnext = np.linalg.norm(w)
+            hnext = float(np.linalg.norm(w))
             for i in range(j):
                 H[i, j], H[i + 1, j] = (cs[i] * H[i, j] + sn[i] * H[i + 1, j],
                                         cs[i] * H[i + 1, j] - np.conj(sn[i]) * H[i, j])
@@ -390,12 +428,15 @@ def _gmres(apply, minv, b, tol, restart, maxiter):
             H[j, j] = phase * d
             g[j + 1] = -np.conj(sn[j]) * g[j]
             g[j] *= cs[j]
-            if abs(g[j + 1]) <= tol * bnorm:
+            if abs(g[j + 1]) <= cut:
                 break
             np.divide(w, hnext, out=V[j + 1])
         k = j + 1
-        y = np.linalg.solve(H[:k, :k], g[:k])
-        x += minv(V[:k].T @ y)
+        # a complex128 y would make numpy upcast a copy of the whole basis
+        y = np.linalg.solve(H[:k, :k], g[:k]).astype(np.complex64)
+        # the cycle solved for r / ||r||, so its complex64 correction is of
+        # unit size whatever the scale of f; it is rescaled in complex128
+        x += np.multiply(rnorm, minv32(V[:k].T @ y), dtype=complex)
 
 
 def covariant_gradient(u: ScalarField, disc: Discretization, k: int,

@@ -224,16 +224,18 @@ def estimate_report(u: ScalarField, dual: tuple[float, float],
 
 @dataclass
 class SweepReport:
-    """(eps, lhs, rhs, ratio) rows sorted by decreasing eps, with the
-    blow-up flag raised when the ratio grows faster than 2x per decade of
-    eps over the whole sweep."""
+    """(eps, lhs, rhs, ratio) rows sorted by decreasing eps, each with its
+    solve's Arnoldi iterations and restart cycles (not in the CSV), and
+    the blow-up flag raised when the ratio grows faster than 2x per decade
+    of eps over the whole sweep."""
 
     entries: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)
 
-    def add(self, eps, lhs, rhs, ratio):
+    def add(self, eps, lhs, rhs, ratio, iterations=None, cycles=None):
         self.entries.append({"eps": float(eps), "lhs": float(lhs),
-                             "rhs": float(rhs), "ratio": float(ratio)})
+                             "rhs": float(rhs), "ratio": float(ratio),
+                             "iterations": iterations, "cycles": cycles})
         self.entries.sort(key=lambda e: -e["eps"])
 
     @property
@@ -286,12 +288,14 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
             f"eps values must be finite and positive (sign handled "
             f"separately), got {eps_list}")
     check_estimate_parameters(M, delta)
-    floor = epsilon_floor(grid.L)
+    floor = epsilon_floor(grid.L, lam)
     for e in eps_list:
         if e < floor:
             warnings.warn(
-                f"eps={e} below the truncation floor {floor:.3g} for L={grid.L}; "
-                "box truncation error may dominate", stacklevel=2)
+                f"eps={e} below the truncation floor {floor:.3g} for L={grid.L} "
+                f"and lambda={lam}: the box is shorter than one damping length "
+                "1/Im sqrt(lambda + i eps), so box truncation error may dominate",
+                stacklevel=2)
     disc = Discretization(grid, pp)
     f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
     dual = dyadic_dual(f)
@@ -303,7 +307,8 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
             u = solve(prob, tol=tol)
             lhs, rhs, ratio = estimate_report(u, dual, disc, lam, eps, M=M,
                                               delta=delta, adm=adm)
-            report.add(eps, lhs.total, rhs.total, ratio)
+            report.add(eps, lhs.total, rhs.total, ratio,
+                       iterations=u.iterations, cycles=u.cycles)
             # free this eps's operator and solution before the next solve
             del prob, u
         except SolverError as exc:

@@ -62,6 +62,20 @@ def operator_calls(monkeypatch):
 
 
 @pytest.fixture
+def operator_dtypes(monkeypatch):
+    """A list that gains the dtype of each DiscreteOperator built."""
+    dtypes = []
+    init = resolvent.DiscreteOperator.__init__
+
+    def recorded(op, *args, **kwargs):
+        init(op, *args, **kwargs)
+        dtypes.append(op.dtype)
+
+    monkeypatch.setattr(resolvent.DiscreteOperator, "__init__", recorded)
+    return dtypes
+
+
+@pytest.fixture
 def split_of(monkeypatch):
     """split_of(g, grid): resolvent.gradient_split of a given vector field
     g of shape (*grid.shape, n), fed in through morcam.resolvent's

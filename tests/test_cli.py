@@ -115,6 +115,34 @@ def test_sweep_writes_csv(tmp_path):
     assert isinstance(doc["result"]["blow_up"], bool)
 
 
+def test_solve_and_sweep_report_solver_work(tmp_path, operator_calls):
+    # iterations (Arnoldi steps) and restart cycles in the solve report and
+    # in every sweep entry, but not in the sweep CSV; each ex13 solve runs
+    # at least one cycle, a free one none
+    magnetic = {"n": 3, "potential": {"A": {"name": "ex13"}},
+                "grid": {"L": 4.0, "h": 0.5}, "lambda": 1.0,
+                "f": {"name": "gaussian", "width": 0.6}, "tol": 1e-8}
+    code, out = run(tmp_path, {**magnetic, "run": "solve", "eps": 0.5},
+                    extra=["--json-only"])
+    assert code == 0
+    res = json.loads((out / "solve.json").read_text())["result"]
+    assert res["iterations"] > 0 and res["cycles"] >= 1
+    assert operator_calls["apply"] == 1 + res["iterations"] + res["cycles"]
+
+    for potential, free in ((magnetic["potential"], False), ({}, True)):
+        sweep = {**magnetic, "run": "sweep", "eps_list": [1.0, 0.6],
+                 "potential": potential}
+        (tmp_path / str(free)).mkdir()
+        code, out = run(tmp_path / str(free), sweep, extra=["--json-only"])
+        assert code == 0
+        for e in json.loads((out / "sweep.json").read_text())["result"]["entries"]:
+            if free:
+                assert (e["iterations"], e["cycles"]) == (0, 0)
+            else:
+                assert e["iterations"] > 0 and e["cycles"] >= 1
+        assert (out / "sweep.csv").read_text().splitlines()[0] == "eps,lhs,rhs,ratio"
+
+
 def test_malformed_yaml_is_exit_2(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("run: [unterminated\n", encoding="utf-8")
