@@ -12,11 +12,22 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["RadialGrid", "ScalarField", "save_field", "load_field"]
+__all__ = ["RadialGrid", "ScalarField", "point_array", "save_field", "load_field"]
 
 
 class GridError(ValueError):
     pass
+
+
+def point_array(axes) -> np.ndarray:
+    """The points whose k-th coordinates run over the 1-D array axes[k],
+    in outer-product (ij) order: shape (len(axes[0]), ..., len(axes[-1]),
+    len(axes))."""
+    n = len(axes)
+    out = np.empty(tuple(len(a) for a in axes) + (n,))
+    for k, a in enumerate(axes):
+        out[..., k] = np.reshape(a, (-1,) + (1,) * (n - 1 - k))
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,11 +76,12 @@ class RadialGrid:
         i = np.arange(self.m)
         return -self.L + (i + 0.5) * self.h
 
-    @cached_property
+    @property
     def points(self) -> np.ndarray:
-        """Node coordinates, shape (*grid.shape, n)."""
-        axes = np.meshgrid(*([self.coords_1d] * self.n), indexing="ij")
-        return np.stack(axes, axis=-1)
+        """Node coordinates, shape (*grid.shape, n), built on each access:
+        the grid keeps no (*shape, n) array, so a caller that drops the
+        points frees them."""
+        return point_array([self.coords_1d] * self.n)
 
     # --- exact radial index -------------------------------------------------
     # With s_k = 2 i_k + 1 - m (odd), 4|x|^2/h^2 = q = sum_k s_k^2 and every

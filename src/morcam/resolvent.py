@@ -22,6 +22,7 @@ next cycle's true residual, not from the cycle itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -31,8 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .fields import PotentialPair, radial_derivative_parts, resolve_builtin, sq_norm
-from .grids import RadialGrid, ScalarField
+from .fields import PotentialPair, radial_derivative_parts, resolve_builtin
+from .grids import RadialGrid, ScalarField, point_array
 
 __all__ = [
     "Discretization",
@@ -72,14 +73,16 @@ def epsilon_floor(L: float, lam: float) -> float:
 
 def link_phases(grid: RadialGrid, pp: PotentialPair):
     """Link phases exp(-i h A_k(x + (h/2) e_k)) per axis, or None when
-    A vanishes identically."""
+    A vanishes identically.  Each axis's midpoints are built from the 1-D
+    node coordinates and dropped once sampled."""
     if pp.A is None:
         return None
+    c = grid.coords_1d
     phases = []
     for k in range(grid.n):
-        mid = grid.points.copy()
-        mid[..., k] += grid.h / 2
-        Ak = pp.eval_A(mid)[..., k]
+        axes = [c] * grid.n
+        axes[k] = c + grid.h / 2
+        Ak = pp.eval_A(point_array(axes))[..., k]
         phases.append(np.exp(-1j * grid.h * Ak))
     return phases
 
@@ -104,8 +107,10 @@ class Discretization:
     The operator, the covariant gradient and the identity and estimate
     checks all read the same samples.  Singular V samples are capped at
     1/h^2 (with a warning) to keep the operator bounded; ``capped`` marks
-    where.  d_r V is sampled on first use and kept.  A grid too large to
-    solve on is refused before any sampling.
+    where.  A V that samples to zero at every node is kept as a 0-d zero
+    (and ``capped`` as a 0-d False), which every reader broadcasts, so a
+    free pair holds no grid-sized V.  d_r V is sampled on first use and
+    kept.  A grid too large to solve on is refused before any sampling.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
@@ -116,6 +121,8 @@ class Discretization:
         self.pp = pp
         self.phases = link_phases(grid, pp)
         V = pp.eval_V(grid.points)
+        if not V.any():
+            V = np.zeros(())
         cap = 1.0 / grid.h ** 2
         self.capped = np.abs(V) > cap
         if self.capped.any():
@@ -164,10 +171,11 @@ class DiscreteOperator:
     """Matrix-free application of (-Delta_A^h + V - lambda - i eps)u.
 
     The hop between x and x + h e_k carries the link phase; the diagonal
-    2n/h^2 + V(x) - lambda - i eps is formed once per operator.  dtype
-    (complex128 or complex64) is the precision of the diagonal, the link
-    phases, the preconditioner's tables and of every vector apply and the
-    preconditioner take and return.
+    2n/h^2 + V(x) - lambda - i eps is formed once per operator, 0-d when
+    V is (see Discretization).  dtype (complex128 or complex64) is the
+    precision of the diagonal, the link phases, the preconditioner's
+    tables and of every vector apply and the preconditioner take and
+    return.
     """
 
     def __init__(self, disc: Discretization, lam: float, eps: float,
@@ -226,9 +234,10 @@ class DiscreteOperator:
             a[0], a[1] = v.real, v.imag
             a, b = _sine_transform(a, b, S)
             np.multiply(a[0], inv_re, out=b[0])
-            b[0] -= a[1] * inv_im
             np.multiply(a[0], inv_im, out=b[1])
-            b[1] += a[1] * inv_re
+            # a[0] is read; it holds each a[1] product in turn
+            b[0] -= np.multiply(a[1], inv_im, out=a[0])
+            b[1] += np.multiply(a[1], inv_re, out=a[0])
             b, a = _sine_transform(b, a, S)
             out = np.empty(shape, dtype)
             out.real, out.imag = b[0], b[1]
@@ -302,7 +311,8 @@ DATUM_BUILTINS = {
 def make_datum(grid: RadialGrid, spec) -> ScalarField:
     """Built-in data: gaussian / shell bump / point-like bump / wave
     packet, named as resolve_builtin takes them, with DATUM_BUILTINS'
-    defaults."""
+    defaults.  The gaussian, point and wave data are separable: each is
+    the outer product of 1-D factors, formed directly in complex128."""
     name, params = resolve_builtin(spec, DATUM_BUILTINS, "datum")
     amp = float(params["amplitude"])
     if name in ("gaussian", "point", "wave"):
@@ -310,15 +320,19 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
         if width is None:
             width = 2 * grid.h
         center = np.broadcast_to(np.asarray(params["center"], float), (grid.n,))
-        d2 = sq_norm(grid.points - center)
-        vals = amp * np.exp(-d2 / float(width) ** 2)
+        c = grid.coords_1d
+        factors = [np.exp(-(c - ck) ** 2 / float(width) ** 2) for ck in center]
+        # the amplitude goes on axis 0's factor as a complex number, so the
+        # outer product comes out complex128
+        factors[0] = factors[0] * complex(amp)
         if name == "wave":
             # modulation shifts the spectral content to |k|^2 + O(1/width^2)
-            vals = vals * np.exp(1j * float(params["k"]) * grid.points[..., 0])
+            factors[0] *= np.exp(1j * float(params["k"]) * c)
+        vals = functools.reduce(np.multiply.outer, factors)
     else:
         r = grid.radii
         vals = amp * np.exp(-((r - float(params["radius"])) / float(params["width"])) ** 2)
-    return ScalarField(grid, vals.astype(complex))
+    return ScalarField(grid, vals)
 
 
 def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
@@ -386,7 +400,7 @@ def _gmres(op, b, tol, restart, maxiter):
     complex64 twin of op, with classical Gram-Schmidt done twice (Giraud,
     Langou & Rozloznik 2005) over a complex64 basis and Givens rotations
     tracking the residual in complex128, until the estimate falls to
-    max(tol ||b||, CYCLE_REDUCTION ||r||).  The cycle ends by adding the
+    max(tol ||b|| / 2, CYCLE_REDUCTION ||r||).  The cycle ends by adding the
     complex64 minv(V y) to x: GMRES-based iterative refinement (Carson &
     Higham 2018).  The twin and the basis are built at the first cycle.
     """
@@ -403,7 +417,9 @@ def _gmres(op, b, tol, restart, maxiter):
             minv32 = low.preconditioner()
             V = np.empty((restart + 1, b.size), np.complex64)
         cycles += 1
-        cut = max(tol * bnorm / rnorm, CYCLE_REDUCTION)
+        # aim below tol, so that the next head's complex128 residual, not
+        # a cycle of one or two more steps, ends the solve
+        cut = max(tol * bnorm / (2 * rnorm), CYCLE_REDUCTION)
         H = np.zeros((restart + 1, restart), complex)
         cs, sn = np.zeros(restart), np.zeros(restart, complex)
         g = np.zeros(restart + 1, complex)

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from morcam.resolvent import Discretization
+
 
 def condition_value_3d(M, C1: float, C2: float):
     """g(M) = (M + 1/2)^2 / M * C1^2 + 2 (M + 1/2) * C2."""
@@ -28,3 +30,11 @@ def dense_grid_minimum(C1: float, C2: float, lo: float = 1e-6, hi: float = 1e6,
     fvals = condition_value_3d(fine, C1, C2)
     j = int(np.argmin(fvals))
     return float(fvals[j]), float(fine[j])
+
+
+def zero_V_reference(grid, pp):
+    """pp's discretization with V held as a grid-sized zero array, the
+    form morcam keeps as a 0-d zero."""
+    ref = Discretization(grid, pp)
+    ref.V, ref.capped = np.zeros(grid.shape), np.zeros(grid.shape, bool)
+    return ref

@@ -89,6 +89,36 @@ def test_trapping_cross_product_oracle():
     assert np.allclose(bt, [0.0, -1.0, 0.0], atol=1e-9)
 
 
+def _trapping_from_field_matrix(pp, x):
+    """(x/|x|) B and max |B|, the scale of B_tau's cancellation noise."""
+    B = magnetic_matrix(pp, x)
+    xhat = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.einsum("...i,...ij->...j", xhat, B), np.abs(B).max()
+
+
+@pytest.mark.parametrize("pp", [
+    example_field("ex13"),
+    make_potential_pair(3, {"name": "ex14"}),
+    # no analytic Jacobian: central differences
+    PotentialPair(3, A=lambda x: np.stack(
+        [-x[..., 1] * x[..., 2], x[..., 0] ** 2, np.sin(x[..., 1])], axis=-1)),
+    PotentialPair(4, A=lambda x: np.stack(
+        [x[..., 3] * x[..., 1], -x[..., 0], np.cos(x[..., 2]), x[..., 0] * x[..., 1]],
+        axis=-1)),
+], ids=["ex13", "ex14", "fd", "4d"])
+def test_trapping_matches_the_field_matrix_formula(pp):
+    # (x/|x|) B with B formed, on more random points than one block of the
+    # row-by-row accumulation holds, as a flat list and as a grid
+    pts = rng.standard_normal((10_000, pp.n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts *= rng.uniform(0.3, 4.0, size=(10_000, 1))
+    for x in (pts, pts[:9261].reshape(21, 21, 21, pp.n)):
+        got = trapping_component(pp, x)
+        expect, scale = _trapping_from_field_matrix(pp, x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-14 * scale)
+
+
 def test_trapping_orthogonal_to_x():
     pp = example_field("ex13")
     pts = random_points(200)

@@ -8,11 +8,12 @@ from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, make_varphi
-from morcam.norms import dyadic_dual, theorem_rhs
+from morcam.norms import dyadic_dual, theorem_lhs, theorem_rhs
 from morcam.resolvent import DiscreteOperator, Discretization, make_datum
 from morcam.verify import (IdentityReport, SweepReport, epsilon_sweep,
                            estimate_report, identity_residual, identity_scan,
                            manufactured_identity, resonance_functionals)
+from oracles import zero_V_reference
 
 
 def bump(X):
@@ -274,3 +275,23 @@ def test_resonance_functionals_read_the_capped_potential():
     u = ScalarField(grid, np.exp(-np.sum(grid.points ** 2, axis=-1)))
     out = resonance_functionals(u, disc)
     assert out["V_mass"] == pytest.approx(7.87, abs=5e-3)
+
+
+def test_readers_take_a_zero_potential_as_a_grid_sized_zero():
+    # a V that samples to zero is kept 0-d; theorem_lhs, identity_residual,
+    # resonance_functionals and radial_derivative read it as they read a
+    # grid-sized zero array
+    grid = RadialGrid(3, 4.0, 0.25)
+    pp = make_potential_pair(3, {"name": "ex13"}, {"name": "gaussian", "amplitude": 0.0})
+    disc, ref = Discretization(grid, pp), zero_V_reference(grid, pp)
+    assert disc.V.ndim == 0
+    u = ScalarField.from_callable(grid, bump)
+    f = ScalarField(grid, -DiscreteOperator(disc, 1.0, 0.5).apply(u.values))
+    assert np.array_equal(disc.radial_derivative(), ref.radial_derivative())
+    a, b = theorem_lhs(u, disc, 1.0, 1.0, 0.5), theorem_lhs(u, ref, 1.0, 1.0, 0.5)
+    assert (a.values, a.total) == (b.values, b.total)
+    scales = [(make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))]
+    [a] = identity_residual(u, f, disc, 1.0, 0.5, scales)
+    [b] = identity_residual(u, f, ref, 1.0, 0.5, scales)
+    assert (a.lhs_terms, a.rhs_terms) == (b.lhs_terms, b.rhs_terms)
+    assert resonance_functionals(u, disc) == resonance_functionals(u, ref)
