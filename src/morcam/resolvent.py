@@ -400,7 +400,7 @@ def _gmres(op, b, tol, restart, maxiter):
     complex64 twin of op, with classical Gram-Schmidt done twice (Giraud,
     Langou & Rozloznik 2005) over a complex64 basis and Givens rotations
     tracking the residual in complex128, until the estimate falls to
-    max(tol ||b|| / 2, CYCLE_REDUCTION ||r||).  The cycle ends by adding the
+    max(tol ||b|| / 1.5, CYCLE_REDUCTION ||r||).  The cycle ends by adding the
     complex64 minv(V y) to x: GMRES-based iterative refinement (Carson &
     Higham 2018).  The twin and the basis are built at the first cycle.
     """
@@ -417,9 +417,9 @@ def _gmres(op, b, tol, restart, maxiter):
             minv32 = low.preconditioner()
             V = np.empty((restart + 1, b.size), np.complex64)
         cycles += 1
-        # aim below tol, so that the next head's complex128 residual, not
-        # a cycle of one or two more steps, ends the solve
-        cut = max(tol * bnorm / (2 * rnorm), CYCLE_REDUCTION)
+        # aim a third below tol, so that the next head's complex128
+        # residual, not a cycle of one or two more steps, ends the solve
+        cut = max(tol * bnorm / (1.5 * rnorm), CYCLE_REDUCTION)
         H = np.zeros((restart + 1, restart), complex)
         cs, sn = np.zeros(restart), np.zeros(restart, complex)
         g = np.zeros(restart + 1, complex)

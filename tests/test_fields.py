@@ -107,8 +107,8 @@ def _trapping_from_field_matrix(pp, x):
         axis=-1)),
 ], ids=["ex13", "ex14", "fd", "4d"])
 def test_trapping_matches_the_field_matrix_formula(pp):
-    # (x/|x|) B with B formed, on more random points than one block of the
-    # row-by-row accumulation holds, as a flat list and as a grid
+    # (x/|x|) B with B formed for all points at once, on more random points
+    # than one block of trapping_component holds, as a flat list and as a grid
     pts = rng.standard_normal((10_000, pp.n))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     pts *= rng.uniform(0.3, 4.0, size=(10_000, 1))
