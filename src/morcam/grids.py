@@ -165,10 +165,17 @@ class RadialGrid:
 
 @dataclass
 class ScalarField:
-    """Complex scalar samples attached to a RadialGrid."""
+    """Complex scalar samples attached to a RadialGrid.
+
+    factors, when given, are the n 1-D arrays (one per axis) whose outer
+    product is values; a reader may use them in place of values, so the
+    values of a field with factors must not be changed in place.  None
+    (the default) for a field not known to be separable.
+    """
 
     grid: RadialGrid
     values: np.ndarray = field(repr=False)
+    factors: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)

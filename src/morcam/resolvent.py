@@ -144,27 +144,29 @@ class Discretization:
             self._drv = drv
         return self._drv
 
-    def hop(self, u: np.ndarray, k: int, out: np.ndarray, combine=np.add,
-            phases=None) -> None:
+    def hop(self, u: np.ndarray, k: int, out: np.ndarray, phases=None) -> None:
         """Add U_k u(x + h e_k) into out at the lower end of each axis-k
-        edge, and combine conj(U_k) u(x) into out at its upper end: np.add
-        gives the Laplacian's neighbor sum, np.subtract the centered
-        gradient's difference.  Dirichlet zero outside the box.  phases
-        replaces self.phases by the same phases in another precision."""
-        lo = [slice(None)] * self.grid.n
-        hi = [slice(None)] * self.grid.n
-        lo[k] = slice(None, -1)
-        hi[k] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        up = out[hi]
+        edge and conj(U_k) u(x) at its upper end: the Laplacian's neighbor
+        sum, with Dirichlet zero outside the box.  phases replaces
+        self.phases by the same phases in another precision."""
+        n = self.grid.n
+        lo, hi = _along(n, k, slice(None, -1)), _along(n, k, slice(1, None))
         phases = self.phases if phases is None else phases
         if phases is None:
             out[lo] += u[hi]
-            combine(up, u[lo], out=up)
+            out[hi] += u[lo]
         else:
             U = phases[k][lo]
             out[lo] += U * u[hi]
-            combine(up, np.conj(U) * u[lo], out=up)
+            out[hi] += np.conj(U) * u[lo]
+
+
+def _along(n: int, k: int, index) -> tuple:
+    """The index of an n-dimensional array that takes index along axis k
+    and everything along the others."""
+    idx = [slice(None)] * n
+    idx[k] = index
+    return tuple(idx)
 
 
 class DiscreteOperator:
@@ -221,25 +223,46 @@ class DiscreteOperator:
     def preconditioner(self) -> Callable:
         """The exact inverse of the free shifted operator (A = V = 0),
         v -> S diag(1/(mu - lambda - i eps)) S v with the sine matrix S
-        along every axis, acting on flat vectors of the operator's dtype."""
+        along every axis, acting on flat vectors of the operator's dtype.
+
+        The table 1/(d - i eps), d = mu - lambda, is kept as its real and
+        imaginary parts d/(d^2 + eps^2) and eps/(d^2 + eps^2), formed in
+        float64 real arithmetic.  v may also be a ScalarField: one with
+        factors f_k takes its spectrum S v as the outer product of the
+        1-D transforms S f_k, so only the inverse transform is 3-D."""
         shape, dtype = self.grid.shape, self.dtype
         real = np.finfo(dtype).dtype
         S = _sine_matrix(self.grid.m).astype(real, copy=False)
-        inv = 1.0 / (self._free_eigenvalues() - self.lam - 1j * self.eps)
-        inv_re, inv_im = inv.real.astype(real), inv.imag.astype(real)
+        d = self._free_eigenvalues()
+        d -= self.lam
+        q = d * d
+        q += self.eps ** 2
+        d /= q
+        np.divide(self.eps, q, out=q)
+        inv_re, inv_im = d.astype(real, copy=False), q.astype(real, copy=False)
 
         def minv(v):
-            v = np.asarray(v, dtype).reshape(shape)
-            a, b = np.empty((2,) + shape, real), np.empty((2,) + shape, real)
-            a[0], a[1] = v.real, v.imag
-            a, b = _sine_transform(a, b, S)
-            np.multiply(a[0], inv_re, out=b[0])
-            np.multiply(a[0], inv_im, out=b[1])
-            # a[0] is read; it holds each a[1] product in turn
-            b[0] -= np.multiply(a[1], inv_im, out=a[0])
-            b[1] += np.multiply(a[1], inv_re, out=a[0])
-            b, a = _sine_transform(b, a, S)
+            factors = None
+            if isinstance(v, ScalarField):
+                v, factors = v.values, v.factors
             out = np.empty(shape, dtype)
+            a, b = np.empty((2,) + shape, real), np.empty((2,) + shape, real)
+            if factors is None:
+                v = np.asarray(v, dtype).reshape(shape)
+                a[0], a[1] = v.real, v.imag
+                a, b = _sine_transform(a, b, S)
+                re, im = a
+            else:
+                spec = [S @ f for f in factors]
+                head = functools.reduce(np.multiply.outer, spec[:-1], np.ones(()))
+                np.multiply.outer(head, spec[-1], out=out)
+                re, im = out.real, out.imag
+            np.multiply(re, inv_re, out=b[0])
+            np.multiply(re, inv_im, out=b[1])
+            # re is read (it may be a[0]); a[0] holds each im product in turn
+            b[0] -= np.multiply(im, inv_im, out=a[0])
+            b[1] += np.multiply(im, inv_re, out=a[0])
+            b, a = _sine_transform(b, a, S)
             out.real, out.imag = b[0], b[1]
             return out.ravel()
 
@@ -312,9 +335,13 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
     """Built-in data: gaussian / shell bump / point-like bump / wave
     packet, named as resolve_builtin takes them, with DATUM_BUILTINS'
     defaults.  The gaussian, point and wave data are separable: each is
-    the outer product of 1-D factors, formed directly in complex128."""
+    the outer product of 1-D factors, formed directly in complex128, and
+    the field keeps those factors (the free preconditioner transforms
+    them in place of the grid-sized values).  The shell's factors are
+    None."""
     name, params = resolve_builtin(spec, DATUM_BUILTINS, "datum")
     amp = float(params["amplitude"])
+    factors = None
     if name in ("gaussian", "point", "wave"):
         width = params["width"]
         if width is None:
@@ -328,11 +355,12 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
         if name == "wave":
             # modulation shifts the spectral content to |k|^2 + O(1/width^2)
             factors[0] *= np.exp(1j * float(params["k"]) * c)
+        factors = tuple(factors)
         vals = functools.reduce(np.multiply.outer, factors)
     else:
         r = grid.radii
         vals = amp * np.exp(-((r - float(params["radius"])) / float(params["width"])) ** 2)
-    return ScalarField(grid, vals)
+    return ScalarField(grid, vals, factors)
 
 
 def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
@@ -375,7 +403,12 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
         u = ScalarField.zeros(grid)
         u.residual, u.iterations, u.cycles = 0.0, 0, 0
         return u
-    x, res, its, cycles = _gmres(prob.op, b, tol, restart, maxiter)
+    # a free operator's solve is its start minv(f), which a separable datum
+    # gives from 1-D transforms; any other solve starts from the dense f,
+    # one preconditioner call of many, so its steps keep their rounding
+    free = prob.disc.phases is None and prob.disc.V.ndim == 0
+    x, res, its, cycles = _gmres(prob.op, b, tol, restart, maxiter,
+                                 prob.f if free else b)
     if res > tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
@@ -386,9 +419,11 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
     return u
 
 
-def _gmres(op, b, tol, restart, maxiter):
+def _gmres(op, b, tol, restart, maxiter, start):
     """Right-preconditioned GMRES(restart) for op.apply(x) = b from
-    x0 = minv(b) (Saad & Schultz 1986), with minv = op.preconditioner(),
+    x0 = minv(start) (Saad & Schultz 1986), with minv = op.preconditioner()
+    and start either b or a ScalarField with values b (whose factors, when
+    it has them, give minv the spectrum of b from 1-D transforms),
     stopping once ||b - op.apply(x)|| <= tol ||b|| or after maxiter
     iterations.  Returns x, its relative residual, the number of Arnoldi
     steps and the number of cycles.
@@ -400,13 +435,16 @@ def _gmres(op, b, tol, restart, maxiter):
     complex64 twin of op, with classical Gram-Schmidt done twice (Giraud,
     Langou & Rozloznik 2005) over a complex64 basis and Givens rotations
     tracking the residual in complex128, until the estimate falls to
-    max(tol ||b|| / 1.5, CYCLE_REDUCTION ||r||).  The cycle ends by adding the
-    complex64 minv(V y) to x: GMRES-based iterative refinement (Carson &
-    Higham 2018).  The twin and the basis are built at the first cycle.
+    max(tol ||b|| / 1.5, CYCLE_REDUCTION ||r||).  Each basis vector is
+    scaled by the reciprocal of its norm, a real multiplication (numpy
+    divides a complex array by a real through complex division).  The
+    cycle ends by adding the complex64 minv(V y) to x: GMRES-based
+    iterative refinement (Carson & Higham 2018).  The twin and the basis
+    are built at the first cycle.
     """
     bnorm = np.linalg.norm(b)
     minv = op.preconditioner()
-    x, its, cycles = minv(b), 0, 0
+    x, its, cycles = minv(start), 0, 0
     while True:
         r = b - op.apply(x).ravel()
         rnorm = np.linalg.norm(r)
@@ -424,7 +462,7 @@ def _gmres(op, b, tol, restart, maxiter):
         cs, sn = np.zeros(restart), np.zeros(restart, complex)
         g = np.zeros(restart + 1, complex)
         g[0] = 1.0
-        np.divide(r, rnorm, out=V[0])
+        np.multiply(r, 1 / rnorm, out=V[0])
         del r
         for j in range(min(restart, maxiter - its)):
             its += 1
@@ -446,7 +484,7 @@ def _gmres(op, b, tol, restart, maxiter):
             g[j] *= cs[j]
             if abs(g[j + 1]) <= cut:
                 break
-            np.divide(w, hnext, out=V[j + 1])
+            np.multiply(w, 1 / hnext, out=V[j + 1])
         k = j + 1
         # a complex128 y would make numpy upcast a copy of the whole basis
         y = np.linalg.solve(H[:k, :k], g[:k]).astype(np.complex64)
@@ -460,16 +498,23 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
     """Component k of the centered covariant gradient with the operator's
     link phases, (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h,
     written into out (a complex array of grid.shape) when given;
-    Dirichlet zero is assumed outside the box."""
+    Dirichlet zero is assumed outside the box.  The difference is written
+    in place and scaled by the real 1/2h (no complex division)."""
     grid = u.grid
     if grid != disc.grid:
         raise ParameterError("field and discretization grids differ")
     if out is None:
-        out = np.zeros(grid.shape, complex)
+        out = np.empty(grid.shape, complex)
+    n, v = grid.n, u.values
+    lo, hi = _along(n, k, slice(None, -1)), _along(n, k, slice(1, None))
+    U = None if disc.phases is None else disc.phases[k][lo]
+    if U is None:
+        out[lo] = v[hi]
     else:
-        out[...] = 0
-    disc.hop(u.values, k, out, np.subtract)
-    out /= 2 * grid.h
+        np.multiply(U, v[hi], out=out[lo])
+    out[_along(n, k, -1)] = 0
+    out[hi] -= v[lo] if U is None else np.conj(U) * v[lo]
+    out *= 1 / (2 * grid.h)
     return out
 
 

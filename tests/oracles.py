@@ -38,3 +38,25 @@ def zero_V_reference(grid, pp):
     ref = Discretization(grid, pp)
     ref.V, ref.capped = np.zeros(grid.shape), np.zeros(grid.shape, bool)
     return ref
+
+
+def hop_gradient(u, disc, k):
+    """Component k of the centered covariant gradient formed as a hop: a
+    zero array, U_k u(x + h e_k) added at the lower end of each axis-k
+    edge, conj(U_k) u(x) subtracted at its upper end with np.subtract, the
+    sum divided by 2h."""
+    n, v = u.grid.n, u.values
+    lo, hi = [slice(None)] * n, [slice(None)] * n
+    lo[k], hi[k] = slice(None, -1), slice(1, None)
+    lo, hi = tuple(lo), tuple(hi)
+    out = np.zeros(u.grid.shape, complex)
+    up = out[hi]
+    if disc.phases is None:
+        out[lo] += v[hi]
+        np.subtract(up, v[lo], out=up)
+    else:
+        U = disc.phases[k][lo]
+        out[lo] += U * v[hi]
+        np.subtract(up, np.conj(U) * v[lo], out=up)
+    out /= 2 * u.grid.h
+    return out

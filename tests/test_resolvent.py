@@ -14,7 +14,7 @@ from morcam.grids import RadialGrid, ScalarField
 from morcam.resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                               build_problem, covariant_gradient, epsilon_floor,
                               gradient_split, link_phases, make_datum, solve)
-from oracles import zero_V_reference
+from oracles import hop_gradient, zero_V_reference
 
 rng = np.random.default_rng(5)
 
@@ -361,6 +361,100 @@ def test_preconditioner_inverts_free_operator(n, m, lam, eps, sign, seed):
     assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", ["gaussian", "point", "wave"])
+def test_preconditioner_takes_the_spectrum_of_a_separable_field(name, n):
+    # S (f_0 x ... x f_n-1) = S f_0 x ... x S f_n-1: the field's 1-D
+    # factors give the same M^-1 f as the dense forward transform
+    grid = RadialGrid(n, 2.0, 0.5)
+    spec = {"name": name, "amplitude": -1.7, "center": [0.4, -0.3, 0.7, 0.2][:n]}
+    if name != "point":
+        spec["width"] = 1.3
+    f = make_datum(grid, spec)
+    assert len(f.factors) == n
+    disc = Discretization(grid, PotentialPair(n))
+    minv = DiscreteOperator(disc, 1.0, 0.3).preconditioner()
+    expect = minv(f.values.ravel())
+    got = minv(f)
+    assert got.dtype == np.complex128 and got.shape == expect.shape
+    np.testing.assert_allclose(got, expect, rtol=0,
+                               atol=1e-14 * np.abs(expect).max())
+
+
+def test_shell_datum_keeps_no_factors():
+    grid = small_grid()
+    f = make_datum(grid, "shell")
+    assert f.factors is None
+    disc = Discretization(grid, PotentialPair(3))
+    minv = DiscreteOperator(disc, 1.0, 0.3).preconditioner()
+    assert np.array_equal(minv(f), minv(f.values.ravel()))
+
+
+def test_preconditioner_tables_hold_two_float_arrays():
+    # Re and Im of 1/(d - i eps) are formed as d/(d^2 + eps^2) and
+    # eps/(d^2 + eps^2): two float64 arrays at the peak (four with the
+    # complex table), three while a complex64 operator casts them to the
+    # two float32 ones it keeps
+    grid = RadialGrid(3, 8.0, 0.5)
+    disc = Discretization(grid, PotentialPair(3))
+    nbytes = grid.size * 8
+    for dtype, peak_at_most, held_at_most in ((np.complex128, 2.1, 2.1),
+                                              (np.complex64, 3.1, 1.1)):
+        op = DiscreteOperator(disc, 1.0, 0.3, dtype)
+        tracemalloc.start()
+        try:
+            minv = op.preconditioner()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_at_most * nbytes
+        assert held < held_at_most * nbytes
+
+
+def test_free_solve_of_a_separable_datum_starts_from_its_factors(monkeypatch):
+    # the start is the one preconditioner call, made with the field itself
+    # (one positional argument, as a wrapper of the callable sees it)
+    calls = {"apply": 0, "precond": []}
+    apply, preconditioner = DiscreteOperator.apply, DiscreteOperator.preconditioner
+
+    def counted_apply(op, u):
+        calls["apply"] += 1
+        return apply(op, u)
+
+    def recorded_preconditioner(op):
+        minv = preconditioner(op)
+
+        def recorded(*args, **kwargs):
+            calls["precond"].append((args, kwargs))
+            return minv(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(DiscreteOperator, "apply", counted_apply)
+    monkeypatch.setattr(DiscreteOperator, "preconditioner", recorded_preconditioner)
+    grid = small_grid(h=0.25)
+    prob = build_problem(PotentialPair(3), 1.0, 0.5,
+                         {"name": "wave", "width": 0.5,
+                          "center": [0.3, 0.0, -0.2]}, grid)
+    u = solve(prob, tol=1e-12)
+    assert u.residual <= 1e-12
+    assert calls["apply"] == 1
+    [(args, kwargs)] = calls["precond"]
+    assert len(args) == 1 and args[0] is prob.f and not kwargs
+
+
+def test_non_free_solve_ignores_the_factors():
+    # a magnetic solve starts from the dense datum, so dropping the factors
+    # changes no bit of its steps or of u
+    prob = magnetic_point_problem(0.25)
+    assert prob.f.factors is not None
+    u = solve(prob, tol=1e-10)
+    prob.f = ScalarField(prob.grid, prob.f.values)
+    plain = solve(prob, tol=1e-10)
+    assert (u.iterations, u.cycles) == (plain.iterations, plain.cycles)
+    assert np.array_equal(u.values, plain.values)
+
+
 @pytest.mark.parametrize("n, L", [(3, 4.0), (4, 2.0)])
 @pytest.mark.parametrize("lam, eps", [(1.0, 1.0), (0.0, 0.01), (3.0, -0.1)])
 def test_free_solve_costs_one_preconditioner_and_one_apply(operator_calls,
@@ -529,6 +623,27 @@ def test_covariant_gradient_gauge_covariance_pointwise():
     core = (slice(2, -2),) * 3
     err = np.abs(g1[core] - ph[core + (None,)] * g0[core]).max()
     assert err < 1e-12 * np.abs(g0).max()
+
+
+@pytest.mark.parametrize("A", [None, "ex13"])
+@pytest.mark.parametrize("L, h, rtol", [(2.0, 0.25, 0.0), (2.1, 0.3, 1e-15)])
+def test_covariant_gradient_matches_the_hop_form(A, L, h, rtol):
+    # the in-place difference is the hop's zero fill plus np.subtract to
+    # the bit; scaling by 1/2h rounds like dividing by 2h when 2h is a
+    # power of two and within an ulp otherwise
+    grid = RadialGrid(3, L, h)
+    disc = Discretization(grid, make_potential_pair(3, A, None))
+    u = random_field(grid, 3)
+    for k in range(3):
+        expect = hop_gradient(u, disc, k)
+        out = np.full(grid.shape, np.nan, complex)
+        got = covariant_gradient(u, disc, k, out=out)
+        assert got is out
+        if rtol:
+            np.testing.assert_allclose(got, expect, rtol=rtol, atol=0)
+        else:
+            np.testing.assert_array_equal(got, expect)
+        np.testing.assert_array_equal(covariant_gradient(u, disc, k), got)
 
 
 def test_radial_tangential_split_pythagoras(split_of):
