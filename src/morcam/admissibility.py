@@ -62,8 +62,7 @@ class AdmissibilityReport:
         }
 
 
-def compute_constants(pp: PotentialPair, n: int | None = None,
-                      quad: RadialQuad = RadialQuad()):
+def compute_constants(pp: PotentialPair, quad: RadialQuad = RadialQuad()):
     """(C1, C2, C3) for the given potential pair.
 
     n = 3: mixed radial norms of |B_tau|, (d_r V)_+, <x>^-1 V_+ with
@@ -71,10 +70,6 @@ def compute_constants(pp: PotentialPair, n: int | None = None,
     with exponents 2, 3, 3.  A constant whose potential is absent is 0;
     +inf propagates as a value.
     """
-    n = pp.n if n is None else n
-    if n != pp.n:
-        raise ParameterError("requested dimension differs from the potential's")
-
     def btau_mag(X):
         # Cancellation noise in B_tau scales with the full field magnitude;
         # left in, it mimics a divergent integrand for non-trapping fields.
@@ -94,8 +89,8 @@ def compute_constants(pp: PotentialPair, n: int | None = None,
         (pp.V, v_plus_screened, (2.0, 1), 3.0),
     ]
     return tuple(0.0 if part is None
-                 else mixed_radial_norm(w, p, e3, n=3, quad=quad) if n == 3
-                 else weighted_sup_norm(w, e, n, quad=quad)
+                 else mixed_radial_norm(w, p, e3, n=3, quad=quad) if pp.n == 3
+                 else weighted_sup_norm(w, e, pp.n, quad=quad)
                  for part, w, (e3, p), e in rows)
 
 
@@ -143,11 +138,10 @@ def check_condition_nd(C1: float, C2: float, n: int, C3: float = math.nan) -> Ad
     return rep
 
 
-def admissibility_report(pp: PotentialPair, n: int | None = None,
+def admissibility_report(pp: PotentialPair,
                          quad: RadialQuad = RadialQuad()) -> AdmissibilityReport:
-    """Constants plus verdict in one step."""
-    n = pp.n if n is None else n
-    C1, C2, C3 = compute_constants(pp, n, quad=quad)
-    if n == 3:
+    """Constants plus verdict in one step, in the potential's dimension."""
+    C1, C2, C3 = compute_constants(pp, quad=quad)
+    if pp.n == 3:
         return check_condition_3d(C1, C2, C3)
-    return check_condition_nd(C1, C2, n, C3)
+    return check_condition_nd(C1, C2, pp.n, C3)

@@ -26,7 +26,7 @@ from .fields import BUILTIN_POTENTIALS, make_potential_pair, trapping_component
 from .grids import RadialGrid, save_field
 from .multipliers import check_estimate_parameters
 from .resolvent import (DATUM_BUILTINS, Discretization, ResolventProblem,
-                        make_datum, solve)
+                        check_memory, make_datum, solve)
 from .verify import epsilon_sweep, identity_scan
 
 RUN_TYPES = {
@@ -93,9 +93,14 @@ def _build(sc):
 
 def _run_fields_check(sc):
     pp, grid = _build(sc)
-    rng = np.random.default_rng(int(sc["seed"]))
     n, L = grid.n, grid.L
-    pts = rng.uniform(-L, L, size=(int(sc["samples"]), n))
+    samples = float(sc["samples"])
+    if not (math.isfinite(samples) and samples >= 1 and samples.is_integer()):
+        raise ParameterError(
+            f"samples must be a positive integer, got {sc['samples']!r}")
+    check_memory(samples * n * 8, f"a fields-check of {samples:.0f} points")
+    rng = np.random.default_rng(int(sc["seed"]))
+    pts = rng.uniform(-L, L, size=(int(samples), n))
     r = np.linalg.norm(pts, axis=1)
     pts = pts[r > 0.5]
     bt = trapping_component(pp, pts)

@@ -87,18 +87,13 @@ def _check_points(pp: PotentialPair, x: np.ndarray, require_nonzero=False) -> np
     return x
 
 
-def jacobian_fd(A: Callable, x: np.ndarray, step: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian J[..., i, j] = dA^i/dx_j.
-
-    Default step is 1e-5 * max(1, |x|) per point.
+def jacobian_fd(A: Callable, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian J[..., i, j] = dA^i/dx_j with the step
+    1e-5 * max(1, |x|) per point.
     """
     x = np.asarray(x, float)
     n = x.shape[-1]
-    r = np.sqrt(sq_norm(x))
-    if step is None:
-        h = 1e-5 * np.maximum(1.0, r)[..., None]
-    else:
-        h = np.full(x.shape[:-1], float(step))[..., None]
+    h = 1e-5 * np.maximum(1.0, np.sqrt(sq_norm(x)))[..., None]
     cols = []
     for j in range(n):
         e = np.zeros(n)
@@ -110,7 +105,7 @@ def jacobian_fd(A: Callable, x: np.ndarray, step: float | None = None) -> np.nda
     return np.stack(cols, axis=-1)
 
 
-def magnetic_matrix(pp: PotentialPair, x: np.ndarray, step: float | None = None) -> np.ndarray:
+def magnetic_matrix(pp: PotentialPair, x: np.ndarray) -> np.ndarray:
     """Field matrix B(x) = DA - (DA)^t, shape (..., n, n).
 
     Antisymmetric by construction.  Uses the analytic Jacobian when
@@ -119,10 +114,10 @@ def magnetic_matrix(pp: PotentialPair, x: np.ndarray, step: float | None = None)
     x = _check_points(pp, x)
     if pp.A is None:
         return np.zeros(x.shape + (pp.n,))
-    if pp.A_jac is not None and step is None:
+    if pp.A_jac is not None:
         J = np.asarray(pp.A_jac(x), float)
     else:
-        J = jacobian_fd(pp.eval_A, x, step=step)
+        J = jacobian_fd(pp.eval_A, x)
     return J - np.swapaxes(J, -1, -2)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import MorcamError, ParameterError
 from .grids import RadialGrid, ScalarField
 from .multipliers import check_estimate_parameters
-from .resolvent import Discretization, gradient_split
+from .resolvent import Discretization, check_resolvent_parameters, gradient_split
 
 __all__ = [
     "NormReport",
@@ -71,25 +71,17 @@ def morrey_campanato(u: ScalarField):
     return math.sqrt(sup_sq), rstar
 
 
-def _dyadic_default_range(grid: RadialGrid):
-    j_min = math.ceil(math.log2(grid.h / 2))
-    j_max = math.floor(math.log2(grid.L))
-    return j_min, j_max
-
-
-def dyadic_dual(f: ScalarField, j_min: int | None = None, j_max: int | None = None):
+def dyadic_dual(f: ScalarField):
     """Truncated dyadic dual norm N(f) = sum_j sqrt(2^(j+1) I_j) with
-    I_j the squared L2 mass on the shell 2^j <= |x| < 2^(j+1).
+    I_j the squared L2 mass on the shell 2^j <= |x| < 2^(j+1), over the
+    shells from j_min = ceil(log2(h/2)) to j_max = floor(log2 L).
 
     Returns (value, tail) where tail is the magnitude of the last
     included term plus any mass falling outside [j_min, j_max].
     """
     grid = f.grid
-    dj_min, dj_max = _dyadic_default_range(grid)
-    if j_min is None:
-        j_min = dj_min
-    if j_max is None:
-        j_max = dj_max
+    j_min = math.ceil(math.log2(grid.h / 2))
+    j_max = math.floor(math.log2(grid.L))
     w = grid.bin_sums(f.abs2())
     j = np.floor(np.log2(grid.bin_radii)).astype(np.intp)
     inside = (j >= j_min) & (j <= j_max)
@@ -279,11 +271,10 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     group int <x>^-1 V_- |u|^2, lambda int |u|^2/<x>, the tangential
     gradient integral, and the sphere supremum (3D) or int |u|^2/|x|^3
     (n >= 4).  total applies the delta weight to the last group.  V and
-    d_r V are those of the operator, capped as in disc.V.  M >= 0 and
-    delta > 0 must be finite.
+    d_r V are those of the operator, capped as in disc.V.  lambda >= 0,
+    M >= 0 and delta > 0 must be finite.
     """
-    if lam < 0:
-        raise ParameterError(f"lambda must be >= 0, got {lam}")
+    check_resolvent_parameters(lam=lam)
     check_estimate_parameters(M, delta)
     grid = u.grid
     n = grid.n
@@ -346,10 +337,10 @@ def theorem_rhs(dual: tuple[float, float], lam: float, eps: float):
     dual = dyadic_dual(f), which an eps sweep computes once for its datum.
 
     For lambda = 0 the second term is undefined as written; only N(f)^2
-    is returned and the report carries a lambda-zero flag.
+    is returned and the report carries a lambda-zero flag.  lambda and
+    eps are checked as the operator checks them.
     """
-    if eps == 0:
-        raise ParameterError("eps must be nonzero")
+    check_resolvent_parameters(lam, eps)
     nf, tail = dual
     rep = NormReport()
     rep.values["N_f_sq"] = nf ** 2

@@ -8,7 +8,7 @@ homogeneous Dirichlet truncation is handled by zero padding.  The free
 part is diagonalized exactly by the orthonormal sine matrix
 S_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)) along every axis (the DST-I as a
 dense matrix, applied by matrix products); its shifted inverse is the
-preconditioner of a right-preconditioned GMRES(restart) solve written on
+preconditioner of a right-preconditioned GMRES(RESTART) solve written on
 numpy alone.
 
 The solve refines in mixed precision.  The iterate and the true residual
@@ -46,6 +46,8 @@ __all__ = [
     "gradient_split",
     "link_phases",
     "epsilon_floor",
+    "check_resolvent_parameters",
+    "check_memory",
 ]
 
 #: GMRES restart length: a solve keeps RESTART + 1 complex64 Krylov basis
@@ -71,6 +73,20 @@ def epsilon_floor(L: float, lam: float) -> float:
     return 2.0 / L * math.sqrt(lam + 1.0 / L ** 2)
 
 
+def check_resolvent_parameters(lam: float | None = None,
+                               eps: float | None = None,
+                               tol: float | None = None) -> None:
+    """Raise ParameterError unless lambda is finite and >= 0, eps is
+    finite and nonzero and the solve tolerance tol is finite and
+    positive; None skips a check."""
+    if lam is not None and not (math.isfinite(lam) and lam >= 0):
+        raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
+    if eps is not None and not (math.isfinite(eps) and eps != 0):
+        raise ParameterError(f"eps must be finite and nonzero, got {eps}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
+
+
 def link_phases(grid: RadialGrid, pp: PotentialPair):
     """Link phases exp(-i h A_k(x + (h/2) e_k)) per axis, or None when
     A vanishes identically.  Each axis's midpoints are built from the 1-D
@@ -87,22 +103,20 @@ def link_phases(grid: RadialGrid, pp: PotentialPair):
     return phases
 
 
-def _check_memory(grid: RadialGrid) -> None:
-    """Refuse a grid whose solve would not fit in physical memory: the
-    estimate is RESTART + 1 complex64 Krylov basis vectors plus
-    WORK_VECTORS complex128 work vectors of grid.size values."""
-    need = ((RESTART + 1) * 8 + WORK_VECTORS * 16) * grid.size
+def check_memory(need: float, what: str) -> None:
+    """Raise ParameterError when need bytes exceed physical memory; what
+    names the work that needs them."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ParameterError(
-            f"grid of {grid.size} nodes needs about {need / 2 ** 30:.3g} GiB "
-            f"to solve on, more than the {have / 2 ** 30:.3g} GiB of "
-            f"physical memory")
+            f"{what} needs about {need / 2 ** 30:.3g} GiB, more than the "
+            f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
 class Discretization:
     """One sampling of a potential pair on a grid: the link phases and the
-    electric potential that define -Delta_A^h + V.
+    electric potential that define -Delta_A^h + V.  It only samples; the
+    Dirichlet box, its stencil and its spectrum, is DiscreteOperator's.
 
     The operator, the covariant gradient and the identity and estimate
     checks all read the same samples.  Singular V samples are capped at
@@ -116,7 +130,10 @@ class Discretization:
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
         if pp.n != grid.n:
             raise ParameterError("potential and grid dimensions differ")
-        _check_memory(grid)
+        # a solve holds RESTART + 1 complex64 Krylov basis vectors and
+        # WORK_VECTORS complex128 work vectors of grid.size values
+        check_memory(((RESTART + 1) * 8 + WORK_VECTORS * 16) * grid.size,
+                     f"a solve on a grid of {grid.size} nodes")
         self.grid = grid
         self.pp = pp
         self.phases = link_phases(grid, pp)
@@ -144,22 +161,6 @@ class Discretization:
             self._drv = drv
         return self._drv
 
-    def hop(self, u: np.ndarray, k: int, out: np.ndarray, phases=None) -> None:
-        """Add U_k u(x + h e_k) into out at the lower end of each axis-k
-        edge and conj(U_k) u(x) at its upper end: the Laplacian's neighbor
-        sum, with Dirichlet zero outside the box.  phases replaces
-        self.phases by the same phases in another precision."""
-        n = self.grid.n
-        lo, hi = _along(n, k, slice(None, -1)), _along(n, k, slice(1, None))
-        phases = self.phases if phases is None else phases
-        if phases is None:
-            out[lo] += u[hi]
-            out[hi] += u[lo]
-        else:
-            U = phases[k][lo]
-            out[lo] += U * u[hi]
-            out[hi] += np.conj(U) * u[lo]
-
 
 def _along(n: int, k: int, index) -> tuple:
     """The index of an n-dimensional array that takes index along axis k
@@ -170,11 +171,16 @@ def _along(n: int, k: int, index) -> tuple:
 
 
 class DiscreteOperator:
-    """Matrix-free application of (-Delta_A^h + V - lambda - i eps)u.
+    """Matrix-free application of (-Delta_A^h + V - lambda - i eps)u on
+    the Dirichlet box, and the exact inverse of its free part.
 
-    The hop between x and x + h e_k carries the link phase; the diagonal
+    The operator owns the box: apply is the (2n+1)-point stencil with
+    zero outside the box, whose hop between x and x + h e_k carries the
+    link phase, and preconditioner() inverts the free stencil in the
+    eigenbasis _dirichlet_eigenpairs gives along each axis.  The diagonal
     2n/h^2 + V(x) - lambda - i eps is formed once per operator, 0-d when
-    V is (see Discretization).  dtype (complex128 or complex64) is the
+    V is (see Discretization).  lambda and eps are checked by
+    check_resolvent_parameters.  dtype (complex128 or complex64) is the
     precision of the diagonal, the link phases, the preconditioner's
     tables and of every vector apply and the preconditioner take and
     return.
@@ -183,10 +189,7 @@ class DiscreteOperator:
     def __init__(self, disc: Discretization, lam: float, eps: float,
                  dtype=np.complex128):
         lam, eps = float(lam), float(eps)
-        if not (math.isfinite(eps) and eps != 0):
-            raise ParameterError(f"eps must be finite and nonzero, got {eps}")
-        if not (math.isfinite(lam) and lam >= 0):
-            raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
+        check_resolvent_parameters(lam, eps)
         self.disc = disc
         self.grid = disc.grid
         self.lam = lam
@@ -204,36 +207,43 @@ class DiscreteOperator:
         out = self._diag * u
         hop = np.zeros_like(u)
         for k in range(g.n):
-            self.disc.hop(u, k, hop, phases=self._phases)
+            lo, hi = _along(g.n, k, slice(None, -1)), _along(g.n, k, slice(1, None))
+            if self._phases is None:
+                hop[lo] += u[hi]
+                hop[hi] += u[lo]
+            else:
+                U = self._phases[k][lo]
+                hop[lo] += U * u[hi]
+                hop[hi] += np.conj(U) * u[lo]
         hop *= 1.0 / g.h ** 2
         out -= hop
         return out
 
     # --- free-operator preconditioner ------------------------------------
 
-    def _free_eigenvalues(self) -> np.ndarray:
-        g = self.grid
-        i = np.arange(g.m)
-        mu = (2 - 2 * np.cos(math.pi * (i + 1) / (g.m + 1))) / g.h ** 2
-        total = mu
-        for _ in range(g.n - 1):
-            total = total[..., None] + mu
-        return total
-
     def preconditioner(self) -> Callable:
         """The exact inverse of the free shifted operator (A = V = 0),
         v -> S diag(1/(mu - lambda - i eps)) S v with the sine matrix S
-        along every axis, acting on flat vectors of the operator's dtype.
+        along every axis and mu the n-fold sum of the 1-D eigenvalues
+        (see _dirichlet_eigenpairs), acting on flat vectors of the
+        operator's dtype.
 
         The table 1/(d - i eps), d = mu - lambda, is kept as its real and
         imaginary parts d/(d^2 + eps^2) and eps/(d^2 + eps^2), formed in
-        float64 real arithmetic.  v may also be a ScalarField: one with
-        factors f_k takes its spectrum S v as the outer product of the
-        1-D transforms S f_k, so only the inverse transform is 3-D."""
-        shape, dtype = self.grid.shape, self.dtype
-        real = np.finfo(dtype).dtype
-        S = _sine_matrix(self.grid.m).astype(real, copy=False)
-        d = self._free_eigenvalues()
+        float64 real arithmetic.  v may also be a ScalarField.  When this
+        operator is free and the field has factors f_k, the callable takes
+        the spectrum S v as the outer product of the 1-D transforms S f_k,
+        so only the inverse transform is n-D; otherwise it transforms the
+        field's values."""
+        g, dtype = self.grid, self.dtype
+        shape, real = g.shape, np.finfo(dtype).dtype
+        # only a free operator's solve is its start; any other solve takes
+        # the dense transform, one preconditioner call of many, so its
+        # steps keep their rounding
+        free = self.disc.phases is None and self.disc.V.ndim == 0
+        S, mu = _dirichlet_eigenpairs(g.m, g.h)
+        S = S.astype(real, copy=False)
+        d = functools.reduce(np.add.outer, [mu] * g.n)
         d -= self.lam
         q = d * d
         q += self.eps ** 2
@@ -244,7 +254,7 @@ class DiscreteOperator:
         def minv(v):
             factors = None
             if isinstance(v, ScalarField):
-                v, factors = v.values, v.factors
+                v, factors = v.values, v.factors if free else None
             out = np.empty(shape, dtype)
             a, b = np.empty((2,) + shape, real), np.empty((2,) + shape, real)
             if factors is None:
@@ -269,11 +279,15 @@ class DiscreteOperator:
         return minv
 
 
-def _sine_matrix(m: int) -> np.ndarray:
-    """Orthonormal DST-I matrix S_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)),
-    j, k = 1..m.  S is symmetric and orthogonal, so it is its own inverse."""
+def _dirichlet_eigenpairs(m: int, h: float):
+    """(S, mu): the eigenvectors and eigenvalues of the 1-D Dirichlet
+    second difference (2u_j - u_{j-1} - u_{j+1})/h^2 on m nodes.  S is the
+    orthonormal DST-I matrix S_jk = sqrt(2/(m+1)) sin(pi j k/(m+1)),
+    j, k = 1..m, symmetric and orthogonal, so it is its own inverse;
+    mu_k = (2 - 2 cos(pi k/(m+1)))/h^2."""
     k = np.arange(1, m + 1)
-    return math.sqrt(2.0 / (m + 1)) * np.sin(math.pi * np.outer(k, k) / (m + 1))
+    S = math.sqrt(2.0 / (m + 1)) * np.sin(math.pi * np.outer(k, k) / (m + 1))
+    return S, (2 - 2 * np.cos(math.pi * k / (m + 1))) / h ** 2
 
 
 def _sine_transform(x: np.ndarray, spare: np.ndarray, S: np.ndarray):
@@ -316,7 +330,8 @@ class ResolventProblem:
             warnings.warn(
                 "datum is not supported at distance >= 2h from the box "
                 "boundary; Dirichlet truncation error is uncontrolled",
-                stacklevel=2)
+                # 3 skips __post_init__ and the generated __init__
+                stacklevel=3)
 
     @property
     def grid(self) -> RadialGrid:
@@ -376,11 +391,11 @@ def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
     return ResolventProblem(disc=disc, lam=float(lam), eps=float(eps), f=f)
 
 
-def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
-          restart: int = RESTART) -> ScalarField:
+def solve(prob: ResolventProblem, tol: float = 1e-10,
+          maxiter: int = 2000) -> ScalarField:
     """Solve -Hu + (lambda + i eps)u = f to relative apply-residual <= tol.
 
-    GMRES(restart) on (H - lambda - i eps)(-u) = f, right preconditioned
+    GMRES(RESTART) on (H - lambda - i eps)(-u) = f, right preconditioned
     by the exact inverse of the free shifted operator, for at most maxiter
     Krylov iterations, with complex64 cycles refining a complex128 iterate
     (see _gmres).  It starts from that inverse applied to f, which solves
@@ -395,20 +410,13 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
     application; nonconvergence raises SolverError (with the achieved
     residual).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    check_resolvent_parameters(tol=tol)
     grid = prob.grid
-    b = prob.f.values.ravel()
-    if not b.any():
+    if not prob.f.values.any():
         u = ScalarField.zeros(grid)
         u.residual, u.iterations, u.cycles = 0.0, 0, 0
         return u
-    # a free operator's solve is its start minv(f), which a separable datum
-    # gives from 1-D transforms; any other solve starts from the dense f,
-    # one preconditioner call of many, so its steps keep their rounding
-    free = prob.disc.phases is None and prob.disc.V.ndim == 0
-    x, res, its, cycles = _gmres(prob.op, b, tol, restart, maxiter,
-                                 prob.f if free else b)
+    x, res, its, cycles = _gmres(prob.op, prob.f, tol, maxiter)
     if res > tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
@@ -419,14 +427,12 @@ def solve(prob: ResolventProblem, tol: float = 1e-10, maxiter: int = 2000,
     return u
 
 
-def _gmres(op, b, tol, restart, maxiter, start):
-    """Right-preconditioned GMRES(restart) for op.apply(x) = b from
-    x0 = minv(start) (Saad & Schultz 1986), with minv = op.preconditioner()
-    and start either b or a ScalarField with values b (whose factors, when
-    it has them, give minv the spectrum of b from 1-D transforms),
-    stopping once ||b - op.apply(x)|| <= tol ||b|| or after maxiter
-    iterations.  Returns x, its relative residual, the number of Arnoldi
-    steps and the number of cycles.
+def _gmres(op, f, tol, maxiter):
+    """Right-preconditioned GMRES(RESTART) for op.apply(x) = b, b the flat
+    values of the field f, from x0 = minv(f) (Saad & Schultz 1986), with
+    minv = op.preconditioner(), stopping once ||b - op.apply(x)|| <=
+    tol ||b|| or after maxiter iterations.  Returns x, its relative
+    residual, the number of Arnoldi steps and the number of cycles.
 
     Every cycle, the first included, begins with the complex128 true
     residual r = b - op.apply(x) and the convergence test, so an exact
@@ -442,9 +448,10 @@ def _gmres(op, b, tol, restart, maxiter, start):
     iterative refinement (Carson & Higham 2018).  The twin and the basis
     are built at the first cycle.
     """
+    b = f.values.ravel()
     bnorm = np.linalg.norm(b)
     minv = op.preconditioner()
-    x, its, cycles = minv(start), 0, 0
+    x, its, cycles = minv(f), 0, 0
     while True:
         r = b - op.apply(x).ravel()
         rnorm = np.linalg.norm(r)
@@ -453,18 +460,18 @@ def _gmres(op, b, tol, restart, maxiter, start):
         if not cycles:
             low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64)
             minv32 = low.preconditioner()
-            V = np.empty((restart + 1, b.size), np.complex64)
+            V = np.empty((RESTART + 1, b.size), np.complex64)
         cycles += 1
         # aim a third below tol, so that the next head's complex128
         # residual, not a cycle of one or two more steps, ends the solve
         cut = max(tol * bnorm / (1.5 * rnorm), CYCLE_REDUCTION)
-        H = np.zeros((restart + 1, restart), complex)
-        cs, sn = np.zeros(restart), np.zeros(restart, complex)
-        g = np.zeros(restart + 1, complex)
+        H = np.zeros((RESTART + 1, RESTART), complex)
+        cs, sn = np.zeros(RESTART), np.zeros(RESTART, complex)
+        g = np.zeros(RESTART + 1, complex)
         g[0] = 1.0
         np.multiply(r, 1 / rnorm, out=V[0])
         del r
-        for j in range(min(restart, maxiter - its)):
+        for j in range(min(RESTART, maxiter - its)):
             its += 1
             w = low.apply(minv32(V[j])).ravel()
             for _ in range(2):

@@ -19,7 +19,8 @@ from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters
                           make_phi, make_varphi)
 from .norms import NormReport, dyadic_dual, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
-                        epsilon_floor, gradient_split, make_datum, solve)
+                        check_resolvent_parameters, epsilon_floor,
+                        gradient_split, make_datum, solve)
 
 __all__ = [
     "IdentityReport",
@@ -76,8 +77,8 @@ class IdentityReport:
 
 def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
                       lam: float, eps: float,
-                      scales: list[tuple[Multiplier, SymmetricWeight]],
-                      include_btau: bool = True) -> list[IdentityReport]:
+                      scales: list[tuple[Multiplier, SymmetricWeight]]
+                      ) -> list[IdentityReport]:
     """Evaluate both sides of the multiplier identity on (u, f), one
     IdentityReport per (Multiplier, SymmetricWeight) pair in scales.
 
@@ -95,7 +96,7 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     S = grid.bin_sums
     u2 = u.abs2()
 
-    trapping = include_btau and pp.A is not None
+    trapping = pp.A is not None
     if trapping:
         g2, g_r, bdotg = gradient_split(u, disc, trapping_component(pp, grid.points))
         s_trap = S(np.imag(u.values * bdotg))
@@ -202,7 +203,7 @@ def estimate_report(u: ScalarField, dual: tuple[float, float],
     n = u.grid.n
     notes = []
     if adm is None and (M is None or delta is None):
-        adm = admissibility_report(disc.pp, n)
+        adm = admissibility_report(disc.pp)
     if adm is not None and not adm.admissible:
         notes.append("configuration not admissible; estimate run is diagnostic")
     if M is None:
@@ -281,12 +282,13 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                   delta: float | None = None, tol: float = 1e-10) -> SweepReport:
     """Solve the resolvent problem for each eps and collect estimate
     ratios.  Solver failures are recorded per entry and the sweep
-    continues."""
+    continues.  lambda, tol, the eps values (finite and positive), M and
+    delta are checked before any sampling or solve."""
+    check_resolvent_parameters(lam=lam, tol=tol)
     eps_list = list(eps_list)
     if not all(math.isfinite(e) and e > 0 for e in eps_list):
         raise ParameterError(
-            f"eps values must be finite and positive (sign handled "
-            f"separately), got {eps_list}")
+            f"eps values must be finite and positive, got {eps_list}")
     check_estimate_parameters(M, delta)
     floor = epsilon_floor(grid.L, lam)
     for e in eps_list:
@@ -299,7 +301,7 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
     disc = Discretization(grid, pp)
     f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
     dual = dyadic_dual(f)
-    adm = admissibility_report(pp, grid.n)
+    adm = admissibility_report(pp)
     report = SweepReport()
     for eps in sorted(eps_list, reverse=True):
         try:

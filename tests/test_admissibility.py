@@ -171,12 +171,6 @@ def test_negative_constants_rejected():
         check_condition_nd(0.1, -0.1, 4)
 
 
-def test_dimension_mismatch_rejected():
-    pp = make_potential_pair(3, {"name": "ex13"}, None)
-    with pytest.raises(ParameterError):
-        compute_constants(pp, n=4, quad=LIGHT)
-
-
 def test_report_json_round_trips():
     rep = check_condition_3d(0.5, 0.1)
     doc = json.loads(json.dumps(rep.to_json()))

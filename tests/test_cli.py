@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import yaml
 
 import morcam
+from morcam import admissibility
 from morcam.cli import main
 from morcam.grids import load_field
 
@@ -196,8 +198,15 @@ def test_bad_parameter_is_exit_3(tmp_path):
     ("verify-identity", {"beta": float("nan")}),
     ("verify-identity", {"beta": 0.0}),
     ("verify-identity", {"beta": 0.5}),
+    ("sweep", {"lambda": -1.0}),
+    ("sweep", {"lambda": float("nan")}),
+    ("sweep", {"tol": -1.0}),
 ])
-def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, operator_calls, run_type, bad):
+def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, monkeypatch, operator_calls,
+                                               run_type, bad):
+    quadratures = []
+    monkeypatch.setattr(admissibility, "compute_constants",
+                        lambda *args, **kwargs: quadratures.append(args))
     code, out = run(tmp_path, {
         "n": 3, "run": run_type, "grid": {"L": 4.0, "h": 0.5},
         "f": {"name": "gaussian", "width": 0.6}, **bad,
@@ -205,7 +214,15 @@ def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, operator_calls, run_typ
     assert code == 3
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
+    # the detail names the parameter: eps for eps_list, L or h for grid
+    [(key, value)] = bad.items()
+    if key == "eps_list":
+        key = "eps"
+    elif key == "grid":
+        [key] = [k for k, v in value.items() if not math.isfinite(v)]
+    assert key in doc["detail"]
     assert operator_calls["apply"] == 0  # rejected before any solve starts
+    assert quadratures == []  # and before the admissibility quadrature
 
 
 @pytest.mark.parametrize("run_type, bad", [
@@ -241,6 +258,18 @@ def test_grid_too_large_for_memory_is_exit_3(tmp_path):
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
     assert "physical memory" in doc["detail"]
+
+
+@pytest.mark.parametrize("samples", [1.0e13, 0, -5, 2.5])
+def test_impossible_sample_count_is_exit_3(tmp_path, samples):
+    # 1e13 three-dimensional points need 218 TiB: refused before sampling
+    code, out = run(tmp_path, {
+        "n": 3, "run": "fields-check", "grid": {"L": 4.0, "h": 0.5},
+        "potential": {"A": {"name": "ex13"}}, "samples": samples})
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert ("physical memory" if samples == 1.0e13 else "samples") in doc["detail"]
 
 
 def test_cli_import_loads_no_scipy():

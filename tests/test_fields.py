@@ -49,12 +49,14 @@ def test_gauge_invariance_of_field_matrix():
         g[..., 2] = x[..., 1]
         return g
 
-    base = example_field("ex13")
+    # neither pair has A_jac, so both go through central differences
+    ex13 = example_field("ex13")
+    base = PotentialPair(3, A=ex13.A, domain_check=ex13.domain_check)
     shifted = PotentialPair(3, A=lambda x: base.eval_A(x) + chi_grad(x),
                             domain_check=base.domain_check)
     pts = random_points(30)
-    B0 = magnetic_matrix(base, pts, step=1e-5)
-    B1 = magnetic_matrix(shifted, pts, step=1e-5)
+    B0 = magnetic_matrix(base, pts)
+    B1 = magnetic_matrix(shifted, pts)
     assert np.abs(B0 - B1).max() < 1e-6
 
 

@@ -104,16 +104,15 @@ def test_dyadic_dual_matches_node_shells(grid):
     f = ScalarField(grid, np.sqrt(np.random.default_rng(3).random(grid.shape)))
     w = f.abs2().ravel() * grid.cell_volume
     j = np.floor(np.log2(node_radii(grid))).astype(int)
-    for j_min, j_max in ((None, None), (-1, 0)):
-        lo = math.ceil(math.log2(grid.h / 2)) if j_min is None else j_min
-        hi = math.floor(math.log2(grid.L)) if j_max is None else j_max
-        terms = [math.sqrt(2.0 ** (i + 1) * w[j == i].sum()) for i in range(lo, hi + 1)]
-        dropped = w[(j < lo) | (j > hi)].sum()
-        last = [t for t in terms if t > 0][-1]
-        value, tail = dyadic_dual(f, j_min, j_max)
-        assert abs(value - sum(terms)) <= 1e-12 * sum(terms)
-        expect_tail = last + math.sqrt(2.0 ** (hi + 2) * dropped)
-        assert abs(tail - expect_tail) <= 1e-12 * expect_tail
+    lo = math.ceil(math.log2(grid.h / 2))
+    hi = math.floor(math.log2(grid.L))
+    terms = [math.sqrt(2.0 ** (i + 1) * w[j == i].sum()) for i in range(lo, hi + 1)]
+    dropped = w[(j < lo) | (j > hi)].sum()
+    last = [t for t in terms if t > 0][-1]
+    value, tail = dyadic_dual(f)
+    assert abs(value - sum(terms)) <= 1e-12 * sum(terms)
+    expect_tail = last + math.sqrt(2.0 ** (hi + 2) * dropped)
+    assert abs(tail - expect_tail) <= 1e-12 * expect_tail
 
 
 # --- dyadic dual -------------------------------------------------------------
@@ -144,10 +143,12 @@ def test_dyadic_single_shell_exact_sum():
 
 
 def test_dyadic_gaussian_truncation_stable():
-    grid = RadialGrid(3, 8.0, 0.25)
-    f = ScalarField.from_callable(grid, lambda X: np.exp(-np.sum(X ** 2, axis=-1)))
-    narrow, _ = dyadic_dual(f, j_max=2)
-    wide, _ = dyadic_dual(f, j_max=6)
+    # the last shell is j_max = floor(log2 L): 2 on the L = 4 box, 3 on L = 8
+    def gauss(X):
+        return np.exp(-np.sum(X ** 2, axis=-1))
+
+    narrow, _ = dyadic_dual(ScalarField.from_callable(RadialGrid(3, 4.0, 0.25), gauss))
+    wide, _ = dyadic_dual(ScalarField.from_callable(RadialGrid(3, 8.0, 0.25), gauss))
     assert abs(narrow - wide) < 1e-6
 
 
@@ -388,9 +389,10 @@ def test_theorem_lhs_peak_memory(A, V):
 
 def test_theorem_lhs_rejects_negative_lambda():
     grid = RadialGrid(3, 2.0, 0.5)
-    with pytest.raises(ParameterError):
-        theorem_lhs(ScalarField.zeros(grid), Discretization(grid, PotentialPair(3)),
-                    -1.0, 1.0, 0.1)
+    for lam in (-1.0, math.nan):
+        with pytest.raises(ParameterError, match="lambda"):
+            theorem_lhs(ScalarField.zeros(grid), Discretization(grid, PotentialPair(3)),
+                        lam, 1.0, 0.1)
 
 
 def test_theorem_rhs_shell_indicator():
@@ -410,9 +412,12 @@ def test_theorem_rhs_lambda_zero_convention():
 
 
 def test_theorem_rhs_rejects_zero_eps():
-    grid = RadialGrid(3, 2.0, 0.5)
-    with pytest.raises(ParameterError):
-        theorem_rhs(dyadic_dual(ScalarField.zeros(grid)), 1.0, 0.0)
+    # and a lambda the operator refuses, in place of the lambda = 0 convention
+    dual = dyadic_dual(ScalarField.zeros(RadialGrid(3, 2.0, 0.5)))
+    for lam, eps, name in ((1.0, 0.0, "eps"), (1.0, math.nan, "eps"),
+                           (math.nan, 1.0, "lambda"), (-2.0, 1.0, "lambda")):
+        with pytest.raises(ParameterError, match=name):
+            theorem_rhs(dual, lam, eps)
 
 
 def test_norm_report_json_layout():

@@ -262,6 +262,13 @@ def test_problem_warns_on_boundary_supported_datum():
     with pytest.warns(UserWarning, match="boundary"):
         build_problem(PotentialPair(3), 1.0, 1.0,
                       {"name": "gaussian", "width": 6.0}, grid)
+    # the warning names the line that builds the problem, not the
+    # dataclass's generated __init__
+    disc = Discretization(grid, PotentialPair(3))
+    f = make_datum(grid, {"name": "gaussian", "width": 6.0})
+    with pytest.warns(UserWarning, match="boundary") as record:
+        ResolventProblem(disc=disc, lam=1.0, eps=1.0, f=f)
+    assert record[0].filename == __file__
 
 
 @pytest.mark.parametrize("n", [3, 4])
