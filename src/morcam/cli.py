@@ -82,6 +82,19 @@ def _resolve_scenario(raw: dict) -> dict:
     return sc
 
 
+def _check_seed(seed) -> int:
+    """The scenario's random seed as an int; ParameterError unless it is
+    a finite, non-negative integer."""
+    try:
+        value = float(seed)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0 and value.is_integer()):
+        raise ParameterError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed) if isinstance(seed, int) else int(value)
+
+
 def _build(sc):
     n = sc["n"]
     if not float(n).is_integer():
@@ -91,7 +104,7 @@ def _build(sc):
     return pp, grid
 
 
-def _run_fields_check(sc):
+def _run_fields_check(sc, seed: int):
     pp, grid = _build(sc)
     n, L = grid.n, grid.L
     samples = float(sc["samples"])
@@ -99,7 +112,7 @@ def _run_fields_check(sc):
         raise ParameterError(
             f"samples must be a positive integer, got {sc['samples']!r}")
     check_memory(samples * n * 8, f"a fields-check of {samples:.0f} points")
-    rng = np.random.default_rng(int(sc["seed"]))
+    rng = np.random.default_rng(seed)
     pts = rng.uniform(-L, L, size=(int(samples), n))
     r = np.linalg.norm(pts, axis=1)
     pts = pts[r > 0.5]
@@ -228,8 +241,9 @@ def main(argv=None) -> int:
 
     try:
         run = sc["run"]
+        seed = _check_seed(sc["seed"])
         if run == "fields-check":
-            result = _run_fields_check(sc)
+            result = _run_fields_check(sc, seed)
         elif run == "admissibility":
             result = _run_admissibility(sc)
         elif run == "solve":

@@ -18,6 +18,16 @@ preconditioner (float32 sine matrix and eigenvalue table) with a
 complex64 Krylov basis, and adds its complex64 correction to the
 complex128 iterate.  Accuracy below float32 precision comes from the
 next cycle's true residual, not from the cycle itself.
+
+The stencil is applied slab by slab along axis 0 (SLAB_BYTES a slab), so
+an application allocates its output and two slabs of scratch, not
+grid-sized temporaries.  An operator keeps only the real part of its
+diagonal, 2n/h^2 + V - lambda, in its real precision; -i eps is formed
+per slab.  The complex128 preconditioner is called once, for the start,
+and not kept.  At a cycle head a solve therefore holds its Krylov basis,
+the complex64 twin (link phases, real diagonal, preconditioner tables),
+the datum, the iterate and the residual, formed in place in the output
+of the application.
 """
 
 from __future__ import annotations
@@ -53,16 +63,24 @@ __all__ = [
 #: GMRES restart length: a solve keeps RESTART + 1 complex64 Krylov basis
 #: vectors.
 RESTART = 100
+#: A solve stops after this many Arnoldi steps in all, converged or not.
+MAXITER = 2000
 #: A complex64 cycle stops once its Givens estimate has fallen to this
 #: fraction of the cycle's true residual (or to the tolerance): float32
 #: resolves the correction to a few units in its last place, and the next
 #: cycle continues from the complex128 true residual.
 CYCLE_REDUCTION = 16 * float(np.finfo(np.float32).eps)
+#: Bytes of one slab of DiscreteOperator.apply's sweep along axis 0: the
+#: diagonal term, the hop sum and its scaling of a slab stay in cache
+#: between them, and apply's scratch is two slabs instead of grid-sized
+#: temporaries.
+SLAB_BYTES = 256 * 1024
 #: Grid-sized complex128 arrays a solve holds besides its Krylov basis: the
-#: link phases, V, the datum, solution, residual, the complex64 operator's
-#: diagonal and phases, and the temporaries of both operators and both
-#: preconditioners (14.4 by tracemalloc over a 32^3 ex13 solve).
-WORK_VECTORS = 15
+#: link phases, V, the real diagonals of both operators, the datum,
+#: solution, residual, the complex64 operator's phases, and the
+#: temporaries of both operators and both preconditioners (11.7 by
+#: tracemalloc over a 32^3 solve with ex13 and exp_screened(0.3)).
+WORK_VECTORS = 12
 
 
 def epsilon_floor(L: float, lam: float) -> float:
@@ -170,6 +188,22 @@ def _along(n: int, k: int, index) -> tuple:
     return tuple(idx)
 
 
+def _add_hop(hop: np.ndarray, U, v: np.ndarray, tmp: np.ndarray,
+             conj: bool) -> None:
+    """hop += v, or hop += U v (conj(U) v when conj) with the product
+    formed in the flat scratch tmp."""
+    if U is None:
+        hop += v
+        return
+    t = tmp.reshape(-1)[:v.size].reshape(v.shape)
+    if conj:
+        np.conj(U, out=t)
+        t *= v
+    else:
+        np.multiply(U, v, out=t)
+    hop += t
+
+
 class DiscreteOperator:
     """Matrix-free application of (-Delta_A^h + V - lambda - i eps)u on
     the Dirichlet box, and the exact inverse of its free part.
@@ -177,9 +211,10 @@ class DiscreteOperator:
     The operator owns the box: apply is the (2n+1)-point stencil with
     zero outside the box, whose hop between x and x + h e_k carries the
     link phase, and preconditioner() inverts the free stencil in the
-    eigenbasis _dirichlet_eigenpairs gives along each axis.  The diagonal
-    2n/h^2 + V(x) - lambda - i eps is formed once per operator, 0-d when
-    V is (see Discretization).  lambda and eps are checked by
+    eigenbasis _dirichlet_eigenpairs gives along each axis.  The real
+    part of the diagonal, 2n/h^2 + V(x) - lambda, is formed once per
+    operator in the real precision of dtype, 0-d when V is (see
+    Discretization); apply adds -i eps.  lambda and eps are checked by
     check_resolvent_parameters.  dtype (complex128 or complex64) is the
     precision of the diagonal, the link phases, the preconditioner's
     tables and of every vector apply and the preconditioner take and
@@ -196,28 +231,63 @@ class DiscreteOperator:
         self.eps = eps
         self.dtype = np.dtype(dtype)
         g = self.grid
-        diag = (2 * g.n / g.h ** 2 + disc.V - lam) - 1j * eps
-        self._diag = diag.astype(self.dtype, copy=False)
+        real = np.finfo(self.dtype).dtype
+        self._real_diag = np.asarray(2 * g.n / g.h ** 2 + disc.V - lam).astype(
+            real, copy=False)
         self._phases = (None if disc.phases is None else
                         [p.astype(self.dtype, copy=False) for p in disc.phases])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        g = self.grid
-        u = np.asarray(u, self.dtype).reshape(g.shape)
-        out = self._diag * u
-        hop = np.zeros_like(u)
-        for k in range(g.n):
-            lo, hi = _along(g.n, k, slice(None, -1)), _along(g.n, k, slice(1, None))
-            if self._phases is None:
-                hop[lo] += u[hi]
-                hop[hi] += u[lo]
-            else:
-                U = self._phases[k][lo]
-                hop[lo] += U * u[hi]
-                hop[hi] += np.conj(U) * u[lo]
-        hop *= 1.0 / g.h ** 2
-        out -= hop
+        """(-Delta_A^h + V - lambda - i eps)u in one sweep of slabs of
+        SLAB_BYTES along axis 0 (at least one row each).  Each slab's
+        diagonal term is written straight into the output, its 2n hops are
+        summed in one slab-sized scratch, axis 0's reading one halo row
+        past each end of the slab, and hop/h^2 is subtracted.  The slab's
+        complex diagonal is formed in that scratch from the real diagonal
+        and -eps, the values a complex cast of the whole diagonal holds,
+        and every sum is taken in the order of a whole-array sweep, so the
+        result does not depend on the slab size."""
+        g, dtype = self.grid, self.dtype
+        m, eps = g.m, self.eps
+        u = np.asarray(u, dtype).reshape(g.shape)
+        out = np.empty(g.shape, dtype)
+        rows = min(m, max(1, SLAB_BYTES // (u.nbytes // m)))
+        # hop sums the slab's hops; each product U u is formed in tmp
+        hop, tmp = np.empty((2, rows) + g.shape[1:], dtype)
+        rd = self._real_diag
+        scale = 1.0 / g.h ** 2
+        for s in range(0, m, rows):
+            e = min(s + rows, m)
+            slab = hop[:e - s]
+            slab.real = rd[s:e] if rd.ndim else rd
+            slab.imag = -eps
+            np.multiply(slab, u[s:e], out=out[s:e])
+            slab[...] = 0
+            self._add_hops(slab, tmp, u, s, e)
+            slab *= scale
+            out[s:e] -= slab
         return out
+
+    def _add_hops(self, hop, tmp, u, s, e):
+        """Add to hop, the rows s:e of axis 0, the hop along each axis k
+        in turn: U_k(x) u(x + h e_k) for the edges (x, x + h e_k) that
+        start in those rows, then conj(U_k(x - h e_k)) u(x - h e_k) for
+        the edges that end there."""
+        n, m = self.grid.n, self.grid.m
+        P = self._phases
+        # axis 0: the edges (i, i+1) that start in the slab have i in s:b,
+        # those that end there i in a-1:e-1, so u is read one row past each
+        # end of the slab that lies inside the box (its halo)
+        b, a = min(e, m - 1), max(s, 1)
+        _add_hop(hop[:b - s], None if P is None else P[0][s:b], u[s + 1:b + 1],
+                 tmp, False)
+        _add_hop(hop[a - s:], None if P is None else P[0][a - 1:e - 1],
+                 u[a - 1:e - 1], tmp, True)
+        for k in range(1, n):
+            lo, hi = _along(n, k, slice(None, -1)), _along(n, k, slice(1, None))
+            U = None if P is None else P[k][s:e][lo]
+            _add_hop(hop[lo], U, u[s:e][hi], tmp, False)
+            _add_hop(hop[hi], U, u[s:e][lo], tmp, True)
 
     # --- free-operator preconditioner ------------------------------------
 
@@ -391,12 +461,11 @@ def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
     return ResolventProblem(disc=disc, lam=float(lam), eps=float(eps), f=f)
 
 
-def solve(prob: ResolventProblem, tol: float = 1e-10,
-          maxiter: int = 2000) -> ScalarField:
+def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
     """Solve -Hu + (lambda + i eps)u = f to relative apply-residual <= tol.
 
     GMRES(RESTART) on (H - lambda - i eps)(-u) = f, right preconditioned
-    by the exact inverse of the free shifted operator, for at most maxiter
+    by the exact inverse of the free shifted operator, for at most MAXITER
     Krylov iterations, with complex64 cycles refining a complex128 iterate
     (see _gmres).  It starts from that inverse applied to f, which solves
     the free problem (A = V = 0) outright, and checks the true residual
@@ -416,7 +485,7 @@ def solve(prob: ResolventProblem, tol: float = 1e-10,
         u = ScalarField.zeros(grid)
         u.residual, u.iterations, u.cycles = 0.0, 0, 0
         return u
-    x, res, its, cycles = _gmres(prob.op, prob.f, tol, maxiter)
+    x, res, its, cycles = _gmres(prob.op, prob.f, tol)
     if res > tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
@@ -427,16 +496,19 @@ def solve(prob: ResolventProblem, tol: float = 1e-10,
     return u
 
 
-def _gmres(op, f, tol, maxiter):
+def _gmres(op, f, tol):
     """Right-preconditioned GMRES(RESTART) for op.apply(x) = b, b the flat
     values of the field f, from x0 = minv(f) (Saad & Schultz 1986), with
     minv = op.preconditioner(), stopping once ||b - op.apply(x)|| <=
-    tol ||b|| or after maxiter iterations.  Returns x, its relative
+    tol ||b|| or after MAXITER iterations.  Returns x, its relative
     residual, the number of Arnoldi steps and the number of cycles.
 
     Every cycle, the first included, begins with the complex128 true
-    residual r = b - op.apply(x) and the convergence test, so an exact
-    minv returns x0 after one minv and one apply and builds nothing else.
+    residual r = b - op.apply(x), formed in place in the output of apply,
+    and the convergence test, so an exact minv returns x0 after one minv
+    and one apply and builds nothing else.  minv is called once, for x0,
+    and its tables are dropped with it: a cycle head holds only the
+    basis, the twin and its preconditioner, b, x and r.
     Otherwise Arnoldi runs from r / ||r|| on v -> apply(minv(v)) of the
     complex64 twin of op, with classical Gram-Schmidt done twice (Giraud,
     Langou & Rozloznik 2005) over a complex64 basis and Givens rotations
@@ -450,12 +522,12 @@ def _gmres(op, f, tol, maxiter):
     """
     b = f.values.ravel()
     bnorm = np.linalg.norm(b)
-    minv = op.preconditioner()
-    x, its, cycles = minv(f), 0, 0
+    x, its, cycles = op.preconditioner()(f), 0, 0
     while True:
-        r = b - op.apply(x).ravel()
+        r = op.apply(x).ravel()
+        np.subtract(b, r, out=r)
         rnorm = np.linalg.norm(r)
-        if rnorm <= tol * bnorm or its >= maxiter:
+        if rnorm <= tol * bnorm or its >= MAXITER:
             return x, rnorm / bnorm, its, cycles
         if not cycles:
             low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64)
@@ -471,7 +543,7 @@ def _gmres(op, f, tol, maxiter):
         g[0] = 1.0
         np.multiply(r, 1 / rnorm, out=V[0])
         del r
-        for j in range(min(RESTART, maxiter - its)):
+        for j in range(min(RESTART, MAXITER - its)):
             its += 1
             w = low.apply(minv32(V[j])).ravel()
             for _ in range(2):

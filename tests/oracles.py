@@ -60,3 +60,32 @@ def hop_gradient(u, disc, k):
         np.subtract(up, np.conj(U) * v[lo], out=up)
     out /= 2 * u.grid.h
     return out
+
+
+def whole_array_apply(op, u):
+    """op.apply(u) swept over the whole grid at once: the complex diagonal
+    2n/h^2 + V - lambda - i eps cast to op's dtype times u, minus the hop
+    summed in a zero grid-sized array one axis at a time (U_k u(x + h e_k)
+    at the lower end of each axis-k edge, then conj(U_k) u(x) at its upper
+    end) and scaled by 1/h^2."""
+    g, disc = op.grid, op.disc
+    diag = ((2 * g.n / g.h ** 2 + disc.V - op.lam) - 1j * op.eps).astype(op.dtype)
+    phases = (None if disc.phases is None else
+              [p.astype(op.dtype) for p in disc.phases])
+    u = np.asarray(u, op.dtype).reshape(g.shape)
+    out = diag * u
+    hop = np.zeros_like(u)
+    for k in range(g.n):
+        lo, hi = [slice(None)] * g.n, [slice(None)] * g.n
+        lo[k], hi[k] = slice(None, -1), slice(1, None)
+        lo, hi = tuple(lo), tuple(hi)
+        if phases is None:
+            hop[lo] += u[hi]
+            hop[hi] += u[lo]
+        else:
+            U = phases[k][lo]
+            hop[lo] += U * u[hi]
+            hop[hi] += np.conj(U) * u[lo]
+    hop *= 1.0 / g.h ** 2
+    out -= hop
+    return out

@@ -201,6 +201,7 @@ def test_bad_parameter_is_exit_3(tmp_path):
     ("sweep", {"lambda": -1.0}),
     ("sweep", {"lambda": float("nan")}),
     ("sweep", {"tol": -1.0}),
+    ("sweep", {"seed": float("inf")}),
 ])
 def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, monkeypatch, operator_calls,
                                                run_type, bad):
@@ -270,6 +271,17 @@ def test_impossible_sample_count_is_exit_3(tmp_path, samples):
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
     assert ("physical memory" if samples == 1.0e13 else "samples") in doc["detail"]
+
+
+@pytest.mark.parametrize("seed", [float("inf"), float("nan"), 1.5, -1, "x"])
+def test_bad_seed_is_exit_3(tmp_path, seed):
+    code, out = run(tmp_path, {
+        "n": 3, "run": "fields-check", "grid": {"L": 4.0, "h": 0.5},
+        "potential": {"A": {"name": "ex13"}}, "samples": 200, "seed": seed})
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert "seed" in doc["detail"]
 
 
 def test_cli_import_loads_no_scipy():
