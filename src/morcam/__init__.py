@@ -21,8 +21,8 @@ from .norms import (NormReport, duality_gap, dyadic_dual, hardy_ratio,
                     mixed_radial_norm, morrey_campanato, sphere_sup,
                     theorem_lhs, theorem_rhs)
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
-                        build_problem, covariant_gradient, gradient_split,
-                        make_datum, solve)
+                        build_problem, covariant_gradient, make_datum,
+                        radial_sweep, solve)
 from .verify import (IdentityReport, SweepReport, epsilon_sweep,
                      estimate_report, identity_residual, identity_scan,
                      manufactured_identity, resonance_functionals)

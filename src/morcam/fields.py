@@ -11,6 +11,7 @@ B_tau(x) = (x/|x|) B(x).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -395,8 +396,9 @@ def resolve_builtin(spec, defaults: dict, what: str):
     """(name, params) of a built-in spec: a name, or a mapping with "name"
     and parameter overrides.  defaults maps each built-in's name to its
     parameter defaults, which params starts from.  A spec that is not a
-    name or a mapping, a missing or unknown name, or an unknown parameter
-    raises ParameterError."""
+    name or a mapping, a missing or unknown name, an unknown parameter, or
+    a numeric parameter (or list entry) that is not finite raises
+    ParameterError naming it; a None default stays allowed."""
     if isinstance(spec, str):
         spec = {"name": spec}
     params = dict(spec) if isinstance(spec, dict) else {}
@@ -408,6 +410,11 @@ def resolve_builtin(spec, defaults: dict, what: str):
     if bad:
         raise ParameterError(
             f"unknown parameters for {what} '{name}': {sorted(map(str, bad))}")
+    for key, value in params.items():
+        entries = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, numbers.Real) and not math.isfinite(v) for v in entries):
+            raise ParameterError(
+                f"parameter {key} of {what} '{name}' must be finite, got {value!r}")
     return name, {**defaults[name], **params}
 
 

@@ -2,10 +2,14 @@
 
 Grid nodes are cell centers offset by h/2 in every coordinate, so no node
 sits at the origin and weights like 1/|x|, 1/|x|^2, 1/|x|^3 stay finite.
+Radial reductions are sums over exact radial bins.  A grid caches no
+grid-sized array: the node points and radii are built on access, and
+the bin index of a slab of rows of axis 0 is formed from 1-D tables.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,7 +40,7 @@ class RadialGrid:
 
     1-D node coordinates are -L + (i + 1/2)h for i = 0..m-1 with m = 2L/h;
     L/h must be an integer.  Radial bins collect the nodes of one radius
-    (see radial_index); radial shells are bins of thickness h in |x|,
+    (see slab_bins); radial shells are bins of thickness h in |x|,
     shell k collecting nodes with k*h <= |x| < (k+1)*h.
     """
 
@@ -87,18 +91,25 @@ class RadialGrid:
     # With s_k = 2 i_k + 1 - m (odd), 4|x|^2/h^2 = q = sum_k s_k^2 and every
     # s_k^2 = 1 (mod 8), so b = (q - n)/8 is an integer: nodes share a bin
     # exactly when they share a radius, and every radial reduction is a sum
-    # over bins.
+    # over bins.  The bin of a node is t[i_0] + ... + t[i_{n-1}] with
+    # t = (s^2 - 1)/8, so the grid keeps t and the sums over the axes other
+    # than axis 0 (grid.size/m values), and no grid-sized index.
 
     @cached_property
-    def radial_index(self) -> np.ndarray:
-        """Radial bin b = sum_k (s_k^2 - 1)/8 of each node, flat.  Kept as
-        intp, the index type np.bincount reads without a converted copy."""
+    def _odd_bins(self) -> np.ndarray:
         s = np.arange(1 - self.m, self.m, 2)
-        t = (s * s - 1) // 8
-        b = t
-        for _ in range(self.n - 1):
-            b = np.add.outer(b, t)
-        return b.ravel()
+        return (s * s - 1) // 8
+
+    @cached_property
+    def _row_bins(self) -> np.ndarray:
+        t = self._odd_bins
+        return functools.reduce(np.add.outer, [t] * (self.n - 1), np.zeros((), np.intp))
+
+    def slab_bins(self, s: int, e: int) -> np.ndarray:
+        """Radial bin b = sum_k (s_k^2 - 1)/8 of each node in the rows s:e
+        of axis 0, flat, as intp (the index type np.bincount reads
+        without a converted copy)."""
+        return np.add.outer(self._odd_bins[s:e], self._row_bins).ravel()
 
     @property
     def n_bins(self) -> int:
@@ -110,10 +121,11 @@ class RadialGrid:
         no node; their sums are zero."""
         return self.h / 2 * np.sqrt(8.0 * np.arange(self.n_bins) + self.n)
 
-    @cached_property
+    @property
     def radii(self) -> np.ndarray:
-        """|x| at the nodes, shape grid.shape: the bin radii gathered."""
-        return self.bin_radii[self.radial_index].reshape(self.shape)
+        """|x| at the nodes, shape grid.shape: the bin radii gathered,
+        built on each access like points."""
+        return self.bin_radii[self.slab_bins(0, self.m)].reshape(self.shape)
 
     @cached_property
     def bin_shells(self) -> np.ndarray:
@@ -134,9 +146,14 @@ class RadialGrid:
         return values.sum() * self.cell_volume
 
     def bin_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum of real node values * h^n per radial bin."""
-        return np.bincount(self.radial_index, weights=np.asarray(values, float).ravel(),
-                           minlength=self.n_bins) * self.cell_volume
+        """Sum of real node values * h^n per radial bin, binned one row of
+        axis 0 at a time (see slab_bins)."""
+        values = np.asarray(values, float).reshape(self.shape)
+        sums = np.zeros(self.n_bins)
+        for i in range(self.m):
+            sums += np.bincount(self.slab_bins(i, i + 1), weights=values[i].ravel(),
+                                minlength=self.n_bins)
+        return sums * self.cell_volume
 
     def shell_sums(self, sums: np.ndarray) -> np.ndarray:
         """Per-shell totals of per-bin sums (bin_sums)."""

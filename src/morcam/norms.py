@@ -1,6 +1,8 @@
 """Weighted functionals on grid fields: Morrey-Campanato norm, dyadic
 dual norm, mixed radial norms, sphere suprema, Hardy ratios, and the
-itemized left/right-hand sides of the a priori estimates.
+itemized left/right-hand sides of the a priori estimates.  The Hardy
+ratio and the estimate's left side bin their densities in one
+resolvent.radial_sweep over slabs of the grid.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .errors import MorcamError, ParameterError
 from .grids import RadialGrid, ScalarField
 from .multipliers import check_estimate_parameters
-from .resolvent import Discretization, check_resolvent_parameters, gradient_split
+from .resolvent import Discretization, check_resolvent_parameters, radial_sweep
 
 __all__ = [
     "NormReport",
@@ -54,12 +56,12 @@ class NormReport:
         return out
 
 
-def _mc_sup_sq(grid: RadialGrid, weights: np.ndarray):
-    """sup over node radii R of (1/R) * sum_{|x| <= R} weights * h^n for
-    weights >= 0: a cumulative sum over the radial bins.  An empty bin
-    repeats its predecessor's sum at a larger R, so the sup and its radius
-    are those of an occupied bin."""
-    ratios = np.cumsum(grid.bin_sums(weights)) / grid.bin_radii
+def _mc_sup_sq(grid: RadialGrid, sums: np.ndarray):
+    """sup over node radii R of (1/R) * sum_{|x| <= R} w * h^n for
+    weights w >= 0 with per-bin sums (bin_sums): a cumulative sum over
+    the radial bins.  An empty bin repeats its predecessor's sum at a
+    larger R, so the sup and its radius are those of an occupied bin."""
+    ratios = np.cumsum(sums) / grid.bin_radii
     k = int(np.argmax(ratios))
     return float(ratios[k]), float(grid.bin_radii[k])
 
@@ -67,7 +69,7 @@ def _mc_sup_sq(grid: RadialGrid, weights: np.ndarray):
 def morrey_campanato(u: ScalarField):
     """Morrey-Campanato norm |||u||| (the square root of the radial sup)
     together with the maximizing radius."""
-    sup_sq, rstar = _mc_sup_sq(u.grid, u.abs2())
+    sup_sq, rstar = _mc_sup_sq(u.grid, u.grid.bin_sums(u.abs2()))
     return math.sqrt(sup_sq), rstar
 
 
@@ -249,9 +251,9 @@ def hardy_ratio(u: ScalarField, disc: Discretization) -> float:
     """(int |u|^2/|x|^2) / (int |grad_A u|^2) on the grid; bounded by the
     Hardy constant 4/(n-2)^2 up to discretization slack."""
     grid = u.grid
-    num = float(grid.bin_sums(u.abs2()) @ grid.bin_radii ** -2)
-    g2, _ = gradient_split(u, disc)
-    den = float(grid.integrate(g2))
+    su2, sg2 = radial_sweep(u, disc, lambda sl: [sl.u2, sl.g2])
+    num = float(su2 @ grid.bin_radii ** -2)
+    den = float(sg2.sum())
     if den <= 0:
         raise MorcamError("hardy_ratio undefined: zero covariant-gradient energy")
     return num / den
@@ -281,36 +283,37 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     rep = NormReport()
     r = grid.bin_radii
     bracket = np.sqrt(1 + r ** 2)
+    potential = disc.pp.V is not None
+    if potential:
+        drv = disc.radial_derivative()
 
-    g2, g_r = gradient_split(u, disc)
-    mc_sq, rstar = _mc_sup_sq(grid, g2)
+    def densities(sl):
+        yield sl.g2
+        # |g_tau|^2 = |g|^2 - |g_r|^2, clipped at zero
+        tau = sl.g2.copy()
+        for part in (sl.g_r.real, sl.g_r.imag):
+            tau -= np.square(part)
+        yield np.maximum(tau, 0.0, out=tau)
+        yield sl.u2
+        if potential:
+            # the non-radial weights (d_r V)_- and V_-
+            for w in (drv, disc.V):
+                yield np.maximum(-sl.of(w), 0.0) * sl.u2
+
+    sums = radial_sweep(u, disc, densities)
+    mc_sq, rstar = _mc_sup_sq(grid, sums[0])
     rep.values["grad_mc_sq"] = mc_sq
     rep.rstar["grad_mc_sq"] = rstar
-    # |g_tau|^2 = |g|^2 - |g_r|^2 in place, g_r's parts squared as scratch
-    for part in (g_r.real, g_r.imag):
-        np.square(part, out=part)
-        g2 -= part
-    del g_r
-    np.maximum(g2, 0.0, out=g2)
-    tangential = float(grid.bin_sums(g2) @ (1 / r))
+    tangential = float(sums[1] @ (1 / r))
 
     if n == 3:
         rep.values["origin_sq"] = abs(grid.interpolate_origin(u.values)) ** 2
 
-    u2 = u.abs2()
     rep.values["drV_minus"] = rep.values["V_minus"] = 0.0
-    if disc.pp.V is not None:
-        # the non-radial weights (d_r V)_- and V_- go through g2's buffer
-        weight = g2
-        np.negative(disc.radial_derivative(), out=weight)
-        np.maximum(weight, 0.0, out=weight)
-        rep.values["drV_minus"] = (M / 2) * grid.cell_volume * float(
-            np.dot(weight.ravel(), u2.ravel()))
-        np.negative(disc.V, out=weight)
-        np.maximum(weight, 0.0, out=weight)
-        weight *= u2
-        rep.values["V_minus"] = float(grid.bin_sums(weight) @ (1 / bracket))
-    su2 = grid.bin_sums(u2)
+    if potential:
+        rep.values["drV_minus"] = (M / 2) * float(sums[3].sum())
+        rep.values["V_minus"] = float(sums[4] @ (1 / bracket))
+    su2 = sums[2]
     rep.values["lambda_term"] = lam * float(su2 @ (1 / bracket))
     rep.values["tangential"] = tangential
 

@@ -19,15 +19,23 @@ complex64 Krylov basis, and adds its complex64 correction to the
 complex128 iterate.  Accuracy below float32 precision comes from the
 next cycle's true residual, not from the cycle itself.
 
-The stencil is applied slab by slab along axis 0 (SLAB_BYTES a slab), so
-an application allocates its output and two slabs of scratch, not
-grid-sized temporaries.  An operator keeps only the real part of its
-diagonal, 2n/h^2 + V - lambda, in its real precision; -i eps is formed
-per slab.  The complex128 preconditioner is called once, for the start,
-and not kept.  At a cycle head a solve therefore holds its Krylov basis,
-the complex64 twin (link phases, real diagonal, preconditioner tables),
-the datum, the iterate and the residual, formed in place in the output
-of the application.
+The grid is swept slab by slab along axis 0 (SLAB_BYTES a slab).  The
+samples of A, V and d_r V are taken per slab from the 1-D node
+coordinates.  An application of the stencil allocates its output and
+two slabs of scratch, not grid-sized temporaries.  An operator keeps
+only the real part of its diagonal, 2n/h^2 + V - lambda, in its real
+precision; -i eps is formed per slab.  The complex128 preconditioner is
+called once, for the start: it keeps no table and forms 1/(mu - lambda
+- i eps) per slab in that call.  At a cycle head a solve therefore holds
+its Krylov basis, the complex64 twin (link phases, real diagonal,
+preconditioner tables), the datum, the iterate and the residual, formed
+in place in the output of the application.
+
+After a solve, radial_sweep evaluates the radial densities of the
+estimate and the identity checks in one more sweep: per slab it forms
+the covariant gradient (one halo row along axis 0), |grad_A u|^2 and
+x . grad_A u, and bins each density into per-bin sums, so no density is
+held for the whole grid.
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SolverError
-from .fields import PotentialPair, radial_derivative_parts, resolve_builtin
+from .fields import (PotentialPair, radial_derivative_parts, resolve_builtin,
+                     trapping_component)
 from .grids import RadialGrid, ScalarField, point_array
 
 __all__ = [
@@ -53,7 +62,7 @@ __all__ = [
     "make_datum",
     "solve",
     "covariant_gradient",
-    "gradient_split",
+    "radial_sweep",
     "link_phases",
     "epsilon_floor",
     "check_resolvent_parameters",
@@ -70,11 +79,17 @@ MAXITER = 2000
 #: resolves the correction to a few units in its last place, and the next
 #: cycle continues from the complex128 true residual.
 CYCLE_REDUCTION = 16 * float(np.finfo(np.float32).eps)
-#: Bytes of one slab of DiscreteOperator.apply's sweep along axis 0: the
-#: diagonal term, the hop sum and its scaling of a slab stay in cache
-#: between them, and apply's scratch is two slabs instead of grid-sized
-#: temporaries.
+#: Bytes of one slab of a sweep along axis 0.  In DiscreteOperator.apply
+#: a slab of one array: the diagonal term, the hop sum and its scaling of
+#: a slab stay in cache between them, and apply's scratch is two slabs
+#: instead of grid-sized temporaries.  In the sampling, the free start and
+#: radial_sweep, a slab's whole working set.
 SLAB_BYTES = 256 * 1024
+#: Bytes a node of the working set of the sampling and of radial_sweep:
+#: about 32 float64 values (the point array and the temporaries of the
+#: potential's callables, or the gradient buffers, B_tau and the
+#: densities with theirs).
+_WORK_NODE_BYTES = 32 * 8
 #: Grid-sized complex128 arrays a solve holds besides its Krylov basis: the
 #: link phases, V, the real diagonals of both operators, the datum,
 #: solution, residual, the complex64 operator's phases, and the
@@ -107,18 +122,44 @@ def check_resolvent_parameters(lam: float | None = None,
 
 def link_phases(grid: RadialGrid, pp: PotentialPair):
     """Link phases exp(-i h A_k(x + (h/2) e_k)) per axis, or None when
-    A vanishes identically.  Each axis's midpoints are built from the 1-D
-    node coordinates and dropped once sampled."""
+    A vanishes identically.  Each axis's midpoints are sampled one slab
+    of axis 0 at a time (see _slab_points).  A that samples non-finite
+    raises ParameterError."""
     if pp.A is None:
         return None
-    c = grid.coords_1d
     phases = []
     for k in range(grid.n):
-        axes = [c] * grid.n
-        axes[k] = c + grid.h / 2
-        Ak = pp.eval_A(point_array(axes))[..., k]
-        phases.append(np.exp(-1j * grid.h * Ak))
+        p = np.empty(grid.shape, complex)
+        for s, e in _slabs(grid, _WORK_NODE_BYTES):
+            Ak = pp.eval_A(_slab_points(grid, s, e, k))[..., k]
+            _check_finite(Ak, "magnetic potential A")
+            p[s:e] = np.exp(-1j * grid.h * Ak)
+        phases.append(p)
     return phases
+
+
+def _slabs(grid: RadialGrid, node_bytes: int) -> list:
+    """The row ranges (s, e) of the slabs of axis 0 that hold SLAB_BYTES
+    at node_bytes bytes a node, at least one row each."""
+    m = grid.m
+    rows = min(m, max(1, SLAB_BYTES // (node_bytes * (grid.size // m))))
+    return [(s, min(s + rows, m)) for s in range(0, m, rows)]
+
+
+def _slab_points(grid: RadialGrid, s: int, e: int, k: int | None = None):
+    """The nodes of the rows s:e of axis 0, shape (e - s, m, ..., m, n),
+    built from the 1-D coordinates; with k, the midpoints x + (h/2) e_k of
+    their axis-k edges."""
+    axes = [grid.coords_1d] * grid.n
+    if k is not None:
+        axes[k] = grid.coords_1d + grid.h / 2
+    axes[0] = axes[0][s:e]
+    return point_array(axes)
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{what} samples non-finite values on the grid")
 
 
 def check_memory(need: float, what: str) -> None:
@@ -142,7 +183,10 @@ class Discretization:
     where.  A V that samples to zero at every node is kept as a 0-d zero
     (and ``capped`` as a 0-d False), which every reader broadcasts, so a
     free pair holds no grid-sized V.  d_r V is sampled on first use and
-    kept.  A grid too large to solve on is refused before any sampling.
+    kept.  Each is sampled one slab of axis 0 at a time from the 1-D
+    node coordinates, so no grid-sized point array is formed.  A grid too
+    large to solve on is refused before any sampling, and a V or A that
+    samples non-finite raises ParameterError.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
@@ -155,25 +199,33 @@ class Discretization:
         self.grid = grid
         self.pp = pp
         self.phases = link_phases(grid, pp)
-        V = pp.eval_V(grid.points)
-        if not V.any():
-            V = np.zeros(())
         cap = 1.0 / grid.h ** 2
-        self.capped = np.abs(V) > cap
-        if self.capped.any():
+        V = np.empty(grid.shape)
+        capped = np.empty(grid.shape, bool)
+        for s, e in _slabs(grid, _WORK_NODE_BYTES):
+            v = pp.eval_V(_slab_points(grid, s, e))
+            _check_finite(v, "electric potential V")
+            np.greater(np.abs(v), cap, out=capped[s:e])
+            np.clip(v, -cap, cap, out=V[s:e])
+        if not V.any():
+            V, capped = np.zeros(()), np.zeros((), bool)
+        if capped.any():
             warnings.warn(
                 f"electric potential capped at {cap:.3g} on "
-                f"{int(self.capped.sum())} nodes", stacklevel=2)
-            V = np.clip(V, -cap, cap)
+                f"{int(capped.sum())} nodes", stacklevel=2)
         self.V = V
+        self.capped = capped
         self._drv = None
 
     def radial_derivative(self) -> np.ndarray:
         """d_r V at the nodes, zero where the cap bit (the capped V is
-        flat there).  Sampled on the first call; later calls return the
-        same read-only array."""
+        flat there).  Sampled one slab of axis 0 at a time on the first
+        call; later calls return the same read-only array."""
         if self._drv is None:
-            drv = radial_derivative_parts(self.pp, self.grid.points)
+            grid = self.grid
+            drv = np.empty(grid.shape)
+            for s, e in _slabs(grid, _WORK_NODE_BYTES):
+                drv[s:e] = radial_derivative_parts(self.pp, _slab_points(grid, s, e))
             drv[self.capped] = 0.0
             drv.flags.writeable = False
             self._drv = drv
@@ -191,7 +243,7 @@ def _along(n: int, k: int, index) -> tuple:
 def _add_hop(hop: np.ndarray, U, v: np.ndarray, tmp: np.ndarray,
              conj: bool) -> None:
     """hop += v, or hop += U v (conj(U) v when conj) with the product
-    formed in the flat scratch tmp."""
+    formed in the flat scratch tmp (unused when U is None)."""
     if U is None:
         hop += v
         return
@@ -247,17 +299,17 @@ class DiscreteOperator:
         and -eps, the values a complex cast of the whole diagonal holds,
         and every sum is taken in the order of a whole-array sweep, so the
         result does not depend on the slab size."""
-        g, dtype = self.grid, self.dtype
-        m, eps = g.m, self.eps
+        g, dtype, eps = self.grid, self.dtype, self.eps
         u = np.asarray(u, dtype).reshape(g.shape)
         out = np.empty(g.shape, dtype)
-        rows = min(m, max(1, SLAB_BYTES // (u.nbytes // m)))
-        # hop sums the slab's hops; each product U u is formed in tmp
-        hop, tmp = np.empty((2, rows) + g.shape[1:], dtype)
+        slabs = _slabs(g, dtype.itemsize)
+        # hop sums the slab's hops; each product U u is formed in tmp (a
+        # free operator has no products)
+        hop = np.empty((slabs[0][1],) + g.shape[1:], dtype)
+        tmp = None if self._phases is None else np.empty_like(hop)
         rd = self._real_diag
         scale = 1.0 / g.h ** 2
-        for s in range(0, m, rows):
-            e = min(s + rows, m)
+        for s, e in slabs:
             slab = hop[:e - s]
             slab.real = rd[s:e] if rd.ndim else rd
             slab.imag = -eps
@@ -298,51 +350,80 @@ class DiscreteOperator:
         (see _dirichlet_eigenpairs), acting on flat vectors of the
         operator's dtype.
 
-        The table 1/(d - i eps), d = mu - lambda, is kept as its real and
-        imaginary parts d/(d^2 + eps^2) and eps/(d^2 + eps^2), formed in
-        float64 real arithmetic.  v may also be a ScalarField.  When this
+        The table 1/(d - i eps), d = mu - lambda, is formed as its real and
+        imaginary parts d/(d^2 + eps^2) and eps/(d^2 + eps^2) in float64
+        real arithmetic, one slab of axis 0 at a time.  A complex64
+        operator is the twin a solve calls once per Arnoldi step, so it
+        keeps the table, cast to float32.  A complex128 one is the start
+        of a solve, called once, so it keeps nothing grid-sized and each
+        call forms the table slab by slab as it multiplies: the same
+        values either way.  v may also be a ScalarField.  When this
         operator is free and the field has factors f_k, the callable takes
         the spectrum S v as the outer product of the 1-D transforms S f_k,
-        so only the inverse transform is n-D; otherwise it transforms the
-        field's values."""
+        formed slab by slab, so only the inverse transform is n-D;
+        otherwise it transforms the field's values.  A call holds two
+        stacked (2, *shape) real buffers, then the result and one of
+        them."""
         g, dtype = self.grid, self.dtype
         shape, real = g.shape, np.finfo(dtype).dtype
+        lam, eps = self.lam, self.eps
         # only a free operator's solve is its start; any other solve takes
         # the dense transform, one preconditioner call of many, so its
         # steps keep their rounding
         free = self.disc.phases is None and self.disc.V.ndim == 0
         S, mu = _dirichlet_eigenpairs(g.m, g.h)
         S = S.astype(real, copy=False)
-        d = functools.reduce(np.add.outer, [mu] * g.n)
-        d -= self.lam
-        q = d * d
-        q += self.eps ** 2
-        d /= q
-        np.divide(self.eps, q, out=q)
-        inv_re, inv_im = d.astype(real, copy=False), q.astype(real, copy=False)
+        # a slab holds the table's two float64 parts
+        slabs = _slabs(g, 2 * 8)
+
+        def table(s, e):
+            # the outer sum, by broadcasting (np.add.outer holds a second
+            # copy of its result)
+            d = mu[s:e]
+            for _ in range(g.n - 1):
+                d = np.add(d[..., None], mu)
+            d -= lam
+            q = d * d
+            q += eps ** 2
+            d /= q
+            np.divide(eps, q, out=q)
+            return d, q
+
+        kept = None
+        if dtype == np.complex64:
+            kept = np.empty((2,) + shape, real)
+            for s, e in slabs:
+                kept[0, s:e], kept[1, s:e] = table(s, e)
 
         def minv(v):
             factors = None
             if isinstance(v, ScalarField):
                 v, factors = v.values, v.factors if free else None
-            out = np.empty(shape, dtype)
             a, b = np.empty((2,) + shape, real), np.empty((2,) + shape, real)
             if factors is None:
                 v = np.asarray(v, dtype).reshape(shape)
                 a[0], a[1] = v.real, v.imag
                 a, b = _sine_transform(a, b, S)
-                re, im = a
             else:
                 spec = [S @ f for f in factors]
                 head = functools.reduce(np.multiply.outer, spec[:-1], np.ones(()))
-                np.multiply.outer(head, spec[-1], out=out)
-                re, im = out.real, out.imag
-            np.multiply(re, inv_re, out=b[0])
-            np.multiply(re, inv_im, out=b[1])
-            # re is read (it may be a[0]); a[0] holds each im product in turn
-            b[0] -= np.multiply(im, inv_im, out=a[0])
-            b[1] += np.multiply(im, inv_re, out=a[0])
+                prod = np.empty((slabs[0][1],) + shape[1:], dtype)
+                for s, e in slabs:
+                    t = np.multiply(head[s:e, ..., None], spec[-1], out=prod[:e - s])
+                    a[0, s:e], a[1, s:e] = t.real, t.imag
+                del prod, t
+            # the twin reads its kept table in one pass
+            for s, e in slabs if kept is None else [(0, g.m)]:
+                inv_re, inv_im = table(s, e) if kept is None else kept
+                re, im = a[0, s:e], a[1, s:e]
+                np.multiply(re, inv_re, out=b[0, s:e])
+                np.multiply(re, inv_im, out=b[1, s:e])
+                # re has been read; it holds each im product in turn
+                b[0, s:e] -= np.multiply(im, inv_im, out=re)
+                b[1, s:e] += np.multiply(im, inv_re, out=re)
             b, a = _sine_transform(b, a, S)
+            del a
+            out = np.empty(shape, dtype)
             out.real, out.imag = b[0], b[1]
             return out.ravel()
 
@@ -476,8 +557,8 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
     -u reads f in place instead of a negated copy; negation is exact, so u
     is the same as from the system with right-hand side -f.  A tol that is
     not finite and positive raises ParameterError before any operator
-    application; nonconvergence raises SolverError (with the achieved
-    residual).
+    application; nonconvergence, a non-finite residual included, raises
+    SolverError (with the achieved residual).
     """
     check_resolvent_parameters(tol=tol)
     grid = prob.grid
@@ -486,7 +567,7 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
         u.residual, u.iterations, u.cycles = 0.0, 0, 0
         return u
     x, res, its, cycles = _gmres(prob.op, prob.f, tol)
-    if res > tol:
+    if not res <= tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
             achieved_residual=res)
@@ -500,7 +581,9 @@ def _gmres(op, f, tol):
     """Right-preconditioned GMRES(RESTART) for op.apply(x) = b, b the flat
     values of the field f, from x0 = minv(f) (Saad & Schultz 1986), with
     minv = op.preconditioner(), stopping once ||b - op.apply(x)|| <=
-    tol ||b|| or after MAXITER iterations.  Returns x, its relative
+    tol ||b||, after MAXITER iterations or at the first non-finite
+    residual norm (a cycle whose Givens estimate is not finite ends at
+    once, and the next cycle head returns).  Returns x, its relative
     residual, the number of Arnoldi steps and the number of cycles.
 
     Every cycle, the first included, begins with the complex128 true
@@ -527,7 +610,7 @@ def _gmres(op, f, tol):
         r = op.apply(x).ravel()
         np.subtract(b, r, out=r)
         rnorm = np.linalg.norm(r)
-        if rnorm <= tol * bnorm or its >= MAXITER:
+        if not math.isfinite(rnorm) or rnorm <= tol * bnorm or its >= MAXITER:
             return x, rnorm / bnorm, its, cycles
         if not cycles:
             low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64)
@@ -561,7 +644,7 @@ def _gmres(op, f, tol):
             H[j, j] = phase * d
             g[j + 1] = -np.conj(sn[j]) * g[j]
             g[j] *= cs[j]
-            if abs(g[j + 1]) <= cut:
+            if not abs(g[j + 1]) > cut:  # converged, or non-finite
                 break
             np.multiply(w, 1 / hnext, out=V[j + 1])
         k = j + 1
@@ -573,50 +656,118 @@ def _gmres(op, f, tol):
 
 
 def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
-                       out: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None,
+                       rows: tuple | None = None) -> np.ndarray:
     """Component k of the centered covariant gradient with the operator's
     link phases, (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h,
-    written into out (a complex array of grid.shape) when given;
-    Dirichlet zero is assumed outside the box.  The difference is written
-    in place and scaled by the real 1/2h (no complex division)."""
+    on the rows s:e = rows of axis 0 (all rows when None), written into
+    out (a complex array of shape (e - s, m, ..., m)) when given;
+    Dirichlet zero is assumed outside the box.  Along axis 0 the rows
+    read u one row past each end of the range that lies inside the box.
+    The difference is written in place and scaled by the real 1/2h (no
+    complex division), so a row's value does not depend on the range."""
     grid = u.grid
     if grid != disc.grid:
         raise ParameterError("field and discretization grids differ")
+    n, m, v, P = grid.n, grid.m, u.values, disc.phases
+    s, e = (0, m) if rows is None else rows
     if out is None:
-        out = np.empty(grid.shape, complex)
-    n, v = grid.n, u.values
-    lo, hi = _along(n, k, slice(None, -1)), _along(n, k, slice(1, None))
-    U = None if disc.phases is None else disc.phases[k][lo]
-    if U is None:
-        out[lo] = v[hi]
+        out = np.empty((e - s,) + grid.shape[1:], complex)
+    if k == 0:
+        # the edges (i, i+1) that start in the rows have i in s:b, those
+        # that end there i in a-1:e-1
+        b, a = min(e, m - 1), max(s, 1)
+        lo, hi, last = slice(None, b - s), slice(a - s, None), slice(b - s, None)
+        v_up, v_down = v[s + 1:b + 1], v[a - 1:e - 1]
+        U_up = U_down = None
+        if P is not None:
+            U_up, U_down = P[0][s:b], P[0][a - 1:e - 1]
     else:
-        np.multiply(U, v[hi], out=out[lo])
-    out[_along(n, k, -1)] = 0
-    out[hi] -= v[lo] if U is None else np.conj(U) * v[lo]
+        lo, hi, last = (_along(n, k, slice(None, -1)), _along(n, k, slice(1, None)),
+                        _along(n, k, -1))
+        v_up, v_down = v[s:e][hi], v[s:e][lo]
+        U_up = U_down = None if P is None else P[k][s:e][lo]
+    if U_up is None:
+        out[lo] = v_up
+    else:
+        np.multiply(U_up, v_up, out=out[lo])
+    out[last] = 0
+    out[hi] -= v_down if U_down is None else np.conj(U_down) * v_down
     out *= 1 / (2 * grid.h)
     return out
 
 
-def gradient_split(u: ScalarField, disc: Discretization, btau=None):
-    """|g|^2 and the radial component g_r = g . x/|x| (complex) of the
-    covariant gradient g of u, and btau . conj(g) when a vector field btau
-    of shape (*grid.shape, n) is given: (g2, g_r) or (g2, g_r, b.conj(g)).
-    One axis at a time through one reused component buffer and the 1-D
-    node coordinates.  The tangential part is |g_tau|^2 = |g|^2 - |g_r|^2."""
+@dataclass
+class Slab:
+    """The rows of axis 0 that radial_sweep passes to its densities: u's
+    values there and |u|^2, |g|^2 and the radial component g_r = g . x/|x|
+    of the covariant gradient g of u, and B_tau . conj(g) when the sweep
+    samples the trapping component (None otherwise)."""
+
+    rows: slice
+    u: np.ndarray
+    u2: np.ndarray
+    g2: np.ndarray
+    g_r: np.ndarray
+    bg: np.ndarray | None
+
+    def of(self, a: np.ndarray) -> np.ndarray:
+        """The slab's rows of a node array, or a itself when it is 0-d."""
+        return a if np.ndim(a) == 0 else a[self.rows]
+
+
+def radial_sweep(u: ScalarField, disc: Discretization, densities: Callable,
+                 trapping: bool = False) -> np.ndarray:
+    """Per-bin sums times h^n (as RadialGrid.bin_sums gives them) of the
+    real node densities that densities(slab) yields for each Slab, in one
+    sweep over slabs of axis 0 whose whole working set is about
+    SLAB_BYTES: an array of shape (number of densities, grid.n_bins).
+    Each density is binned as it comes, so a generator holds one at a
+    time.
+
+    Per slab, the gradient components come from covariant_gradient on the
+    slab's rows, one reused buffer at a time, and are summed into |g|^2
+    and x . g, which is divided by the node radii; with trapping, B_tau
+    is sampled on the slab's nodes (fields.trapping_component) and
+    B_tau . conj(g) summed too.  Each slab's densities are binned with
+    its own index (RadialGrid.slab_bins), so nothing grid-sized is formed
+    and a node's values do not depend on the slab size; only the order of
+    the bin sums does."""
     grid = u.grid
-    n = grid.n
-    g2 = np.zeros(grid.shape)
-    g_r = np.zeros(grid.shape, complex)
-    bg = None if btau is None else np.zeros(grid.shape, complex)
-    buf, sq = np.empty(grid.shape, complex), np.empty(grid.shape)
-    for k in range(n):
-        gk = covariant_gradient(u, disc, k, out=buf)
-        for part in (gk.real, gk.imag):
-            g2 += np.square(part, out=sq)
-        if bg is not None:
-            bg += btau[..., k] * np.conj(gk)
-        gk *= grid.coords_1d.reshape((-1,) + (1,) * (n - 1 - k))
-        g_r += gk
-    for part in (g_r.real, g_r.imag):
-        part /= grid.radii
-    return (g2, g_r) if bg is None else (g2, g_r, bg)
+    if grid != disc.grid:
+        raise ParameterError("field and discretization grids differ")
+    n, c = grid.n, grid.coords_1d
+    slabs = _slabs(grid, _WORK_NODE_BYTES)
+    shape = (slabs[0][1],) + grid.shape[1:]
+    buf, g_r, bg = np.empty((3,) + shape, complex)
+    g2, sq = np.empty((2,) + shape)
+    sums = []
+    for s, e in slabs:
+        rows = e - s
+        g2s, g_rs, bgs = g2[:rows], g_r[:rows], bg[:rows] if trapping else None
+        g2s[...] = 0
+        g_rs[...] = 0
+        if trapping:
+            bgs[...] = 0
+            btau = trapping_component(disc.pp, _slab_points(grid, s, e))
+        for k in range(n):
+            gk = covariant_gradient(u, disc, k, out=buf[:rows], rows=(s, e))
+            for part in (gk.real, gk.imag):
+                g2s += np.square(part, out=sq[:rows])
+            if trapping:
+                bgs += btau[..., k] * np.conj(gk)
+            gk *= (c[s:e] if k == 0 else c).reshape((-1,) + (1,) * (n - 1 - k))
+            g_rs += gk
+        bins = grid.slab_bins(s, e)
+        r = grid.bin_radii[bins].reshape(g2s.shape)
+        for part in (g_rs.real, g_rs.imag):
+            part /= r
+        us = u.values[s:e]
+        u2 = np.abs(us)
+        u2 *= u2
+        slab = Slab(slice(s, e), us, u2, g2s, g_rs, bgs)
+        for j, d in enumerate(densities(slab)):
+            if j == len(sums):
+                sums.append(np.zeros(grid.n_bins))
+            sums[j] += np.bincount(bins, weights=np.ravel(d), minlength=grid.n_bins)
+    return np.array(sums) * grid.cell_volume

@@ -1,6 +1,7 @@
 """Term-by-term evaluation of the multiplier identity on discrete
 solutions, assembly of the a priori estimate, epsilon sweeps, and the
-zero-resonance diagnostics.
+zero-resonance diagnostics.  The identity's densities are binned in one
+resolvent.radial_sweep over slabs of the grid.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import numpy as np
 
 from .admissibility import AdmissibilityReport, admissibility_report
 from .errors import MorcamError, ParameterError, SolverError
-from .fields import PotentialPair, trapping_component
+from .fields import PotentialPair
 from .grids import RadialGrid, ScalarField
 from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters,
                           make_phi, make_varphi)
 from .norms import NormReport, dyadic_dual, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
-                        check_resolvent_parameters, epsilon_floor,
-                        gradient_split, make_datum, solve)
+                        check_resolvent_parameters, epsilon_floor, make_datum,
+                        radial_sweep, solve)
 
 __all__ = [
     "IdentityReport",
@@ -86,34 +87,36 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     atoms pair with |u|^2 through origin interpolation and shell-averaged
     surface integrals.  eps carries the sign of the absorption.  The
     scale-independent densities are summed per radial bin once for all
-    scales, and each scale evaluates its radial profiles on the bin radii.
+    scales, in one radial_sweep over slabs of the grid (B_tau sampled per
+    slab when A is present), and each scale evaluates its radial profiles
+    on the bin radii.
     """
     if u.grid != f.grid:
         raise MorcamError("u and f must share a grid")
     grid = u.grid
-    pp = disc.pp
     h, r = grid.h, grid.bin_radii
-    S = grid.bin_sums
-    u2 = u.abs2()
+    trapping = disc.pp.A is not None
+    drv = disc.radial_derivative()
 
-    trapping = pp.A is not None
-    if trapping:
-        g2, g_r, bdotg = gradient_split(u, disc, trapping_component(pp, grid.points))
-        s_trap = S(np.imag(u.values * bdotg))
-        del bdotg
-    else:
-        g2, g_r = gradient_split(u, disc)
-    g_r2 = np.square(g_r.real) + np.square(g_r.imag)
-    s_g2, s_gr2 = S(g2), S(g_r2)
-    s_gtau2 = S(np.maximum(g2 - g_r2, 0.0))
-    del g2, g_r2
-    xdotg = np.conj(g_r)
-    s_u2 = S(u2)
-    s_drv = S(disc.radial_derivative() * u2)
-    s_V = S(disc.V * u2)
-    s_fxg = S(np.real(f.values * xdotg))
-    s_fu = S(np.real(f.values * np.conj(u.values)))
-    s_uxg = S(np.imag(u.values * xdotg))
+    def densities(sl):
+        yield sl.g2
+        g_r2 = np.square(sl.g_r.real) + np.square(sl.g_r.imag)
+        yield g_r2
+        yield np.maximum(sl.g2 - g_r2, 0.0)
+        yield sl.u2
+        yield sl.of(drv) * sl.u2
+        yield sl.of(disc.V) * sl.u2
+        xdotg = np.conj(sl.g_r)
+        fs = sl.of(f.values)
+        yield np.real(fs * xdotg)
+        yield np.real(fs * np.conj(sl.u))
+        yield np.imag(sl.u * xdotg)
+        if trapping:
+            yield np.imag(sl.u * sl.bg)
+
+    sums = radial_sweep(u, disc, densities, trapping)
+    s_g2, s_gr2, s_gtau2, s_u2, s_drv, s_V, s_fxg, s_fu, s_uxg = sums[:9]
+    s_trap = sums[9] if trapping else None
     origin = abs(grid.interpolate_origin(u.values)) ** 2
 
     reports = []

@@ -4,6 +4,7 @@ import pytest
 from morcam import resolvent
 from morcam.fields import PotentialPair
 from morcam.grids import ScalarField
+from oracles import sweep_split
 
 
 @pytest.fixture
@@ -77,13 +78,19 @@ def operator_dtypes(monkeypatch):
 
 @pytest.fixture
 def split_of(monkeypatch):
-    """split_of(g, grid): resolvent.gradient_split of a given vector field
-    g of shape (*grid.shape, n), fed in through morcam.resolvent's
-    covariant_gradient in place of the gradient of a field."""
+    """split_of(g, grid): the |g|^2 and g_r = g . x/|x| that
+    resolvent.radial_sweep forms from a given vector field g of shape
+    (*grid.shape, n), fed in slab by slab through morcam.resolvent's
+    covariant_gradient in place of the gradient of a field, gathered into
+    grid-sized arrays."""
     def split(g, grid):
-        monkeypatch.setattr(resolvent, "covariant_gradient",
-                            lambda u, disc, k, out=None: np.array(g[..., k], complex))
+        def rows_of_g(u, disc, k, out=None, rows=None):
+            s, e = rows
+            out[...] = g[s:e, ..., k]
+            return out
+
+        monkeypatch.setattr(resolvent, "covariant_gradient", rows_of_g)
         disc = resolvent.Discretization(grid, PotentialPair(grid.n))
-        return resolvent.gradient_split(ScalarField.zeros(grid), disc)
+        return sweep_split(ScalarField.zeros(grid), disc)
 
     return split

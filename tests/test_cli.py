@@ -226,6 +226,36 @@ def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, monkeypatch, operator_c
     assert quadratures == []  # and before the admissibility quadrature
 
 
+@pytest.mark.parametrize("run_type, bad, name", [
+    # a NaN coulomb c ran 2000 Arnoldi steps on NaN before exit 3
+    ("sweep", {"potential": {"V": {"name": "coulomb", "c": float("nan")}}}, "c"),
+    # an infinite amplitude was capped at 1/h^2 and swept to exit 0
+    ("sweep", {"potential": {"V": {"name": "gaussian", "amplitude": float("inf")}}},
+     "amplitude"),
+    # a NaN width gave an admissibility verdict with C2 = C3 = NaN
+    ("admissibility", {"potential": {"V": {"name": "gaussian", "width": float("nan")}}},
+     "width"),
+    ("solve", {"f": {"name": "gaussian", "width": float("nan")}}, "width"),
+    ("sweep", {"f": {"name": "wave", "center": [0.0, float("nan"), 0.0]}}, "center"),
+    ("solve", {"f": {"name": "wave", "k": float("-inf")}}, "k"),
+])
+def test_nonfinite_builtin_parameter_is_exit_3(tmp_path, monkeypatch, operator_calls,
+                                               run_type, bad, name):
+    quadratures = []
+    monkeypatch.setattr(admissibility, "compute_constants",
+                        lambda *args, **kwargs: quadratures.append(args))
+    code, out = run(tmp_path, {
+        "n": 3, "run": run_type, "grid": {"L": 4.0, "h": 0.5}, "eps_list": [1.0],
+        "f": {"name": "gaussian", "width": 0.6}, **bad,
+    })
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert f"parameter {name} " in doc["detail"]
+    assert operator_calls["apply"] == 0  # rejected before any solve starts
+    assert quadratures == []  # and before the admissibility quadrature
+
+
 @pytest.mark.parametrize("run_type, bad", [
     ("verify-identity", {"M": float("nan")}),
     ("sweep", {"delta": float("nan"), "eps_list": [1.0]}),

@@ -41,12 +41,17 @@ def test_shell_partition_covers_all_nodes():
 def test_radial_index_bins_one_radius(n, half_m, h):
     # every bin b holds the nodes of the one q = 4|x|^2/h^2 = 8b + n, and
     # its radius is the nodes' radius to within 4 ulp (h is a power of two,
-    # so the node coordinates themselves carry no rounding)
+    # so the node coordinates themselves carry no rounding); the index of
+    # a slab of rows is that slab's part of the grid's, for 1-, 3- and
+    # m-row slabs
     grid = RadialGrid(n, half_m * h, h)
     s = 2 * np.indices(grid.shape) + 1 - grid.m
     q = np.sum(s ** 2, axis=0).ravel()
-    b = grid.radial_index
-    assert np.array_equal(q, 8 * b + n)
+    m = grid.m
+    for rows in (1, 3, m):
+        b = np.concatenate([grid.slab_bins(i, min(i + rows, m)) for i in range(0, m, rows)])
+        assert b.dtype == np.intp
+        assert np.array_equal(q, 8 * b + n)
     assert b.max() < grid.n_bins
     node_r = np.sqrt(np.sum(grid.points ** 2, axis=-1)).ravel()
     assert np.all(np.abs(grid.bin_radii[b] - node_r) <= 4 * np.spacing(node_r))

@@ -82,7 +82,7 @@ def test_mc_sup_matches_node_scan(grid):
     R = np.unique(r)
     ratios = (r[None, :] <= R[:, None] * (1 + 1e-12)) @ w.ravel() * grid.cell_volume / R
     k = int(np.argmax(ratios))
-    sup, rstar = _mc_sup_sq(grid, w)
+    sup, rstar = _mc_sup_sq(grid, grid.bin_sums(w))
     assert abs(sup - ratios[k]) <= 1e-12 * ratios[k]
     assert abs(rstar - R[k]) <= 1e-12 * R[k]
 

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from morcam import resolvent
 from morcam.errors import ParameterError, SolverError
-from morcam.fields import PotentialPair, example_field, make_potential_pair
+from morcam.fields import (PotentialPair, example_field, make_potential_pair,
+                           trapping_component)
 from morcam.grids import RadialGrid, ScalarField
 from morcam.resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                               build_problem, covariant_gradient, epsilon_floor,
-                              gradient_split, link_phases, make_datum, solve)
-from oracles import hop_gradient, whole_array_apply, zero_V_reference
+                              link_phases, make_datum, solve)
+from oracles import (hop_gradient, sweep_split, swirl, whole_array_apply,
+                     whole_grid_samples, zero_V_reference)
 
 rng = np.random.default_rng(5)
 
@@ -121,7 +123,8 @@ def test_singular_potential_capped_with_warning():
 
 
 def test_discretization_samples_V_once(monkeypatch):
-    # with an analytic dV_r, d_r V needs no V samples of its own
+    # with an analytic dV_r, d_r V needs no V samples of its own: the
+    # slabs of axis 0 that V is sampled on cover the grid once
     points = []
     eval_V = PotentialPair.eval_V
 
@@ -134,7 +137,8 @@ def test_discretization_samples_V_once(monkeypatch):
     disc = Discretization(grid, make_potential_pair(
         3, None, {"name": "exp_screened", "amplitude": 0.3}))
     disc.radial_derivative()
-    assert points == [grid.shape]
+    assert sum(p[0] for p in points) == grid.m
+    assert all(p[1:] == grid.shape[1:] for p in points)
 
 
 def test_link_phases_unit_modulus():
@@ -275,6 +279,71 @@ def test_free_discretization_and_datum_hold_only_the_datum():
         tracemalloc.stop()
     assert disc.V.ndim == 0
     assert held - f.values.nbytes < grid.size
+
+
+@pytest.mark.parametrize("A, V, what", [
+    (None, lambda x: np.where(x[..., 0] > 1.0, np.nan, 0.5), "electric potential V"),
+    (None, lambda x: np.full(x.shape[:-1], np.inf), "electric potential V"),
+    (lambda x: np.where(x[..., :1] > 1.0, np.nan, x), None, "magnetic potential A"),
+])
+def test_nonfinite_samples_are_refused(operator_calls, A, V, what):
+    # a custom callable that samples NaN or inf anywhere is refused by
+    # the sampling, before any operator is built or applied
+    with pytest.raises(ParameterError, match=what):
+        build_problem(PotentialPair(3, A=A, V=V), 1.0, 0.5, "gaussian", small_grid())
+    assert operator_calls == {"apply": 0, "precond": 0}
+
+
+def test_nonfinite_residual_ends_the_solve(operator_calls):
+    # a NaN that reaches the operator (here written into V after the
+    # sampling checked it) ends the solve at its first true residual:
+    # one application, not MAXITER Arnoldi steps on NaN
+    grid = small_grid()
+    disc = Discretization(grid, make_potential_pair(3, None, "gaussian"))
+    disc.V = np.full(grid.shape, np.nan)
+    prob = ResolventProblem(disc, 1.0, 0.5, make_datum(grid, "gaussian"))
+    with pytest.raises(SolverError) as err:
+        solve(prob)
+    assert math.isnan(err.value.achieved_residual)
+    assert operator_calls == {"apply": 1, "precond": 1}
+
+
+@pytest.mark.parametrize("pp", [
+    make_potential_pair(3, {"name": "ex13"}, {"name": "exp_screened", "amplitude": 0.3}),
+    PotentialPair(3, A=swirl, V=lambda x: -30.0 * np.exp(-np.sum(x ** 2, axis=-1))),
+], ids=["ex13-exp_screened", "custom-A-without-jacobian"])
+def test_slab_sampling_equals_whole_grid_sampling(monkeypatch, pp):
+    # link phases, V (capped: the custom V reaches -30 < -1/h^2 = -16) and
+    # d_r V sampled slab by slab from the 1-D coordinates are the
+    # whole-grid samples to the bit, from as many eval_A and eval_V points
+    grid = RadialGrid(3, 3.0, 0.25)
+    points = {"A": 0, "V": 0}
+    for key in points:
+        original = getattr(PotentialPair, f"eval_{key}")
+
+        def counted(pp, x, key=key, original=original):
+            points[key] += x.size // x.shape[-1]
+            return original(pp, x)
+
+        monkeypatch.setattr(PotentialPair, f"eval_{key}", counted)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            disc = Discretization(grid, pp)
+        drv = disc.radial_derivative()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the slabs' points and the callables' temporaries are a fraction of
+    # one grid array (whole-grid sampling peaked at twice what it held)
+    assert peak - held < grid.size * 16 / 2
+    sampled, points = points, {"A": 0, "V": 0}
+    phases, V, ref_drv = whole_grid_samples(grid, pp)
+    assert sampled == points
+    assert all(np.array_equal(p, q) for p, q in zip(disc.phases, phases))
+    assert np.array_equal(disc.V, V)
+    assert np.array_equal(drv, ref_drv)
 
 
 def test_datum_rejects_bad_specs():
@@ -429,14 +498,15 @@ def test_shell_datum_keeps_no_factors():
 
 def test_preconditioner_tables_hold_two_float_arrays():
     # Re and Im of 1/(d - i eps) are formed as d/(d^2 + eps^2) and
-    # eps/(d^2 + eps^2): two float64 arrays at the peak (four with the
-    # complex table), three while a complex64 operator casts them to the
-    # two float32 ones it keeps
+    # eps/(d^2 + eps^2) slab by slab: the complex64 twin keeps them as two
+    # float32 arrays (one float64 array's bytes), and the complex128
+    # start keeps no table at all, only the sine matrix (it held two
+    # float64 arrays)
     grid = RadialGrid(3, 8.0, 0.5)
     disc = Discretization(grid, PotentialPair(3))
     nbytes = grid.size * 8
-    for dtype, peak_at_most, held_at_most in ((np.complex128, 2.1, 2.1),
-                                              (np.complex64, 3.1, 1.1)):
+    for dtype, peak_at_most, held_at_most in ((np.complex128, 0.25, 0.25),
+                                              (np.complex64, 2.1, 1.1)):
         op = DiscreteOperator(disc, 1.0, 0.3, dtype)
         tracemalloc.start()
         try:
@@ -587,6 +657,27 @@ def test_solve_peak_memory():
     assert peak < 58 * grid.size * 16
 
 
+def test_free_solve_peak_memory():
+    # a free solve keeps no 1/(mu - lambda - i eps) table: its start holds
+    # two stacked real buffers and slab scratch, its one application the
+    # iterate, the output and a slab; 2.97 and 3.27 grid-sized complex128
+    # arrays beyond the datum, of which numpy's three fixed 8192-value
+    # ufunc buffers (0.75 at 32^3) are not grid arrays.  4.57 with the
+    # table, which this bound refuses
+    grid = RadialGrid(3, 8.0, 0.5)
+    disc = Discretization(grid, PotentialPair(3))
+    tracemalloc.start()
+    try:
+        f = make_datum(grid, {"name": "wave", "width": 2.0, "k": 3.5})
+        u = solve(ResolventProblem(disc, 1.0, 0.1, f), tol=1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.iterations == 0
+    ufunc_buffers = 3 * np.getbufsize() * 16
+    assert peak <= f.values.nbytes + 3 * grid.size * 16 + ufunc_buffers
+
+
 def test_solve_reaches_requested_residual():
     grid = small_grid(h=0.25)
     pp = make_potential_pair(3, {"name": "ex13"}, {"name": "gaussian", "amplitude": 0.5})
@@ -706,16 +797,18 @@ def test_radial_component_of_radial_field(split_of):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_gradient_split_matches_dense_form(n, split_of):
-    # against |g|^2, g . xhat and btau . conj(g) formed on the full
-    # (*shape, n) arrays, for the covariant gradient of a field and for a
-    # plain array
+    # the split radial_sweep hands its densities, against |g|^2, g . xhat
+    # and btau . conj(g) formed on the full (*shape, n) arrays, for the
+    # covariant gradient of a field under a trapping A and for a plain
+    # array
     grid = RadialGrid(n, 2.0, 0.5)
     xhat = grid.points / grid.radii[..., None]
     u = random_field(grid, 3)
-    disc = Discretization(grid, example_field("ex13") if n == 3 else PotentialPair(n))
-    btau = rng.standard_normal(grid.shape + (n,))
+    pp = PotentialPair(n, A=swirl)
+    disc = Discretization(grid, pp)
+    btau = trapping_component(pp, grid.points)
     g = full_gradient(u, disc)
-    g2, g_r, bg = gradient_split(u, disc, btau)
+    g2, g_r, bg = sweep_split(u, disc, trapping=True)
     dense_b = np.einsum("...i,...i->...", btau, np.conj(g))
     assert np.abs(bg - dense_b).max() <= 1e-14 * np.abs(dense_b).max()
     cases = [(g, (g2, g_r))]

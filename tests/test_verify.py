@@ -1,19 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from morcam import verify
+import oracles
+from morcam import resolvent, verify
 from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, make_varphi
-from morcam.norms import dyadic_dual, theorem_lhs, theorem_rhs
-from morcam.resolvent import DiscreteOperator, Discretization, make_datum
+from morcam.norms import dyadic_dual, hardy_ratio, theorem_lhs, theorem_rhs
+from morcam.resolvent import (DiscreteOperator, Discretization, build_problem, make_datum,
+                              solve)
 from morcam.verify import (IdentityReport, SweepReport, epsilon_sweep,
                            estimate_report, identity_residual, identity_scan,
                            manufactured_identity, resonance_functionals)
-from oracles import zero_V_reference
+from oracles import swirl, zero_V_reference
 
 
 def bump(X):
@@ -203,13 +206,15 @@ def test_epsilon_sweep_samples_link_phases_once(link_phase_calls):
 
 def test_epsilon_sweep_samples_radial_derivative_once(radial_derivative_samples):
     # the admissibility quadrature samples d_r V off the grid through its
-    # own binding, which the fixture does not count
+    # own binding, which the fixture does not count; the grid's slabs of
+    # axis 0 are sampled once, for all three eps
     grid = RadialGrid(3, 4.0, 0.5)
     pp = make_potential_pair(3, None, {"name": "gaussian", "amplitude": -1.0})
     rep = epsilon_sweep(pp, 1.0, {"name": "gaussian", "width": 0.6},
                         [1.0, 0.5, 0.25], grid, tol=1e-8)
     assert len(rep.entries) == 3
-    assert radial_derivative_samples == [grid.shape]
+    assert sum(shape[0] for shape in radial_derivative_samples) == grid.m
+    assert all(shape[1:] == grid.shape[1:] for shape in radial_derivative_samples)
 
 
 def test_epsilon_sweep_computes_dual_norm_once(monkeypatch):
@@ -291,3 +296,73 @@ def test_readers_take_a_zero_potential_as_a_grid_sized_zero():
     [b] = identity_residual(u, f, ref, 1.0, 0.5, scales)
     assert (a.lhs_terms, a.rhs_terms) == (b.lhs_terms, b.rhs_terms)
     assert resonance_functionals(u, disc) == resonance_functionals(u, ref)
+
+
+# --- the slab sweep against the whole-array references -------------------------
+
+
+def _well(x):
+    return -0.8 * np.exp(-np.sum(x ** 2, axis=-1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("A", [None, swirl], ids=["no-phases", "phases-trapping"])
+@pytest.mark.parametrize("V", [None, _well], ids=["V-0d", "V-grid"])
+def test_slab_sweep_matches_the_whole_array_references(monkeypatch, n, A, V):
+    # theorem_lhs, identity_residual and hardy_ratio against whole-grid
+    # evaluations (tests/oracles.py), per reported entry, with the whole
+    # m = 8 grid in one slab, 3-row slabs (m not a multiple of 3) and
+    # 1-row slabs; with A the identity samples B_tau per slab (trapping)
+    grid = RadialGrid(n, 2.0, 0.5)
+    r = np.random.default_rng(n)
+    u, f = (ScalarField(grid, r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape))
+            for _ in range(2))
+    disc = Discretization(grid, PotentialPair(n, A=A, V=V))
+    assert (disc.V.ndim == 0) == (V is None)
+    scales = [(make_phi(n, R, 1.0), make_varphi(n, R, 1e-3)) for R in (0.5, 1.0)]
+    lhs = oracles.theorem_lhs(u, disc, 1.0, 0.7, 0.1)
+    ident = oracles.identity_residual(u, f, disc, 1.0, 0.5, scales)
+    g2, _ = oracles.gradient_split(u, disc)
+    hardy = float(oracles.whole_bin_sums(grid, u.abs2()) @ grid.bin_radii ** -2) \
+        / float(grid.integrate(g2))
+
+    def close(got, expect):
+        assert got.keys() == expect.keys()
+        for k in expect:
+            assert abs(got[k] - expect[k]) <= 1e-14 * abs(expect[k]), k
+
+    m = grid.m
+    for rows in (m, 3, 1):
+        monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * 16 * m ** (n - 1))
+        got = theorem_lhs(u, disc, 1.0, 0.7, 0.1)
+        close(got.values, lhs.values)
+        assert got.rstar == lhs.rstar
+        close({"total": got.total}, {"total": lhs.total})
+        for a, b in zip(identity_residual(u, f, disc, 1.0, 0.5, scales), ident):
+            close(a.lhs_terms, b.lhs_terms)
+            close(a.rhs_terms, b.rhs_terms)
+        close({"hardy": hardy_ratio(u, disc)}, {"hardy": hardy})
+
+
+def test_post_solve_densities_allocate_less_than_one_grid_array():
+    # on a 32^3 solution, theorem_lhs (which samples d_r V on this first
+    # call) and identity_residual each allocate less than one grid-sized
+    # complex128 array beyond their inputs: 0.84 and 0.81 measured (7.0
+    # and 7.5 when they formed every density on the whole grid)
+    grid = RadialGrid(3, 8.0, 0.5)
+    pp = make_potential_pair(3, {"name": "ex13"}, {"name": "exp_screened", "amplitude": 0.3})
+    prob = build_problem(pp, 1.0, 1.0, {"name": "gaussian", "width": 1.0}, grid)
+    u = solve(prob, tol=1e-10)
+    scales = [(make_phi(3, R, 1.0), make_varphi(3, R, 1e-3)) for R in (1.0, 2.0, 4.0)]
+    for call in (lambda: theorem_lhs(u, prob.disc, 1.0, 0.5, 0.1),
+                 lambda: identity_residual(u, prob.f, prob.disc, 1.0, 1.0, scales)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < grid.size * 16
+    # and the grid keeps nothing grid-sized for its radial bins
+    grid.bin_sums(u.abs2())
+    assert all(np.size(v) < grid.size for v in vars(grid).values())
