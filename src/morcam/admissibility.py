@@ -70,13 +70,18 @@ def compute_constants(pp: PotentialPair, quad: RadialQuad = RadialQuad()):
     with exponents 2, 3, 3.  A constant whose potential is absent is 0;
     +inf propagates as a value.
     """
+    # Noise in B_tau scales with the full field magnitude; left in, it
+    # mimics a divergent integrand for non-trapping fields.  It is
+    # cancellation noise for an analytic Jacobian, and the error of
+    # fields.jacobian_fd otherwise: at most 1.1e-8 |B| for ex13 on the
+    # default quadrature's points, so a 1e-6 cutoff keeps a margin of 90
+    cutoff = 1e-9 if pp.A_jac is not None else 1e-6
+
     def btau_mag(X):
-        # Cancellation noise in B_tau scales with the full field magnitude;
-        # left in, it mimics a divergent integrand for non-trapping fields.
         B = magnetic_matrix(pp, X)
         mag = np.sqrt(sq_norm(_radial_contraction(X, B)))
         scale = np.sqrt(sq_norm(B.reshape(B.shape[:-2] + (-1,))))
-        return np.where(mag > 1e-9 * scale, mag, 0.0)
+        return np.where(mag > cutoff * scale, mag, 0.0)
 
     def v_plus_screened(X):
         X = _check_points(pp, X, require_nonzero=True)

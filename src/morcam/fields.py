@@ -90,11 +90,13 @@ def _check_points(pp: PotentialPair, x: np.ndarray, require_nonzero=False) -> np
 
 def jacobian_fd(A: Callable, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian J[..., i, j] = dA^i/dx_j with the step
-    1e-5 * max(1, |x|) per point.
+    1e-5 |x| per point (1e-5 at the origin), so its relative error does
+    not grow as |x| -> 0 for an A that scales like a power of |x|.
     """
     x = np.asarray(x, float)
     n = x.shape[-1]
-    h = 1e-5 * np.maximum(1.0, np.sqrt(sq_norm(x)))[..., None]
+    r = np.sqrt(sq_norm(x))
+    h = 1e-5 * np.where(r > 0, r, 1.0)[..., None]
     cols = []
     for j in range(n):
         e = np.zeros(n)

@@ -21,13 +21,15 @@ next cycle's true residual, not from the cycle itself.
 
 The grid is swept slab by slab along axis 0 (SLAB_BYTES a slab).  The
 samples of A, V and d_r V are taken per slab from the 1-D node
-coordinates.  An application of the stencil allocates its output and
-two slabs of scratch, not grid-sized temporaries.  An operator keeps
-only the real part of its diagonal, 2n/h^2 + V - lambda, in its real
-precision; -i eps is formed per slab.  The complex128 preconditioner is
-called once, for the start: it keeps no table and forms 1/(mu - lambda
-- i eps) per slab in that call.  At a cycle head a solve therefore holds
-its Krylov basis, the complex64 twin (link phases, real diagonal,
+coordinates.  Nothing grid-sized is kept for constant data: an axis
+whose link phases are all 1 keeps no array (its hops carry no product),
+and a zero V or d_r V is 0-d.  An application of the stencil allocates
+its output and slab-sized scratch, not grid-sized temporaries, and an
+operator keeps no diagonal: apply forms 2n/h^2 + V - lambda - i eps per
+slab from the sampled V.  The complex128 preconditioner is called once,
+for the start: it keeps no table and forms 1/(mu - lambda - i eps) per
+slab in that call.  At a cycle head a solve therefore holds its Krylov
+basis, the complex64 twin (the casts of the link phases, the
 preconditioner tables), the datum, the iterate and the residual, formed
 in place in the output of the application.
 
@@ -82,7 +84,8 @@ CYCLE_REDUCTION = 16 * float(np.finfo(np.float32).eps)
 #: Bytes of one slab of a sweep along axis 0.  In DiscreteOperator.apply
 #: a slab of one array: the diagonal term, the hop sum and its scaling of
 #: a slab stay in cache between them, and apply's scratch is two slabs
-#: instead of grid-sized temporaries.  In the sampling, the free start and
+#: (and a float64 slab of the real diagonal when V is grid-sized) instead
+#: of grid-sized temporaries.  In the sampling, the free start and
 #: radial_sweep, a slab's whole working set.
 SLAB_BYTES = 256 * 1024
 #: Bytes a node of the working set of the sampling and of radial_sweep:
@@ -91,10 +94,11 @@ SLAB_BYTES = 256 * 1024
 #: densities with theirs).
 _WORK_NODE_BYTES = 32 * 8
 #: Grid-sized complex128 arrays a solve holds besides its Krylov basis: the
-#: link phases, V, the real diagonals of both operators, the datum,
-#: solution, residual, the complex64 operator's phases, and the
-#: temporaries of both operators and both preconditioners (11.7 by
-#: tracemalloc over a 32^3 solve with ex13 and exp_screened(0.3)).
+#: link phases of the axes whose phases are not all 1 and their complex64
+#: casts, V, the datum, solution, residual, and the temporaries of both
+#: operators and both preconditioners.  By tracemalloc over a 32^3 solve
+#: with exp_screened(0.3): 11.2 with an A that is nonzero on all three
+#: axes, 9.9 with ex13, whose z-phases are all 1.
 WORK_VECTORS = 12
 
 
@@ -121,21 +125,30 @@ def check_resolvent_parameters(lam: float | None = None,
 
 
 def link_phases(grid: RadialGrid, pp: PotentialPair):
-    """Link phases exp(-i h A_k(x + (h/2) e_k)) per axis, or None when
-    A vanishes identically.  Each axis's midpoints are sampled one slab
-    of axis 0 at a time (see _slab_points).  A that samples non-finite
-    raises ParameterError."""
+    """Link phases exp(-i h A_k(x + (h/2) e_k)) per axis k, None for an
+    axis whose phases are all exactly 1 (A_k samples to zero on its
+    midpoints, as the z-links of ex13 and ex14), and None in place of the
+    list when A vanishes identically or every axis is None: a hop along a
+    None axis carries no product, as a free one.  Each axis's midpoints
+    are sampled one slab of axis 0 at a time (see _slab_points), and its
+    array is allocated at the first slab whose phases are not all 1.  A
+    that samples non-finite raises ParameterError."""
     if pp.A is None:
         return None
     phases = []
     for k in range(grid.n):
-        p = np.empty(grid.shape, complex)
+        p = None
         for s, e in _slabs(grid, _WORK_NODE_BYTES):
             Ak = pp.eval_A(_slab_points(grid, s, e, k))[..., k]
             _check_finite(Ak, "magnetic potential A")
-            p[s:e] = np.exp(-1j * grid.h * Ak)
+            ps = np.exp(-1j * grid.h * Ak)
+            if p is None:
+                if (ps == 1).all():
+                    continue
+                p = np.ones(grid.shape, complex)
+            p[s:e] = ps
         phases.append(p)
-    return phases
+    return None if all(p is None for p in phases) else phases
 
 
 def _slabs(grid: RadialGrid, node_bytes: int) -> list:
@@ -178,15 +191,18 @@ class Discretization:
     Dirichlet box, its stencil and its spectrum, is DiscreteOperator's.
 
     The operator, the covariant gradient and the identity and estimate
-    checks all read the same samples.  Singular V samples are capped at
-    1/h^2 (with a warning) to keep the operator bounded; ``capped`` marks
-    where.  A V that samples to zero at every node is kept as a 0-d zero
-    (and ``capped`` as a 0-d False), which every reader broadcasts, so a
-    free pair holds no grid-sized V.  d_r V is sampled on first use and
-    kept.  Each is sampled one slab of axis 0 at a time from the 1-D
-    node coordinates, so no grid-sized point array is formed.  A grid too
-    large to solve on is refused before any sampling, and a V or A that
-    samples non-finite raises ParameterError.
+    checks all read the same samples.  Nothing grid-sized is kept for
+    constant data: ``phases`` (see link_phases) holds no array for an axis
+    whose phases are all 1, and is None when every axis is so.  Singular
+    V samples are capped at 1/h^2 (with a warning) to keep the operator
+    bounded; ``capped`` marks where.  A V that samples to zero at every
+    node is kept as a 0-d zero (and ``capped`` as a 0-d False), which
+    every reader broadcasts, so a free pair holds no grid-sized V.  d_r V
+    is sampled on first use and kept, a 0-d zero for a pair without V.
+    Each is sampled one slab of axis 0 at a time from the 1-D node
+    coordinates, so no grid-sized point array is formed.  A grid too large
+    to solve on is refused before any sampling, and a V or A that samples
+    non-finite raises ParameterError.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
@@ -219,14 +235,18 @@ class Discretization:
 
     def radial_derivative(self) -> np.ndarray:
         """d_r V at the nodes, zero where the cap bit (the capped V is
-        flat there).  Sampled one slab of axis 0 at a time on the first
-        call; later calls return the same read-only array."""
+        flat there), or a 0-d zero for a pair with neither V nor dV_r.
+        Sampled one slab of axis 0 at a time on the first call; later
+        calls return the same read-only array."""
         if self._drv is None:
-            grid = self.grid
-            drv = np.empty(grid.shape)
-            for s, e in _slabs(grid, _WORK_NODE_BYTES):
-                drv[s:e] = radial_derivative_parts(self.pp, _slab_points(grid, s, e))
-            drv[self.capped] = 0.0
+            grid, pp = self.grid, self.pp
+            if pp.V is None and pp.dV_r is None:
+                drv = np.zeros(())
+            else:
+                drv = np.empty(grid.shape)
+                for s, e in _slabs(grid, _WORK_NODE_BYTES):
+                    drv[s:e] = radial_derivative_parts(pp, _slab_points(grid, s, e))
+                drv[self.capped] = 0.0
             drv.flags.writeable = False
             self._drv = drv
         return self._drv
@@ -262,15 +282,15 @@ class DiscreteOperator:
 
     The operator owns the box: apply is the (2n+1)-point stencil with
     zero outside the box, whose hop between x and x + h e_k carries the
-    link phase, and preconditioner() inverts the free stencil in the
-    eigenbasis _dirichlet_eigenpairs gives along each axis.  The real
-    part of the diagonal, 2n/h^2 + V(x) - lambda, is formed once per
-    operator in the real precision of dtype, 0-d when V is (see
-    Discretization); apply adds -i eps.  lambda and eps are checked by
+    link phase (none along an axis whose phases are all 1), and
+    preconditioner() inverts the free stencil in the eigenbasis
+    _dirichlet_eigenpairs gives along each axis.  It keeps no grid-sized
+    array it can form per slab: apply forms the diagonal 2n/h^2 + V(x) -
+    lambda - i eps slab by slab from disc.V.  lambda and eps are checked by
     check_resolvent_parameters.  dtype (complex128 or complex64) is the
-    precision of the diagonal, the link phases, the preconditioner's
-    tables and of every vector apply and the preconditioner take and
-    return.
+    precision of the link phases it keeps (cast from disc.phases), of the
+    diagonal, of the preconditioner's tables and of every vector apply and
+    the preconditioner take and return.
     """
 
     def __init__(self, disc: Discretization, lam: float, eps: float,
@@ -282,12 +302,9 @@ class DiscreteOperator:
         self.lam = lam
         self.eps = eps
         self.dtype = np.dtype(dtype)
-        g = self.grid
-        real = np.finfo(self.dtype).dtype
-        self._real_diag = np.asarray(2 * g.n / g.h ** 2 + disc.V - lam).astype(
-            real, copy=False)
         self._phases = (None if disc.phases is None else
-                        [p.astype(self.dtype, copy=False) for p in disc.phases])
+                        [None if p is None else p.astype(self.dtype, copy=False)
+                         for p in disc.phases])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """(-Delta_A^h + V - lambda - i eps)u in one sweep of slabs of
@@ -295,10 +312,11 @@ class DiscreteOperator:
         diagonal term is written straight into the output, its 2n hops are
         summed in one slab-sized scratch, axis 0's reading one halo row
         past each end of the slab, and hop/h^2 is subtracted.  The slab's
-        complex diagonal is formed in that scratch from the real diagonal
-        and -eps, the values a complex cast of the whole diagonal holds,
-        and every sum is taken in the order of a whole-array sweep, so the
-        result does not depend on the slab size."""
+        complex diagonal is formed in that scratch: its real part
+        (2n/h^2 + V) - lambda in float64 (once when V is 0-d), cast to the
+        dtype, and -eps, the values a complex cast of the whole diagonal
+        holds.  Every sum is taken in the order of a whole-array sweep, so
+        the result does not depend on the slab size."""
         g, dtype, eps = self.grid, self.dtype, self.eps
         u = np.asarray(u, dtype).reshape(g.shape)
         out = np.empty(g.shape, dtype)
@@ -307,11 +325,19 @@ class DiscreteOperator:
         # free operator has no products)
         hop = np.empty((slabs[0][1],) + g.shape[1:], dtype)
         tmp = None if self._phases is None else np.empty_like(hop)
-        rd = self._real_diag
+        V, c = self.disc.V, 2 * g.n / g.h ** 2
+        # the real diagonal (2n/h^2 + V) - lambda in float64, cast to the
+        # dtype by its assignment to slab.real (rounding once, as a cast of
+        # the whole diagonal does): a slab buffer, or its one value
+        rd = np.empty(hop.shape) if V.ndim else c + V - self.lam
         scale = 1.0 / g.h ** 2
         for s, e in slabs:
             slab = hop[:e - s]
-            slab.real = rd[s:e] if rd.ndim else rd
+            d = rd
+            if V.ndim:
+                d = np.add(c, V[s:e], out=rd[:e - s])
+                d -= self.lam
+            slab.real = d
             slab.imag = -eps
             np.multiply(slab, u[s:e], out=out[s:e])
             slab[...] = 0
@@ -326,18 +352,21 @@ class DiscreteOperator:
         start in those rows, then conj(U_k(x - h e_k)) u(x - h e_k) for
         the edges that end there."""
         n, m = self.grid.n, self.grid.m
-        P = self._phases
+        # an axis without phases (or a free operator's every axis) hops
+        # without a product
+        P = self._phases or [None] * n
         # axis 0: the edges (i, i+1) that start in the slab have i in s:b,
         # those that end there i in a-1:e-1, so u is read one row past each
         # end of the slab that lies inside the box (its halo)
         b, a = min(e, m - 1), max(s, 1)
-        _add_hop(hop[:b - s], None if P is None else P[0][s:b], u[s + 1:b + 1],
+        P0 = P[0]
+        _add_hop(hop[:b - s], None if P0 is None else P0[s:b], u[s + 1:b + 1],
                  tmp, False)
-        _add_hop(hop[a - s:], None if P is None else P[0][a - 1:e - 1],
+        _add_hop(hop[a - s:], None if P0 is None else P0[a - 1:e - 1],
                  u[a - 1:e - 1], tmp, True)
         for k in range(1, n):
             lo, hi = _along(n, k, slice(None, -1)), _along(n, k, slice(1, None))
-            U = None if P is None else P[k][s:e][lo]
+            U = None if P[k] is None else P[k][s:e][lo]
             _add_hop(hop[lo], U, u[s:e][hi], tmp, False)
             _add_hop(hop[hi], U, u[s:e][lo], tmp, True)
 
@@ -476,7 +505,8 @@ class ResolventProblem:
         layers = [0, 1, grid.m - 2, grid.m - 1]
         edge = max(np.abs(np.take(vals, layers, axis=k)).max()
                    for k in range(grid.n))
-        fmax = np.abs(vals).max()
+        # the datum's maximum, one slab of axis 0 at a time
+        fmax = max(np.abs(vals[s:e]).max() for s, e in _slabs(grid, vals.itemsize))
         if fmax > 0 and edge > 1e-10 * fmax:
             warnings.warn(
                 "datum is not supported at distance >= 2h from the box "
@@ -659,7 +689,8 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
                        out: np.ndarray | None = None,
                        rows: tuple | None = None) -> np.ndarray:
     """Component k of the centered covariant gradient with the operator's
-    link phases, (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h,
+    link phases, (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h
+    (no product along an axis whose phases are None, see link_phases),
     on the rows s:e = rows of axis 0 (all rows when None), written into
     out (a complex array of shape (e - s, m, ..., m)) when given;
     Dirichlet zero is assumed outside the box.  Along axis 0 the rows
@@ -669,24 +700,26 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
     grid = u.grid
     if grid != disc.grid:
         raise ParameterError("field and discretization grids differ")
-    n, m, v, P = grid.n, grid.m, u.values, disc.phases
+    n, m, v = grid.n, grid.m, u.values
+    P = None if disc.phases is None else disc.phases[k]
     s, e = (0, m) if rows is None else rows
     if out is None:
         out = np.empty((e - s,) + grid.shape[1:], complex)
+    U_up = U_down = None
     if k == 0:
         # the edges (i, i+1) that start in the rows have i in s:b, those
         # that end there i in a-1:e-1
         b, a = min(e, m - 1), max(s, 1)
         lo, hi, last = slice(None, b - s), slice(a - s, None), slice(b - s, None)
         v_up, v_down = v[s + 1:b + 1], v[a - 1:e - 1]
-        U_up = U_down = None
         if P is not None:
-            U_up, U_down = P[0][s:b], P[0][a - 1:e - 1]
+            U_up, U_down = P[s:b], P[a - 1:e - 1]
     else:
         lo, hi, last = (_along(n, k, slice(None, -1)), _along(n, k, slice(1, None)),
                         _along(n, k, -1))
         v_up, v_down = v[s:e][hi], v[s:e][lo]
-        U_up = U_down = None if P is None else P[k][s:e][lo]
+        if P is not None:
+            U_up = U_down = P[s:e][lo]
     if U_up is None:
         out[lo] = v_up
     else:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,21 @@ def split_of(monkeypatch):
         return sweep_split(ScalarField.zeros(grid), disc)
 
     return split
+
+
+@pytest.fixture
+def traced_memory():
+    """traced_memory(call) -> (held, peak): the bytes tracemalloc counts
+    as allocated when call() has returned, its result still alive, and at
+    their peak during the call, traced from just before it."""
+    def measure(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        return held, peak
+
+    return measure

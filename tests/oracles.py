@@ -4,6 +4,7 @@ Importable from the test modules: pytest puts this directory on sys.path
 (rootdir-relative conftest, no package).
 """
 
+import copy
 import math
 
 import numpy as np
@@ -70,6 +71,17 @@ def zero_V_reference(grid, pp):
     form morcam keeps as a 0-d zero."""
     ref = Discretization(grid, pp)
     ref.V, ref.capped = np.zeros(grid.shape), np.zeros(grid.shape, bool)
+    return ref
+
+
+def unit_phase_reference(disc):
+    """A copy of disc whose link phases hold an array for every axis: an
+    all-ones complex128 one where morcam keeps None (every axis of a free
+    pair).  Its hops multiply by exactly 1 where disc's carry no product."""
+    grid = disc.grid
+    ref = copy.copy(disc)
+    ref.phases = [np.ones(grid.shape, complex) if p is None else p
+                  for p in (disc.phases or [None] * grid.n)]
     return ref
 
 

@@ -9,7 +9,7 @@ from morcam.admissibility import (admissibility_report, check_condition_3d,
 from morcam.errors import ParameterError
 from morcam.fields import PotentialPair, make_potential_pair
 from morcam.norms import RadialQuad
-from oracles import condition_value_3d, dense_grid_minimum
+from oracles import condition_value_3d, dense_grid_minimum, swirl
 
 rng = np.random.default_rng(11)
 
@@ -26,6 +26,34 @@ def test_constants_nontrapping_vortex():
     assert C2 == 0.0 and C3 == 0.0
     rep = check_condition_3d(C1, C2, C3)
     assert rep.admissible and rep.value < 1e-8
+
+
+def rotation_4d(x):
+    """The 4-D analogue of ex13, Jx/|x|^2 with J the symplectic rotation:
+    B_tau = 0 away from the origin."""
+    J = np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, -1.0], [0.0, 0.0, 1.0, 0.0]])
+    return (x @ J.T) / np.sum(x ** 2, axis=-1)[..., None]
+
+
+@pytest.mark.parametrize("n, A", [(3, make_potential_pair(3, {"name": "ex13"}).A),
+                                  (4, rotation_4d)], ids=["ex13", "rotation_4d"])
+def test_non_trapping_field_without_jacobian_gets_C1_zero(n, A):
+    # the central-difference Jacobian's step scales with |x| at every
+    # radius and its B_tau noise (1.1e-8 |B| for ex13) falls below the
+    # 1e-6 |B| cutoff a difference Jacobian gets (the analytic 1e-9 cutoff
+    # would read ex13's noise as C1 = inf)
+    C1, C2, C3 = compute_constants(PotentialPair(n, A=A), quad=LIGHT)
+    assert (C1, C2, C3) == (0.0, 0.0, 0.0)
+    assert admissibility_report(PotentialPair(n, A=A), quad=LIGHT).admissible
+
+
+def test_trapping_field_without_jacobian_keeps_its_C1():
+    # the swirl's B_tau is of the size of B: the difference Jacobian's
+    # cutoff leaves a finite nonzero C1 (2.0 at the default quadrature)
+    C1, _, _ = compute_constants(PotentialPair(3, A=swirl), quad=LIGHT)
+    assert C1 == pytest.approx(2.0, rel=1e-3)
+    assert not admissibility_report(PotentialPair(3, A=swirl), quad=LIGHT).admissible
 
 
 def test_constants_attractive_coulomb_diverge():

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,7 +368,7 @@ def test_theorem_lhs_reads_the_capped_potential():
 
 @pytest.mark.parametrize("A, V", [(None, None),
                                   ("ex13", {"name": "exp_screened", "amplitude": -0.3})])
-def test_theorem_lhs_peak_memory(A, V):
+def test_theorem_lhs_peak_memory(A, V, traced_memory):
     # transient allocations of one call, in grid-sized float arrays, after
     # the grid's and the discretization's caches are warm; 13.5 when the
     # left side sorted every node radius and kept the (n, *shape) gradient
@@ -378,12 +377,7 @@ def test_theorem_lhs_peak_memory(A, V):
     r = np.random.default_rng(4)
     u = ScalarField(grid, r.standard_normal(grid.shape) + 1j * r.standard_normal(grid.shape))
     theorem_lhs(u, disc, 1.0, 0.5, 0.1)
-    tracemalloc.start()
-    try:
-        theorem_lhs(u, disc, 1.0, 0.5, 0.1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_memory(lambda: theorem_lhs(u, disc, 1.0, 0.5, 0.1))
     assert peak < 10 * grid.size * 8
 
 

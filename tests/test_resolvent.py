@@ -1,6 +1,5 @@
 import cmath
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,8 +15,8 @@ from morcam.grids import RadialGrid, ScalarField
 from morcam.resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                               build_problem, covariant_gradient, epsilon_floor,
                               link_phases, make_datum, solve)
-from oracles import (hop_gradient, sweep_split, swirl, whole_array_apply,
-                     whole_grid_samples, zero_V_reference)
+from oracles import (hop_gradient, sweep_split, swirl, unit_phase_reference,
+                     whole_array_apply, whole_grid_samples, zero_V_reference)
 
 rng = np.random.default_rng(5)
 
@@ -67,10 +66,11 @@ def test_zero_potential_is_kept_zero_dimensional(V, A, dtype):
     assert disc.V.ndim == 0 and disc.V == 0
     assert np.ndim(disc.capped) == 0 and not disc.capped
     op = DiscreteOperator(disc, 0.7, 0.3, dtype)
-    real = np.finfo(dtype).dtype
-    assert np.ndim(op._real_diag) == 0 and op._real_diag.dtype == real
     ref = DiscreteOperator(zero_V_reference(grid, pp), 0.7, 0.3, dtype)
-    assert ref._real_diag.shape == grid.shape
+    # the diagonal formed from the 0-d V is the grid-sized one's, cast
+    expect = np.full(grid.shape, (2 * 3 / grid.h ** 2 - 0.7) - 0.3j).astype(dtype)
+    for o in (op, ref):
+        assert np.array_equal(slab_diagonal(o), expect)
     v = random_field(grid).values.astype(dtype)
     for got, expect in ((op.apply(v), ref.apply(v)),
                         (op.preconditioner()(v), ref.preconditioner()(v))):
@@ -104,6 +104,85 @@ def test_slab_apply_equals_the_whole_array_sweep(n, dtype, phases, grid_V,
         got = op.apply(u.ravel())
         assert got.dtype == dtype and got.shape == grid.shape
         assert np.array_equal(got, expect)
+
+
+def slab_diagonal(op):
+    """The complex diagonal op.apply forms slab by slab, read as op.apply
+    of a field of ones with its hops left out (times 1 + 0j, which changes
+    no value)."""
+    ones = np.ones(op.grid.shape, op.dtype)
+    op._add_hops = lambda *args: None
+    try:
+        return op.apply(ones)
+    finally:
+        del op._add_hops
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_unit_phase_axes_equal_an_all_ones_array(n, dtype, monkeypatch):
+    # an axis whose phases are all 1 is kept as None and its hops carry no
+    # product; multiplying by exactly 1 changes no value (an exact zero's
+    # sign aside), so apply, the covariant gradient and radial_sweep equal
+    # the references fed an all-ones array, at every slab size.  A is 0 on
+    # axes 0 and n-1, which take the two code paths of a hop
+    grid = RadialGrid(n, 2.0, 0.5)
+    rp = random_pair(n, 13)
+    keep = np.ones(n)
+    keep[[0, -1]] = 0.0
+    disc = Discretization(grid, PotentialPair(n, A=lambda X: rp.A(X) * keep, V=rp.V))
+    assert [p is None for p in disc.phases] == [True] + [False] * (n - 2) + [True]
+    ref = unit_phase_reference(disc)
+    u = random_field(grid, 14)
+    op = DiscreteOperator(disc, 0.7, -0.3, dtype)
+    expect = whole_array_apply(DiscreteOperator(ref, 0.7, -0.3, dtype), u.values)
+    grads = [hop_gradient(u, ref, k) for k in range(n)]
+
+    def densities(sl):
+        yield sl.g2
+        yield sl.g_r.real
+        yield np.imag(sl.u * sl.bg)
+
+    row = grid.size // grid.m * np.dtype(dtype).itemsize
+    assert resolvent.SLAB_BYTES // row > grid.m
+    for rows in (None, 3, 1):
+        if rows is not None:
+            monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * row)
+        assert np.array_equal(op.apply(u.values), expect)
+        for k in range(n):
+            assert np.array_equal(covariant_gradient(u, disc, k), grads[k])
+            assert np.array_equal(covariant_gradient(u, disc, k, rows=(1, 3)),
+                                  grads[k][1:3])
+        for got, want in zip(sweep_split(u, disc, trapping=True),
+                             sweep_split(u, ref, trapping=True)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(resolvent.radial_sweep(u, disc, densities, True),
+                              resolvent.radial_sweep(u, ref, densities, True))
+
+
+def test_operator_keeps_no_unit_phase_axis_and_no_diagonal(traced_memory):
+    # ex13's z phases are all 1, so its discretization holds two complex128
+    # phase arrays, not three; an operator forms its diagonal per slab from
+    # the grid-sized V, so the complex128 one (whose phases are the
+    # discretization's) holds nothing grid-sized and the complex64 twin
+    # only the complex64 casts of the two phase arrays (a kept real
+    # diagonal was 8 and 4 bytes a node more)
+    grid = RadialGrid(3, 8.0, 0.5)
+    pp = make_potential_pair(3, {"name": "ex13"}, {"name": "exp_screened", "amplitude": 0.3})
+    made = []
+    held, _ = traced_memory(lambda: made.append(Discretization(grid, pp)))
+    [disc] = made
+    phase_bytes = grid.size * 16
+    # V is one float64 array more; a third phase array would pass the bound
+    assert 2 * phase_bytes <= held - disc.V.nbytes < 2.25 * phase_bytes
+    for dtype in (np.complex128, np.complex64):
+        held, _ = traced_memory(lambda: made.append(DiscreteOperator(disc, 1.0, 0.3, dtype)))
+        op = made[-1]
+        kept = [p for p in op._phases if p is not None]
+        assert len(kept) == 2
+        assert held - sum(p.nbytes for p in kept if p.dtype == np.complex64) < grid.size
+        assert not any(isinstance(a, np.ndarray) and a.size == grid.size
+                       for a in vars(op).values())
 
 
 def test_operator_parameter_checks():
@@ -142,12 +221,20 @@ def test_discretization_samples_V_once(monkeypatch):
 
 
 def test_link_phases_unit_modulus():
+    # ex13's A_z is 0, so its z-links keep no array: the whole-grid
+    # sampling gives exactly 1 there; an A that is 0 on every axis keeps
+    # no list, as a free pair
     grid = small_grid()
     assert link_phases(grid, PotentialPair(3)) is None
-    phases = link_phases(grid, example_field("ex13"))
-    assert len(phases) == 3
-    for ph in phases:
+    assert link_phases(grid, PotentialPair(3, A=np.zeros_like)) is None
+    pp = example_field("ex13")
+    phases = link_phases(grid, pp)
+    assert len(phases) == 3 and phases[2] is None
+    whole, _, _ = whole_grid_samples(grid, pp)
+    assert np.all(whole[2] == 1)
+    for ph in phases[:2]:
         assert np.allclose(np.abs(ph), 1.0)
+        assert not np.all(ph == 1)
 
 
 def random_pair(n, seed, gauge=None):
@@ -265,18 +352,15 @@ def test_separable_datum_matches_the_node_formula(name, n):
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
 
 
-def test_free_discretization_and_datum_hold_only_the_datum():
+def test_free_discretization_and_datum_hold_only_the_datum(traced_memory):
     # no node array and no zero V stay held: what a free pair's
     # discretization and a wave datum keep is the datum (33 bytes per node
     # beyond it when the grid cached its points and V was grid-sized)
     grid = RadialGrid(3, 8.0, 0.5)
-    tracemalloc.start()
-    try:
-        disc = Discretization(grid, PotentialPair(3))
-        f = make_datum(grid, "wave")
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    made = []
+    held, _ = traced_memory(lambda: made.extend(
+        (Discretization(grid, PotentialPair(3)), make_datum(grid, "wave"))))
+    disc, f = made
     assert disc.V.ndim == 0
     assert held - f.values.nbytes < grid.size
 
@@ -312,7 +396,7 @@ def test_nonfinite_residual_ends_the_solve(operator_calls):
     make_potential_pair(3, {"name": "ex13"}, {"name": "exp_screened", "amplitude": 0.3}),
     PotentialPair(3, A=swirl, V=lambda x: -30.0 * np.exp(-np.sum(x ** 2, axis=-1))),
 ], ids=["ex13-exp_screened", "custom-A-without-jacobian"])
-def test_slab_sampling_equals_whole_grid_sampling(monkeypatch, pp):
+def test_slab_sampling_equals_whole_grid_sampling(monkeypatch, traced_memory, pp):
     # link phases, V (capped: the custom V reaches -30 < -1/h^2 = -16) and
     # d_r V sampled slab by slab from the 1-D coordinates are the
     # whole-grid samples to the bit, from as many eval_A and eval_V points
@@ -326,24 +410,51 @@ def test_slab_sampling_equals_whole_grid_sampling(monkeypatch, pp):
             return original(pp, x)
 
         monkeypatch.setattr(PotentialPair, f"eval_{key}", counted)
-    tracemalloc.start()
-    try:
+    made = []
+
+    def sample():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            disc = Discretization(grid, pp)
-        drv = disc.radial_derivative()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+            made.append(Discretization(grid, pp))
+        made.append(made[0].radial_derivative())
+
+    held, peak = traced_memory(sample)
+    disc, drv = made
     # the slabs' points and the callables' temporaries are a fraction of
     # one grid array (whole-grid sampling peaked at twice what it held)
     assert peak - held < grid.size * 16 / 2
     sampled, points = points, {"A": 0, "V": 0}
     phases, V, ref_drv = whole_grid_samples(grid, pp)
     assert sampled == points
-    assert all(np.array_equal(p, q) for p, q in zip(disc.phases, phases))
+    # an axis kept as None is one whose whole-grid phases are all 1
+    assert len(disc.phases) == len(phases) == 3
+    for p, q in zip(disc.phases, phases):
+        assert np.all(q == 1) if p is None else np.array_equal(p, q)
     assert np.array_equal(disc.V, V)
     assert np.array_equal(drv, ref_drv)
+
+
+def test_pair_without_V_keeps_a_zero_dimensional_radial_derivative(
+        radial_derivative_samples):
+    # like V, d_r V of a pair without V is a 0-d zero, sampled nowhere
+    grid = small_grid()
+    for A in (None, "ex13"):
+        disc = Discretization(grid, make_potential_pair(3, A, None))
+        drv = disc.radial_derivative()
+        assert drv.ndim == 0 and drv == 0 and not drv.flags.writeable
+        assert disc.radial_derivative() is drv
+    assert radial_derivative_samples == []
+
+
+def test_problem_takes_the_datum_maximum_slab_by_slab(traced_memory):
+    # the boundary check reads the datum's maximum one slab at a time, so
+    # building a problem allocates a fraction of one grid-sized array
+    # (np.abs of the whole datum was half a complex128 one)
+    grid = RadialGrid(3, 8.0, 0.25)
+    disc = Discretization(grid, PotentialPair(3))
+    f = make_datum(grid, "gaussian")
+    _, peak = traced_memory(lambda: ResolventProblem(disc, 1.0, 1.0, f))
+    assert peak < 0.25 * grid.size * 16
 
 
 def test_datum_rejects_bad_specs():
@@ -496,7 +607,7 @@ def test_shell_datum_keeps_no_factors():
     assert np.array_equal(minv(f), minv(f.values.ravel()))
 
 
-def test_preconditioner_tables_hold_two_float_arrays():
+def test_preconditioner_tables_hold_two_float_arrays(traced_memory):
     # Re and Im of 1/(d - i eps) are formed as d/(d^2 + eps^2) and
     # eps/(d^2 + eps^2) slab by slab: the complex64 twin keeps them as two
     # float32 arrays (one float64 array's bytes), and the complex128
@@ -508,12 +619,7 @@ def test_preconditioner_tables_hold_two_float_arrays():
     for dtype, peak_at_most, held_at_most in ((np.complex128, 0.25, 0.25),
                                               (np.complex64, 2.1, 1.1)):
         op = DiscreteOperator(disc, 1.0, 0.3, dtype)
-        tracemalloc.start()
-        try:
-            minv = op.preconditioner()
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        held, peak = traced_memory(op.preconditioner)
         assert peak < peak_at_most * nbytes
         assert held < held_at_most * nbytes
 
@@ -639,7 +745,7 @@ def test_solve_does_not_depend_on_the_scale_of_f():
             assert err == 0
 
 
-def test_solve_peak_memory():
+def test_solve_peak_memory(traced_memory):
     # transient allocations of a solve, in grid-sized complex128 arrays:
     # 56.8 measured, of which the 101 complex64 basis vectors are 50.5; a
     # complex128 basis alone would be 101, and one more grid-sized
@@ -647,17 +753,14 @@ def test_solve_peak_memory():
     grid = RadialGrid(3, 8.0, 0.5)
     prob = build_problem(example_field("ex13"), 1.0, 0.1,
                          {"name": "gaussian", "width": 1.0}, grid)
-    tracemalloc.start()
-    try:
-        u = solve(prob, tol=1e-10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    made = []
+    _, peak = traced_memory(lambda: made.append(solve(prob, tol=1e-10)))
+    [u] = made
     assert u.iterations >= 20
     assert peak < 58 * grid.size * 16
 
 
-def test_free_solve_peak_memory():
+def test_free_solve_peak_memory(traced_memory):
     # a free solve keeps no 1/(mu - lambda - i eps) table: its start holds
     # two stacked real buffers and slab scratch, its one application the
     # iterate, the output and a slab; 2.97 and 3.27 grid-sized complex128
@@ -666,13 +769,14 @@ def test_free_solve_peak_memory():
     # table, which this bound refuses
     grid = RadialGrid(3, 8.0, 0.5)
     disc = Discretization(grid, PotentialPair(3))
-    tracemalloc.start()
-    try:
-        f = make_datum(grid, {"name": "wave", "width": 2.0, "k": 3.5})
-        u = solve(ResolventProblem(disc, 1.0, 0.1, f), tol=1e-9)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    made = []
+
+    def solve_wave():
+        made.append(make_datum(grid, {"name": "wave", "width": 2.0, "k": 3.5}))
+        made.append(solve(ResolventProblem(disc, 1.0, 0.1, made[0]), tol=1e-9))
+
+    _, peak = traced_memory(solve_wave)
+    f, u = made
     assert u.iterations == 0
     ufunc_buffers = 3 * np.getbufsize() * 16
     assert peak <= f.values.nbytes + 3 * grid.size * 16 + ufunc_buffers
@@ -760,12 +864,16 @@ def test_covariant_gradient_gauge_covariance_pointwise():
 def test_covariant_gradient_matches_the_hop_form(A, L, h, rtol):
     # the in-place difference is the hop's zero fill plus np.subtract to
     # the bit; scaling by 1/2h rounds like dividing by 2h when 2h is a
-    # power of two and within an ulp otherwise
+    # power of two and within an ulp otherwise.  The hop form multiplies
+    # by an all-ones array along every axis morcam keeps as None (ex13's
+    # z-links, every axis of the free pair)
     grid = RadialGrid(3, L, h)
     disc = Discretization(grid, make_potential_pair(3, A, None))
+    ref = unit_phase_reference(disc)
+    assert (disc.phases is None) == (A is None)
     u = random_field(grid, 3)
     for k in range(3):
-        expect = hop_gradient(u, disc, k)
+        expect = hop_gradient(u, ref, k)
         out = np.full(grid.shape, np.nan, complex)
         got = covariant_gradient(u, disc, k, out=out)
         assert got is out

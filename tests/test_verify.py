@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,7 +343,7 @@ def test_slab_sweep_matches_the_whole_array_references(monkeypatch, n, A, V):
         close({"hardy": hardy_ratio(u, disc)}, {"hardy": hardy})
 
 
-def test_post_solve_densities_allocate_less_than_one_grid_array():
+def test_post_solve_densities_allocate_less_than_one_grid_array(traced_memory):
     # on a 32^3 solution, theorem_lhs (which samples d_r V on this first
     # call) and identity_residual each allocate less than one grid-sized
     # complex128 array beyond their inputs: 0.84 and 0.81 measured (7.0
@@ -356,12 +355,7 @@ def test_post_solve_densities_allocate_less_than_one_grid_array():
     scales = [(make_phi(3, R, 1.0), make_varphi(3, R, 1e-3)) for R in (1.0, 2.0, 4.0)]
     for call in (lambda: theorem_lhs(u, prob.disc, 1.0, 0.5, 0.1),
                  lambda: identity_residual(u, prob.f, prob.disc, 1.0, 1.0, scales)):
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_memory(call)
         assert peak < grid.size * 16
     # and the grid keeps nothing grid-sized for its radial bins
     grid.bin_sums(u.abs2())
