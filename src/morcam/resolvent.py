@@ -26,12 +26,17 @@ whose link phases are all 1 keeps no array (its hops carry no product),
 and a zero V or d_r V is 0-d.  An application of the stencil allocates
 its output and slab-sized scratch, not grid-sized temporaries, and an
 operator keeps no diagonal: apply forms 2n/h^2 + V - lambda - i eps per
-slab from the sampled V.  The complex128 preconditioner is called once,
-for the start: it keeps no table and forms 1/(mu - lambda - i eps) per
-slab in that call.  At a cycle head a solve therefore holds its Krylov
+slab from the sampled V.  The preconditioner allocates its output and
+transforms it in place, slab by slab along axis 0 and by column blocks
+across it, with two buffers of two slabs as scratch.  The complex128
+preconditioner is called once, for the start: it keeps no table and
+forms 1/(mu - lambda - i eps) per column block in that call.  A cycle
+head sums the squares of the residual f - Au slab by slab, and only when
+the cycle runs sweeps the stencil again to write the scaled residual
+into the first basis vector.  A free solve therefore holds the datum and
+the solution besides slab scratch, and a cycle head holds the Krylov
 basis, the complex64 twin (the casts of the link phases, the
-preconditioner tables), the datum, the iterate and the residual, formed
-in place in the output of the application.
+preconditioner tables), the datum and the iterate.
 
 After a solve, radial_sweep evaluates the radial densities of the
 estimate and the identity checks in one more sweep: per slab it forms
@@ -84,9 +89,11 @@ CYCLE_REDUCTION = 16 * float(np.finfo(np.float32).eps)
 #: Bytes of one slab of a sweep along axis 0.  In DiscreteOperator.apply
 #: a slab of one array: the diagonal term, the hop sum and its scaling of
 #: a slab stay in cache between them, and apply's scratch is two slabs
-#: (and a float64 slab of the real diagonal when V is grid-sized) instead
-#: of grid-sized temporaries.  In the sampling, the free start and
-#: radial_sweep, a slab's whole working set.
+#: (and a float64 slab of the real diagonal when V is grid-sized; a
+#: residual sweep adds one for the residual) instead of grid-sized
+#: temporaries.  The preconditioner's scratch is two buffers of two slabs
+#: of its dtype.  In the sampling and radial_sweep, a slab's whole working
+#: set.
 SLAB_BYTES = 256 * 1024
 #: Bytes a node of the working set of the sampling and of radial_sweep:
 #: about 32 float64 values (the point array and the temporaries of the
@@ -95,10 +102,12 @@ SLAB_BYTES = 256 * 1024
 _WORK_NODE_BYTES = 32 * 8
 #: Grid-sized complex128 arrays a solve holds besides its Krylov basis: the
 #: link phases of the axes whose phases are not all 1 and their complex64
-#: casts, V, the datum, solution, residual, and the temporaries of both
+#: casts, V, the datum, the solution, and the temporaries of both
 #: operators and both preconditioners.  By tracemalloc over a 32^3 solve
 #: with exp_screened(0.3): 11.2 with an A that is nonzero on all three
-#: axes, 9.9 with ex13, whose z-phases are all 1.
+#: axes, 9.8 with ex13, whose z-phases are all 1; the peak is in an
+#: application of the complex64 twin, whose slab scratch covers the whole
+#: grid at 32^3.
 WORK_VECTORS = 12
 
 
@@ -197,7 +206,8 @@ class Discretization:
     V samples are capped at 1/h^2 (with a warning) to keep the operator
     bounded; ``capped`` marks where.  A V that samples to zero at every
     node is kept as a 0-d zero (and ``capped`` as a 0-d False), which
-    every reader broadcasts, so a free pair holds no grid-sized V.  d_r V
+    every reader broadcasts, so a free pair holds no grid-sized V (the
+    arrays are allocated at the first slab where V is not zero).  d_r V
     is sampled on first use and kept, a 0-d zero for a pair without V.
     Each is sampled one slab of axis 0 at a time from the 1-D node
     coordinates, so no grid-sized point array is formed.  A grid too large
@@ -216,14 +226,18 @@ class Discretization:
         self.pp = pp
         self.phases = link_phases(grid, pp)
         cap = 1.0 / grid.h ** 2
-        V = np.empty(grid.shape)
-        capped = np.empty(grid.shape, bool)
+        # V and capped are allocated at the first slab where V is not zero
+        V = capped = None
         for s, e in _slabs(grid, _WORK_NODE_BYTES):
             v = pp.eval_V(_slab_points(grid, s, e))
             _check_finite(v, "electric potential V")
+            if V is None:
+                if not v.any():
+                    continue
+                V, capped = np.zeros(grid.shape), np.zeros(grid.shape, bool)
             np.greater(np.abs(v), cap, out=capped[s:e])
             np.clip(v, -cap, cap, out=V[s:e])
-        if not V.any():
+        if V is None:
             V, capped = np.zeros(()), np.zeros((), bool)
         if capped.any():
             warnings.warn(
@@ -306,25 +320,51 @@ class DiscreteOperator:
                         [None if p is None else p.astype(self.dtype, copy=False)
                          for p in disc.phases])
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
+    def apply(self, u: np.ndarray, rhs: np.ndarray | None = None):
         """(-Delta_A^h + V - lambda - i eps)u in one sweep of slabs of
-        SLAB_BYTES along axis 0 (at least one row each).  Each slab's
-        diagonal term is written straight into the output, its 2n hops are
-        summed in one slab-sized scratch, axis 0's reading one halo row
-        past each end of the slab, and hop/h^2 is subtracted.  The slab's
-        complex diagonal is formed in that scratch: its real part
-        (2n/h^2 + V) - lambda in float64 (once when V is 0-d), cast to the
-        dtype, and -eps, the values a complex cast of the whole diagonal
-        holds.  Every sum is taken in the order of a whole-array sweep, so
-        the result does not depend on the slab size."""
+        SLAB_BYTES along axis 0 (at least one row each), see _sweep.  With
+        rhs (an array of the grid's shape) it returns the norm of the
+        residual rhs - Au instead, formed slab by slab in a slab buffer
+        (see _residuals) and summed from the squares of its rows of axis
+        0, so the value does not depend on the slab size and nothing
+        grid-sized is allocated."""
+        g = self.grid
+        u = np.asarray(u, self.dtype).reshape(g.shape)
+        if rhs is None:
+            out = np.empty(g.shape, self.dtype)
+            for _ in self._sweep(u, out):
+                pass
+            return out
+        real = np.finfo(self.dtype).dtype
+        squares = [row @ row for s, e, r in self._residuals(u, rhs)
+                   for row in r.view(real).reshape(e - s, -1)]
+        return math.sqrt(np.sum(squares))
+
+    def _residuals(self, u: np.ndarray, rhs: np.ndarray):
+        """Yield (s, e, r) for each slab of _sweep: r = rhs - Au on the
+        rows s:e of axis 0, in a slab buffer the next slab reuses."""
+        for s, e, w in self._sweep(u):
+            yield s, e, np.subtract(rhs[s:e], w, out=w)
+
+    def _sweep(self, u: np.ndarray, out: np.ndarray | None = None):
+        """Yield (s, e, w) for each slab of SLAB_BYTES along axis 0: w holds
+        Au on the rows s:e, written into out[s:e] when out is given and
+        otherwise into a slab buffer the next slab reuses.  Each slab's
+        diagonal term is written straight into w, its 2n hops are summed in
+        one slab-sized scratch, axis 0's reading one halo row past each end
+        of the slab, and hop/h^2 is subtracted.  The slab's complex
+        diagonal is formed in that scratch: its real part (2n/h^2 + V) -
+        lambda in float64 (once when V is 0-d), cast to the dtype, and
+        -eps, the values a complex cast of the whole diagonal holds.  Every
+        sum is taken in the order of a whole-array sweep, so the values do
+        not depend on the slab size."""
         g, dtype, eps = self.grid, self.dtype, self.eps
-        u = np.asarray(u, dtype).reshape(g.shape)
-        out = np.empty(g.shape, dtype)
         slabs = _slabs(g, dtype.itemsize)
         # hop sums the slab's hops; each product U u is formed in tmp (a
         # free operator has no products)
         hop = np.empty((slabs[0][1],) + g.shape[1:], dtype)
         tmp = None if self._phases is None else np.empty_like(hop)
+        buf = np.empty_like(hop) if out is None else None
         V, c = self.disc.V, 2 * g.n / g.h ** 2
         # the real diagonal (2n/h^2 + V) - lambda in float64, cast to the
         # dtype by its assignment to slab.real (rounding once, as a cast of
@@ -333,18 +373,19 @@ class DiscreteOperator:
         scale = 1.0 / g.h ** 2
         for s, e in slabs:
             slab = hop[:e - s]
+            w = buf[:e - s] if out is None else out[s:e]
             d = rd
             if V.ndim:
                 d = np.add(c, V[s:e], out=rd[:e - s])
                 d -= self.lam
             slab.real = d
             slab.imag = -eps
-            np.multiply(slab, u[s:e], out=out[s:e])
+            np.multiply(slab, u[s:e], out=w)
             slab[...] = 0
             self._add_hops(slab, tmp, u, s, e)
             slab *= scale
-            out[s:e] -= slab
-        return out
+            w -= slab
+            yield s, e, w
 
     def _add_hops(self, hop, tmp, u, s, e):
         """Add to hop, the rows s:e of axis 0, the hop along each axis k
@@ -379,81 +420,128 @@ class DiscreteOperator:
         (see _dirichlet_eigenpairs), acting on flat vectors of the
         operator's dtype.
 
+        A call allocates its complex output and transforms it in place in
+        four sweeps, with two buffers of two slabs of the dtype as
+        scratch: (1) the product along axis 0, from v's rows (real and
+        imaginary parts interleaved, one real matrix) into the output's;
+        (2) per slab of axis 0, the products along axes 1..n-1 in the
+        scratch, the last written back into the slab's rows with their
+        real parts ahead of their imaginary parts; (3) per column block of
+        those rows (as many nodes as a slab), the table's multiplication
+        and the inverse product along axis 0, the block copied into the
+        scratch first (ufuncs run slower on strided views) and its
+        product written back; (4) per slab, the inverse products along
+        axes 1..n-1, interleaved back into the output.  Each product and
+        each table entry takes the values and the order of a whole-array
+        transform (forward along axes 0..n-1, the table, inverse along
+        0..n-1), so the result does not depend on the slab size.
+
         The table 1/(d - i eps), d = mu - lambda, is formed as its real and
         imaginary parts d/(d^2 + eps^2) and eps/(d^2 + eps^2) in float64
-        real arithmetic, one slab of axis 0 at a time.  A complex64
-        operator is the twin a solve calls once per Arnoldi step, so it
-        keeps the table, cast to float32.  A complex128 one is the start
-        of a solve, called once, so it keeps nothing grid-sized and each
-        call forms the table slab by slab as it multiplies: the same
-        values either way.  v may also be a ScalarField.  When this
-        operator is free and the field has factors f_k, the callable takes
-        the spectrum S v as the outer product of the 1-D transforms S f_k,
-        formed slab by slab, so only the inverse transform is n-D;
-        otherwise it transforms the field's values.  A call holds two
-        stacked (2, *shape) real buffers, then the result and one of
-        them."""
+        real arithmetic.  A complex64 operator is the twin a solve calls
+        once per Arnoldi step, so it keeps the table by column blocks,
+        cast to float32.  A complex128 one is the start of a solve, called
+        once, so it keeps nothing grid-sized and each call forms the table
+        block by block as it multiplies: the same values either way.  v
+        may also be a ScalarField.  When this operator is free and the
+        field has factors f_k, the callable takes the spectrum S v as the
+        outer product of the 1-D transforms S f_k, formed slab by slab in
+        place of the products of sweeps 1 and 2; otherwise it transforms
+        the field's values."""
         g, dtype = self.grid, self.dtype
-        shape, real = g.shape, np.finfo(dtype).dtype
+        m, shape, real = g.m, g.shape, np.finfo(dtype).dtype
         lam, eps = self.lam, self.eps
         # only a free operator's solve is its start; any other solve takes
         # the dense transform, one preconditioner call of many, so its
         # steps keep their rounding
         free = self.disc.phases is None and self.disc.V.ndim == 0
-        S, mu = _dirichlet_eigenpairs(g.m, g.h)
+        S, mu = _dirichlet_eigenpairs(m, g.h)
         S = S.astype(real, copy=False)
-        # a slab holds the table's two float64 parts
-        slabs = _slabs(g, 2 * 8)
+        slabs = _slabs(g, dtype.itemsize)
+        # M nodes a row of axis 0; the column blocks (c, d) of the rows'
+        # nodes hold as many nodes as a slab
+        M = g.size // m
+        cols = slabs[0][1] * M // m
+        blocks = [(c, min(c + cols, M)) for c in range(0, M, cols)]
 
-        def table(s, e):
-            # the outer sum, by broadcasting (np.add.outer holds a second
-            # copy of its result)
-            d = mu[s:e]
-            for _ in range(g.n - 1):
-                d = np.add(d[..., None], mu)
-            d -= lam
-            q = d * d
+        def table(c, d, s=0, e=m):
+            # the table on the columns c:d of the rows s:e, mu summed over
+            # the axes in order as a broadcast outer sum adds them
+            t = np.zeros((e - s, d - c))
+            t += mu[s:e, None]
+            for i in np.unravel_index(np.arange(c, d), shape[1:]):
+                t += mu[i]
+            t -= lam
+            q = t * t
             q += eps ** 2
-            d /= q
+            t /= q
             np.divide(eps, q, out=q)
-            return d, q
+            return t, q
 
         kept = None
         if dtype == np.complex64:
-            kept = np.empty((2,) + shape, real)
-            for s, e in slabs:
-                kept[0, s:e], kept[1, s:e] = table(s, e)
+            # formed by row ranges whose two float64 parts hold SLAB_BYTES
+            kept = [np.empty((2, m, d - c), real) for c, d in blocks]
+            for (c, d), k in zip(blocks, kept):
+                rows = max(1, SLAB_BYTES // (16 * (d - c)))
+                for s in range(0, m, rows):
+                    e = min(s + rows, m)
+                    k[0, s:e], k[1, s:e] = table(c, d, s, e)
 
         def minv(v):
             factors = None
             if isinstance(v, ScalarField):
                 v, factors = v.values, v.factors if free else None
-            a, b = np.empty((2,) + shape, real), np.empty((2,) + shape, real)
+            out = np.empty(shape, dtype)
+            # out's memory, 2M reals a row of axis 0: the interleaved
+            # complex values, or between the sweeps the row's real parts
+            # ahead of its imaginary parts (split); halves views the split
+            # parts of every row's columns
+            rows = out.view(real).reshape(m, 2 * M)
+            split = rows.reshape((m, 2) + shape[1:])
+            halves = rows.reshape(m, 2, M).transpose(1, 0, 2)
+            flat = np.empty((2, 2 * slabs[0][1] * M), real)
+
+            def scratch(dims):
+                # two buffers of shape dims: contiguous prefixes of the
+                # flat ones, so that reshape gives views
+                return [b[:math.prod(dims)].reshape(dims) for b in flat]
+
+            bufs = [scratch((e - s, 2) + shape[1:]) for s, e in slabs]
             if factors is None:
-                v = np.asarray(v, dtype).reshape(shape)
-                a[0], a[1] = v.real, v.imag
-                a, b = _sine_transform(a, b, S)
+                v = np.ascontiguousarray(v, dtype).reshape(shape)
+                np.matmul(S, v.view(real).reshape(m, 2 * M), out=rows)
             else:
                 spec = [S @ f for f in factors]
                 head = functools.reduce(np.multiply.outer, spec[:-1], np.ones(()))
-                prod = np.empty((slabs[0][1],) + shape[1:], dtype)
-                for s, e in slabs:
-                    t = np.multiply(head[s:e, ..., None], spec[-1], out=prod[:e - s])
-                    a[0, s:e], a[1, s:e] = t.real, t.imag
-                del prod, t
-            # the twin reads its kept table in one pass
-            for s, e in slabs if kept is None else [(0, g.m)]:
-                inv_re, inv_im = table(s, e) if kept is None else kept
-                re, im = a[0, s:e], a[1, s:e]
-                np.multiply(re, inv_re, out=b[0, s:e])
-                np.multiply(re, inv_im, out=b[1, s:e])
+            for (s, e), (a, b) in zip(slabs, bufs):
+                o = out[s:e]
+                if factors is None:
+                    a[:, 0], a[:, 1] = o.real, o.imag
+                    _sine_rest(a, (b, a), S, out=split[s:e])
+                else:
+                    t = b.reshape(-1).view(dtype).reshape(o.shape)
+                    np.multiply(head[s:e, ..., None], spec[-1], out=t)
+                    split[s:e, 0], split[s:e, 1] = t.real, t.imag
+            x = y = None
+            for j, (c, d) in enumerate(blocks):
+                inv_re, inv_im = table(c, d) if kept is None else kept[j]
+                # the scratch views change only for a partial last block
+                if x is None or x.shape[2] != d - c:
+                    x, y = scratch((2, m, d - c))
+                    (re, im), (y_re, y_im) = x, y
+                block = halves[:, :, c:d]
+                x[...] = block
+                np.multiply(re, inv_re, out=y_re)
+                np.multiply(re, inv_im, out=y_im)
                 # re has been read; it holds each im product in turn
-                b[0, s:e] -= np.multiply(im, inv_im, out=re)
-                b[1, s:e] += np.multiply(im, inv_re, out=re)
-            b, a = _sine_transform(b, a, S)
-            del a
-            out = np.empty(shape, dtype)
-            out.real, out.imag = b[0], b[1]
+                y_re -= np.multiply(im, inv_im, out=re)
+                y_im += np.multiply(im, inv_re, out=re)
+                np.matmul(S, y, out=block)
+            for (s, e), b in zip(slabs, bufs):
+                x = _sine_rest(split[s:e], b, S)
+                o = out[s:e]
+                o.real, o.imag = x[:, 0], x[:, 1]
             return out.ravel()
 
         return minv
@@ -470,20 +558,23 @@ def _dirichlet_eigenpairs(m: int, h: float):
     return S, (2 - 2 * np.cos(math.pi * k / (m + 1))) / h ** 2
 
 
-def _sine_transform(x: np.ndarray, spare: np.ndarray, S: np.ndarray):
-    """Apply S along every grid axis of the stacked real and imaginary
-    parts x, of shape (2, m, ..., m), one matrix product per axis with
-    x and spare as alternating buffers.  Returns (result, spare)."""
+def _sine_rest(x: np.ndarray, bufs, S: np.ndarray, out=None) -> np.ndarray:
+    """Apply S along the grid axes 1..n-1 of x, a slab's rows of axis 0
+    with their real and imaginary parts apart, shape (rows, 2, m, ..., m):
+    one matrix product per axis, written into the two buffers of x's shape
+    in bufs in turn and the last into out when given.  Returns the array
+    holding the result."""
     m = S.shape[0]
     n = x.ndim - 1
-    for k in range(n):
+    for k in range(1, n):
+        y = out if k == n - 1 and out is not None else bufs[(k - 1) % 2]
         if k == n - 1:
-            np.matmul(x.reshape(-1, m), S, out=spare.reshape(-1, m))
+            np.matmul(x.reshape(-1, m), S, out=y.reshape(-1, m))
         else:
-            batch = (2 * m ** k, m, m ** (n - 1 - k))
-            np.matmul(S, x.reshape(batch), out=spare.reshape(batch))
-        x, spare = spare, x
-    return x, spare
+            batch = (-1, m, m ** (n - 1 - k))
+            np.matmul(S, x.reshape(batch), out=y.reshape(batch))
+        x = y
+    return x
 
 
 @dataclass
@@ -608,38 +699,41 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
 
 
 def _gmres(op, f, tol):
-    """Right-preconditioned GMRES(RESTART) for op.apply(x) = b, b the flat
+    """Right-preconditioned GMRES(RESTART) for op.apply(x) = b, b the
     values of the field f, from x0 = minv(f) (Saad & Schultz 1986), with
     minv = op.preconditioner(), stopping once ||b - op.apply(x)|| <=
     tol ||b||, after MAXITER iterations or at the first non-finite
     residual norm (a cycle whose Givens estimate is not finite ends at
-    once, and the next cycle head returns).  Returns x, its relative
-    residual, the number of Arnoldi steps and the number of cycles.
+    once, and the next cycle head returns).  Returns x (of the grid's
+    shape), its relative residual, the number of Arnoldi steps and the
+    number of cycles.
 
-    Every cycle, the first included, begins with the complex128 true
-    residual r = b - op.apply(x), formed in place in the output of apply,
-    and the convergence test, so an exact minv returns x0 after one minv
-    and one apply and builds nothing else.  minv is called once, for x0,
-    and its tables are dropped with it: a cycle head holds only the
-    basis, the twin and its preconditioner, b, x and r.
-    Otherwise Arnoldi runs from r / ||r|| on v -> apply(minv(v)) of the
-    complex64 twin of op, with classical Gram-Schmidt done twice (Giraud,
-    Langou & Rozloznik 2005) over a complex64 basis and Givens rotations
-    tracking the residual in complex128, until the estimate falls to
-    max(tol ||b|| / 1.5, CYCLE_REDUCTION ||r||).  Each basis vector is
-    scaled by the reciprocal of its norm, a real multiplication (numpy
-    divides a complex array by a real through complex division).  The
-    cycle ends by adding the complex64 minv(V y) to x: GMRES-based
-    iterative refinement (Carson & Higham 2018).  The twin and the basis
-    are built at the first cycle.
+    Every cycle, the first included, begins with the norm of the
+    complex128 true residual r = b - Ax, op.apply(x, b), which sums the
+    squares of r slab by slab, and the convergence test, so an exact minv
+    returns x0 after one minv and one apply and builds nothing besides x.
+    minv is called once, for x0, and its scratch is dropped with it: a
+    cycle head holds only the basis, the twin and its preconditioner, b
+    and x.  Otherwise a second sweep of the stencil (not an application
+    of the operator: it forms the same r again) writes r / ||r|| into the
+    first basis vector slab by slab, the arithmetic of a multiplication
+    of the whole r, and Arnoldi runs from it on v -> apply(minv(v)) of
+    the complex64 twin of op, with classical Gram-Schmidt done twice
+    (Giraud, Langou & Rozloznik 2005) over a complex64 basis and Givens
+    rotations tracking the residual in complex128, until the estimate
+    falls to max(tol ||b|| / 1.5, CYCLE_REDUCTION ||r||).  Each basis
+    vector is scaled by the reciprocal of its norm, a real multiplication
+    (numpy divides a complex array by a real through complex division).
+    The cycle ends by adding the complex64 minv(V y), scaled by ||r|| in
+    complex128 slab by slab, to x: GMRES-based iterative refinement
+    (Carson & Higham 2018).  The twin and the basis are built at the
+    first cycle.
     """
-    b = f.values.ravel()
-    bnorm = np.linalg.norm(b)
-    x, its, cycles = op.preconditioner()(f), 0, 0
+    b = f.values
+    bnorm = np.linalg.norm(b.ravel())
+    x, its, cycles = op.preconditioner()(f).reshape(b.shape), 0, 0
     while True:
-        r = op.apply(x).ravel()
-        np.subtract(b, r, out=r)
-        rnorm = np.linalg.norm(r)
+        rnorm = op.apply(x, b)
         if not math.isfinite(rnorm) or rnorm <= tol * bnorm or its >= MAXITER:
             return x, rnorm / bnorm, its, cycles
         if not cycles:
@@ -654,8 +748,11 @@ def _gmres(op, f, tol):
         cs, sn = np.zeros(RESTART), np.zeros(RESTART, complex)
         g = np.zeros(RESTART + 1, complex)
         g[0] = 1.0
-        np.multiply(r, 1 / rnorm, out=V[0])
-        del r
+        # the residual again, slab by slab, scaled into the first basis row
+        V0 = V[0].reshape(b.shape)
+        for s, e, r in op._residuals(x, b):
+            np.multiply(r, 1 / rnorm, out=V0[s:e])
+        del r  # the sweep's slab buffer, alive through the cycle otherwise
         for j in range(min(RESTART, MAXITER - its)):
             its += 1
             w = low.apply(minv32(V[j])).ravel()
@@ -681,8 +778,12 @@ def _gmres(op, f, tol):
         # a complex128 y would make numpy upcast a copy of the whole basis
         y = np.linalg.solve(H[:k, :k], g[:k]).astype(np.complex64)
         # the cycle solved for r / ||r||, so its complex64 correction is of
-        # unit size whatever the scale of f; it is rescaled in complex128
-        x += np.multiply(rnorm, minv32(V[:k].T @ y), dtype=complex)
+        # unit size whatever the scale of f; it is rescaled in complex128,
+        # slab by slab
+        z = minv32(V[:k].T @ y).reshape(b.shape)
+        for s, e in _slabs(op.grid, 16):
+            x[s:e] += np.multiply(rnorm, z[s:e], dtype=complex)
+        del z  # alive through the next cycle otherwise
 
 
 def covariant_gradient(u: ScalarField, disc: Discretization, k: int,

@@ -46,9 +46,9 @@ def operator_calls(monkeypatch):
     Op = resolvent.DiscreteOperator
     apply, preconditioner = Op.apply, Op.preconditioner
 
-    def counted_apply(op, u):
+    def counted_apply(op, *args):
         calls["apply"] += 1
-        return apply(op, u)
+        return apply(op, *args)
 
     def counted_preconditioner(op):
         minv = preconditioner(op)

@@ -5,13 +5,14 @@ Importable from the test modules: pytest puts this directory on sys.path
 """
 
 import copy
+import functools
 import math
 
 import numpy as np
 
 from morcam import resolvent
 from morcam.fields import radial_derivative_parts, trapping_component
-from morcam.grids import point_array
+from morcam.grids import ScalarField, point_array
 from morcam.norms import NormReport, _mc_sup_sq, _sphere_sup
 from morcam.resolvent import Discretization
 from morcam.verify import IdentityReport
@@ -134,6 +135,68 @@ def whole_array_apply(op, u):
     hop *= 1.0 / g.h ** 2
     out -= hop
     return out
+
+
+def stacked_sine_transform(x, spare, S):
+    """Apply S along every grid axis of the stacked real and imaginary
+    parts x, of shape (2, m, ..., m), one matrix product per axis with
+    x and spare as alternating buffers.  Returns (result, spare)."""
+    m = S.shape[0]
+    n = x.ndim - 1
+    for k in range(n):
+        if k == n - 1:
+            np.matmul(x.reshape(-1, m), S, out=spare.reshape(-1, m))
+        else:
+            batch = (2 * m ** k, m, m ** (n - 1 - k))
+            np.matmul(S, x.reshape(batch), out=spare.reshape(batch))
+        x, spare = spare, x
+    return x, spare
+
+
+def whole_array_preconditioner(op):
+    """op.preconditioner() formed on whole-grid arrays: the table
+    1/(mu - lambda - i eps) as d/(d^2 + eps^2) and eps/(d^2 + eps^2) in
+    float64 (cast to float32 for a complex64 op), and the transform of two
+    stacked (2, *shape) real buffers, forward along axes 0..n-1, the
+    table, then inverse along axes 0..n-1.  A free op takes a ScalarField
+    with factors f_k as the outer product of the S f_k."""
+    g, dtype = op.grid, op.dtype
+    shape, real = g.shape, np.finfo(dtype).dtype
+    free = op.disc.phases is None and op.disc.V.ndim == 0
+    S, mu = resolvent._dirichlet_eigenpairs(g.m, g.h)
+    S = S.astype(real, copy=False)
+    d = mu
+    for _ in range(g.n - 1):
+        d = np.add(d[..., None], mu)
+    d = d - op.lam
+    q = d * d + op.eps ** 2
+    inv_re, inv_im = (t.astype(real, copy=False) for t in (d / q, op.eps / q))
+
+    def minv(v):
+        factors = None
+        if isinstance(v, ScalarField):
+            v, factors = v.values, v.factors if free else None
+        a, b = np.empty((2,) + shape, real), np.empty((2,) + shape, real)
+        if factors is None:
+            v = np.asarray(v, dtype).reshape(shape)
+            a[0], a[1] = v.real, v.imag
+            a, b = stacked_sine_transform(a, b, S)
+        else:
+            spec = [S @ f for f in factors]
+            head = functools.reduce(np.multiply.outer, spec[:-1], np.ones(()))
+            t = (head[..., None] * spec[-1]).astype(dtype, copy=False)
+            a[0], a[1] = t.real, t.imag
+        re, im = a
+        np.multiply(re, inv_re, out=b[0])
+        np.multiply(re, inv_im, out=b[1])
+        b[0] -= im * inv_im
+        b[1] += im * inv_re
+        b, a = stacked_sine_transform(b, a, S)
+        out = np.empty(shape, dtype)
+        out.real, out.imag = b[0], b[1]
+        return out.ravel()
+
+    return minv
 
 
 def whole_radial_index(grid):

@@ -16,7 +16,8 @@ from morcam.resolvent import (DiscreteOperator, Discretization, ResolventProblem
                               build_problem, covariant_gradient, epsilon_floor,
                               link_phases, make_datum, solve)
 from oracles import (hop_gradient, sweep_split, swirl, unit_phase_reference,
-                     whole_array_apply, whole_grid_samples, zero_V_reference)
+                     whole_array_apply, whole_array_preconditioner,
+                     whole_grid_samples, zero_V_reference)
 
 rng = np.random.default_rng(5)
 
@@ -218,6 +219,24 @@ def test_discretization_samples_V_once(monkeypatch):
     disc.radial_derivative()
     assert sum(p[0] for p in points) == grid.m
     assert all(p[1:] == grid.shape[1:] for p in points)
+
+
+@pytest.mark.parametrize("V", [None, {"name": "gaussian", "amplitude": 0.0}],
+                         ids=["free", "samples_to_zero"])
+def test_zero_V_allocates_no_grid_array(traced_memory, V):
+    # V and capped are allocated at the first slab where V is not zero, so
+    # a V that samples to zero everywhere takes the sampling's working set
+    # of about one slab (0.66 and 0.90 slabs measured, 0.04 and 0.06
+    # complex128 grid arrays); a float64 V and a bool mask filled only to
+    # be found zero took 0.56 grid arrays
+    grid = RadialGrid(3, 8.0, 0.25)
+    made = []
+    pp = make_potential_pair(3, None, V)
+    _, peak = traced_memory(lambda: made.append(Discretization(grid, pp)))
+    [disc] = made
+    assert disc.V.ndim == 0 and disc.V == 0
+    assert disc.capped.ndim == 0 and not disc.capped
+    assert peak < resolvent.SLAB_BYTES
 
 
 def test_link_phases_unit_modulus():
@@ -598,6 +617,36 @@ def test_preconditioner_takes_the_spectrum_of_a_separable_field(name, n):
                                atol=1e-14 * np.abs(expect).max())
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("free", [True, False], ids=["free", "A_V"])
+def test_in_place_preconditioner_equals_the_stacked_transform(n, dtype, free,
+                                                              monkeypatch):
+    # the slab and column-block sweeps take the matrix products and the
+    # table's real arithmetic of the whole-array transform of two stacked
+    # real buffers in the same order on the same values, so the result is
+    # the same to the bit: for dense data and a field with factors (a
+    # free operator's start takes its spectrum from them), with the whole
+    # grid in one slab (m = 8), slabs and column blocks of 3 rows' nodes
+    # (m not a multiple: the last slab and block are partial) and of 1 row
+    grid = RadialGrid(n, 2.0, 0.5)
+    disc = Discretization(grid, PotentialPair(n) if free else random_pair(n, 15))
+    f = make_datum(grid, {"name": "wave", "width": 1.3,
+                          "center": [0.4, -0.3, 0.7, 0.2][:n]})
+    v = random_field(grid, 16).values.astype(dtype)
+    row = grid.size // grid.m * np.dtype(dtype).itemsize
+    assert resolvent.SLAB_BYTES // row > grid.m
+    for rows in (None, 3, 1):
+        if rows is not None:
+            monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * row)
+        op = DiscreteOperator(disc, 0.7, -0.3, dtype)
+        minv, ref = op.preconditioner(), whole_array_preconditioner(op)
+        for arg in (v, f):
+            got = minv(arg)
+            assert got.dtype == dtype and got.shape == (grid.size,)
+            assert np.array_equal(got, ref(arg))
+
+
 def test_shell_datum_keeps_no_factors():
     grid = small_grid()
     f = make_datum(grid, "shell")
@@ -609,8 +658,8 @@ def test_shell_datum_keeps_no_factors():
 
 def test_preconditioner_tables_hold_two_float_arrays(traced_memory):
     # Re and Im of 1/(d - i eps) are formed as d/(d^2 + eps^2) and
-    # eps/(d^2 + eps^2) slab by slab: the complex64 twin keeps them as two
-    # float32 arrays (one float64 array's bytes), and the complex128
+    # eps/(d^2 + eps^2) block by block: the complex64 twin keeps them as
+    # two float32 arrays (one float64 array's bytes), and the complex128
     # start keeps no table at all, only the sine matrix (it held two
     # float64 arrays)
     grid = RadialGrid(3, 8.0, 0.5)
@@ -630,9 +679,9 @@ def test_free_solve_of_a_separable_datum_starts_from_its_factors(monkeypatch):
     calls = {"apply": 0, "precond": []}
     apply, preconditioner = DiscreteOperator.apply, DiscreteOperator.preconditioner
 
-    def counted_apply(op, u):
+    def counted_apply(op, *args):
         calls["apply"] += 1
-        return apply(op, u)
+        return apply(op, *args)
 
     def recorded_preconditioner(op):
         minv = preconditioner(op)
@@ -747,7 +796,7 @@ def test_solve_does_not_depend_on_the_scale_of_f():
 
 def test_solve_peak_memory(traced_memory):
     # transient allocations of a solve, in grid-sized complex128 arrays:
-    # 56.8 measured, of which the 101 complex64 basis vectors are 50.5; a
+    # 56.3 measured, of which the 101 complex64 basis vectors are 50.5; a
     # complex128 basis alone would be 101, and one more grid-sized
     # complex128 temporary would pass the bound
     grid = RadialGrid(3, 8.0, 0.5)
@@ -757,17 +806,21 @@ def test_solve_peak_memory(traced_memory):
     _, peak = traced_memory(lambda: made.append(solve(prob, tol=1e-10)))
     [u] = made
     assert u.iterations >= 20
-    assert peak < 58 * grid.size * 16
+    assert peak < 57 * grid.size * 16
 
 
-def test_free_solve_peak_memory(traced_memory):
-    # a free solve keeps no 1/(mu - lambda - i eps) table: its start holds
-    # two stacked real buffers and slab scratch, its one application the
-    # iterate, the output and a slab; 2.97 and 3.27 grid-sized complex128
-    # arrays beyond the datum, of which numpy's three fixed 8192-value
-    # ufunc buffers (0.75 at 32^3) are not grid arrays.  4.57 with the
-    # table, which this bound refuses
+def test_free_solve_peak_memory(traced_memory, monkeypatch):
+    # a free solve holds the datum and the solution: the start transforms
+    # in its own output and its head sums the squares of the residual
+    # slab by slab.  Beyond those two arrays it allocates slab scratch:
+    # 5.6 slabs measured (the two planar buffers of two slabs each, the
+    # table of a column block, the spectrum's outer product of n - 1
+    # factors and the sine matrices).  With slabs of 1/16 of a grid array
+    # the parent's two stacked real buffers (3.27 grid arrays beyond the
+    # datum at 256 KiB slabs, 2.26 here) and a grid-sized residual at the
+    # head both fail the bound
     grid = RadialGrid(3, 8.0, 0.5)
+    monkeypatch.setattr(resolvent, "SLAB_BYTES", grid.size)
     disc = Discretization(grid, PotentialPair(3))
     made = []
 
@@ -778,8 +831,52 @@ def test_free_solve_peak_memory(traced_memory):
     _, peak = traced_memory(solve_wave)
     f, u = made
     assert u.iterations == 0
-    ufunc_buffers = 3 * np.getbufsize() * 16
-    assert peak <= f.values.nbytes + 3 * grid.size * 16 + ufunc_buffers
+    assert peak <= f.values.nbytes + grid.size * 16 + 8 * resolvent.SLAB_BYTES
+
+
+def test_solve_does_not_depend_on_the_slab_size(operator_calls, monkeypatch):
+    # apply, the preconditioners and the head's residual norm (summed from
+    # the squares of the rows of axis 0) give the same values at every
+    # slab size, so a solve takes the same steps to the same u
+    base = solve(magnetic_point_problem(0.25), tol=1e-10)
+    counts = dict(operator_calls)
+    grid = base.grid
+    for rows in (3, 1):
+        monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * grid.size // grid.m * 8)
+        operator_calls.update(apply=0, precond=0)
+        u = solve(magnetic_point_problem(0.25), tol=1e-10)
+        assert operator_calls == counts
+        assert (u.iterations, u.cycles, u.residual) == (
+            base.iterations, base.cycles, base.residual)
+        assert np.array_equal(u.values, base.values)
+
+
+def test_apply_gives_the_residual_norm_without_a_grid_array(traced_memory,
+                                                             monkeypatch):
+    # apply(u, rhs) is ||rhs - Au||, formed slab by slab: the norm of the
+    # whole residual to rounding, from a few slabs of scratch (the hop
+    # sum, the phase products, the residual and the float64 diagonal;
+    # 4.5 slabs of 1/16 of a grid array measured), not a grid array.  It
+    # sums the squares of the rows of axis 0, so it is the same at every
+    # slab size: the whole grid, 3 rows (m not a multiple) and 1 row.  u
+    # spans several orders of magnitude, so that sums grouped by slab
+    # would round differently
+    grid = RadialGrid(3, 8.0, 0.25)
+    disc = Discretization(grid, random_pair(3, 17))
+    op = DiscreteOperator(disc, 1.0, 0.3)
+    spread = np.exp(3 * np.random.default_rng(18).standard_normal(grid.shape))
+    u, rhs = spread * random_field(grid, 18).values, random_field(grid, 19).values
+    expect = np.linalg.norm(rhs - op.apply(u))
+    row = grid.size // grid.m * 16
+    norms = []
+    for rows in (grid.m, 3, 1):
+        monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * row)
+        norms.append(op.apply(u, rhs))
+    assert norms[0] == pytest.approx(expect, rel=1e-13)
+    assert norms[1] == norms[0] and norms[2] == norms[0]
+    monkeypatch.setattr(resolvent, "SLAB_BYTES", grid.size)
+    _, peak = traced_memory(lambda: op.apply(u, rhs))
+    assert peak < 6 * resolvent.SLAB_BYTES
 
 
 def test_solve_reaches_requested_residual():
