@@ -58,27 +58,35 @@ class ScenarioError(Exception):
     pass
 
 
+def _check_keys(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise ScenarioError(
+            f"unknown {where} keys {sorted(map(str, unknown))}; "
+            f"choose from {sorted(allowed)}")
+
+
 def _resolve_scenario(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a mapping")
-    unknown = set(raw) - _KEYS
-    if unknown:
-        raise ScenarioError(
-            f"unknown scenario keys {sorted(map(str, unknown))}; "
-            f"choose from {sorted(_KEYS)}")
+    _check_keys(raw, _KEYS, "scenario")
     sc = dict(_DEFAULTS)
     sc.update(raw)
     for key in ("n", "grid", "run"):
         if key not in sc:
             raise ScenarioError(f"scenario is missing required key '{key}'")
-    if sc["run"] not in RUN_TYPES:
+    if not isinstance(sc["run"], str) or sc["run"] not in RUN_TYPES:
         raise ScenarioError(
-            f"unknown run type '{sc['run']}'; choose from {sorted(RUN_TYPES)}")
+            f"unknown run type {sc['run']!r}; choose from {sorted(RUN_TYPES)}")
     pot = sc.get("potential") or {}
+    if not isinstance(pot, dict):
+        raise ScenarioError("potential must be a mapping with keys A and V")
+    _check_keys(pot, ("A", "V"), "potential")
     sc["potential"] = {"A": pot.get("A"), "V": pot.get("V")}
     grid = sc["grid"]
     if not isinstance(grid, dict) or "L" not in grid or "h" not in grid:
         raise ScenarioError("grid must be a mapping with keys L and h")
+    _check_keys(grid, ("L", "h"), "grid")
     return sc
 
 

@@ -136,29 +136,30 @@ class RadialQuad:
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def _block_divergence(radii: np.ndarray, contributions: np.ndarray) -> bool:
-    """True when dyadic blocks of the 1-D integral fail to decay toward
-    either end of the sampled range (the truncated integral then is not a
-    stable approximation of a finite value).  An end whose blocks beyond
-    the outermost nonzero one are all exactly zero has decayed: the
-    integrand vanishes there."""
-    with np.errstate(divide="ignore"):
-        j = np.floor(np.log2(np.maximum(radii, 1e-300))).astype(np.int64)
+def _dyadic_blocks(radii: np.ndarray, values: np.ndarray, sup: bool) -> np.ndarray:
+    """values over the dyadic blocks 2^j <= r < 2^(j+1) of the radii,
+    innermost first: their sum per block, or their max when sup."""
+    j = np.floor(np.log2(np.maximum(radii, 1e-300))).astype(np.int64)
     j -= j.min()
-    blocks = np.bincount(j, weights=contributions)
+    if not sup:
+        return np.bincount(j, weights=values)
+    blocks = np.zeros(j.max() + 1)
+    np.maximum.at(blocks, j, values)
+    return blocks
+
+
+def _grows_at_an_end(blocks: np.ndarray, grows: Callable) -> bool:
+    """True when, of at least three nonzero blocks, the outermost one at
+    an end of the sampled range is the range's end block and grows(it,
+    its neighbour) holds.  An end whose blocks beyond the outermost
+    nonzero one are all exactly zero has decayed: the integrand vanishes
+    there."""
     nz = np.nonzero(blocks > 0)[0]
     if nz.size < 3:
         return False
-    total = blocks.sum()
-    sig = 1e-10 * total
     lo, hi = nz[0], nz[-1]
-    if (hi == blocks.size - 1 and blocks[hi] > sig
-            and blocks[hi] >= 0.9 * blocks[hi - 1] and blocks[hi - 1] > sig):
-        return True
-    if (lo == 0 and blocks[lo] > sig
-            and blocks[lo] >= 0.9 * blocks[lo + 1] and blocks[lo + 1] > sig):
-        return True
-    return False
+    return bool((hi == blocks.size - 1 and grows(blocks[hi], blocks[hi - 1]))
+                or (lo == 0 and grows(blocks[lo], blocks[lo + 1])))
 
 
 #: Radii per evaluation of w in the mixed-norm quadrature: bounds the memory
@@ -186,15 +187,20 @@ def mixed_radial_norm(w: Callable, p: int, weight_exponent: float,
     """Mixed norm ( int_0^inf sup_{|x|=r} (|x|^e w(x))^p dr )^(1/p).
 
     w must be a vectorized nonnegative map on R^n.  p is 1 or 2.  A +inf
-    result signals a divergent integral (detected through non-decaying
-    dyadic blocks); it is a value, not an error.
+    result signals a divergent integral, whose truncation is not a stable
+    approximation of a finite value: the dyadic block at an end of the
+    sampled range still holds at least 0.9 of its neighbour's, both above
+    1e-10 of the total (see _grows_at_an_end).  It is a value, not an
+    error.
     """
     if p not in (1, 2):
         raise ParameterError(f"p must be 1 or 2, got {p}")
     radii, sups = _sphere_sups(w, n, quad)
     sup_r = radii ** weight_exponent * sups
     contributions = sup_r ** p * quad.dr
-    if _block_divergence(radii, contributions):
+    blocks = _dyadic_blocks(radii, contributions, sup=False)
+    sig = 1e-10 * blocks.sum()
+    if _grows_at_an_end(blocks, lambda a, b: a > sig and a >= 0.9 * b and b > sig):
         return math.inf
     total = float(contributions.sum())
     return total if p == 1 else math.sqrt(total)
@@ -204,25 +210,14 @@ def weighted_sup_norm(w: Callable, weight_exponent: float, n: int,
                       quad: RadialQuad = RadialQuad()) -> float:
     """sup over R^n of |x|^e w(x) on the radial/angular sample, with +inf
     when the radial profile of the sup still grows at either end of the
-    sampled range (an end where it vanishes identically has decayed, as
-    in _block_divergence)."""
+    sampled range (see _grows_at_an_end): the end block's sup is more than
+    1.05 times its neighbour's and above 1e-10 of the largest."""
     radii, sups = _sphere_sups(w, n, quad)
     sup_r = radii ** weight_exponent * sups
-    with np.errstate(divide="ignore"):
-        j = np.floor(np.log2(radii)).astype(np.int64)
-    j -= j.min()
-    block_sup = np.full(j.max() + 1, 0.0)
-    np.maximum.at(block_sup, j, sup_r)
-    nz = np.nonzero(block_sup > 0)[0]
-    if nz.size >= 3:
-        sig = 1e-10 * block_sup.max()
-        lo, hi = nz[0], nz[-1]
-        if (hi == block_sup.size - 1 and block_sup[hi] > sig
-                and block_sup[hi] > 1.05 * block_sup[hi - 1]):
-            return math.inf
-        if (lo == 0 and block_sup[lo] > sig
-                and block_sup[lo] > 1.05 * block_sup[lo + 1]):
-            return math.inf
+    blocks = _dyadic_blocks(radii, sup_r, sup=True)
+    sig = 1e-10 * blocks.max()
+    if _grows_at_an_end(blocks, lambda a, b: a > sig and a > 1.05 * b):
+        return math.inf
     return float(sup_r.max())
 
 

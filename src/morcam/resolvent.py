@@ -19,23 +19,27 @@ complex64 Krylov basis, and adds its complex64 correction to the
 complex128 iterate.  Accuracy below float32 precision comes from the
 next cycle's true residual, not from the cycle itself.
 
-The grid is swept slab by slab along axis 0 (SLAB_BYTES a slab).  The
-samples of A, V and d_r V are taken per slab from the 1-D node
-coordinates.  Nothing grid-sized is kept for constant data: an axis
-whose link phases are all 1 keeps no array (its hops carry no product),
-and a zero V or d_r V is 0-d.  An application of the stencil allocates
-its output and slab-sized scratch, not grid-sized temporaries, and an
-operator keeps no diagonal: apply forms 2n/h^2 + V - lambda - i eps per
-slab from the sampled V.  The preconditioner allocates its output and
-transforms it in place, slab by slab along axis 0 and by column blocks
-across it, with two buffers of two slabs as scratch.  The complex128
-preconditioner is called once, for the start: it keeps no table and
-forms 1/(mu - lambda - i eps) per column block in that call.  A cycle
-head sums the squares of the residual f - Au slab by slab, and only when
-the cycle runs sweeps the stencil again to write the scaled residual
-into the first basis vector.  A free solve therefore holds the datum and
-the solution besides slab scratch, and a cycle head holds the Krylov
-basis, the complex64 twin (the casts of the link phases, the
+The grid is swept slab by slab along axis 0 (SLAB_BYTES a slab).  One
+sampler, _sample, takes the samples of A, V and d_r V per slab from the
+1-D node coordinates and allocates a grid-sized array only at the first
+slab whose samples are not constant, so nothing grid-sized is kept for
+constant data: an axis whose link phases are all 1 keeps no array (its
+hops carry no product), and a V or d_r V that samples to zero is 0-d.
+One edge rule, _hops, says which hop along which axis reaches which rows
+of a slab, with which phase and which halo row along axis 0; the stencil
+and covariant_gradient both read it.  An application of the stencil
+allocates its output and slab-sized scratch, not grid-sized temporaries,
+and an operator keeps no diagonal: apply forms 2n/h^2 + V - lambda - i
+eps per slab from the sampled V.  The preconditioner allocates its
+output and transforms it in place, slab by slab along axis 0 and by
+column blocks across it, with two buffers of two slabs as scratch.  The
+complex128 preconditioner is called once, for the start: it keeps no
+table and forms 1/(mu - lambda - i eps) per column block in that call.
+A cycle head sums the squares of the residual f - Au slab by slab, and
+only when the cycle runs sweeps the stencil again to write the scaled
+residual into the first basis vector.  A free solve therefore holds the
+datum and the solution besides slab scratch, and a cycle head holds the
+Krylov basis, the complex64 twin (the casts of the link phases, the
 preconditioner tables), the datum and the iterate.
 
 After a solve, radial_sweep evaluates the radial densities of the
@@ -138,26 +142,34 @@ def link_phases(grid: RadialGrid, pp: PotentialPair):
     axis whose phases are all exactly 1 (A_k samples to zero on its
     midpoints, as the z-links of ex13 and ex14), and None in place of the
     list when A vanishes identically or every axis is None: a hop along a
-    None axis carries no product, as a free one.  Each axis's midpoints
-    are sampled one slab of axis 0 at a time (see _slab_points), and its
-    array is allocated at the first slab whose phases are not all 1.  A
-    that samples non-finite raises ParameterError."""
+    None axis carries no product, as a free one.  Each axis is sampled by
+    _sample on the midpoints of its edges.  A that samples non-finite
+    raises ParameterError."""
     if pp.A is None:
         return None
-    phases = []
-    for k in range(grid.n):
-        p = None
-        for s, e in _slabs(grid, _WORK_NODE_BYTES):
-            Ak = pp.eval_A(_slab_points(grid, s, e, k))[..., k]
-            _check_finite(Ak, "magnetic potential A")
-            ps = np.exp(-1j * grid.h * Ak)
-            if p is None:
-                if (ps == 1).all():
-                    continue
-                p = np.ones(grid.shape, complex)
-            p[s:e] = ps
-        phases.append(p)
-    return None if all(p is None for p in phases) else phases
+
+    def phases(k, s, e):
+        Ak = pp.eval_A(_slab_points(grid, s, e, k))[..., k]
+        return np.exp(-1j * grid.h * _finite(Ak, "magnetic potential A"))
+
+    P = [_sample(grid, functools.partial(phases, k), 1) for k in range(grid.n)]
+    return None if all(p is None for p in P) else P
+
+
+def _sample(grid: RadialGrid, at: Callable, constant):
+    """A grid-sized array of the samples at(s, e) takes on the rows s:e of
+    axis 0, one slab at a time (see _slabs and _slab_points), or None
+    when every slab's samples equal constant: the array is allocated,
+    holding constant, at the first slab whose samples do not."""
+    out = None
+    for s, e in _slabs(grid, _WORK_NODE_BYTES):
+        x = at(s, e)
+        if out is None:
+            if (x == constant).all():
+                continue
+            out = np.full(grid.shape, constant, x.dtype)
+        out[s:e] = x
+    return out
 
 
 def _slabs(grid: RadialGrid, node_bytes: int) -> list:
@@ -179,9 +191,11 @@ def _slab_points(grid: RadialGrid, s: int, e: int, k: int | None = None):
     return point_array(axes)
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """values, or ParameterError naming what when one is not finite."""
     if not np.isfinite(values).all():
         raise ParameterError(f"{what} samples non-finite values on the grid")
+    return values
 
 
 def check_memory(need: float, what: str) -> None:
@@ -204,13 +218,12 @@ class Discretization:
     constant data: ``phases`` (see link_phases) holds no array for an axis
     whose phases are all 1, and is None when every axis is so.  Singular
     V samples are capped at 1/h^2 (with a warning) to keep the operator
-    bounded; ``capped`` marks where.  A V that samples to zero at every
-    node is kept as a 0-d zero (and ``capped`` as a 0-d False), which
-    every reader broadcasts, so a free pair holds no grid-sized V (the
-    arrays are allocated at the first slab where V is not zero).  d_r V
-    is sampled on first use and kept, a 0-d zero for a pair without V.
-    Each is sampled one slab of axis 0 at a time from the 1-D node
-    coordinates, so no grid-sized point array is formed.  A grid too large
+    bounded; ``capped`` marks where.  d_r V is sampled on first use and
+    kept.  Each is sampled by _sample, one slab of axis 0 at a time from
+    the 1-D node coordinates, so no grid-sized point array is formed, and
+    a V or d_r V that samples to zero at every node is kept as a 0-d zero
+    (and ``capped`` as a 0-d False), which every reader broadcasts: a free
+    pair holds no grid-sized V or d_r V.  A grid too large
     to solve on is refused before any sampling, and a V or A that samples
     non-finite raises ParameterError.
     """
@@ -225,53 +238,67 @@ class Discretization:
         self.grid = grid
         self.pp = pp
         self.phases = link_phases(grid, pp)
+        V = _sample(grid, lambda s, e: _finite(
+            pp.eval_V(_slab_points(grid, s, e)), "electric potential V"), 0)
         cap = 1.0 / grid.h ** 2
-        # V and capped are allocated at the first slab where V is not zero
-        V = capped = None
-        for s, e in _slabs(grid, _WORK_NODE_BYTES):
-            v = pp.eval_V(_slab_points(grid, s, e))
-            _check_finite(v, "electric potential V")
-            if V is None:
-                if not v.any():
-                    continue
-                V, capped = np.zeros(grid.shape), np.zeros(grid.shape, bool)
-            np.greater(np.abs(v), cap, out=capped[s:e])
-            np.clip(v, -cap, cap, out=V[s:e])
         if V is None:
             V, capped = np.zeros(()), np.zeros((), bool)
-        if capped.any():
-            warnings.warn(
-                f"electric potential capped at {cap:.3g} on "
-                f"{int(capped.sum())} nodes", stacklevel=2)
+        else:
+            capped = np.empty(grid.shape, bool)
+            for s, e in _slabs(grid, _WORK_NODE_BYTES):
+                np.greater(np.abs(V[s:e]), cap, out=capped[s:e])
+                np.clip(V[s:e], -cap, cap, out=V[s:e])
+            if capped.any():
+                warnings.warn(
+                    f"electric potential capped at {cap:.3g} on "
+                    f"{int(capped.sum())} nodes", stacklevel=2)
         self.V = V
         self.capped = capped
         self._drv = None
 
     def radial_derivative(self) -> np.ndarray:
         """d_r V at the nodes, zero where the cap bit (the capped V is
-        flat there), or a 0-d zero for a pair with neither V nor dV_r.
-        Sampled one slab of axis 0 at a time on the first call; later
-        calls return the same read-only array."""
+        flat there), or a 0-d zero when it samples to zero everywhere (a
+        pair with neither V nor dV_r is not sampled).  Sampled by _sample
+        on the first call; later calls return the same read-only array."""
         if self._drv is None:
             grid, pp = self.grid, self.pp
-            if pp.V is None and pp.dV_r is None:
+            drv = None
+            if pp.V is not None or pp.dV_r is not None:
+                drv = _sample(grid, lambda s, e: radial_derivative_parts(
+                    pp, _slab_points(grid, s, e)), 0)
+            if drv is None:
                 drv = np.zeros(())
             else:
-                drv = np.empty(grid.shape)
-                for s, e in _slabs(grid, _WORK_NODE_BYTES):
-                    drv[s:e] = radial_derivative_parts(pp, _slab_points(grid, s, e))
                 drv[self.capped] = 0.0
             drv.flags.writeable = False
             self._drv = drv
         return self._drv
 
 
-def _along(n: int, k: int, index) -> tuple:
-    """The index of an n-dimensional array that takes index along axis k
-    and everything along the others."""
-    idx = [slice(None)] * n
-    idx[k] = index
-    return tuple(idx)
+def _hops(P, u: np.ndarray, k: int, s: int, e: int) -> list:
+    """The two hops along axis k that reach the rows s:e of axis 0, up
+    then down, each as (dst, U, v): dst, a tuple of indices that ends with
+    a slice along axis k, indexes an array of those rows, v is the view of
+    u the hop reads into them and U the phases of its edges, or None for
+    an axis P (link_phases' entry) without phases.  The up hop reads
+    u(x + h e_k) across the edge (x, x + h e_k) with U_k(x), the down hop
+    u(x - h e_k) with U_k(x - h e_k), which its reader conjugates.  The up
+    hop's dst leaves out the box's last layer along axis k, which no up
+    hop reaches, and the down hop's its first.  Along axis 0 the edges
+    (i, i+1) that start in the rows have i in s:b, those that end there i
+    in a-1:e-1, so u is read one row past each end of the rows that lies
+    inside the box (its halo)."""
+    if k == 0:
+        b, a = min(e, len(u) - 1), max(s, 1)
+        up, down = slice(s, b), slice(a - 1, e - 1)
+        U, W = (None, None) if P is None else (P[up], P[down])
+        return [((slice(None, b - s),), U, u[s + 1:b + 1]),
+                ((slice(a - s, None),), W, u[down])]
+    lo = (slice(None),) * k + (slice(None, -1),)
+    hi = (slice(None),) * k + (slice(1, None),)
+    U = None if P is None else P[s:e][lo]
+    return [(lo, U, u[s:e][hi]), (hi, U, u[s:e][lo])]
 
 
 def _add_hop(hop: np.ndarray, U, v: np.ndarray, tmp: np.ndarray,
@@ -392,24 +419,12 @@ class DiscreteOperator:
         in turn: U_k(x) u(x + h e_k) for the edges (x, x + h e_k) that
         start in those rows, then conj(U_k(x - h e_k)) u(x - h e_k) for
         the edges that end there."""
-        n, m = self.grid.n, self.grid.m
         # an axis without phases (or a free operator's every axis) hops
         # without a product
-        P = self._phases or [None] * n
-        # axis 0: the edges (i, i+1) that start in the slab have i in s:b,
-        # those that end there i in a-1:e-1, so u is read one row past each
-        # end of the slab that lies inside the box (its halo)
-        b, a = min(e, m - 1), max(s, 1)
-        P0 = P[0]
-        _add_hop(hop[:b - s], None if P0 is None else P0[s:b], u[s + 1:b + 1],
-                 tmp, False)
-        _add_hop(hop[a - s:], None if P0 is None else P0[a - 1:e - 1],
-                 u[a - 1:e - 1], tmp, True)
-        for k in range(1, n):
-            lo, hi = _along(n, k, slice(None, -1)), _along(n, k, slice(1, None))
-            U = None if P[k] is None else P[k][s:e][lo]
-            _add_hop(hop[lo], U, u[s:e][hi], tmp, False)
-            _add_hop(hop[hi], U, u[s:e][lo], tmp, True)
+        P = self._phases or [None] * self.grid.n
+        for k, Pk in enumerate(P):
+            for (dst, U, v), conj in zip(_hops(Pk, u, k, s, e), (False, True)):
+                _add_hop(hop[dst], U, v, tmp, conj)
 
     # --- free-operator preconditioner ------------------------------------
 
@@ -625,17 +640,23 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
     the outer product of 1-D factors, formed directly in complex128, and
     the field keeps those factors (the free preconditioner transforms
     them in place of the grid-sized values).  The shell's factors are
-    None."""
+    None.  A width that is not positive raises ParameterError; a width
+    None (the point's default) is 2h for the separable data."""
     name, params = resolve_builtin(spec, DATUM_BUILTINS, "datum")
     amp = float(params["amplitude"])
+    separable = name in ("gaussian", "point", "wave")
+    width = params["width"]
+    if width is None and separable:
+        width = 2 * grid.h
+    if width is None or not float(width) > 0:
+        raise ParameterError(f"parameter width of datum '{name}' must be "
+                             f"positive, got {params['width']!r}")
+    width = float(width)
     factors = None
-    if name in ("gaussian", "point", "wave"):
-        width = params["width"]
-        if width is None:
-            width = 2 * grid.h
+    if separable:
         center = np.broadcast_to(np.asarray(params["center"], float), (grid.n,))
         c = grid.coords_1d
-        factors = [np.exp(-(c - ck) ** 2 / float(width) ** 2) for ck in center]
+        factors = [np.exp(-(c - ck) ** 2 / width ** 2) for ck in center]
         # the amplitude goes on axis 0's factor as a complex number, so the
         # outer product comes out complex128
         factors[0] = factors[0] * complex(amp)
@@ -646,7 +667,7 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
         vals = functools.reduce(np.multiply.outer, factors)
     else:
         r = grid.radii
-        vals = amp * np.exp(-((r - float(params["radius"])) / float(params["width"])) ** 2)
+        vals = amp * np.exp(-((r - float(params["radius"])) / width) ** 2)
     return ScalarField(grid, vals, factors)
 
 
@@ -794,39 +815,27 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
     (no product along an axis whose phases are None, see link_phases),
     on the rows s:e = rows of axis 0 (all rows when None), written into
     out (a complex array of shape (e - s, m, ..., m)) when given;
-    Dirichlet zero is assumed outside the box.  Along axis 0 the rows
-    read u one row past each end of the range that lies inside the box.
-    The difference is written in place and scaled by the real 1/2h (no
-    complex division), so a row's value does not depend on the range."""
+    Dirichlet zero is assumed outside the box.  The hops are the
+    stencil's (see _hops): along axis 0 the rows read u one row past each
+    end of the range that lies inside the box.  The difference is written
+    in place and scaled by the real 1/2h (no complex division), so a row's
+    value does not depend on the range."""
     grid = u.grid
     if grid != disc.grid:
         raise ParameterError("field and discretization grids differ")
-    n, m, v = grid.n, grid.m, u.values
     P = None if disc.phases is None else disc.phases[k]
-    s, e = (0, m) if rows is None else rows
+    s, e = (0, grid.m) if rows is None else rows
     if out is None:
         out = np.empty((e - s,) + grid.shape[1:], complex)
-    U_up = U_down = None
-    if k == 0:
-        # the edges (i, i+1) that start in the rows have i in s:b, those
-        # that end there i in a-1:e-1
-        b, a = min(e, m - 1), max(s, 1)
-        lo, hi, last = slice(None, b - s), slice(a - s, None), slice(b - s, None)
-        v_up, v_down = v[s + 1:b + 1], v[a - 1:e - 1]
-        if P is not None:
-            U_up, U_down = P[s:b], P[a - 1:e - 1]
+    (up, U, v), (down, W, w) = _hops(P, u.values, k, s, e)
+    if U is None:
+        out[up] = v
     else:
-        lo, hi, last = (_along(n, k, slice(None, -1)), _along(n, k, slice(1, None)),
-                        _along(n, k, -1))
-        v_up, v_down = v[s:e][hi], v[s:e][lo]
-        if P is not None:
-            U_up = U_down = P[s:e][lo]
-    if U_up is None:
-        out[lo] = v_up
-    else:
-        np.multiply(U_up, v_up, out=out[lo])
-    out[last] = 0
-    out[hi] -= v_down if U_down is None else np.conj(U_down) * v_down
+        np.multiply(U, v, out=out[up])
+    # the layer no up hop reaches
+    *axes, top = up
+    out[(*axes, slice(top.stop, None))] = 0
+    out[down] -= w if W is None else np.conj(W) * w
     out *= 1 / (2 * grid.h)
     return out
 

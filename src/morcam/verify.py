@@ -154,29 +154,26 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
 
 
 def identity_scan(u: ScalarField, f: ScalarField, disc: Discretization,
-                  lam: float, eps: float, M: float = 1.0,
-                  beta: float = 1e-3, R_list=None):
-    """Evaluate the identity at several multiplier scales and return the
-    worst-residual report (the identity holds for every R)."""
-    grid = u.grid
-    if R_list is None:
-        R_list = [grid.L / 8, grid.L / 4, grid.L / 2]
-    scales = [(make_phi(grid.n, R, M), make_varphi(grid.n, R, beta))
-              for R in R_list]
+                  lam: float, eps: float, M: float = 1.0, beta: float = 1e-3):
+    """Evaluate the identity at the multiplier scales R = L/8, L/4 and
+    L/2 and return the worst-residual report (the identity holds for
+    every R)."""
+    n, L = u.grid.n, u.grid.L
+    scales = [(make_phi(n, R, M), make_varphi(n, R, beta)) for R in (L / 8, L / 4, L / 2)]
     reports = identity_residual(u, f, disc, lam, eps, scales)
     return max(reports, key=lambda rep: rep.residual_rel)
 
 
 def manufactured_identity(pp: PotentialPair, grid: RadialGrid, u_fn,
                           lam: float, eps: float, M: float = 1.0,
-                          beta: float = 1e-3, R_list=None):
+                          beta: float = 1e-3):
     """Sample a prescribed smooth u, manufacture f = -H^h u + (lam+i eps)u
     with the discrete operator, and scan the identity."""
     disc = Discretization(grid, pp)
     u = ScalarField.from_callable(grid, u_fn)
     op = DiscreteOperator(disc, lam, eps)
     f = ScalarField(grid, -op.apply(u.values))
-    return identity_scan(u, f, disc, lam, eps, M=M, beta=beta, R_list=R_list)
+    return identity_scan(u, f, disc, lam, eps, M=M, beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +282,14 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                   delta: float | None = None, tol: float = 1e-10) -> SweepReport:
     """Solve the resolvent problem for each eps and collect estimate
     ratios.  Solver failures are recorded per entry and the sweep
-    continues.  lambda, tol, the eps values (finite and positive), M and
-    delta are checked before any sampling or solve."""
+    continues.  lambda, tol, the eps values (at least one, each finite
+    and positive), M and delta are checked before any sampling or
+    solve."""
     check_resolvent_parameters(lam=lam, tol=tol)
     eps_list = list(eps_list)
-    if not all(math.isfinite(e) and e > 0 for e in eps_list):
+    if not eps_list or not all(math.isfinite(e) and e > 0 for e in eps_list):
         raise ParameterError(
-            f"eps values must be finite and positive, got {eps_list}")
+            f"eps values must be finite and positive, at least one, got {eps_list}")
     check_estimate_parameters(M, delta)
     floor = epsilon_floor(grid.L, lam)
     for e in eps_list:

@@ -202,6 +202,8 @@ def test_bad_parameter_is_exit_3(tmp_path):
     ("sweep", {"lambda": float("nan")}),
     ("sweep", {"tol": -1.0}),
     ("sweep", {"seed": float("inf")}),
+    # an empty ladder swept nothing and exited 0
+    ("sweep", {"eps_list": []}),
 ])
 def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, monkeypatch, operator_calls,
                                                run_type, bad):
@@ -238,6 +240,13 @@ def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, monkeypatch, operator_c
     ("solve", {"f": {"name": "gaussian", "width": float("nan")}}, "width"),
     ("sweep", {"f": {"name": "wave", "center": [0.0, float("nan"), 0.0]}}, "center"),
     ("solve", {"f": {"name": "wave", "k": float("-inf")}}, "k"),
+    # a zero width sampled an all-zero datum that solved to 0, and a
+    # negative one was read as its absolute value
+    ("solve", {"f": {"name": "gaussian", "width": 0.0}}, "width"),
+    ("solve", {"f": {"name": "gaussian", "width": -1.0}}, "width"),
+    ("solve", {"f": {"name": "shell", "width": 0.0}}, "width"),
+    ("sweep", {"f": {"name": "point", "width": -0.5}}, "width"),
+    ("solve", {"f": {"name": "shell", "width": None}}, "width"),
 ])
 def test_nonfinite_builtin_parameter_is_exit_3(tmp_path, monkeypatch, operator_calls,
                                                run_type, bad, name):
@@ -268,6 +277,24 @@ def test_nonfinite_or_negative_estimate_parameter_is_exit_3(tmp_path, run_type, 
     })
     assert code == 3
     assert json.loads((out / "error.json").read_text())["error"] == "parameter"
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"potential": [1, 2]}, "potential"),
+    ({"run": [1]}, "run"),
+    ({"potential": {"v": {"name": "coulomb", "c": -1.0}}}, "'v'"),
+    ({"grid": {"L": 4.0, "h": 0.5, "m": 8}}, "'m'"),
+])
+def test_malformed_scenario_shape_is_exit_2(tmp_path, operator_calls, bad, key):
+    # a potential or run that is not of its shape ended in a traceback,
+    # and an unknown key inside potential or grid was dropped
+    code, out = run(tmp_path, {
+        "n": 3, "run": "solve", "grid": {"L": 4.0, "h": 0.5}, **bad})
+    assert code == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parse"
+    assert key in doc["detail"]
+    assert operator_calls == {"apply": 0, "precond": 0}
 
 
 def test_zero_datum_solve_reports_zero_residual(tmp_path):

@@ -453,6 +453,26 @@ def test_slab_sampling_equals_whole_grid_sampling(monkeypatch, traced_memory, pp
     assert np.array_equal(drv, ref_drv)
 
 
+def test_sampling_fills_the_constant_slabs_ahead_of_the_first_other_one():
+    # A, V and d_r V vanish on the rows of axis 0 with x < 0, so each
+    # array is allocated at a later slab (one row a slab here) and the
+    # rows ahead of it hold the constant: the whole-grid samples, phase 1
+    # and zeros there
+    grid = RadialGrid(3, 3.0, 0.25)
+
+    def half(X):
+        return np.where(X[..., 0] > 0, np.exp(-np.sum(X ** 2, axis=-1)), 0.0)
+
+    pp = PotentialPair(3, A=lambda X: half(X)[..., None] * np.ones(3), V=half, dV_r=half)
+    disc = Discretization(grid, pp)
+    phases, V, drv = whole_grid_samples(grid, pp)
+    assert np.all(phases[0][0] == 1) and not V[0].any()
+    for p, q in zip(disc.phases, phases):
+        assert np.array_equal(p, q)
+    assert np.array_equal(disc.V, V)
+    assert np.array_equal(disc.radial_derivative(), drv)
+
+
 def test_pair_without_V_keeps_a_zero_dimensional_radial_derivative(
         radial_derivative_samples):
     # like V, d_r V of a pair without V is a 0-d zero, sampled nowhere
@@ -463,6 +483,22 @@ def test_pair_without_V_keeps_a_zero_dimensional_radial_derivative(
         assert drv.ndim == 0 and drv == 0 and not drv.flags.writeable
         assert disc.radial_derivative() is drv
     assert radial_derivative_samples == []
+
+
+def test_radial_derivative_that_samples_to_zero_is_kept_zero_dimensional(
+        radial_derivative_samples):
+    # a gaussian V of amplitude 0 comes with its analytic d_r V: both are
+    # sampled at every node, both sample to zero, and both are kept 0-d
+    grid = small_grid()
+    for A in (None, "ex13"):
+        pp = make_potential_pair(3, A, {"name": "gaussian", "amplitude": 0.0})
+        assert pp.dV_r is not None
+        disc = Discretization(grid, pp)
+        drv = disc.radial_derivative()
+        assert disc.V.ndim == 0
+        assert drv.ndim == 0 and drv == 0 and not drv.flags.writeable
+        assert disc.radial_derivative() is drv
+    assert sum(shape[0] for shape in radial_derivative_samples) == 2 * grid.m
 
 
 def test_problem_takes_the_datum_maximum_slab_by_slab(traced_memory):

@@ -88,7 +88,10 @@ def test_identity_scan_picks_worst_scale():
     disc = Discretization(grid, pp)
     f = ScalarField(grid, -DiscreteOperator(disc, 0.0, 1.0).apply(u.values))
     worst = identity_scan(u, f, disc, 0.0, 1.0)
-    singles = [identity_scan(u, f, disc, 0.0, 1.0, R_list=[R]).residual_rel
+    # the scan's scales R = L/8, L/4 and L/2, one at a time
+    singles = [identity_residual(u, f, disc, 0.0, 1.0,
+                                 [(make_phi(3, R, 1.0), make_varphi(3, R, 1e-3))]
+                                 )[0].residual_rel
                for R in (1.0, 2.0, 4.0)]
     assert worst.residual_rel == pytest.approx(max(singles))
 
@@ -360,3 +363,21 @@ def test_post_solve_densities_allocate_less_than_one_grid_array(traced_memory):
     # and the grid keeps nothing grid-sized for its radial bins
     grid.bin_sums(u.abs2())
     assert all(np.size(v) < grid.size for v in vars(grid).values())
+
+
+def test_readers_take_a_zero_radial_derivative_as_a_grid_sized_zero():
+    # d_r V that samples to zero is kept 0-d; theorem_lhs and
+    # identity_residual read it as they read a grid-sized zero array
+    grid = RadialGrid(3, 4.0, 0.25)
+    pp = make_potential_pair(3, {"name": "ex13"}, {"name": "gaussian", "amplitude": 0.0})
+    disc, ref = Discretization(grid, pp), zero_V_reference(grid, pp)
+    assert disc.radial_derivative().ndim == 0
+    ref._drv = np.zeros(grid.shape)
+    u = ScalarField.from_callable(grid, bump)
+    f = ScalarField(grid, -DiscreteOperator(disc, 1.0, 0.5).apply(u.values))
+    a, b = theorem_lhs(u, disc, 1.0, 1.0, 0.5), theorem_lhs(u, ref, 1.0, 1.0, 0.5)
+    assert (a.values, a.total) == (b.values, b.total)
+    scales = [(make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))]
+    [a] = identity_residual(u, f, disc, 1.0, 0.5, scales)
+    [b] = identity_residual(u, f, ref, 1.0, 0.5, scales)
+    assert (a.lhs_terms, a.rhs_terms) == (b.lhs_terms, b.rhs_terms)
