@@ -4,8 +4,16 @@ A scenario is a single YAML file naming a potential pair, a grid, and a
 run type; every report embeds the fully resolved scenario (defaults
 expanded) so runs can be archived and replayed.
 
-Exit codes: 0 success, 2 parse/usage error, 3 parameter error, 4 solver
-error, 5 accuracy error.
+Every number of the scenario is read once, by _number, whatever the run
+type; a value that is not a finite number (a YAML boolean included) is a
+parameter error naming its key.  main maps errors to exit codes from one
+table, _EXITS: 2 for a ScenarioError (a scenario file that cannot be
+read or parsed, or is not of its shape), 3 for a ParameterError (a
+GridError included), 4 for a SolverError, 5 for an AccuracyError; each
+leaves an error.json in the output directory.  An --out-dir that cannot
+be made a directory is a usage error, exit 2, with no error.json.  Exit
+0 is success.  main catches no other exception: any other exception is
+a bug in morcam, not a bad input.
 """
 
 from __future__ import annotations
@@ -51,81 +59,113 @@ _DEFAULTS = {
 }
 
 
-_KEYS = {"n", "run", "grid", "potential", *_DEFAULTS}
-
-
 class ScenarioError(Exception):
-    pass
+    """The scenario file cannot be read or parsed, or is not of its shape."""
 
 
-def _check_keys(mapping: dict, allowed, where: str) -> None:
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ScenarioError(
-            f"unknown {where} keys {sorted(map(str, unknown))}; "
-            f"choose from {sorted(allowed)}")
+#: The exit code and error.json kind of each error class main maps; an
+#: exception maps through the first of its classes found here, so a
+#: GridError is a parameter error.
+_EXITS = {
+    ScenarioError: (2, "parse"),
+    ParameterError: (3, "parameter"),
+    SolverError: (4, "solver"),
+    AccuracyError: (5, "accuracy"),
+}
 
 
-def _resolve_scenario(raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a mapping")
-    _check_keys(raw, _KEYS, "scenario")
-    sc = dict(_DEFAULTS)
-    sc.update(raw)
+def _plain(doc) -> bool:
+    """Whether doc is JSON data: mappings with string keys, lists,
+    strings, numbers, booleans and None, as a report can embed it."""
+    if isinstance(doc, dict):
+        return all(isinstance(k, str) and _plain(v) for k, v in doc.items())
+    if isinstance(doc, list):
+        return all(map(_plain, doc))
+    return doc is None or isinstance(doc, (str, int, float))
+
+
+def _resolve_scenario(path: str) -> dict:
+    """The scenario in the YAML file path with its defaults filled in;
+    ScenarioError when the file cannot be read, decoded as UTF-8 or
+    parsed, or the scenario is not of its shape."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeError, yaml.YAMLError) as exc:
+        raise ScenarioError(exc) from exc
+    if not (isinstance(raw, dict) and _plain(raw)):
+        raise ScenarioError("scenario must be a mapping of JSON data: string keys, "
+                            "lists, strings, numbers, booleans and null")
+    keys = {"n", "run", "grid", "potential", *_DEFAULTS}
+    if not set(raw) <= keys:
+        raise ScenarioError(f"unknown scenario keys {sorted(set(raw) - keys)}; "
+                            f"choose from {sorted(keys)}")
+    sc = {**_DEFAULTS, **raw}
     for key in ("n", "grid", "run"):
         if key not in sc:
             raise ScenarioError(f"scenario is missing required key '{key}'")
     if not isinstance(sc["run"], str) or sc["run"] not in RUN_TYPES:
         raise ScenarioError(
             f"unknown run type {sc['run']!r}; choose from {sorted(RUN_TYPES)}")
-    pot = sc.get("potential") or {}
-    if not isinstance(pot, dict):
-        raise ScenarioError("potential must be a mapping with keys A and V")
-    _check_keys(pot, ("A", "V"), "potential")
+    pot = {} if sc.get("potential") is None else sc["potential"]
+    if not isinstance(pot, dict) or not set(pot) <= {"A", "V"}:
+        raise ScenarioError(
+            f"potential must be a mapping with keys A and V, got {pot!r}")
     sc["potential"] = {"A": pot.get("A"), "V": pot.get("V")}
-    grid = sc["grid"]
-    if not isinstance(grid, dict) or "L" not in grid or "h" not in grid:
-        raise ScenarioError("grid must be a mapping with keys L and h")
-    _check_keys(grid, ("L", "h"), "grid")
+    if not isinstance(sc["grid"], dict) or set(sc["grid"]) != {"L", "h"}:
+        raise ScenarioError(
+            f"grid must be a mapping with keys L and h, got {sc['grid']!r}")
     return sc
 
 
-def _check_seed(seed) -> int:
-    """The scenario's random seed as an int; ParameterError unless it is
-    a finite, non-negative integer."""
-    try:
-        value = float(seed)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0 and value.is_integer()):
-        raise ParameterError(
-            f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed) if isinstance(seed, int) else int(value)
+def _number(value, key: str, least: int | None = None):
+    """The scenario value of key as a finite float, or, given least, as
+    an int >= least.  A bool, a string, a list, a mapping, None, a value
+    that is not finite or a count that is not such an integer raises
+    ParameterError naming key.  Other ranges are the library's checks."""
+    # abs(value) <= max is False for NaN, +-inf and an int past the float
+    # range, whose float() would raise
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"{key} must be a finite number, got {value!r}")
+    if least is not None and (value != int(value) or value < least):
+        raise ParameterError(f"{key} must be an integer >= {least}, got {value!r}")
+    return float(value) if least is None else int(value)
 
 
-def _build(sc):
-    n = sc["n"]
-    if not float(n).is_integer():
-        raise ParameterError(f"n must be an integer, got {n!r}")
-    pp = make_potential_pair(int(n), sc["potential"]["A"], sc["potential"]["V"])
-    grid = RadialGrid(int(n), float(sc["grid"]["L"]), float(sc["grid"]["h"]))
-    return pp, grid
+def _read_numbers(sc: dict) -> dict:
+    """A copy of the resolved scenario sc for use, with every number read
+    by _number, whatever the run type: n, L and h (flattened out of grid),
+    lambda, eps, tol, beta, M and delta (both may be None), seed, samples
+    and each entry of eps_list.  The reports embed sc itself, so a value
+    is reported as written."""
+    p = dict(sc, **{k: _number(sc["grid"][k], k) for k in ("L", "h")})
+    for key in ("lambda", "eps", "tol", "beta"):
+        p[key] = _number(sc[key], key)
+    for key in ("M", "delta"):
+        p[key] = None if sc[key] is None else _number(sc[key], key)
+    for key, least in (("n", 3), ("seed", 0), ("samples", 1)):
+        p[key] = _number(sc[key], key, least)
+    if not isinstance(sc["eps_list"], list):
+        raise ParameterError(f"eps_list must be a list of numbers, got {sc['eps_list']!r}")
+    p["eps_list"] = [_number(e, "eps_list entry") for e in sc["eps_list"]]
+    return p
 
 
-def _run_fields_check(sc, seed: int):
-    pp, grid = _build(sc)
-    n, L = grid.n, grid.L
-    samples = float(sc["samples"])
-    if not (math.isfinite(samples) and samples >= 1 and samples.is_integer()):
-        raise ParameterError(
-            f"samples must be a positive integer, got {sc['samples']!r}")
-    check_memory(samples * n * 8, f"a fields-check of {samples:.0f} points")
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-L, L, size=(int(samples), n))
-    r = np.linalg.norm(pts, axis=1)
-    pts = pts[r > 0.5]
-    bt = trapping_component(pp, pts)
-    btn = np.linalg.norm(bt, axis=1)
+def _build(p):
+    pp = make_potential_pair(p["n"], p["potential"]["A"], p["potential"]["V"])
+    return pp, RadialGrid(p["n"], p["L"], p["h"])
+
+
+def _run_fields_check(p, out_dir: Path):
+    pp, grid = _build(p)
+    n, L, samples = grid.n, grid.L, p["samples"]
+    check_memory(math.log2(samples * n * 8), f"a fields-check of {samples} points")
+    pts = np.random.default_rng(p["seed"]).uniform(-L, L, size=(samples, n))
+    pts = pts[np.linalg.norm(pts, axis=1) > 0.5]
+    if not pts.size:
+        raise ParameterError(f"samples: none of {samples} points lies at |x| > 0.5")
+    btn = np.linalg.norm(trapping_component(pp, pts), axis=1)
     return {
         "max_btau": float(btn.max()),
         "mean_btau": float(btn.mean()),
@@ -133,23 +173,22 @@ def _run_fields_check(sc, seed: int):
     }
 
 
-def _run_admissibility(sc):
-    pp, _grid = _build(sc)
+def _run_admissibility(p, out_dir: Path):
+    pp, _grid = _build(p)
     return admissibility_report(pp).to_json()
 
 
-def _solve(sc):
-    pp, grid = _build(sc)
+def _solve(p):
+    pp, grid = _build(p)
     disc = Discretization(grid, pp)
-    f = make_datum(grid, sc["f"])
-    prob = ResolventProblem(disc=disc, lam=float(sc["lambda"]),
-                            eps=float(sc["eps"]), f=f)
-    u = solve(prob, tol=float(sc["tol"]))
+    f = make_datum(grid, p["f"])
+    prob = ResolventProblem(disc=disc, lam=p["lambda"], eps=p["eps"], f=f)
+    u = solve(prob, tol=p["tol"])
     return disc, f, u
 
 
-def _run_solve(sc, out_dir: Path):
-    _disc, _f, u = _solve(sc)
+def _run_solve(p, out_dir: Path):
+    _disc, _f, u = _solve(p)
     snap = out_dir / "solution.field"
     save_field(u, snap)
     return {
@@ -161,25 +200,32 @@ def _run_solve(sc, out_dir: Path):
     }
 
 
-def _run_verify_identity(sc):
-    M = float(sc["M"]) if sc["M"] is not None else 1.0
-    check_estimate_parameters(M=M, beta=float(sc["beta"]), n=sc["n"])
-    disc, f, u = _solve(sc)
-    rep = identity_scan(u, f, disc, float(sc["lambda"]), float(sc["eps"]),
-                        M=M, beta=float(sc["beta"]))
+def _run_verify_identity(p, out_dir: Path):
+    M = 1.0 if p["M"] is None else p["M"]
+    check_estimate_parameters(M=M, beta=p["beta"], n=p["n"])
+    disc, f, u = _solve(p)
+    rep = identity_scan(u, f, disc, p["lambda"], p["eps"], M=M, beta=p["beta"])
     return rep.to_json()
 
 
-def _run_sweep(sc, out_dir: Path):
-    pp, grid = _build(sc)
-    rep = epsilon_sweep(pp, float(sc["lambda"]), sc["f"],
-                        [float(e) for e in sc["eps_list"]], grid,
-                        M=sc["M"], delta=sc["delta"], tol=float(sc["tol"]))
+def _run_sweep(p, out_dir: Path):
+    pp, grid = _build(p)
+    rep = epsilon_sweep(pp, p["lambda"], p["f"], p["eps_list"], grid,
+                        M=p["M"], delta=p["delta"], tol=p["tol"])
     csv_path = out_dir / "sweep.csv"
     csv_path.write_text(rep.to_csv(), encoding="utf-8", newline="\n")
-    out = rep.to_json()
-    out["csv"] = str(csv_path)
-    return out
+    return {**rep.to_json(), "csv": str(csv_path)}
+
+
+#: The runner of each run type: the scenario with its numbers read (see
+#: _read_numbers) and the output directory in, the report's result out.
+_RUNNERS = {
+    "fields-check": _run_fields_check,
+    "admissibility": _run_admissibility,
+    "solve": _run_solve,
+    "verify-identity": _run_verify_identity,
+    "sweep": _run_sweep,
+}
 
 
 def list_builtins(as_json: bool) -> str:
@@ -235,47 +281,24 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-        sc = _resolve_scenario(raw)
-    except (OSError, yaml.YAMLError, ScenarioError) as exc:
-        _write_report(out_dir, "error.json",
-                      {"error": "parse", "detail": str(exc)})
-        print(f"morcam: scenario error: {exc}", file=sys.stderr)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"morcam: usage error: --out-dir: {exc}", file=sys.stderr)
         return 2
 
+    sc = None
     try:
-        run = sc["run"]
-        seed = _check_seed(sc["seed"])
-        if run == "fields-check":
-            result = _run_fields_check(sc, seed)
-        elif run == "admissibility":
-            result = _run_admissibility(sc)
-        elif run == "solve":
-            result = _run_solve(sc, out_dir)
-        elif run == "verify-identity":
-            result = _run_verify_identity(sc)
-        else:
-            result = _run_sweep(sc, out_dir)
-    except (ParameterError, ScenarioError, TypeError, ValueError) as exc:
-        _write_report(out_dir, "error.json",
-                      {"error": "parameter", "detail": str(exc), "scenario": sc})
-        print(f"morcam: parameter error: {exc}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        _write_report(out_dir, "error.json",
-                      {"error": "solver", "detail": str(exc),
-                       "achieved_residual": exc.achieved_residual, "scenario": sc})
-        print(f"morcam: solver error: {exc}", file=sys.stderr)
-        return 4
-    except AccuracyError as exc:
-        _write_report(out_dir, "error.json",
-                      {"error": "accuracy", "detail": str(exc), "scenario": sc})
-        print(f"morcam: accuracy error: {exc}", file=sys.stderr)
-        return 5
+        sc = _resolve_scenario(args.scenario)
+        result = _RUNNERS[sc["run"]](_read_numbers(sc), out_dir)
+    except tuple(_EXITS) as exc:
+        code, kind = next(_EXITS[c] for c in type(exc).__mro__ if c in _EXITS)
+        # sc is None for a parse error; vars(exc) holds the error's own
+        # attributes, a SolverError's achieved_residual
+        _write_report(out_dir, "error.json", {
+            "error": kind, "detail": str(exc), "scenario": sc, **vars(exc)})
+        print(f"morcam: {kind} error: {exc}", file=sys.stderr)
+        return code
 
     payload = {"scenario": sc, "result": result, "version": __version__}
     path = _write_report(out_dir, f"{sc['run']}.json", payload)

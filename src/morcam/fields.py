@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -399,8 +400,9 @@ def resolve_builtin(spec, defaults: dict, what: str):
     and parameter overrides.  defaults maps each built-in's name to its
     parameter defaults, which params starts from.  A spec that is not a
     name or a mapping, a missing or unknown name, an unknown parameter, or
-    a numeric parameter (or list entry) that is not finite raises
-    ParameterError naming it; a None default stays allowed."""
+    a parameter that is not a finite number raises ParameterError naming
+    it.  A bool is not a number; None stays allowed where the default is
+    None, and a center may also be a list of finite numbers."""
     if isinstance(spec, str):
         spec = {"name": spec}
     params = dict(spec) if isinstance(spec, dict) else {}
@@ -413,10 +415,14 @@ def resolve_builtin(spec, defaults: dict, what: str):
         raise ParameterError(
             f"unknown parameters for {what} '{name}': {sorted(map(str, bad))}")
     for key, value in params.items():
-        entries = value if isinstance(value, (list, tuple)) else [value]
-        if any(isinstance(v, numbers.Real) and not math.isfinite(v) for v in entries):
-            raise ParameterError(
-                f"parameter {key} of {what} '{name}' must be finite, got {value!r}")
+        if value is None and defaults[name][key] is None:
+            continue
+        entries = value if key == "center" and isinstance(value, list) else [value]
+        # abs(v) <= max is False for NaN, +-inf and an int past the float range
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   and abs(v) <= sys.float_info.max for v in entries):
+            raise ParameterError(f"parameter {key} of {what} '{name}' must be "
+                                 f"a finite number, got {value!r}")
     return name, {**defaults[name], **params}
 
 

@@ -16,11 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ParameterError
+
 __all__ = ["RadialGrid", "ScalarField", "point_array", "save_field", "load_field"]
 
 
-class GridError(ValueError):
-    pass
+class GridError(ParameterError):
+    """A grid's n, L or h, or a field snapshot, is malformed."""
 
 
 def point_array(axes) -> np.ndarray:
@@ -39,8 +41,8 @@ class RadialGrid:
     """Uniform cell-centered grid on [-L, L]^n with spacing h.
 
     1-D node coordinates are -L + (i + 1/2)h for i = 0..m-1 with m = 2L/h;
-    L/h must be an integer.  Radial bins collect the nodes of one radius
-    (see slab_bins); radial shells are bins of thickness h in |x|,
+    L/h must be a positive integer.  Radial bins collect the nodes of one
+    radius (see slab_bins); radial shells are bins of thickness h in |x|,
     shell k collecting nodes with k*h <= |x| < (k+1)*h.
     """
 
@@ -55,8 +57,8 @@ class RadialGrid:
             raise GridError(
                 f"L and h must be finite and positive, got L={self.L}, h={self.h}")
         ratio = self.L / self.h
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise GridError(f"L/h must be an integer, got {ratio}")
+        if not (0.5 < ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):
+            raise GridError(f"L/h must be a positive integer, got {ratio}")
 
     @property
     def m(self) -> int:

@@ -120,7 +120,7 @@ def epsilon_floor(L: float, lam: float) -> float:
     (2/L) sqrt(lambda + 1/L^2).  Below it the box is shorter than one
     damping length 1/Im sqrt(lambda + i eps), and box eigenvalues near
     lambda, not the whole-space resolvent, set the Dirichlet answer."""
-    return 2.0 / L * math.sqrt(lam + 1.0 / L ** 2)
+    return 2.0 / L * math.sqrt(lam + 1.0 / (L * L))
 
 
 def check_resolvent_parameters(lam: float | None = None,
@@ -198,13 +198,15 @@ def _finite(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def check_memory(need: float, what: str) -> None:
-    """Raise ParameterError when need bytes exceed physical memory; what
-    names the work that needs them."""
+def check_memory(log2_need: float, what: str) -> None:
+    """Raise ParameterError when 2**log2_need bytes exceed physical
+    memory; what names the work that needs them.  The need comes as a
+    base-2 logarithm so that no size overflows: a grid's m**n nodes are
+    never formed."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+    if log2_need > math.log2(have):
         raise ParameterError(
-            f"{what} needs about {need / 2 ** 30:.3g} GiB, more than the "
+            f"{what} needs about 2^{log2_need:.1f} bytes, more than the "
             f"{have / 2 ** 30:.3g} GiB of physical memory")
 
 
@@ -233,8 +235,9 @@ class Discretization:
             raise ParameterError("potential and grid dimensions differ")
         # a solve holds RESTART + 1 complex64 Krylov basis vectors and
         # WORK_VECTORS complex128 work vectors of grid.size values
-        check_memory(((RESTART + 1) * 8 + WORK_VECTORS * 16) * grid.size,
-                     f"a solve on a grid of {grid.size} nodes")
+        check_memory(grid.n * math.log2(grid.m)
+                     + math.log2((RESTART + 1) * 8 + WORK_VECTORS * 16),
+                     f"a solve on a grid of {grid.m}^{grid.n} nodes")
         self.grid = grid
         self.pp = pp
         self.phases = link_phases(grid, pp)
@@ -488,7 +491,7 @@ class DiscreteOperator:
                 t += mu[i]
             t -= lam
             q = t * t
-            q += eps ** 2
+            q += eps * eps
             t /= q
             np.divide(eps, q, out=q)
             return t, q
@@ -640,23 +643,23 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
     the outer product of 1-D factors, formed directly in complex128, and
     the field keeps those factors (the free preconditioner transforms
     them in place of the grid-sized values).  The shell's factors are
-    None.  A width that is not positive raises ParameterError; a width
-    None (the point's default) is 2h for the separable data."""
+    None.  A width that is not positive, or a center that is a list of
+    other than 1 or n coordinates, raises ParameterError; the point's
+    default width, None, is 2h."""
     name, params = resolve_builtin(spec, DATUM_BUILTINS, "datum")
     amp = float(params["amplitude"])
-    separable = name in ("gaussian", "point", "wave")
-    width = params["width"]
-    if width is None and separable:
-        width = 2 * grid.h
-    if width is None or not float(width) > 0:
+    width = 2 * grid.h if params["width"] is None else float(params["width"])
+    if not width > 0:
         raise ParameterError(f"parameter width of datum '{name}' must be "
                              f"positive, got {params['width']!r}")
-    width = float(width)
     factors = None
-    if separable:
+    if name != "shell":
+        if np.size(params["center"]) not in (1, grid.n):
+            raise ParameterError(f"parameter center of datum '{name}' must have "
+                                 f"1 or {grid.n} coordinates, got {params['center']!r}")
         center = np.broadcast_to(np.asarray(params["center"], float), (grid.n,))
         c = grid.coords_1d
-        factors = [np.exp(-(c - ck) ** 2 / width ** 2) for ck in center]
+        factors = [np.exp(-(c - ck) ** 2 / (width * width)) for ck in center]
         # the amplitude goes on axis 0's factor as a complex number, so the
         # outer product comes out complex128
         factors[0] = factors[0] * complex(amp)

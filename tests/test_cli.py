@@ -1,18 +1,23 @@
+import copy
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import morcam
 from morcam import admissibility
-from morcam.cli import main
+from morcam.cli import RUN_TYPES, main
 from morcam.grids import load_field
 
 
@@ -390,3 +395,163 @@ def test_runs_are_deterministic(tmp_path):
         assert main([scenario, "--out-dir", str(out), "--json-only"]) == 0
         outs.append(load_field(out / "solution.field").values)
     assert np.array_equal(outs[0], outs[1])
+
+
+# A tiny scenario of each run type on an 8^3 grid, for one-key changes.
+TINY = {"n": 3, "grid": {"L": 2.0, "h": 0.5}, "eps_list": [1.0], "tol": 1e-6,
+        "f": {"name": "gaussian", "width": 0.6}, "samples": 50}
+
+
+@pytest.mark.parametrize("run_type, bad, named", [
+    # a string reached exit 3 only through a TypeError/ValueError catch-all,
+    # with a detail such as "could not convert string to float: 'a'"
+    ("solve", {"lambda": "a"}, "lambda must be a finite number"),
+    ("solve", {"grid": {"L": "a", "h": 0.5}}, "L must be a finite number"),
+    ("solve", {"n": "a"}, "n must be a finite number"),
+    ("solve", {"tol": "a"}, "tol must be a finite number"),
+    ("verify-identity", {"beta": "a"}, "beta must be a finite number"),
+    ("verify-identity", {"M": "a"}, "M must be a finite number"),
+    ("fields-check", {"samples": "a"}, "samples must be a finite number"),
+    ("solve", {"f": {"name": "gaussian", "center": "a"}}, "parameter center "),
+    ("solve", {"f": {"name": "wave", "k": "a"}}, "parameter k "),
+    ("admissibility", {"potential": {"V": {"name": "gaussian", "amplitude": "a"}}},
+     "parameter amplitude "),
+    # "'int' object is not iterable" and "operands could not be broadcast"
+    ("sweep", {"eps_list": 5}, "eps_list"),
+    ("sweep", {"eps_list": {"a": 1.0}}, "eps_list"),
+    ("sweep", {"potential": {"V": {"name": "coulomb", "c": [1, 2]}}}, "parameter c "),
+    ("solve", {"f": {"name": "gaussian", "center": [1, 2]}}, "parameter center "),
+    ("solve", {"f": {"name": "wave", "center": [0.0, 0.0, 0.0, 0.0]}},
+     "parameter center "),
+    # a YAML boolean was read as 1 (or 0) and most of these exited 0
+    ("solve", {"grid": {"L": 2.0, "h": True}}, "h must be a finite number"),
+    ("solve", {"grid": {"L": True, "h": 0.5}}, "L must be a finite number"),
+    ("solve", {"lambda": True}, "lambda must be a finite number"),
+    ("solve", {"eps": True}, "eps must be a finite number"),
+    ("solve", {"tol": True}, "tol must be a finite number"),
+    ("solve", {"n": True}, "n must be a finite number"),
+    ("solve", {"f": {"name": "gaussian", "width": True}}, "parameter width "),
+    ("solve", {"f": {"name": "wave", "center": [0.0, True, 0.0]}},
+     "parameter center "),
+    ("sweep", {"potential": {"V": {"name": "coulomb", "c": True}}}, "parameter c "),
+    ("sweep", {"eps_list": [True]}, "eps_list"),
+    ("sweep", {"delta": True}, "delta must be a finite number"),
+    ("verify-identity", {"M": True}, "M must be a finite number"),
+    ("fields-check", {"samples": True}, "samples must be a finite number"),
+    ("fields-check", {"seed": True}, "seed must be a finite number"),
+    # None, a list or a mapping where a number is expected
+    ("solve", {"eps": None}, "eps must be a finite number"),
+    ("solve", {"lambda": [1.0]}, "lambda must be a finite number"),
+    ("sweep", {"tol": {"x": 1.0}}, "tol must be a finite number"),
+    ("verify-identity", {"beta": None}, "beta must be a finite number"),
+    ("sweep", {"M": [1.0]}, "M must be a finite number"),
+    ("sweep", {"eps_list": [None]}, "eps_list"),
+    ("fields-check", {"seed": None}, "seed must be a finite number"),
+    ("solve", {"f": {"name": "shell", "radius": [1.0]}}, "parameter radius "),
+    ("solve", {"f": {"name": "gaussian", "amplitude": None}}, "parameter amplitude "),
+    # no sample point at |x| > 0.5: a ValueError from max() over none
+    ("fields-check", {"grid": {"L": 0.25, "h": 0.25}}, "samples: none of"),
+    # an int past the float range ended in an OverflowError traceback
+    ("solve", {"lambda": 10 ** 400}, "lambda must be a finite number"),
+    # a subnormal h made L/h infinite: OverflowError traceback
+    ("solve", {"grid": {"L": 2.0, "h": 5e-324}}, "L/h must be a positive integer"),
+    # 8^400 nodes: OverflowError traceback while forming the memory
+    # message; 8^(10^12) nodes: m**n never finished
+    ("solve", {"n": 400}, "a solve on a grid of 8^400 nodes"),
+    ("sweep", {"n": 1.0e12}, "a solve on a grid of 8^1000000000000 nodes"),
+    # a (256, 240, n) block of quadrature points: MemoryError traceback
+    ("admissibility", {"n": 1.0e12, "potential": {"V": {"name": "coulomb"}}},
+     "a radial quadrature in 1000000000000 dimensions"),
+])
+def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
+                                              run_type, bad, named):
+    code, out = run(tmp_path, {**TINY, "run": run_type, **bad})
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert doc["detail"].startswith(named)
+    assert operator_calls == {"apply": 0, "precond": 0}  # no solve started
+
+
+def test_sweep_on_a_grid_of_one_shell_is_exit_3(tmp_path):
+    # L/h = 1 leaves one radial shell, and the sphere sup scans shells 2
+    # and up: a ValueError from argmax on an empty array, exit 3 only
+    # through the TypeError/ValueError catch-all
+    code, out = run(tmp_path, {**TINY, "run": "sweep", "grid": {"L": 2.0, "h": 2.0}})
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert "sphere_sup needs 3 radial shells" in doc["detail"]
+
+
+@pytest.mark.parametrize("text", [
+    b"n: \xff\n",  # not UTF-8: a UnicodeDecodeError traceback
+    # a date, and a mapping with a key that is not a string, cannot be
+    # embedded in a JSON report: a TypeError traceback writing error.json
+    b"n: 3\nrun: solve\ngrid: {L: 2.0, h: 0.5}\nlambda: 2020-01-01\n",
+    b"n: 3\nrun: solve\ngrid: {L: 2.0, h: 0.5}\nf: {name: gaussian, 1: 2}\n",
+])
+def test_unreadable_scenario_is_exit_2(tmp_path, operator_calls, text):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    assert main([str(path), "--out-dir", str(out)]) == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parse"
+    assert operator_calls == {"apply": 0, "precond": 0}
+
+
+@pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+def test_unusable_out_dir_is_a_usage_error(tmp_path, capsys, operator_calls, out_dir):
+    # an existing file raised FileExistsError, a path through one
+    # NotADirectoryError, both with exit 1; no error.json can go there
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    scenario = write_scenario(tmp_path, {**TINY, "run": "solve"})
+    assert main([scenario, "--out-dir", str(tmp_path / out_dir)]) == 2
+    assert "morcam: usage error" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == ""
+    assert operator_calls == {"apply": 0, "precond": 0}
+
+
+# The places of one scenario value, as paths of keys into TINY with its
+# potential; each run type reads a different subset.
+_PLACES = [("n",), ("grid", "L"), ("grid", "h"), ("lambda",), ("eps",),
+           ("eps_list",), ("eps_list", 0), ("tol",), ("M",), ("beta",),
+           ("delta",), ("seed",), ("samples",), ("f",), ("f", "width"),
+           ("f", "center"), ("f", "k"), ("f", "amplitude"), ("potential",),
+           ("potential", "V"), ("potential", "V", "c"), ("grid",), ("run",)]
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4))
+_YAML_VALUES = (_SCALARS | st.lists(_SCALARS, max_size=3)
+                | st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2))
+
+
+@pytest.fixture
+def small_machine(monkeypatch):
+    """os.sysconf reporting 16 MiB of physical memory, so that every valid
+    run stays small: a larger grid, sample or quadrature is refused as too
+    large for memory."""
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 2 ** 24 // sysconf("SC_PAGE_SIZE")
+                        if name == "SC_PHYS_PAGES" else sysconf(name))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run_type=st.sampled_from(sorted(RUN_TYPES)),
+       place=st.sampled_from(_PLACES), value=_YAML_VALUES)
+def test_any_value_ends_in_a_documented_exit_code(tmp_path_factory, small_machine,
+                                                  run_type, place, value):
+    doc = copy.deepcopy({**TINY, "run": run_type, "f": {"name": "wave"},
+                         "potential": {"V": {"name": "coulomb", "c": 0.5}}})
+    *outer, last = place
+    functools.reduce(lambda d, k: d[k], outer, doc)[last] = value
+    tmp = tmp_path_factory.mktemp("any")
+    # values at the float range's edges overflow numpy arithmetic, which
+    # numpy reports by RuntimeWarning; the property is the exit code, so
+    # warnings stay warnings here even where the suite makes them errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out = run(tmp, doc, extra=["--json-only"])
+    assert code in (0, 2, 3, 4, 5)
+    assert (code == 0) == (not (out / "error.json").exists())
