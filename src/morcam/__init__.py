@@ -12,9 +12,9 @@ from .admissibility import (AdmissibilityReport, admissibility_report,
                             compute_constants)
 from .errors import (AccuracyError, DomainError, MorcamError, ParameterError,
                      SolverError)
-from .fields import (BallQuad, PotentialPair, biot_savart, example_field,
-                     magnetic_matrix, make_potential_pair,
-                     radial_derivative_parts, trapping_component)
+from .fields import (PotentialPair, biot_savart, example_field, magnetic_matrix,
+                     make_potential_pair, radial_derivative_parts,
+                     trapping_component)
 from .grids import RadialGrid, ScalarField, load_field, save_field
 from .multipliers import Multiplier, SymmetricWeight, make_phi, make_varphi
 from .norms import (NormReport, duality_gap, dyadic_dual, hardy_ratio,

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .fields import (PotentialPair, _check_points, _radial_contraction,
                      magnetic_matrix, radial_derivative_parts, sq_norm)
-from .norms import RadialQuad, mixed_radial_norm, weighted_sup_norm
+from .norms import mixed_radial_norm, weighted_sup_norm
 
 __all__ = [
     "AdmissibilityReport",
@@ -62,19 +62,20 @@ class AdmissibilityReport:
         }
 
 
-def compute_constants(pp: PotentialPair, quad: RadialQuad = RadialQuad()):
+def compute_constants(pp: PotentialPair):
     """(C1, C2, C3) for the given potential pair.
 
     n = 3: mixed radial norms of |B_tau|, (d_r V)_+, <x>^-1 V_+ with
     exponents (3/2, p=2), (2, p=1), (2, p=1).  n >= 4: weighted sup norms
-    with exponents 2, 3, 3.  A constant whose potential is absent is 0;
-    +inf propagates as a value.
+    with exponents 2, 3, 3, both on the fixed quadrature of morcam.norms
+    (QUAD_R_MAX, QUAD_DR, QUAD_DIRS).  A constant whose potential is
+    absent is 0; +inf propagates as a value.
     """
     # Noise in B_tau scales with the full field magnitude; left in, it
     # mimics a divergent integrand for non-trapping fields.  It is
     # cancellation noise for an analytic Jacobian, and the error of
     # fields.jacobian_fd otherwise: at most 1.1e-8 |B| for ex13 on the
-    # default quadrature's points, so a 1e-6 cutoff keeps a margin of 90
+    # quadrature's points, so a 1e-6 cutoff keeps a margin of 90
     cutoff = 1e-9 if pp.A_jac is not None else 1e-6
 
     def btau_mag(X):
@@ -94,8 +95,8 @@ def compute_constants(pp: PotentialPair, quad: RadialQuad = RadialQuad()):
         (pp.V, v_plus_screened, (2.0, 1), 3.0),
     ]
     return tuple(0.0 if part is None
-                 else mixed_radial_norm(w, p, e3, n=3, quad=quad) if pp.n == 3
-                 else weighted_sup_norm(w, e, pp.n, quad=quad)
+                 else mixed_radial_norm(w, p, e3, 3) if pp.n == 3
+                 else weighted_sup_norm(w, e, pp.n)
                  for part, w, (e3, p), e in rows)
 
 
@@ -143,10 +144,9 @@ def check_condition_nd(C1: float, C2: float, n: int, C3: float = math.nan) -> Ad
     return rep
 
 
-def admissibility_report(pp: PotentialPair,
-                         quad: RadialQuad = RadialQuad()) -> AdmissibilityReport:
+def admissibility_report(pp: PotentialPair) -> AdmissibilityReport:
     """Constants plus verdict in one step, in the potential's dimension."""
-    C1, C2, C3 = compute_constants(pp, quad=quad)
+    C1, C2, C3 = compute_constants(pp)
     if pp.n == 3:
         return check_condition_3d(C1, C2, C3)
     return check_condition_nd(C1, C2, pp.n, C3)

@@ -26,7 +26,6 @@ __all__ = [
     "trapping_component",
     "radial_derivative_parts",
     "biot_savart",
-    "BallQuad",
     "example_field",
     "make_potential_pair",
     "BUILTIN_POTENTIALS",
@@ -177,17 +176,15 @@ def radial_derivative_parts(pp: PotentialPair, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BallQuad:
-    """Quadrature spec for the Biot-Savart integral: tensor-product
-    midpoint rule on the ball |y| <= R, singularity excised in a ball of
-    radius 2 * cell diameter around the evaluation point; refinement
-    doubles the cell count per axis until two levels agree to rtol."""
-
-    R: float = 6.0
-    base_cells: int = 48
-    rtol: float = 1e-3
-    max_levels: int = 3
+#: The Biot-Savart quadrature: a tensor-product midpoint rule on the ball
+#: |y| <= BALL_R, the singularity excised in a ball of radius 2 * cell
+#: diameter around the evaluation point, starting from BALL_CELLS cells
+#: per axis and doubling them until two levels agree to BALL_RTOL, at most
+#: BALL_LEVELS levels.
+BALL_R = 6.0
+BALL_CELLS = 48
+BALL_RTOL = 1e-3
+BALL_LEVELS = 3
 
 
 def _biot_savart_level(B_fn, x, R, m):
@@ -209,30 +206,30 @@ def _biot_savart_level(B_fn, x, R, m):
     return integrand.sum(axis=0) * h ** 3 / (4 * math.pi)
 
 
-def biot_savart(B_fn: Callable, x, quad: BallQuad = BallQuad()) -> np.ndarray:
+def biot_savart(B_fn: Callable, x) -> np.ndarray:
     """Vector potential A(x) = (1/4 pi) int (x-y)/|x-y|^3 x B(y) dy.
 
     B_fn must be vectorized over point arrays (..., 3) -> (..., 3) and
     decay fast enough that the truncated ball captures the integral.
     Raises AccuracyError when two successive refinements disagree by more
-    than quad.rtol (relative to max(1, |A|)).
+    than BALL_RTOL (relative to max(1, |A|)).
     """
     x = np.asarray(x, float)
     if x.shape != (3,):
         raise DomainError("biot_savart evaluates at a single 3D point")
     prev = None
-    m = quad.base_cells
-    for _ in range(quad.max_levels):
-        cur = _biot_savart_level(B_fn, x, quad.R, m)
+    m = BALL_CELLS
+    for _ in range(BALL_LEVELS):
+        cur = _biot_savart_level(B_fn, x, BALL_R, m)
         if prev is not None:
             scale = max(1.0, float(np.linalg.norm(cur)))
-            if np.linalg.norm(cur - prev) <= quad.rtol * scale:
+            if np.linalg.norm(cur - prev) <= BALL_RTOL * scale:
                 return cur
         prev = cur
         m *= 2
     raise AccuracyError(
-        f"Biot-Savart quadrature did not converge to rtol={quad.rtol} "
-        f"within {quad.max_levels} refinement levels"
+        f"Biot-Savart quadrature did not converge to rtol={BALL_RTOL} "
+        f"within {BALL_LEVELS} refinement levels"
     )
 
 
@@ -304,8 +301,7 @@ def _ex14_check(x):
         raise DomainError("this potential is singular on the z-axis")
 
 
-def example_field(kind: str, *, h=None, omega=None, alpha=None,
-                  quad: BallQuad | None = None) -> PotentialPair:
+def example_field(kind: str, *, h=None, omega=None, alpha=None) -> PotentialPair:
     """Closed-form non-trapping magnetic potentials.
 
     kind "ex13": A = (-y, x, 0)/(x^2+y^2+z^2), divergence-free with
@@ -330,7 +326,6 @@ def example_field(kind: str, *, h=None, omega=None, alpha=None,
             )
         omega = np.asarray(omega, float)
         omega = omega / np.linalg.norm(omega)
-        q = quad or BallQuad()
 
         def B_dir(Y):
             Y = np.asarray(Y, float)
@@ -343,7 +338,7 @@ def example_field(kind: str, *, h=None, omega=None, alpha=None,
         def A_fn(X):
             X = np.asarray(X, float)
             flat = X.reshape(-1, 3)
-            out = np.array([biot_savart(B_dir, p, q) for p in flat])
+            out = np.array([biot_savart(B_dir, p) for p in flat])
             return out.reshape(X.shape)
 
         return PotentialPair(3, A=A_fn, name="ex14_family")

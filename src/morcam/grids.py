@@ -41,7 +41,10 @@ class RadialGrid:
     """Uniform cell-centered grid on [-L, L]^n with spacing h.
 
     1-D node coordinates are -L + (i + 1/2)h for i = 0..m-1 with m = 2L/h;
-    L/h must be a positive integer.  Radial bins collect the nodes of one
+    L/h must be a positive integer, and n L^2, 1/h^2 and h^n positive
+    normal floats (h^n only on a grid of fewer than 2^63 nodes: a larger
+    one cannot be sampled, and the memory checks of whatever would
+    sample it refuse it first).  Radial bins collect the nodes of one
     radius (see slab_bins); radial shells are bins of thickness h in |x|,
     shell k collecting nodes with k*h <= |x| < (k+1)*h.
     """
@@ -59,6 +62,17 @@ class RadialGrid:
         ratio = self.L / self.h
         if not (0.5 < ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):
             raise GridError(f"L/h must be a positive integer, got {ratio}")
+        # n L^2 bounds |x|^2, 1/h^2 the stencil and h^n the cell volume,
+        # taken in log2 so that the check cannot overflow; h^n is judged only
+        # on a grid of fewer than 2^63 nodes, as no larger one can be sampled
+        lg_h = math.log2(self.h)
+        cell = self.n * lg_h if self.n * math.log2(self.m) < 63 else 0.0
+        for key, lg in (("L", math.log2(self.n) + 2 * math.log2(self.L)),
+                        ("h", -2 * lg_h), ("h", cell)):
+            # log2 of the smallest positive normal float and of the largest
+            if not -1022 < lg < 1024:
+                raise GridError(f"{key}={getattr(self, key)!r} is outside the float range: "
+                                f"n L^2, 1/h^2 and h^n must be positive normal floats (n={self.n})")
 
     @property
     def m(self) -> int:
@@ -137,7 +151,9 @@ class RadialGrid:
 
     @property
     def n_shells(self) -> int:
-        return int(self.bin_shells[-1]) + 1
+        """Shells up to the corner node's, 4|x|^2/h^2 = n (m - 1)^2, with
+        no per-bin array formed: a grid too large to sample has one too."""
+        return math.isqrt(self.n * (self.m - 1) ** 2) // 2 + 1
 
     @cached_property
     def shell_radii(self) -> np.ndarray:

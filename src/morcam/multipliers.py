@@ -82,12 +82,16 @@ class SymmetricWeight:
 
 def check_estimate_parameters(M: float | None = None,
                               delta: float | None = None,
-                              beta: float | None = None, n: int = 3) -> None:
-    """Raise ParameterError unless the multiplier constant M is finite and
-    >= 0, the estimate weight delta is finite and positive, and the
-    symmetric-weight constant beta lies in (0, (n-1)/(2n)) for dimension
-    n; None skips a check (the value is then chosen later from the
-    admissibility verdict)."""
+                              beta: float | None = None, n: int = 3,
+                              R: float | None = None) -> None:
+    """Raise ParameterError unless the multiplier scale R is finite and
+    positive, the multiplier constant M is finite and >= 0, the estimate
+    weight delta is finite and positive, and the symmetric-weight
+    constant beta lies in (0, (n-1)/(2n)) for dimension n; None skips a
+    check (M and delta are then chosen later from the admissibility
+    verdict)."""
+    if R is not None and not (math.isfinite(R) and R > 0):
+        raise ParameterError(f"scale R must be finite and positive, got {R}")
     if M is not None and not (math.isfinite(M) and M >= 0):
         raise ParameterError(f"M must be finite and >= 0, got {M}")
     if delta is not None and not (math.isfinite(delta) and delta > 0):
@@ -107,9 +111,7 @@ def make_phi(n: int, R: float, M: float) -> Multiplier:
     (identically zero for n = 3), and for n = 3 the origin point mass
     -8*pi*M.
     """
-    if R <= 0:
-        raise ParameterError(f"scale R must be positive, got {R}")
-    check_estimate_parameters(M=M)
+    check_estimate_parameters(M=M, R=R)
     if n < 3:
         raise ParameterError(f"dimension must be >= 3, got {n}")
     c = (n - 1) / (2 * n)
@@ -156,9 +158,7 @@ def make_varphi(n: int, R: float, beta: float) -> SymmetricWeight:
     -beta/R^2 on |x| = R plus the smooth tail -beta(n-3)/r^3 outside
     (zero for n = 3).
     """
-    if R <= 0:
-        raise ParameterError(f"scale R must be positive, got {R}")
-    check_estimate_parameters(beta=beta, n=n)
+    check_estimate_parameters(beta=beta, n=n, R=R)
 
     def value(r):
         r = np.asarray(r, float)

@@ -24,7 +24,6 @@ __all__ = [
     "morrey_campanato",
     "dyadic_dual",
     "duality_gap",
-    "RadialQuad",
     "mixed_radial_norm",
     "weighted_sup_norm",
     "sphere_sup",
@@ -114,29 +113,6 @@ def duality_gap(f: ScalarField, g: ScalarField):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RadialQuad:
-    """Sampling spec for mixed radial norms: radii (k+1/2)*dr up to r_max,
-    a fixed direction sample per sphere, dyadic-block divergence check."""
-
-    r_max: float = 64.0
-    dr: float = 1.0 / 64.0
-    n_dirs: int = 240
-    seed: int = 7
-
-    def directions(self, n: int) -> np.ndarray:
-        if n == 3:
-            # Fibonacci sphere: deterministic, near-uniform
-            k = np.arange(self.n_dirs)
-            z = 1 - 2 * (k + 0.5) / self.n_dirs
-            phi = k * math.pi * (3 - math.sqrt(5))
-            s = np.sqrt(1 - z ** 2)
-            return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-        rng = np.random.default_rng(self.seed)
-        d = rng.standard_normal((self.n_dirs, n))
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
-
-
 def _dyadic_blocks(radii: np.ndarray, values: np.ndarray, sup: bool) -> np.ndarray:
     """values over the dyadic blocks 2^j <= r < 2^(j+1) of the radii,
     innermost first: their sum per block, or their max when sup."""
@@ -163,22 +139,44 @@ def _grows_at_an_end(blocks: np.ndarray, grows: Callable) -> bool:
                 or (lo == 0 and grows(blocks[lo], blocks[lo + 1])))
 
 
-#: Radii per evaluation of w in the mixed-norm quadrature: bounds the memory
-#: of w's temporaries (an n x n field matrix per point for |B_tau|).
+#: The mixed-norm quadrature: radii (k + 1/2) QUAD_DR up to QUAD_R_MAX,
+#: each sphere sampled in QUAD_DIRS fixed directions (a Fibonacci sphere
+#: in 3D, normal samples of seed QUAD_SEED above), the radii evaluated
+#: QUAD_BLOCK at a time.  QUAD_BLOCK bounds the memory of w's temporaries
+#: (an n x n field matrix per point for |B_tau|).
+QUAD_R_MAX = 64.0
+QUAD_DR = 1.0 / 64.0
+QUAD_DIRS = 240
+QUAD_SEED = 7
 QUAD_BLOCK = 256
 
 
-def _sphere_sups(w: Callable, n: int, quad: RadialQuad):
-    """The quadrature radii and, per radius, the max of w over the
-    direction sample, evaluating w on QUAD_BLOCK radii at a time.  A
-    block of points that would not fit in physical memory (n in the
-    thousands) raises ParameterError before any is formed."""
+def _directions(n: int) -> np.ndarray:
+    """The QUAD_DIRS unit vectors of the sphere sample in R^n."""
+    if n == 3:
+        # Fibonacci sphere: deterministic, near-uniform
+        k = np.arange(QUAD_DIRS)
+        z = 1 - 2 * (k + 0.5) / QUAD_DIRS
+        phi = k * math.pi * (3 - math.sqrt(5))
+        s = np.sqrt(1 - z ** 2)
+        return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
+    rng = np.random.default_rng(QUAD_SEED)
+    d = rng.standard_normal((QUAD_DIRS, n))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+def _sphere_sups(w: Callable, n: int, weight_exponent: float):
+    """The quadrature radii and, per radius r, r^e times the max of w
+    over the direction sample, for the weight exponent e, evaluating w
+    on QUAD_BLOCK radii at a time.  A block of points that would not fit
+    in physical memory (n in the thousands) raises ParameterError before
+    any is formed."""
     # a block of points, n coordinates each, sets the peak: by tracemalloc
     # 1.05 to 1.1 of it at n = 50 and 100, 2.4 to 3 at n = 3 and 4
-    check_memory(math.log2(QUAD_BLOCK * quad.n_dirs * n * 8),
+    check_memory(math.log2(QUAD_BLOCK * QUAD_DIRS * n * 8),
                  f"a radial quadrature in {n} dimensions")
-    dirs = quad.directions(n)
-    radii = np.arange(quad.dr / 2, quad.r_max, quad.dr)
+    dirs = _directions(n)
+    radii = np.arange(QUAD_DR / 2, QUAD_R_MAX, QUAD_DR)
     sups = np.empty(radii.size)
     for lo in range(0, radii.size, QUAD_BLOCK):
         r = radii[lo:lo + QUAD_BLOCK]
@@ -186,11 +184,10 @@ def _sphere_sups(w: Callable, n: int, quad: RadialQuad):
         if vals.shape != (r.size, dirs.shape[0]):
             raise MorcamError("w must return one value per sample point")
         sups[lo:lo + QUAD_BLOCK] = vals.max(axis=1)
-    return radii, sups
+    return radii, radii ** weight_exponent * sups
 
 
-def mixed_radial_norm(w: Callable, p: int, weight_exponent: float,
-                      n: int = 3, quad: RadialQuad = RadialQuad()) -> float:
+def mixed_radial_norm(w: Callable, p: int, weight_exponent: float, n: int) -> float:
     """Mixed norm ( int_0^inf sup_{|x|=r} (|x|^e w(x))^p dr )^(1/p).
 
     w must be a vectorized nonnegative map on R^n.  p is 1 or 2.  A +inf
@@ -202,9 +199,8 @@ def mixed_radial_norm(w: Callable, p: int, weight_exponent: float,
     """
     if p not in (1, 2):
         raise ParameterError(f"p must be 1 or 2, got {p}")
-    radii, sups = _sphere_sups(w, n, quad)
-    sup_r = radii ** weight_exponent * sups
-    contributions = sup_r ** p * quad.dr
+    radii, sup_r = _sphere_sups(w, n, weight_exponent)
+    contributions = sup_r ** p * QUAD_DR
     blocks = _dyadic_blocks(radii, contributions, sup=False)
     sig = 1e-10 * blocks.sum()
     if _grows_at_an_end(blocks, lambda a, b: a > sig and a >= 0.9 * b and b > sig):
@@ -213,14 +209,12 @@ def mixed_radial_norm(w: Callable, p: int, weight_exponent: float,
     return total if p == 1 else math.sqrt(total)
 
 
-def weighted_sup_norm(w: Callable, weight_exponent: float, n: int,
-                      quad: RadialQuad = RadialQuad()) -> float:
+def weighted_sup_norm(w: Callable, weight_exponent: float, n: int) -> float:
     """sup over R^n of |x|^e w(x) on the radial/angular sample, with +inf
     when the radial profile of the sup still grows at either end of the
     sampled range (see _grows_at_an_end): the end block's sup is more than
     1.05 times its neighbour's and above 1e-10 of the largest."""
-    radii, sups = _sphere_sups(w, n, quad)
-    sup_r = radii ** weight_exponent * sups
+    radii, sup_r = _sphere_sups(w, n, weight_exponent)
     blocks = _dyadic_blocks(radii, sup_r, sup=True)
     sig = 1e-10 * blocks.max()
     if _grows_at_an_end(blocks, lambda a, b: a > sig and a > 1.05 * b):
@@ -241,13 +235,19 @@ def sphere_sup(u: ScalarField):
     return _sphere_sup(u.grid, u.grid.bin_sums(u.abs2()))
 
 
+def _check_sphere_shells(grid: RadialGrid) -> None:
+    """ParameterError unless the grid has the 3 radial shells that
+    sphere_sup needs: it scans shells 2 and up."""
+    if grid.n_shells < 3:
+        raise ParameterError(f"sphere_sup needs 3 radial shells, the grid has {grid.n_shells}")
+
+
 def _sphere_sup(grid: RadialGrid, su2: np.ndarray):
     """sphere_sup from the bin sums of |u|^2."""
+    _check_sphere_shells(grid)
     shells = grid.shell_sums(su2) / grid.h
     radii = grid.shell_radii
     vals = (shells / radii ** 2)[2:]
-    if not vals.size:
-        raise ParameterError(f"sphere_sup needs 3 radial shells, the grid has {radii.size}")
     k = int(np.argmax(vals))
     return float(vals[k]), float(radii[k + 2])
 

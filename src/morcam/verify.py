@@ -18,7 +18,7 @@ from .fields import PotentialPair
 from .grids import RadialGrid, ScalarField
 from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters,
                           make_phi, make_varphi)
-from .norms import NormReport, dyadic_dual, theorem_lhs, theorem_rhs
+from .norms import _check_sphere_shells, dyadic_dual, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                         check_resolvent_parameters, epsilon_floor, make_datum,
                         radial_sweep, solve)
@@ -192,20 +192,17 @@ def _pick_delta(adm: AdmissibilityReport) -> float:
 
 def estimate_report(u: ScalarField, dual: tuple[float, float],
                     disc: Discretization, lam: float, eps: float,
-                    M: float | None = None, delta: float | None = None,
-                    adm: AdmissibilityReport | None = None):
+                    adm: AdmissibilityReport, M: float | None = None,
+                    delta: float | None = None):
     """(lhs NormReport, rhs NormReport, ratio) for the a priori estimate
-    of the solution u for the datum f with dual = dyadic_dual(f).
+    of the solution u for the datum f with dual = dyadic_dual(f), given
+    the admissibility verdict adm of disc's potential pair, which picks
+    M and delta when they are None.
 
     Inadmissible configurations are still evaluated (with a warning
     note); such runs are diagnostic.
     """
     n = u.grid.n
-    notes = []
-    if adm is None and (M is None or delta is None):
-        adm = admissibility_report(disc.pp)
-    if adm is not None and not adm.admissible:
-        notes.append("configuration not admissible; estimate run is diagnostic")
     if M is None:
         if n == 3:
             M = adm.optimal_M if adm.optimal_M else 0.0
@@ -215,7 +212,8 @@ def estimate_report(u: ScalarField, dual: tuple[float, float],
         delta = _pick_delta(adm)
     lhs = theorem_lhs(u, disc, lam, M, delta)
     rhs = theorem_rhs(dual, lam, eps)
-    lhs.notes.extend(notes)
+    if not adm.admissible:
+        lhs.notes.append("configuration not admissible; estimate run is diagnostic")
     if rhs.total > 0:
         ratio = lhs.total / rhs.total
     else:
@@ -226,12 +224,13 @@ def estimate_report(u: ScalarField, dual: tuple[float, float],
 @dataclass
 class SweepReport:
     """(eps, lhs, rhs, ratio) rows sorted by decreasing eps, each with its
-    solve's Arnoldi iterations and restart cycles (not in the CSV), and
-    the blow-up flag raised when the ratio grows faster than 2x per decade
-    of eps over the whole sweep."""
+    solve's Arnoldi iterations and restart cycles (not in the CSV), the
+    blow-up flag raised when the ratio grows faster than 2x per decade
+    of eps over the whole sweep, and the estimate's notes, each once."""
 
     entries: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)
+    notes: list = field(default_factory=list)
 
     def add(self, eps, lhs, rhs, ratio, iterations=None, cycles=None):
         self.entries.append({"eps": float(eps), "lhs": float(lhs),
@@ -262,13 +261,16 @@ class SweepReport:
         return last["ratio"] / first["ratio"] > 2.0 ** decades
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "entries": self.entries,
             "errors": {str(k): v for k, v in self.errors.items()},
             "max_ratio": self.max_ratio,
             "min_ratio": self.min_ratio,
             "blow_up": self.blow_up,
         }
+        if self.notes:
+            out["notes"] = list(self.notes)
+        return out
 
     def to_csv(self) -> str:
         lines = ["eps,lhs,rhs,ratio"]
@@ -283,14 +285,16 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
     """Solve the resolvent problem for each eps and collect estimate
     ratios.  Solver failures are recorded per entry and the sweep
     continues.  lambda, tol, the eps values (at least one, each finite
-    and positive), M and delta are checked before any sampling or
-    solve."""
+    and positive), M, delta and, in 3D, the radial shells the estimate's
+    sphere sup needs are checked before any sampling or solve."""
     check_resolvent_parameters(lam=lam, tol=tol)
     eps_list = list(eps_list)
     if not eps_list or not all(math.isfinite(e) and e > 0 for e in eps_list):
         raise ParameterError(
             f"eps values must be finite and positive, at least one, got {eps_list}")
     check_estimate_parameters(M, delta)
+    if grid.n == 3:
+        _check_sphere_shells(grid)
     floor = epsilon_floor(grid.L, lam)
     for e in eps_list:
         if e < floor:
@@ -308,10 +312,12 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
         try:
             prob = ResolventProblem(disc=disc, lam=lam, eps=eps, f=f)
             u = solve(prob, tol=tol)
-            lhs, rhs, ratio = estimate_report(u, dual, disc, lam, eps, M=M,
-                                              delta=delta, adm=adm)
+            lhs, rhs, ratio = estimate_report(u, dual, disc, lam, eps, adm,
+                                              M=M, delta=delta)
             report.add(eps, lhs.total, rhs.total, ratio,
                        iterations=u.iterations, cycles=u.cycles)
+            report.notes += [note for note in lhs.notes + rhs.notes
+                             if note not in report.notes]
             # free this eps's operator and solution before the next solve
             del prob, u
         except SolverError as exc:

@@ -3,10 +3,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from morcam import resolvent
+from morcam import fields, norms, resolvent
 from morcam.fields import PotentialPair
 from morcam.grids import ScalarField
 from oracles import sweep_split
+
+
+@pytest.fixture
+def light_quadrature(monkeypatch):
+    """The mixed-norm quadrature of morcam.norms at half its radial range,
+    radial density and direction count, which makes constants cheaper."""
+    monkeypatch.setattr(norms, "QUAD_R_MAX", 32.0)
+    monkeypatch.setattr(norms, "QUAD_DR", 1.0 / 32)
+    monkeypatch.setattr(norms, "QUAD_DIRS", 120)
+
+
+@pytest.fixture
+def coarse_biot_savart(monkeypatch):
+    """A Biot-Savart quadrature of morcam.fields that cannot converge: 8
+    base cells, two levels, rtol 1e-12."""
+    monkeypatch.setattr(fields, "BALL_CELLS", 8)
+    monkeypatch.setattr(fields, "BALL_RTOL", 1e-12)
+    monkeypatch.setattr(fields, "BALL_LEVELS", 2)
 
 
 @pytest.fixture

@@ -8,12 +8,12 @@ from morcam.admissibility import (admissibility_report, check_condition_3d,
                                   check_condition_nd, compute_constants)
 from morcam.errors import ParameterError
 from morcam.fields import PotentialPair, make_potential_pair
-from morcam.norms import RadialQuad
 from oracles import condition_value_3d, dense_grid_minimum, swirl
 
 rng = np.random.default_rng(11)
 
-LIGHT = RadialQuad(r_max=32.0, dr=1.0 / 32, n_dirs=120)
+# the constants below are computed on a lighter quadrature
+pytestmark = pytest.mark.usefixtures("light_quadrature")
 
 
 # --- constants from concrete potentials --------------------------------------
@@ -21,7 +21,7 @@ LIGHT = RadialQuad(r_max=32.0, dr=1.0 / 32, n_dirs=120)
 
 def test_constants_nontrapping_vortex():
     pp = make_potential_pair(3, {"name": "ex13"}, None)
-    C1, C2, C3 = compute_constants(pp, quad=LIGHT)
+    C1, C2, C3 = compute_constants(pp)
     assert C1 < 1e-8
     assert C2 == 0.0 and C3 == 0.0
     rep = check_condition_3d(C1, C2, C3)
@@ -43,22 +43,22 @@ def test_non_trapping_field_without_jacobian_gets_C1_zero(n, A):
     # radius and its B_tau noise (1.1e-8 |B| for ex13) falls below the
     # 1e-6 |B| cutoff a difference Jacobian gets (the analytic 1e-9 cutoff
     # would read ex13's noise as C1 = inf)
-    C1, C2, C3 = compute_constants(PotentialPair(n, A=A), quad=LIGHT)
+    C1, C2, C3 = compute_constants(PotentialPair(n, A=A))
     assert (C1, C2, C3) == (0.0, 0.0, 0.0)
-    assert admissibility_report(PotentialPair(n, A=A), quad=LIGHT).admissible
+    assert admissibility_report(PotentialPair(n, A=A)).admissible
 
 
 def test_trapping_field_without_jacobian_keeps_its_C1():
     # the swirl's B_tau is of the size of B: the difference Jacobian's
     # cutoff leaves a finite nonzero C1 (2.0 at the default quadrature)
-    C1, _, _ = compute_constants(PotentialPair(3, A=swirl), quad=LIGHT)
+    C1, _, _ = compute_constants(PotentialPair(3, A=swirl))
     assert C1 == pytest.approx(2.0, rel=1e-3)
-    assert not admissibility_report(PotentialPair(3, A=swirl), quad=LIGHT).admissible
+    assert not admissibility_report(PotentialPair(3, A=swirl)).admissible
 
 
 def test_constants_attractive_coulomb_diverge():
     pp = make_potential_pair(3, None, {"name": "coulomb", "c": -1.0})
-    C1, C2, C3 = compute_constants(pp, quad=LIGHT)
+    C1, C2, C3 = compute_constants(pp)
     assert C1 == 0.0
     assert math.isinf(C2)
     rep = check_condition_3d(C1, C2, C3)
@@ -68,7 +68,7 @@ def test_constants_attractive_coulomb_diverge():
 
 def test_constants_inverse_square_4d():
     pp = make_potential_pair(4, None, {"name": "inverse_square", "c": -1.0})
-    C1, C2, C3 = compute_constants(pp, quad=LIGHT)
+    C1, C2, C3 = compute_constants(pp)
     assert C1 == 0.0
     # d_r(-1/r^2) = 2/r^3, so the cubed-weight sup is exactly 2
     assert abs(C2 - 2.0) < 1e-10
@@ -92,14 +92,14 @@ def test_drv_vanishing_beyond_a_radius_gives_finite_C2(n, C2_ref):
         return -0.8 * (r - 2) * np.exp(-(r - 2) ** 2)
 
     pp = PotentialPair(n, V=V, dV_r=dV_r)
-    _C1, C2, _C3 = compute_constants(pp, quad=LIGHT)
+    _C1, C2, _C3 = compute_constants(pp)
     assert C2 == pytest.approx(C2_ref, rel=1e-3)
-    assert admissibility_report(pp, quad=LIGHT).admissible
+    assert admissibility_report(pp).admissible
 
 
 def test_screened_potential_admissible():
     pp = make_potential_pair(3, None, {"name": "exp_screened", "amplitude": 0.3})
-    rep = admissibility_report(pp, quad=LIGHT)
+    rep = admissibility_report(pp)
     assert rep.admissible
     assert rep.value < 1.0
 

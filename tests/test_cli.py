@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import morcam
-from morcam import admissibility
+from morcam import admissibility, verify
 from morcam.cli import RUN_TYPES, main
 from morcam.grids import load_field
 
@@ -120,6 +120,23 @@ def test_sweep_writes_csv(tmp_path):
     doc = json.loads((out / "sweep.json").read_text())
     assert len(doc["result"]["entries"]) == 2
     assert isinstance(doc["result"]["blow_up"], bool)
+
+
+@pytest.mark.parametrize("change, notes", [
+    # criterion 12's rejected case: the estimate is diagnostic
+    ({"potential": {"V": {"name": "coulomb", "c": -1.0}}},
+     ["configuration not admissible; estimate run is diagnostic"]),
+    ({"lambda": 0.0},
+     ["lambda=0 convention: N(f/|lambda|^(1/2)) term undefined, omitted"]),
+    ({}, None),
+])
+def test_sweep_report_carries_the_estimate_notes_once(tmp_path, change, notes):
+    code, out = run(tmp_path, {**TINY, "run": "sweep", "lambda": 1.0,
+                               "eps_list": [1.0, 0.5], **change})
+    assert code == 0
+    result = json.loads((out / "sweep.json").read_text())["result"]
+    assert len(result["entries"]) == 2
+    assert result.get("notes") == notes
 
 
 def test_solve_and_sweep_report_solver_work(tmp_path, operator_calls):
@@ -462,6 +479,12 @@ TINY = {"n": 3, "grid": {"L": 2.0, "h": 0.5}, "eps_list": [1.0], "tol": 1e-6,
     # a (256, 240, n) block of quadrature points: MemoryError traceback
     ("admissibility", {"n": 1.0e12, "potential": {"V": {"name": "coulomb"}}},
      "a radial quadrature in 1000000000000 dimensions"),
+    # n L^2 past the float range: an OverflowError traceback from 1/h^2
+    ("solve", {"grid": {"L": 2.0e200, "h": 1.0e200}}, "L=2e+200 is outside the float range"),
+    # h^2 underflowing to 0: a ZeroDivisionError traceback
+    ("solve", {"grid": {"L": 1.0e-200, "h": 1.0e-200}}, "L=1e-200 is outside the float range"),
+    # 1/h^2 infinite: a solver error, exit 4
+    ("solve", {"grid": {"L": 1.0e-160, "h": 1.0e-160}}, "L=1e-160 is outside the float range"),
 ])
 def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
                                               run_type, bad, named):
@@ -473,15 +496,20 @@ def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
     assert operator_calls == {"apply": 0, "precond": 0}  # no solve started
 
 
-def test_sweep_on_a_grid_of_one_shell_is_exit_3(tmp_path):
+def test_sweep_on_a_grid_of_one_shell_is_exit_3(tmp_path, operator_calls, monkeypatch):
     # L/h = 1 leaves one radial shell, and the sphere sup scans shells 2
-    # and up: a ValueError from argmax on an empty array, exit 3 only
-    # through the TypeError/ValueError catch-all
+    # and up: refused with the sweep's other checks, before the
+    # admissibility quadrature or any solve
+    def no_admissibility(pp):
+        raise AssertionError("the admissibility constants were computed")
+
+    monkeypatch.setattr(verify, "admissibility_report", no_admissibility)
     code, out = run(tmp_path, {**TINY, "run": "sweep", "grid": {"L": 2.0, "h": 2.0}})
     assert code == 3
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
     assert "sphere_sup needs 3 radial shells" in doc["detail"]
+    assert operator_calls == {"apply": 0, "precond": 0}
 
 
 @pytest.mark.parametrize("text", [

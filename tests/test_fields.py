@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from morcam.errors import AccuracyError, DomainError, ParameterError
-from morcam.fields import (BallQuad, PotentialPair, biot_savart, example_field,
+from morcam.fields import (PotentialPair, biot_savart, example_field,
                            jacobian_fd, magnetic_matrix, make_potential_pair,
                            radial_derivative_parts, trapping_component)
 
@@ -221,16 +221,15 @@ def test_biot_savart_radial_field_vanishes_on_axes():
         assert np.linalg.norm(A) < 1e-10
 
 
-def test_biot_savart_nonconvergence_raises():
+def test_biot_savart_nonconvergence_raises(coarse_biot_savart):
     # a field too rough for a single refinement at loose settings
     def B_spiky(Y):
         Y = np.asarray(Y, float)
         r = np.maximum(np.sqrt(np.sum(Y ** 2, axis=-1)), 1e-300)
         return (np.sin(40 * r) / r ** 2)[..., None] * (Y / r[..., None])
 
-    quad = BallQuad(base_cells=8, rtol=1e-12, max_levels=2)
     with pytest.raises(AccuracyError):
-        biot_savart(B_spiky, np.array([0.4, 0.2, 0.1]), quad)
+        biot_savart(B_spiky, np.array([0.4, 0.2, 0.1]))
 
 
 # --- builders ----------------------------------------------------------------

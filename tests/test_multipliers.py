@@ -108,6 +108,14 @@ def test_phi_parameter_errors():
         make_phi(2, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf, 0.0, -1.0])
+def test_scale_must_be_finite_and_positive(R):
+    # a NaN scale passed the former R <= 0 test and gave a nan density
+    for make in (lambda: make_phi(3, R, 1.0), lambda: make_varphi(3, R, 1e-3)):
+        with pytest.raises(ParameterError, match="scale R"):
+            make()
+
+
 def test_distributional_pairing_refines_second_order():
     # pairing of the stored bilaplacian with radial test functions vs
     # the integration-by-parts side int Delta phi * Delta psi

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
-from morcam.norms import (RadialQuad, _mc_sup_sq, duality_gap, dyadic_dual,
+from morcam.norms import (_mc_sup_sq, duality_gap, dyadic_dual,
                           hardy_ratio, mixed_radial_norm, morrey_campanato,
                           sphere_sup, theorem_lhs, theorem_rhs, weighted_sup_norm)
 from morcam.resolvent import Discretization
@@ -214,7 +214,7 @@ def test_duality_grid_mismatch():
 
 
 def test_mixed_norm_zero():
-    assert mixed_radial_norm(lambda X: np.zeros(np.asarray(X).shape[:-1]), 2, 1.5) == 0.0
+    assert mixed_radial_norm(lambda X: np.zeros(np.asarray(X).shape[:-1]), 2, 1.5, n=3) == 0.0
 
 
 def test_mixed_norm_shell_inverse_square():
@@ -223,7 +223,7 @@ def test_mixed_norm_shell_inverse_square():
         r = np.sqrt(np.sum(np.asarray(X, float) ** 2, axis=-1))
         return np.where((r >= 1) & (r <= 2), 1.0 / r ** 2, 0.0)
 
-    value = mixed_radial_norm(w, 2, 1.5)
+    value = mixed_radial_norm(w, 2, 1.5, n=3)
     assert abs(value - math.sqrt(math.log(2))) < 1e-2
 
 
@@ -233,12 +233,12 @@ def test_mixed_norm_critical_decay_diverges():
         r = np.sqrt(np.sum(np.asarray(X, float) ** 2, axis=-1))
         return 1.0 / r ** 2
 
-    assert mixed_radial_norm(w, 1, 2.0) == math.inf
+    assert mixed_radial_norm(w, 1, 2.0, n=3) == math.inf
 
 
 def test_mixed_norm_rejects_bad_p():
     with pytest.raises(ParameterError):
-        mixed_radial_norm(lambda X: np.zeros(np.asarray(X).shape[:-1]), 3, 1.0)
+        mixed_radial_norm(lambda X: np.zeros(np.asarray(X).shape[:-1]), 3, 1.0, n=3)
 
 
 def test_weighted_sup_norm_finite_and_divergent():

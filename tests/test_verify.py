@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from morcam import resolvent, verify
+from morcam.admissibility import admissibility_report
 from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
@@ -134,7 +135,8 @@ def test_estimate_report_trivial():
     grid = RadialGrid(3, 4.0, 0.5)
     z = ScalarField.zeros(grid)
     lhs, rhs, ratio = estimate_report(z, dyadic_dual(z),
-                                      Discretization(grid, PotentialPair(3)), 1.0, 0.5)
+                                      Discretization(grid, PotentialPair(3)), 1.0, 0.5,
+                                      adm=admissibility_report(PotentialPair(3)))
     assert lhs.total == 0.0 and rhs.total == 0.0 and ratio == 0.0
 
 
@@ -143,7 +145,7 @@ def test_estimate_report_inadmissible_notes():
     pp = make_potential_pair(3, None, {"name": "coulomb", "c": -1.0})
     u = ScalarField.from_callable(grid, bump)
     lhs, rhs, ratio = estimate_report(u, dyadic_dual(u), Discretization(grid, pp),
-                                      1.0, 0.5)
+                                      1.0, 0.5, adm=admissibility_report(pp))
     assert any("not admissible" in note for note in lhs.notes)
     assert math.isfinite(ratio)
 
