@@ -187,12 +187,12 @@ BALL_RTOL = 1e-3
 BALL_LEVELS = 3
 
 
-def _biot_savart_level(B_fn, x, R, m):
-    h = 2 * R / m
-    c = -R + (np.arange(m) + 0.5) * h
+def _biot_savart_level(B_fn, x, m):
+    """The Biot-Savart midpoint rule on m cells per axis."""
+    h = 2 * BALL_R / m
+    c = -BALL_R + (np.arange(m) + 0.5) * h
     Y = np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1).reshape(-1, 3)
-    r2 = np.sum(Y ** 2, axis=1)
-    mask = r2 <= R * R
+    mask = np.sum(Y ** 2, axis=1) <= BALL_R * BALL_R
     d = Y - x
     dist2 = np.sum(d ** 2, axis=1)
     r_cut = 2.0 * h * math.sqrt(3.0)
@@ -202,8 +202,7 @@ def _biot_savart_level(B_fn, x, R, m):
     dist = np.sqrt(dist2[mask])
     Bv = np.asarray(B_fn(Y), float)
     kern = -d / dist[:, None] ** 3  # (x - y)/|x - y|^3
-    integrand = np.cross(kern, Bv)
-    return integrand.sum(axis=0) * h ** 3 / (4 * math.pi)
+    return np.cross(kern, Bv).sum(axis=0) * h ** 3 / (4 * math.pi)
 
 
 def biot_savart(B_fn: Callable, x) -> np.ndarray:
@@ -217,16 +216,13 @@ def biot_savart(B_fn: Callable, x) -> np.ndarray:
     x = np.asarray(x, float)
     if x.shape != (3,):
         raise DomainError("biot_savart evaluates at a single 3D point")
-    prev = None
-    m = BALL_CELLS
-    for _ in range(BALL_LEVELS):
-        cur = _biot_savart_level(B_fn, x, BALL_R, m)
-        if prev is not None:
-            scale = max(1.0, float(np.linalg.norm(cur)))
-            if np.linalg.norm(cur - prev) <= BALL_RTOL * scale:
-                return cur
+    prev = _biot_savart_level(B_fn, x, BALL_CELLS)
+    for level in range(1, BALL_LEVELS):
+        cur = _biot_savart_level(B_fn, x, BALL_CELLS << level)
+        scale = max(1.0, float(np.linalg.norm(cur)))
+        if np.linalg.norm(cur - prev) <= BALL_RTOL * scale:
+            return cur
         prev = cur
-        m *= 2
     raise AccuracyError(
         f"Biot-Savart quadrature did not converge to rtol={BALL_RTOL} "
         f"within {BALL_LEVELS} refinement levels"

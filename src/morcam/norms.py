@@ -242,6 +242,13 @@ def _check_sphere_shells(grid: RadialGrid) -> None:
         raise ParameterError(f"sphere_sup needs 3 radial shells, the grid has {grid.n_shells}")
 
 
+def check_lhs_grid(grid: RadialGrid) -> None:
+    """ParameterError unless theorem_lhs can be evaluated on the grid: in
+    3D it takes the sphere sup, which needs 3 radial shells."""
+    if grid.n == 3:
+        _check_sphere_shells(grid)
+
+
 def _sphere_sup(grid: RadialGrid, su2: np.ndarray):
     """sphere_sup from the bin sums of |u|^2."""
     _check_sphere_shells(grid)
@@ -340,6 +347,9 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     return rep
 
 
+LAMBDA_ZERO_NOTE = "lambda=0 convention: N(f/|lambda|^(1/2)) term undefined, omitted"
+
+
 def theorem_rhs(dual: tuple[float, float], lam: float, eps: float):
     """Right-hand side N(f)^2 + (|eps| + lambda) N(f/sqrt(lambda))^2 from
     dual = dyadic_dual(f), which an eps sweep computes once for its datum.
@@ -358,5 +368,5 @@ def theorem_rhs(dual: tuple[float, float], lam: float, eps: float):
         rep.total = nf ** 2 + rep.values["second_term"]
     else:
         rep.total = nf ** 2
-        rep.notes.append("lambda=0 convention: N(f/|lambda|^(1/2)) term undefined, omitted")
+        rep.notes.append(LAMBDA_ZERO_NOTE)
     return rep

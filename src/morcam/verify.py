@@ -18,7 +18,7 @@ from .fields import PotentialPair
 from .grids import RadialGrid, ScalarField
 from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters,
                           make_phi, make_varphi)
-from .norms import _check_sphere_shells, dyadic_dual, theorem_lhs, theorem_rhs
+from .norms import LAMBDA_ZERO_NOTE, check_lhs_grid, dyadic_dual, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                         check_resolvent_parameters, epsilon_floor, make_datum,
                         radial_sweep, solve)
@@ -190,6 +190,9 @@ def _pick_delta(adm: AdmissibilityReport) -> float:
     return 0.1
 
 
+INADMISSIBLE_NOTE = "configuration not admissible; estimate run is diagnostic"
+
+
 def estimate_report(u: ScalarField, dual: tuple[float, float],
                     disc: Discretization, lam: float, eps: float,
                     adm: AdmissibilityReport, M: float | None = None,
@@ -202,9 +205,8 @@ def estimate_report(u: ScalarField, dual: tuple[float, float],
     Inadmissible configurations are still evaluated (with a warning
     note); such runs are diagnostic.
     """
-    n = u.grid.n
     if M is None:
-        if n == 3:
+        if u.grid.n == 3:
             M = adm.optimal_M if adm.optimal_M else 0.0
         else:
             M = 2.0  # stand-in for the M -> infinity optimum
@@ -213,7 +215,7 @@ def estimate_report(u: ScalarField, dual: tuple[float, float],
     lhs = theorem_lhs(u, disc, lam, M, delta)
     rhs = theorem_rhs(dual, lam, eps)
     if not adm.admissible:
-        lhs.notes.append("configuration not admissible; estimate run is diagnostic")
+        lhs.notes.append(INADMISSIBLE_NOTE)
     if rhs.total > 0:
         ratio = lhs.total / rhs.total
     else:
@@ -226,7 +228,9 @@ class SweepReport:
     """(eps, lhs, rhs, ratio) rows sorted by decreasing eps, each with its
     solve's Arnoldi iterations and restart cycles (not in the CSV), the
     blow-up flag raised when the ratio grows faster than 2x per decade
-    of eps over the whole sweep, and the estimate's notes, each once."""
+    of eps over the whole sweep, and the estimate's notes that the pair's
+    verdict and lambda call for, each once, whether or not a solve
+    succeeded."""
 
     entries: list = field(default_factory=list)
     errors: dict = field(default_factory=dict)
@@ -293,8 +297,7 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
         raise ParameterError(
             f"eps values must be finite and positive, at least one, got {eps_list}")
     check_estimate_parameters(M, delta)
-    if grid.n == 3:
-        _check_sphere_shells(grid)
+    check_lhs_grid(grid)
     floor = epsilon_floor(grid.L, lam)
     for e in eps_list:
         if e < floor:
@@ -308,6 +311,10 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
     dual = dyadic_dual(f)
     adm = admissibility_report(pp)
     report = SweepReport()
+    if not adm.admissible:
+        report.notes.append(INADMISSIBLE_NOTE)
+    if lam == 0:
+        report.notes.append(LAMBDA_ZERO_NOTE)
     for eps in sorted(eps_list, reverse=True):
         try:
             prob = ResolventProblem(disc=disc, lam=lam, eps=eps, f=f)
@@ -316,8 +323,6 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                                               M=M, delta=delta)
             report.add(eps, lhs.total, rhs.total, ratio,
                        iterations=u.iterations, cycles=u.cycles)
-            report.notes += [note for note in lhs.notes + rhs.notes
-                             if note not in report.notes]
             # free this eps's operator and solution before the next solve
             del prob, u
         except SolverError as exc:

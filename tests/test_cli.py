@@ -139,6 +139,27 @@ def test_sweep_report_carries_the_estimate_notes_once(tmp_path, change, notes):
     assert result.get("notes") == notes
 
 
+@pytest.mark.parametrize("change, notes", [
+    ({"potential": {"V": {"name": "coulomb", "c": -1.0}}},
+     ["configuration not admissible; estimate run is diagnostic"]),
+    ({"lambda": 0.0},
+     ["lambda=0 convention: N(f/|lambda|^(1/2)) term undefined, omitted"]),
+])
+def test_sweep_notes_stand_when_every_solve_fails(tmp_path, monkeypatch, change, notes):
+    # the notes follow from the pair's verdict and lambda, not from a solve
+    def failing_solve(prob, tol):
+        raise morcam.SolverError("no convergence")
+
+    monkeypatch.setattr(verify, "solve", failing_solve)
+    code, out = run(tmp_path, {**TINY, "run": "sweep", "lambda": 1.0,
+                               "eps_list": [1.0, 0.5], **change})
+    assert code == 0
+    result = json.loads((out / "sweep.json").read_text())["result"]
+    assert result["entries"] == []
+    assert set(result["errors"]) == {"1.0", "0.5"}
+    assert result["notes"] == notes
+
+
 def test_solve_and_sweep_report_solver_work(tmp_path, operator_calls):
     # iterations (Arnoldi steps) and restart cycles in the solve report and
     # in every sweep entry, but not in the sweep CSV; each ex13 solve runs

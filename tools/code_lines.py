@@ -5,7 +5,7 @@ comment, a line break, an indent or a dedent, and that lies outside
 every docstring (the string that opens a module, class or function).
 Blank lines therefore do not count either.  Run from anywhere:
 
-    python3 tools/code_lines.py [package directory]
+    python3 tools/code_lines.py
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ def code_lines(path: Path) -> int:
     return len(lines - skip)
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    package = Path(args[0]) if args else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{path.name:20s} {count:5d}")
