@@ -25,7 +25,7 @@ pp = make_potential_pair(3, {"name": "ex13"},
 
 prob = build_problem(pp, lam=1.0, eps=0.5,
                      f_spec={"name": "gaussian", "width": 0.8},
-                     grid_spec=grid)
+                     grid=grid)
 u = solve(prob, tol=1e-10)
 print("grid %d^3, lambda=1, eps=0.5, vortex A + gaussian well V" % grid.m)
 print("relative apply-residual: %.2e" % u.residual)

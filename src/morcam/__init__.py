@@ -18,8 +18,8 @@ from .fields import (PotentialPair, biot_savart, example_field, magnetic_matrix,
 from .grids import RadialGrid, ScalarField, load_field, save_field
 from .multipliers import Multiplier, SymmetricWeight, make_phi, make_varphi
 from .norms import (NormReport, duality_gap, dyadic_dual, hardy_ratio,
-                    mixed_radial_norm, morrey_campanato, sphere_sup,
-                    theorem_lhs, theorem_rhs)
+                    mixed_radial_norm, morrey_campanato, theorem_lhs,
+                    theorem_rhs)
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                         build_problem, covariant_gradient, make_datum,
                         radial_sweep, solve)

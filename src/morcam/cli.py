@@ -33,8 +33,7 @@ from .errors import AccuracyError, ParameterError, SolverError
 from .fields import BUILTIN_POTENTIALS, make_potential_pair, trapping_component
 from .grids import RadialGrid, save_field
 from .multipliers import check_estimate_parameters
-from .resolvent import (DATUM_BUILTINS, Discretization, ResolventProblem,
-                        check_memory, make_datum, solve)
+from .resolvent import DATUM_BUILTINS, build_problem, check_memory, solve
 from .verify import epsilon_sweep, identity_scan
 
 RUN_TYPES = {
@@ -180,11 +179,8 @@ def _run_admissibility(p, out_dir: Path):
 
 def _solve(p):
     pp, grid = _build(p)
-    disc = Discretization(grid, pp)
-    f = make_datum(grid, p["f"])
-    prob = ResolventProblem(disc=disc, lam=p["lambda"], eps=p["eps"], f=f)
-    u = solve(prob, tol=p["tol"])
-    return disc, f, u
+    prob = build_problem(pp, p["lambda"], p["eps"], p["f"], grid)
+    return prob.disc, prob.f, solve(prob, tol=p["tol"])
 
 
 def _run_solve(p, out_dir: Path):

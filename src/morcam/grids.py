@@ -41,10 +41,10 @@ class RadialGrid:
     """Uniform cell-centered grid on [-L, L]^n with spacing h.
 
     1-D node coordinates are -L + (i + 1/2)h for i = 0..m-1 with m = 2L/h;
-    L/h must be a positive integer, and n L^2, 1/h^2 and h^n positive
-    normal floats (h^n only on a grid of fewer than 2^63 nodes: a larger
-    one cannot be sampled, and the memory checks of whatever would
-    sample it refuse it first).  Radial bins collect the nodes of one
+    L/h must be a positive integer, and (n L^2)^2, (4n/h^2)^2 and h^n
+    positive normal floats (h^n only on a grid of fewer than 2^63 nodes:
+    a larger one cannot be sampled, and the memory checks of whatever
+    would sample it refuse it first).  Radial bins collect the nodes of one
     radius (see slab_bins); radial shells are bins of thickness h in |x|,
     shell k collecting nodes with k*h <= |x| < (k+1)*h.
     """
@@ -62,17 +62,20 @@ class RadialGrid:
         ratio = self.L / self.h
         if not (0.5 < ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):
             raise GridError(f"L/h must be a positive integer, got {ratio}")
-        # n L^2 bounds |x|^2, 1/h^2 the stencil and h^n the cell volume,
-        # taken in log2 so that the check cannot overflow; h^n is judged only
-        # on a grid of fewer than 2^63 nodes, as no larger one can be sampled
-        lg_h = math.log2(self.h)
+        # n L^2 bounds |x|^2 (and its square the fields' |x|^4), 4n/h^2 the
+        # stencil's eigenvalues (and its square the preconditioner's
+        # table) and h^n the cell volume, taken in log2 so that the check
+        # cannot overflow; h^n is judged only on a grid of fewer than 2^63
+        # nodes, as no larger one can be sampled
+        lg_n, lg_h = math.log2(self.n), math.log2(self.h)
         cell = self.n * lg_h if self.n * math.log2(self.m) < 63 else 0.0
-        for key, lg in (("L", math.log2(self.n) + 2 * math.log2(self.L)),
-                        ("h", -2 * lg_h), ("h", cell)):
+        for key, lg in (("L", 2 * (lg_n + 2 * math.log2(self.L))),
+                        ("h", 2 * (2 + lg_n - 2 * lg_h)), ("h", cell)):
             # log2 of the smallest positive normal float and of the largest
             if not -1022 < lg < 1024:
                 raise GridError(f"{key}={getattr(self, key)!r} is outside the float range: "
-                                f"n L^2, 1/h^2 and h^n must be positive normal floats (n={self.n})")
+                                f"(n L^2)^2, (4n/h^2)^2 and h^n must be positive normal "
+                                f"floats (n={self.n})")
 
     @property
     def m(self) -> int:
@@ -184,18 +187,11 @@ class RadialGrid:
         r = self.bin_radii
         return float(sums[(r >= R - self.h / 2) & (r < R + self.h / 2)].sum() / self.h)
 
-    def origin_neighbors(self) -> np.ndarray:
-        """Flat indices of the 2^n nodes nearest the origin."""
-        lo = self.m // 2 - 1
-        idx_1d = np.array([lo, lo + 1])
-        grids = np.meshgrid(*([idx_1d] * self.n), indexing="ij")
-        flat = np.ravel_multi_index([g.ravel() for g in grids], self.shape)
-        return flat
-
     def interpolate_origin(self, values: np.ndarray) -> complex:
         """Multilinear interpolation to x = 0 (plain average of the 2^n
-        symmetric nearest nodes)."""
-        return complex(values.ravel()[self.origin_neighbors()].mean())
+        symmetric nearest nodes, the central two of every axis)."""
+        near = slice(self.m // 2 - 1, self.m // 2 + 1)
+        return complex(values[(near,) * self.n].ravel().mean())
 
 
 @dataclass
@@ -239,17 +235,6 @@ class ScalarField:
 
     def l2_norm_sq(self) -> float:
         return float(self.grid.integrate(self.abs2()))
-
-    def __add__(self, other):
-        return ScalarField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return ScalarField(self.grid, self.values - other.values)
-
-    def __mul__(self, c):
-        return ScalarField(self.grid, self.values * c)
-
-    __rmul__ = __mul__
 
 
 _MAGIC = b"MORCAMF1"

