@@ -120,7 +120,7 @@ def check_condition_3d(C1: float, C2: float, C3: float = math.nan) -> Admissibil
         s = math.sqrt(C1 ** 2 + 2 * C2)
         rep.optimal_M = C1 / (2 * s)
         rep.value = C1 * s + C1 ** 2 + C2
-    finite_c3 = math.isfinite(C3) if not math.isnan(C3) else True
+    finite_c3 = not math.isinf(C3)
     rep.admissible = rep.value < rep.threshold and finite_c3
     if not finite_c3:
         rep.notes.append("C3 infinite: not admissible (its size is otherwise irrelevant)")
@@ -139,8 +139,7 @@ def check_condition_nd(C1: float, C2: float, n: int, C3: float = math.nan) -> Ad
     rep.value = C1 ** 2 + 2 * C2
     rep.optimal_M = math.inf
     rep.notes.append("optimal-M limit is M -> infinity")
-    finite_c3 = math.isfinite(C3) if not math.isnan(C3) else True
-    rep.admissible = math.isfinite(rep.value) and rep.value < rep.threshold and finite_c3
+    rep.admissible = math.isfinite(rep.value) and rep.value < rep.threshold and not math.isinf(C3)
     return rep
 
 

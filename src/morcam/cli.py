@@ -9,11 +9,13 @@ type; a value that is not a finite number (a YAML boolean included) is a
 parameter error naming its key.  main maps errors to exit codes from one
 table, _EXITS: 2 for a ScenarioError (a scenario file that cannot be
 read or parsed, or is not of its shape), 3 for a ParameterError (a
-GridError included), 4 for a SolverError, 5 for an AccuracyError; each
-leaves an error.json in the output directory.  An --out-dir that cannot
-be made a directory is a usage error, exit 2, with no error.json.  Exit
-0 is success.  main catches no other exception: any other exception is
-a bug in morcam, not a bad input.
+GridError included) or a DomainError (a potential evaluated where it is
+not defined, such as at nodes within 1e-14 of the origin), 4 for a
+SolverError, 5 for an AccuracyError; each leaves an error.json in the
+output directory.  An --out-dir that cannot be made a directory is a
+usage error, exit 2, with no error.json.  Exit 0 is success.  main
+catches no other exception: any other exception is a bug in morcam, not
+a bad input.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import yaml
 
 from . import __version__
 from .admissibility import admissibility_report
-from .errors import AccuracyError, ParameterError, SolverError
+from .errors import AccuracyError, DomainError, ParameterError, SolverError
 from .fields import BUILTIN_POTENTIALS, make_potential_pair, trapping_component
 from .grids import RadialGrid, save_field
 from .multipliers import check_estimate_parameters
@@ -68,6 +70,7 @@ class ScenarioError(Exception):
 _EXITS = {
     ScenarioError: (2, "parse"),
     ParameterError: (3, "parameter"),
+    DomainError: (3, "parameter"),
     SolverError: (4, "solver"),
     AccuracyError: (5, "accuracy"),
 }

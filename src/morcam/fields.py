@@ -56,7 +56,6 @@ class PotentialPair:
     A_jac: Optional[Callable] = None
     dV_r: Optional[Callable] = None
     domain_check: Optional[Callable] = None
-    name: str = "custom"
 
     def __post_init__(self):
         if self.n < 3:
@@ -234,85 +233,70 @@ def biot_savart(B_fn: Callable, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _ex13_A(x):
-    x = np.asarray(x, float)
-    r2 = sq_norm(x)[..., None]
-    out = np.empty_like(x)
-    out[..., 0] = (-x[..., 1] / r2[..., 0])
-    out[..., 1] = (x[..., 0] / r2[..., 0])
-    out[..., 2] = 0.0
-    return out
+def _swirl(k: int, tol: float, message: str) -> dict:
+    """The PotentialPair keywords A, A_jac and domain_check of the swirl
+    A = (-y, x, 0)/q on R^3, where q is the sum of the squares of the
+    first k coordinates: k = 3 gives ex13, k = 2 ex14.  domain_check
+    raises DomainError with message where q < tol."""
+
+    def sq(x):
+        # einsum for k = 3, whose bits the reports carry: X*X + Y*Y + Z*Z
+        # differs from it in the last bit on about 2 % of points; for k = 2
+        # the products, as einsum over a strided slice is several times slower
+        return sq_norm(x) if k == 3 else x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+
+    def A(x):
+        x = np.asarray(x, float)
+        q = sq(x)
+        out = np.empty_like(x)
+        out[..., 0] = -x[..., 1] / q
+        out[..., 1] = x[..., 0] / q
+        out[..., 2] = 0.0
+        return out
+
+    def A_jac(x):
+        x = np.asarray(x, float)
+        X, Y, Z = x[..., 0], x[..., 1], x[..., 2]
+        q = X * X + Y * Y + Z * Z if k == 3 else X * X + Y * Y
+        q2 = q * q
+        J = np.zeros(x.shape + (3,))
+        # A1 = -y/q, A2 = x/q; dq/dz = 0 unless k = 3
+        J[..., 0, 0] = 2 * X * Y / q2
+        J[..., 0, 1] = -1.0 / q + 2 * Y * Y / q2
+        J[..., 1, 0] = 1.0 / q - 2 * X * X / q2
+        J[..., 1, 1] = -2 * X * Y / q2
+        if k == 3:
+            J[..., 0, 2] = 2 * Y * Z / q2
+            J[..., 1, 2] = -2 * X * Z / q2
+        return J
+
+    def domain_check(x):
+        if np.any(sq(np.asarray(x, float)) < tol):
+            raise DomainError(message)
+
+    return {"A": A, "A_jac": A_jac, "domain_check": domain_check}
 
 
-def _ex13_jac(x):
-    x = np.asarray(x, float)
-    X, Y, Z = x[..., 0], x[..., 1], x[..., 2]
-    r2 = X * X + Y * Y + Z * Z
-    r4 = r2 * r2
-    J = np.zeros(x.shape + (3,))
-    # A1 = -y/r^2
-    J[..., 0, 0] = 2 * X * Y / r4
-    J[..., 0, 1] = -1.0 / r2 + 2 * Y * Y / r4
-    J[..., 0, 2] = 2 * Y * Z / r4
-    # A2 = x/r^2
-    J[..., 1, 0] = 1.0 / r2 - 2 * X * X / r4
-    J[..., 1, 1] = -2 * X * Y / r4
-    J[..., 1, 2] = -2 * X * Z / r4
-    return J
-
-
-def _ex13_check(x):
-    r2 = sq_norm(np.asarray(x, float))
-    if np.any(r2 < _ORIGIN_TOL ** 2):
-        raise DomainError("ex13 potential is singular at the origin")
-
-
-def _ex14_A(x):
-    x = np.asarray(x, float)
-    rho2 = x[..., 0] ** 2 + x[..., 1] ** 2
-    out = np.empty_like(x)
-    out[..., 0] = -x[..., 1] / rho2
-    out[..., 1] = x[..., 0] / rho2
-    out[..., 2] = 0.0
-    return out
-
-
-def _ex14_jac(x):
-    x = np.asarray(x, float)
-    X, Y = x[..., 0], x[..., 1]
-    rho2 = X * X + Y * Y
-    rho4 = rho2 * rho2
-    J = np.zeros(x.shape + (3,))
-    J[..., 0, 0] = 2 * X * Y / rho4
-    J[..., 0, 1] = -1.0 / rho2 + 2 * Y * Y / rho4
-    J[..., 1, 0] = 1.0 / rho2 - 2 * X * X / rho4
-    J[..., 1, 1] = -2 * X * Y / rho4
-    return J
-
-
-def _ex14_check(x):
-    x = np.asarray(x, float)
-    rho2 = x[..., 0] ** 2 + x[..., 1] ** 2
-    if np.any(rho2 < 1e-24):
-        raise DomainError("this potential is singular on the z-axis")
+#: The PotentialPair keywords of each closed-form magnetic built-in.
+_MAGNETIC = {
+    "ex13": _swirl(3, _ORIGIN_TOL ** 2, "ex13 potential is singular at the origin"),
+    "ex14": _swirl(2, 1e-24, "this potential is singular on the z-axis"),
+}
 
 
 def example_field(kind: str, *, h=None, omega=None, alpha=None) -> PotentialPair:
     """Closed-form non-trapping magnetic potentials.
 
     kind "ex13": A = (-y, x, 0)/(x^2+y^2+z^2), divergence-free with
-    B_tau = 0.  kind "ex14_singular": A = (-y, x, 0)/(x^2+y^2), a pure
-    gauge away from the z-axis (its field matrix is zero there; the field
-    carries a line singularity that is not differentiated numerically).
+    B_tau = 0.  kind "ex14": A = (-y, x, 0)/(x^2+y^2), a pure gauge away
+    from the z-axis (its field matrix is zero there; the field carries a
+    line singularity that is not differentiated numerically).  These two
+    are the built-ins of the same names, with their analytic Jacobians.
     kind "ex14_family": A is evaluated by Biot-Savart quadrature of the
     axially modulated field B(y) = h(y/|y| . omega) |y|^(-alpha) y/|y|.
     """
-    if kind == "ex13":
-        return PotentialPair(3, A=_ex13_A, A_jac=_ex13_jac,
-                             domain_check=_ex13_check, name="ex13")
-    if kind == "ex14_singular":
-        return PotentialPair(3, A=_ex14_A, A_jac=_ex14_jac,
-                             domain_check=_ex14_check, name="ex14")
+    if kind in _MAGNETIC:
+        return PotentialPair(3, **_MAGNETIC[kind])
     if kind == "ex14_family":
         if h is None or omega is None or alpha is None:
             raise ParameterError("ex14_family needs h, omega, alpha")
@@ -337,23 +321,16 @@ def example_field(kind: str, *, h=None, omega=None, alpha=None) -> PotentialPair
             out = np.array([biot_savart(B_dir, p) for p in flat])
             return out.reshape(X.shape)
 
-        return PotentialPair(3, A=A_fn, name="ex14_family")
+        return PotentialPair(3, A=A_fn)
     raise ParameterError(f"unknown example field kind: {kind}")
 
 
 # --- electric built-ins -----------------------------------------------------
 
 
-def _radial_V(fV, fdV):
-    def V(x):
-        r = np.sqrt(sq_norm(np.asarray(x, float)))
-        return fV(r)
-
-    def dVr(x):
-        r = np.sqrt(sq_norm(np.asarray(x, float)))
-        return fdV(r)
-
-    return V, dVr
+def _radial(f):
+    """The function x -> f(|x|) of point arrays (..., n)."""
+    return lambda x: f(np.sqrt(sq_norm(np.asarray(x, float))))
 
 
 BUILTIN_POTENTIALS = {
@@ -432,16 +409,13 @@ def make_potential_pair(n: int, A_spec=None, V_spec=None) -> PotentialPair:
     v_name, v_par = resolve_builtin("zero" if V_spec is None else V_spec,
                                     builtins("V"), "electric")
 
-    A = A_jac = domain_check = None
+    magnetic = {}
     if a_name != "zero":
         if n != 3:
             raise ParameterError(f"{a_name} is a 3D potential, got n={n}")
-        pp = example_field({"ex13": "ex13", "ex14": "ex14_singular"}[a_name])
-        A, A_jac, domain_check = pp.A, pp.A_jac, pp.domain_check
+        magnetic = _MAGNETIC[a_name]
     V = dV_r = None
     if v_name != "zero":
-        V, dV_r = _radial_V(*_ELECTRIC[v_name](**v_par))
+        V, dV_r = map(_radial, _ELECTRIC[v_name](**v_par))
 
-    return PotentialPair(n, A=A, V=V, A_jac=A_jac, dV_r=dV_r,
-                         domain_check=domain_check,
-                         name=f"A:{a_name}|V:{v_name}")
+    return PotentialPair(n, V=V, dV_r=dV_r, **magnetic)

@@ -36,17 +36,22 @@ def point_array(axes) -> np.ndarray:
     return out
 
 
+#: log2 of float32's largest value
+_LG_FLOAT32_MAX = math.log2(float(np.finfo(np.float32).max))
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform cell-centered grid on [-L, L]^n with spacing h.
 
     1-D node coordinates are -L + (i + 1/2)h for i = 0..m-1 with m = 2L/h;
-    L/h must be a positive integer, and (n L^2)^2, (4n/h^2)^2 and h^n
-    positive normal floats (h^n only on a grid of fewer than 2^63 nodes:
-    a larger one cannot be sampled, and the memory checks of whatever
-    would sample it refuse it first).  Radial bins collect the nodes of one
-    radius (see slab_bins); radial shells are bins of thickness h in |x|,
-    shell k collecting nodes with k*h <= |x| < (k+1)*h.
+    L/h must be a positive integer, (n L^2)^2 and h^n positive normal
+    floats (h^n only on a grid of fewer than 2^63 nodes: a larger one
+    cannot be sampled, and the memory checks of whatever would sample it
+    refuse it first), and 4n/h^2 at most float32's largest value.  Radial
+    bins collect the nodes of one radius (see slab_bins); radial shells
+    are bins of thickness h in |x|, shell k collecting nodes with
+    k*h <= |x| < (k+1)*h.
     """
 
     n: int
@@ -63,19 +68,20 @@ class RadialGrid:
         if not (0.5 < ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):
             raise GridError(f"L/h must be a positive integer, got {ratio}")
         # n L^2 bounds |x|^2 (and its square the fields' |x|^4), 4n/h^2 the
-        # stencil's eigenvalues (and its square the preconditioner's
-        # table) and h^n the cell volume, taken in log2 so that the check
-        # cannot overflow; h^n is judged only on a grid of fewer than 2^63
-        # nodes, as no larger one can be sampled
+        # stencil's diagonal, which every GMRES cycle casts to complex64
+        # (and its square the preconditioner's table, so far inside the
+        # float range), and h^n the cell volume, taken in log2 so that the
+        # check cannot overflow; h^n is judged only on a grid of fewer than
+        # 2^63 nodes, as no larger one can be sampled
         lg_n, lg_h = math.log2(self.n), math.log2(self.h)
         cell = self.n * lg_h if self.n * math.log2(self.m) < 63 else 0.0
-        for key, lg in (("L", 2 * (lg_n + 2 * math.log2(self.L))),
-                        ("h", 2 * (2 + lg_n - 2 * lg_h)), ("h", cell)):
-            # log2 of the smallest positive normal float and of the largest
-            if not -1022 < lg < 1024:
+        for key, lg, top in (("L", 2 * (lg_n + 2 * math.log2(self.L)), 1024),
+                             ("h", 2 + lg_n - 2 * lg_h, _LG_FLOAT32_MAX), ("h", cell, 1024)):
+            # above log2 of the smallest positive normal float, below top
+            if not -1022 < lg < top:
                 raise GridError(f"{key}={getattr(self, key)!r} is outside the float range: "
-                                f"(n L^2)^2, (4n/h^2)^2 and h^n must be positive normal "
-                                f"floats (n={self.n})")
+                                f"(n L^2)^2 and h^n must be positive normal floats and "
+                                f"4n/h^2 at most float32's largest value (n={self.n})")
 
     @property
     def m(self) -> int:

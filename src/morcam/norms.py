@@ -34,11 +34,10 @@ __all__ = [
 
 @dataclass
 class NormReport:
-    """Named nonnegative functional values, their total and notes."""
+    """Named nonnegative functional values and their total."""
 
     values: dict = field(default_factory=dict)
     total: float | None = None
-    notes: list = field(default_factory=list)
 
 
 def _mc_sup_sq(grid: RadialGrid, sums: np.ndarray):
@@ -318,16 +317,13 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     return rep
 
 
-LAMBDA_ZERO_NOTE = "lambda=0 convention: N(f/|lambda|^(1/2)) term undefined, omitted"
-
-
 def theorem_rhs(dual: tuple[float, float], lam: float, eps: float):
     """Right-hand side N(f)^2 + (|eps| + lambda) N(f/sqrt(lambda))^2 from
     dual = dyadic_dual(f), which an eps sweep computes once for its datum.
 
     For lambda = 0 the second term is undefined as written; only N(f)^2
-    is returned and the report carries a lambda-zero flag.  lambda and
-    eps are checked as the operator checks them.
+    is returned (a sweep notes it once, see verify.LAMBDA_ZERO_NOTE).
+    lambda and eps are checked as the operator checks them.
     """
     check_resolvent_parameters(lam, eps)
     nf, tail = dual
@@ -339,5 +335,4 @@ def theorem_rhs(dual: tuple[float, float], lam: float, eps: float):
         rep.total = nf ** 2 + rep.values["second_term"]
     else:
         rep.total = nf ** 2
-        rep.notes.append(LAMBDA_ZERO_NOTE)
     return rep

@@ -18,7 +18,7 @@ from .fields import PotentialPair
 from .grids import RadialGrid, ScalarField
 from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters,
                           make_phi, make_varphi)
-from .norms import LAMBDA_ZERO_NOTE, check_lhs_grid, dyadic_dual, theorem_lhs, theorem_rhs
+from .norms import check_lhs_grid, dyadic_dual, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                         check_resolvent_parameters, epsilon_floor, make_datum,
                         radial_sweep, solve)
@@ -191,6 +191,7 @@ def _pick_delta(adm: AdmissibilityReport) -> float:
 
 
 INADMISSIBLE_NOTE = "configuration not admissible; estimate run is diagnostic"
+LAMBDA_ZERO_NOTE = "lambda=0 convention: N(f/|lambda|^(1/2)) term undefined, omitted"
 
 
 def estimate_report(u: ScalarField, dual: tuple[float, float],
@@ -202,8 +203,8 @@ def estimate_report(u: ScalarField, dual: tuple[float, float],
     the admissibility verdict adm of disc's potential pair, which picks
     M and delta when they are None.
 
-    Inadmissible configurations are still evaluated (with a warning
-    note); such runs are diagnostic.
+    Inadmissible configurations are still evaluated; such runs are
+    diagnostic (a sweep notes it once, see INADMISSIBLE_NOTE).
     """
     if M is None:
         if u.grid.n == 3:
@@ -214,8 +215,6 @@ def estimate_report(u: ScalarField, dual: tuple[float, float],
         delta = _pick_delta(adm)
     lhs = theorem_lhs(u, disc, lam, M, delta)
     rhs = theorem_rhs(dual, lam, eps)
-    if not adm.admissible:
-        lhs.notes.append(INADMISSIBLE_NOTE)
     if rhs.total > 0:
         ratio = lhs.total / rhs.total
     else:

@@ -533,6 +533,13 @@ _MAGNETIC = {"A": {"name": "ex13"}, "V": {"name": "exp_screened", "amplitude": 0
     # it does not)
     ("solve", {"grid": {"L": 1.0e-100, "h": 1.0e-100}}, "L=1e-100 is outside the float range"),
     ("solve", {"grid": {"L": 2.0e-77, "h": 2.0e-77}}, "h=2e-77 is outside the float range"),
+    # 4n/h^2 past float32's largest value: an overflow casting the stencil's
+    # diagonal to complex64, and with warnings not errors a solver error
+    # with a NaN residual, exit 4
+    ("verify-identity", {"grid": {"L": 1.0e-70, "h": 1.0e-70}, "potential": _MAGNETIC},
+     "h=1e-70 is outside the float range"),
+    ("verify-identity", {"grid": {"L": 3.0e-77, "h": 3.0e-77}, "potential": _MAGNETIC},
+     "h=3e-77 is outside the float range"),
 ])
 def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
                                               run_type, bad, named):
@@ -542,6 +549,19 @@ def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
     assert doc["error"] == "parameter"
     assert doc["detail"].startswith(named)
     assert operator_calls == {"apply": 0, "precond": 0}  # no solve started
+
+
+def test_potential_undefined_at_every_node_is_exit_3(tmp_path):
+    # every node lies within 1e-14 of the origin, where coulomb's d_r V is
+    # not defined: a DomainError, which ended in a traceback with exit 1.
+    # It is raised where the identity first samples d_r V, after the solve.
+    code, out = run(tmp_path, {**TINY, "run": "verify-identity",
+                               "potential": {"V": {"name": "coulomb"}},
+                               "grid": {"L": 1.0e-15, "h": 1.0e-15}})
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert doc["detail"] == "evaluation at x = 0 is not defined"
 
 
 def test_sweep_on_a_grid_of_one_shell_is_exit_3(tmp_path, operator_calls, monkeypatch):

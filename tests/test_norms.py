@@ -402,7 +402,6 @@ def test_theorem_rhs_lambda_zero_convention():
     f = random_bump(grid, spread=1.0)
     rep = theorem_rhs(dyadic_dual(f), 0.0, 1.0)
     assert rep.total == rep.values["N_f_sq"]
-    assert any("lambda=0" in note for note in rep.notes)
 
 
 def test_theorem_rhs_rejects_zero_eps():

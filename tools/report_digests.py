@@ -1,12 +1,16 @@
-"""Print one SHA-256 per report file of the benchmark's seed-0 scenarios.
+"""Print one SHA-256 per report file of a fixed set of scenarios.
 
-Each workload of perfbench/workloads.py is written as its seed-0
-scenario into a temporary directory and run through morcam.cli.main
-with --json-only.  The temporary directory's path is masked in every
-report file before it is hashed, so two checkouts of code that writes
-the same reports print the same lines.  BLAS and OpenMP run on one
-thread, set before numpy loads, because GMRES step counts depend on the
-thread count.  Run from anywhere:
+The scenarios are the seed-0 scenario of each workload of
+perfbench/workloads.py and the three small ones of EXTRA, which reach
+what no workload runs: the ex14 built-in and the admissibility,
+fields-check and solve run types.  Each is written into a temporary
+directory and run through morcam.cli.main with --json-only; every file
+it writes is hashed, a solve's binary solution.field included.  The
+temporary directory's path is masked in every file before it is
+hashed, so two checkouts of code that writes the same reports print the
+same lines.  BLAS and OpenMP run on one thread, set before numpy loads,
+because GMRES step counts depend on the thread count.  Run from
+anywhere:
 
     python3 tools/report_digests.py
 """
@@ -33,16 +37,33 @@ from morcam.cli import main as morcam_main  # noqa: E402
 
 MASK = b"<dir>"
 
+_EX14 = {"A": {"name": "ex14"}}
+#: The scenarios besides the workloads', each about a second.
+EXTRA = {
+    "ex14_admissibility": {
+        "n": 3, "run": "admissibility", "grid": {"L": 2.0, "h": 0.5},
+        "potential": {**_EX14, "V": {"name": "exp_screened", "amplitude": 0.3}},
+    },
+    "ex14_fields_check": {
+        "n": 3, "run": "fields-check", "grid": {"L": 2.0, "h": 0.5}, "potential": _EX14,
+    },
+    "ex14_solve": {
+        "n": 3, "run": "solve", "grid": {"L": 4.0, "h": 0.5},
+        "potential": {**_EX14, "V": {"name": "coulomb", "c": 0.5}},
+        "lambda": 1.0, "eps": 0.5,
+    },
+}
+
 
 def main() -> int:
+    scenarios = {**{name: workloads.scenario(name, 0) for name in workloads.BASE}, **EXTRA}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in workloads.BASE:
+        for name, sc in scenarios.items():
             run_dir = Path(tmp) / name
             out = run_dir / "out"
             run_dir.mkdir()
             scenario = run_dir / "scenario.yaml"
-            scenario.write_text(yaml.safe_dump(workloads.scenario(name, 0)),
-                                encoding="utf-8")
+            scenario.write_text(yaml.safe_dump(sc), encoding="utf-8")
             code = morcam_main([str(scenario), "--out-dir", str(out), "--json-only"])
             if code != 0:
                 print(f"{name}: morcam exited with {code}", file=sys.stderr)
