@@ -32,8 +32,9 @@ import yaml
 from . import __version__
 from .admissibility import admissibility_report
 from .errors import AccuracyError, DomainError, ParameterError, SolverError
-from .fields import BUILTIN_POTENTIALS, make_potential_pair, trapping_component
-from .grids import RadialGrid, save_field
+from .fields import (BUILTIN_POTENTIALS, make_potential_pair, radial_derivative_parts,
+                     trapping_component)
+from .grids import RadialGrid, point_array, save_field
 from .multipliers import check_estimate_parameters
 from .resolvent import DATUM_BUILTINS, build_problem, check_memory, solve
 from .verify import epsilon_sweep, identity_scan
@@ -180,14 +181,13 @@ def _run_admissibility(p, out_dir: Path):
     return admissibility_report(pp).to_json()
 
 
-def _solve(p):
+def _problem(p):
     pp, grid = _build(p)
-    prob = build_problem(pp, p["lambda"], p["eps"], p["f"], grid)
-    return prob.disc, prob.f, solve(prob, tol=p["tol"])
+    return build_problem(pp, p["lambda"], p["eps"], p["f"], grid)
 
 
 def _run_solve(p, out_dir: Path):
-    _disc, _f, u = _solve(p)
+    u = solve(_problem(p), tol=p["tol"])
     snap = out_dir / "solution.field"
     save_field(u, snap)
     return {
@@ -202,8 +202,20 @@ def _run_solve(p, out_dir: Path):
 def _run_verify_identity(p, out_dir: Path):
     M = 1.0 if p["M"] is None else p["M"]
     check_estimate_parameters(M=M, beta=p["beta"], n=p["n"])
-    disc, f, u = _solve(p)
-    rep = identity_scan(u, f, disc, p["lambda"], p["eps"], M=M, beta=p["beta"])
+    prob = _problem(p)
+    # the identity samples d_r V (when there is a V) and B_tau (when there
+    # is an A) at every node; the 2^n central nodes, nearest the origin and
+    # the z-axis where the built-ins are singular, are tried before the
+    # solve, so that a potential undefined there is refused up front
+    pp, grid = prob.disc.pp, prob.grid
+    centre = grid.coords_1d[grid.m // 2 - 1:grid.m // 2 + 1]
+    near = point_array([centre] * grid.n)
+    if pp.V is not None or pp.dV_r is not None:
+        radial_derivative_parts(pp, near)
+    if pp.A is not None:
+        trapping_component(pp, near)
+    u = solve(prob, tol=p["tol"])
+    rep = identity_scan(u, prob.f, prob.disc, p["lambda"], p["eps"], M=M, beta=p["beta"])
     return rep.to_json()
 
 

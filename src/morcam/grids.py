@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -172,13 +172,17 @@ class RadialGrid:
     def integrate(self, values: np.ndarray) -> complex | float:
         return values.sum() * self.cell_volume
 
-    def bin_sums(self, values: np.ndarray) -> np.ndarray:
+    def bin_sums(self, values) -> np.ndarray:
         """Sum of real node values * h^n per radial bin, binned one row of
-        axis 0 at a time (see slab_bins)."""
-        values = np.asarray(values, float).reshape(self.shape)
+        axis 0 at a time (see slab_bins).  values is an array of the
+        grid's shape or a callable that gives the values of the rows s:e
+        of axis 0 as rows(s, e), called for one row at a time."""
+        if not callable(values):
+            a = np.asarray(values, float).reshape(self.shape)
+            values = lambda s, e: a[s:e]
         sums = np.zeros(self.n_bins)
         for i in range(self.m):
-            sums += np.bincount(self.slab_bins(i, i + 1), weights=values[i].ravel(),
+            sums += np.bincount(self.slab_bins(i, i + 1), weights=np.ravel(values(i, i + 1)),
                                 minlength=self.n_bins)
         return sums * self.cell_volume
 
@@ -200,31 +204,69 @@ class RadialGrid:
         return complex(values[(near,) * self.n].ravel().mean())
 
 
-@dataclass
 class ScalarField:
-    """Complex scalar samples attached to a RadialGrid.
+    """Complex scalar samples attached to a RadialGrid, held one of two
+    ways: as values, a complex128 array of the grid's shape, or as
+    factors, n 1-D arrays (one per axis) whose outer product the samples
+    are.  A field with factors keeps no grid-sized array; its factors
+    must not be changed in place.
 
-    factors, when given, are the n 1-D arrays (one per axis) whose outer
-    product is values; a reader may use them in place of values, so the
-    values of a field with factors must not be changed in place.  None
-    (the default) for a field not known to be separable.
+    rows(s, e) reads the rows s:e of axis 0 either way, and every reader
+    that sweeps slabs of axis 0 reads through it.  values is the whole
+    array: for a field with factors it is formed on each access, so only
+    the readers that need the whole array at once form it, for their call
+    only (the dense start of a solve that is not free, save_field,
+    duality_gap and l2_norm_sq).
     """
 
-    grid: RadialGrid
-    values: np.ndarray = field(repr=False)
-    factors: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.shape:
-            if self.values.size == self.grid.size:
-                self.values = self.values.reshape(self.grid.shape)
-            else:
+    def __init__(self, grid: RadialGrid, values=None, *, factors=None):
+        self.grid = grid
+        if (values is None) == (factors is None):
+            raise GridError("a field takes values or factors, exactly one of them")
+        self.factors = None
+        if factors is not None:
+            # axis 0's factor in complex128, so that the products are too
+            factors = (np.asarray(factors[0], np.complex128),) \
+                + tuple(np.asarray(f) for f in factors[1:])
+            if [f.shape for f in factors] != [(grid.m,)] * grid.n:
+                raise GridError(f"a field on grid {grid.shape} takes {grid.n} "
+                                f"factors of {grid.m} values")
+            # finite factors whose largest moduli have a finite product
+            # give finite products
+            if not all(np.isfinite(f).all() for f in factors) or not math.isfinite(
+                    math.prod(float(np.abs(f).max()) for f in factors)):
+                raise GridError("field values must be finite")
+            self.factors, self._values = factors, None
+            return
+        values = np.ascontiguousarray(values, dtype=np.complex128)
+        if values.shape != grid.shape:
+            if values.size != grid.size:
                 raise GridError(
-                    f"value shape {self.values.shape} does not match grid {self.grid.shape}"
-                )
-        if not np.all(np.isfinite(self.values)):
+                    f"value shape {values.shape} does not match grid {grid.shape}")
+            values = values.reshape(grid.shape)
+        if not np.all(np.isfinite(values)):
             raise GridError("field values must be finite")
+        self._values = values
+
+    @property
+    def values(self) -> np.ndarray:
+        """All samples, shape grid.shape; formed anew on each access when
+        the field has factors."""
+        return self._values if self.factors is None else self.rows(0, self.grid.m)
+
+    def rows(self, s: int, e: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The samples on the rows s:e of axis 0: a view of values, or the
+        outer product of the rows s:e of axis 0's factor with the other
+        factors, taken in axis order, so that every row has the bits of
+        the whole outer product's.  A field with factors writes the
+        product into out when given (complex128, of the rows' shape), so
+        that a sweep reuses one slab buffer instead of allocating one per
+        slab; a field with values leaves out alone."""
+        if self.factors is None:
+            return self._values[s:e]
+        head, *rest = self.factors
+        part = functools.reduce(np.multiply.outer, rest[:-1], head[s:e])
+        return np.multiply.outer(part, rest[-1], out=out) if rest else part
 
     @classmethod
     def from_callable(cls, grid: RadialGrid, fn) -> "ScalarField":
@@ -234,10 +276,20 @@ class ScalarField:
     def zeros(cls, grid: RadialGrid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
-    def abs2(self) -> np.ndarray:
-        a = np.abs(self.values)
+    def abs2(self, s: int = 0, e: int | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """|samples|^2 on the rows s:e of axis 0 (all rows by default), the
+        rows read through rows(s, e, out)."""
+        a = np.abs(self.rows(s, self.grid.m if e is None else e, out))
         a *= a
         return a
+
+    def scaled(self, c: float) -> "ScalarField":
+        """The field times c, held as this one is: with factors, axis 0's
+        factor times c; otherwise a copy of the values times c."""
+        if self.factors is None:
+            return ScalarField(self.grid, c * self._values)
+        return ScalarField(self.grid, factors=(c * self.factors[0],) + self.factors[1:])
 
     def l2_norm_sq(self) -> float:
         return float(self.grid.integrate(self.abs2()))

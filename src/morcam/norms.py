@@ -53,14 +53,16 @@ def _mc_sup_sq(grid: RadialGrid, sums: np.ndarray):
 def morrey_campanato(u: ScalarField):
     """Morrey-Campanato norm |||u||| (the square root of the radial sup)
     together with the maximizing radius."""
-    sup_sq, rstar = _mc_sup_sq(u.grid, u.grid.bin_sums(u.abs2()))
+    sup_sq, rstar = _mc_sup_sq(u.grid, u.grid.bin_sums(u.abs2))
     return math.sqrt(sup_sq), rstar
 
 
 def dyadic_dual(f: ScalarField):
     """Truncated dyadic dual norm N(f) = sum_j sqrt(2^(j+1) I_j) with
     I_j the squared L2 mass on the shell 2^j <= |x| < 2^(j+1), over the
-    shells from j_min = ceil(log2(h/2)) to j_max = floor(log2 L).
+    shells from j_min = ceil(log2(h/2)) to j_max = floor(log2 L).  |f|^2
+    is binned one row of axis 0 at a time from f's rows, so a field with
+    factors is never formed whole.
 
     Returns (value, tail) where tail is the magnitude of the last
     included term plus any mass falling outside [j_min, j_max].
@@ -68,7 +70,9 @@ def dyadic_dual(f: ScalarField):
     grid = f.grid
     j_min = math.ceil(math.log2(grid.h / 2))
     j_max = math.floor(math.log2(grid.L))
-    w = grid.bin_sums(f.abs2())
+    # one row's buffer for the rows of a field with factors
+    row = np.empty((1,) + grid.shape[1:], complex)
+    w = grid.bin_sums(lambda s, e: f.abs2(s, e, row))
     j = np.floor(np.log2(grid.bin_radii)).astype(np.intp)
     inside = (j >= j_min) & (j <= j_max)
     shells = np.bincount(j[inside] - j_min, weights=w[inside],

@@ -36,12 +36,16 @@ output and transforms it in place, slab by slab along axis 0 and by
 column blocks across it, with two buffers of two slabs as scratch.  The
 complex128 preconditioner is called once, for the start: it keeps no
 table and forms 1/(mu - lambda - i eps) per column block in that call.
-A cycle head sums the squares of the residual f - Au slab by slab, and
-only when the cycle runs sweeps the stencil again to write the scaled
-residual into the first basis vector.  A free solve therefore holds the
-datum and the solution besides slab scratch, and a cycle head holds the
-Krylov basis, the complex64 twin (the casts of the link phases, the
-preconditioner tables), the datum and the iterate.
+A solve reads the datum f one row of axis 0 at a time into a row buffer
+it reuses (ScalarField.rows, _field_rows), so a separable datum, kept as
+its 1-D factors, is never formed whole except for the start of a solve
+that is not free, which transforms it and drops it.  A cycle head sums the squares of the residual f - Au slab
+by slab, and only when the cycle runs sweeps the stencil again to write
+the scaled residual into the first basis vector.  A free solve of a
+separable datum therefore holds the solution besides slab scratch, and a
+cycle head holds the Krylov basis, the complex64 twin (the casts of the
+link phases, the preconditioner tables) and the iterate, and the datum
+only when it is not separable.
 
 After a solve, radial_sweep evaluates the radial densities of the
 estimate and the identity checks in one more sweep: per slab it forms
@@ -100,6 +104,14 @@ CYCLE_REDUCTION = 16 * float(np.finfo(np.float32).eps)
 #: of its dtype.  In the sampling and radial_sweep, a slab's whole working
 #: set.
 SLAB_BYTES = 256 * 1024
+#: A solve scales up a datum whose norm is below 2^-SCALE_RANGE (see
+#: solve).  At or above it the sum of the squares is at least 2^-800, a
+#: normal float, and the squares lost to underflow (each below 2^-1022,
+#: fewer than 2^64 of them) sum to less than 2^-158 of it.  (A datum too
+#: large for its squares is not scaled: the estimate and the identity
+#: square the solution too, so its solve ends in SolverError, its norm
+#: being infinite.)
+SCALE_RANGE = 400
 #: Bytes a node of the working set of the sampling and of radial_sweep:
 #: about 32 float64 values (the point array and the temporaries of the
 #: potential's callables, or the gradient buffers, B_tau and the
@@ -107,13 +119,17 @@ SLAB_BYTES = 256 * 1024
 _WORK_NODE_BYTES = 32 * 8
 #: Grid-sized complex128 arrays a solve holds besides its Krylov basis: the
 #: link phases of the axes whose phases are not all 1 and their complex64
-#: casts, V, the datum, the solution, and the temporaries of both
-#: operators and both preconditioners.  By tracemalloc over a 32^3 solve
-#: with exp_screened(0.3): 11.2 with an A that is nonzero on all three
-#: axes, 9.8 with ex13, whose z-phases are all 1; the peak is in an
-#: application of the complex64 twin, whose slab scratch covers the whole
-#: grid at 32^3.
-WORK_VECTORS = 12
+#: casts, V, the datum when it is not separable (a separable one keeps its
+#: 1-D factors), the solution, and the temporaries of both operators and
+#: both preconditioners.  By tracemalloc over a 32^3 solve with
+#: exp_screened(0.3), the problem built inside the trace: with an A that is
+#: nonzero on all three axes, 10.2 for a gaussian datum and 11.25 for the
+#: shell, which keeps its values; with ex13, whose z-phases are all 1, 8.8
+#: and 9.8.  The peak is in an application of the complex64 twin, whose
+#: slab scratch covers the whole grid at 32^3; with slabs of 1/16 of a grid
+#: array, as on every grid this check can refuse, the four read 8.8, 9.8,
+#: 7.3 and 8.3.
+WORK_VECTORS = 11
 
 
 def epsilon_floor(L: float, lam: float) -> float:
@@ -178,6 +194,15 @@ def _slabs(grid: RadialGrid, node_bytes: int) -> list:
     m = grid.m
     rows = min(m, max(1, SLAB_BYTES // (node_bytes * (grid.size // m))))
     return [(s, min(s + rows, m)) for s in range(0, m, rows)]
+
+
+def _field_rows(f: ScalarField):
+    """Yield (i, i + 1, r) for each row i of axis 0: r the samples of f on
+    that row, read by f.rows into one row buffer that the next row reuses
+    (a field with factors allocates no row of its own)."""
+    row = np.empty((1,) + f.grid.shape[1:], complex)
+    for i in range(f.grid.m):
+        yield i, i + 1, f.rows(i, i + 1, row)
 
 
 def _slab_points(grid: RadialGrid, s: int, e: int, k: int | None = None):
@@ -351,14 +376,14 @@ class DiscreteOperator:
         # whether any hop carries a product, and so needs _sweep's scratch
         self._phased = any(p is not None for p in self._phases)
 
-    def apply(self, u: np.ndarray, rhs: np.ndarray | None = None):
+    def apply(self, u: np.ndarray, rhs: ScalarField | None = None):
         """(-Delta_A^h + V - lambda - i eps)u in one sweep of slabs of
         SLAB_BYTES along axis 0 (at least one row each), see _sweep.  With
-        rhs (an array of the grid's shape) it returns the norm of the
-        residual rhs - Au instead, formed slab by slab in a slab buffer
-        (see _residuals) and summed from the squares of its rows of axis
-        0, so the value does not depend on the slab size and nothing
-        grid-sized is allocated."""
+        rhs (a ScalarField) it returns the norm of the residual rhs - Au
+        instead, formed slab by slab in a slab buffer (see _residuals) and
+        summed from the squares of its rows of axis 0 (see _row_norm), so
+        the value does not depend on the slab size and nothing grid-sized
+        is allocated."""
         g = self.grid
         u = np.asarray(u, self.dtype).reshape(g.shape)
         if rhs is None:
@@ -366,16 +391,18 @@ class DiscreteOperator:
             for _ in self._sweep(u, out):
                 pass
             return out
-        real = np.finfo(self.dtype).dtype
-        squares = [row @ row for s, e, r in self._residuals(u, rhs)
-                   for row in r.view(real).reshape(e - s, -1)]
-        return math.sqrt(np.sum(squares))
+        return _row_norm(self._residuals(u, rhs))
 
-    def _residuals(self, u: np.ndarray, rhs: np.ndarray):
+    def _residuals(self, u: np.ndarray, rhs: ScalarField):
         """Yield (s, e, r) for each slab of _sweep: r = rhs - Au on the
-        rows s:e of axis 0, in a slab buffer the next slab reuses."""
+        rows s:e of axis 0, in a slab buffer the next slab reuses, rhs read
+        a row at a time into a row buffer (see _field_rows)."""
+        row = np.empty((1,) + self.grid.shape[1:], complex)
         for s, e, w in self._sweep(u):
-            yield s, e, np.subtract(rhs[s:e], w, out=w)
+            for i in range(s, e):
+                r = w[i - s:i - s + 1]
+                np.subtract(rhs.rows(i, i + 1, row), r, out=r)
+            yield s, e, w
 
     def _sweep(self, u: np.ndarray, out: np.ndarray | None = None):
         """Yield (s, e, w) for each slab of SLAB_BYTES along axis 0: w holds
@@ -464,7 +491,8 @@ class DiscreteOperator:
         field has factors f_k, the callable takes the spectrum S v as the
         outer product of the 1-D transforms S f_k, formed slab by slab in
         place of the products of sweeps 1 and 2; otherwise it transforms
-        the field's values."""
+        the field's values, formed whole for the call when the field has
+        factors and dropped after sweep 1."""
         g, dtype = self.grid, self.dtype
         m, shape, real = g.m, g.shape, np.finfo(dtype).dtype
         lam, eps = self.lam, self.eps
@@ -508,7 +536,10 @@ class DiscreteOperator:
         def minv(v):
             factors = None
             if isinstance(v, ScalarField):
-                v, factors = v.values, v.factors if free else None
+                if free and v.factors is not None:
+                    factors = v.factors
+                else:
+                    v = v.values
             out = np.empty(shape, dtype)
             # out's memory, 2M reals a row of axis 0: the interleaved
             # complex values, or between the sweeps the row's real parts
@@ -528,6 +559,9 @@ class DiscreteOperator:
             if factors is None:
                 v = np.ascontiguousarray(v, dtype).reshape(shape)
                 np.matmul(S, v.view(real).reshape(m, 2 * M), out=rows)
+                # read once: a datum formed from its factors for this call
+                # is dropped here
+                v = None
             else:
                 spec = [S @ f for f in factors]
                 head = functools.reduce(np.multiply.outer, spec[:-1], np.ones(()))
@@ -607,14 +641,18 @@ class ResolventProblem:
         if grid != self.disc.grid:
             raise ParameterError("datum and discretization grids differ")
         self.op = DiscreteOperator(self.disc, self.lam, self.eps)
-        # the nodes with |x_k| > L - 2h for some k are the two outer index
-        # layers at each end of every axis
-        vals = self.f.values
+        # the datum's maximum and its maximum on the nodes with |x_k| >
+        # L - 2h for some k, the two outer index layers at each end of
+        # every axis, one row of axis 0 at a time
         layers = [0, 1, grid.m - 2, grid.m - 1]
-        edge = max(np.abs(np.take(vals, layers, axis=k)).max()
-                   for k in range(grid.n))
-        # the datum's maximum, one slab of axis 0 at a time
-        fmax = max(np.abs(vals[s:e]).max() for s, e in _slabs(grid, vals.itemsize))
+        fmax = edge = 0.0
+        mod = np.empty((1,) + grid.shape[1:])
+        for i, _, r in _field_rows(self.f):
+            a = np.abs(r, out=mod)
+            fmax = max(fmax, a.max())
+            outer = [a] if i in layers else [np.take(a, layers, axis=k)
+                                             for k in range(1, grid.n)]
+            edge = max(edge, *(o.max() for o in outer))
         if fmax > 0 and edge > 1e-10 * fmax:
             warnings.warn(
                 "datum is not supported at distance >= 2h from the box "
@@ -639,19 +677,19 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
     """Built-in data: gaussian / shell bump / point-like bump / wave
     packet, named as resolve_builtin takes them, with DATUM_BUILTINS'
     defaults.  The gaussian, point and wave data are separable: each is
-    the outer product of 1-D factors, formed directly in complex128, and
-    the field keeps those factors (the free preconditioner transforms
-    them in place of the grid-sized values).  The shell's factors are
-    None.  A width that is not positive, or a center that is a list of
-    other than 1 or n coordinates, raises ParameterError; the point's
-    default width, None, is 2h."""
+    the outer product of 1-D factors, axis 0's in complex128, and the
+    field keeps only those factors (see ScalarField: the free
+    preconditioner transforms them, and every other reader takes the
+    field's rows from them).  The shell keeps its values.  A width that
+    is not positive, or a center that is a list of other than 1 or n
+    coordinates, raises ParameterError; the point's default width, None,
+    is 2h."""
     name, params = resolve_builtin(spec, DATUM_BUILTINS, "datum")
     amp = float(params["amplitude"])
     width = 2 * grid.h if params["width"] is None else float(params["width"])
     if not width > 0:
         raise ParameterError(f"parameter width of datum '{name}' must be "
                              f"positive, got {params['width']!r}")
-    factors = None
     if name != "shell":
         if np.size(params["center"]) not in (1, grid.n):
             raise ParameterError(f"parameter center of datum '{name}' must have "
@@ -665,12 +703,9 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
         if name == "wave":
             # modulation shifts the spectral content to |k|^2 + O(1/width^2)
             factors[0] *= np.exp(1j * float(params["k"]) * c)
-        factors = tuple(factors)
-        vals = functools.reduce(np.multiply.outer, factors)
-    else:
-        r = grid.radii
-        vals = amp * np.exp(-((r - float(params["radius"])) / width) ** 2)
-    return ScalarField(grid, vals, factors)
+        return ScalarField(grid, factors=factors)
+    r = grid.radii
+    return ScalarField(grid, amp * np.exp(-((r - float(params["radius"])) / width) ** 2))
 
 
 def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
@@ -696,51 +731,77 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
     true relative residual (0 for f = 0), u.iterations the number of
     Arnoldi steps and u.cycles the number of restart cycles.  Solving for
     -u reads f in place instead of a negated copy; negation is exact, so u
-    is the same as from the system with right-hand side -f.  A tol that is
-    not finite and positive raises ParameterError before any operator
+    is the same as from the system with right-hand side -f.  ||f|| is
+    summed from the squares of f's rows (see _row_norm).  A datum whose
+    norm is below 2^-SCALE_RANGE is zero (u = 0) or solved scaled by the
+    power of two 2^k that brings its largest real or imaginary part into
+    [1/2, 1) (above 2^-SCALE_RANGE, for a subnormal part), and u is
+    scaled back by 2^-k; any other datum is solved as it is.  A tol that
+    is not finite and positive raises ParameterError before any operator
     application; nonconvergence, a non-finite residual included, raises
     SolverError (with the achieved residual).
     """
     check_resolvent_parameters(tol=tol)
-    grid = prob.grid
-    if not prob.f.values.any():
-        u = ScalarField.zeros(grid)
-        u.residual, u.iterations, u.cycles = 0.0, 0, 0
-        return u
-    x, res, its, cycles = _gmres(prob.op, prob.f, tol)
+    grid, f = prob.grid, prob.f
+    bnorm, k = _row_norm(_field_rows(f)), 0
+    if bnorm < 2.0 ** -SCALE_RANGE:
+        # the largest real or imaginary part of f
+        top = max(np.abs(r.view(np.float64)).max() for _, _, r in _field_rows(f))
+        if top == 0:
+            u = ScalarField.zeros(grid)
+            u.residual, u.iterations, u.cycles = 0.0, 0, 0
+            return u
+        # 2^1023, the largest power of two a float holds, takes even a
+        # subnormal part above 2^-SCALE_RANGE
+        k = min(-math.frexp(top)[1], 1023)
+        f = f.scaled(2.0 ** k)
+        bnorm = _row_norm(_field_rows(f))
+    x, res, its, cycles = _gmres(prob.op, f, bnorm, tol)
     if not res <= tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
             achieved_residual=res)
-    x *= -1
+    x *= -(2.0 ** -k)
     u = ScalarField(grid, x.reshape(grid.shape))
     u.residual, u.iterations, u.cycles = res, its, cycles
     return u
 
 
-def _gmres(op, f, tol):
+def _row_norm(slabs) -> float:
+    """The 2-norm of the complex rows of axis 0 that slabs yields as
+    (s, e, a), a holding the rows s:e: the square root of the sum of the
+    squares of each row (its real and imaginary parts interleaved), so
+    it does not depend on the slab size."""
+    return math.sqrt(np.sum([row @ row for s, e, a in slabs
+                             for row in a.view(np.finfo(a.dtype).dtype).reshape(e - s, -1)]))
+
+
+def _gmres(op, f, bnorm, tol):
     """Right-preconditioned GMRES(RESTART) for op.apply(x) = b, b the
-    values of the field f, from x0 = minv(f) (Saad & Schultz 1986), with
-    minv = op.preconditioner(), stopping once ||b - op.apply(x)|| <=
-    tol ||b||, after MAXITER iterations or at the first non-finite
-    residual norm (a cycle whose Givens estimate is not finite ends at
-    once, and the next cycle head returns).  Returns x (of the grid's
-    shape), its relative residual, the number of Arnoldi steps and the
-    number of cycles.
+    samples of the field f and bnorm its norm, summed from the squares of
+    its rows as the residual norm is (see _row_norm), from x0 = minv(f)
+    (Saad & Schultz 1986), with minv = op.preconditioner(), stopping once
+    ||b - op.apply(x)|| <= tol ||b||, after MAXITER iterations or at the
+    first non-finite residual norm (a cycle whose Givens estimate is not
+    finite ends at once, and the next cycle head returns).  Returns x (of
+    the grid's shape), its relative residual, the number of Arnoldi steps
+    and the number of cycles.
 
     Every cycle, the first included, begins with the norm of the
-    complex128 true residual r = b - Ax, op.apply(x, b), which sums the
+    complex128 true residual r = b - Ax, op.apply(x, f), which sums the
     squares of r slab by slab, and the convergence test, so an exact minv
     returns x0 after one minv and one apply and builds nothing besides x.
     minv is called once, for x0, and its scratch is dropped with it: a
-    cycle head holds only the basis, the twin and its preconditioner, b
-    and x.  Otherwise a second sweep of the stencil (not an application
-    of the operator: it forms the same r again) writes r / ||r|| into the
-    first basis vector slab by slab, the arithmetic of a multiplication
-    of the whole r, and Arnoldi runs from it on v -> apply(minv(v)) of
-    the complex64 twin of op, with classical Gram-Schmidt done twice
-    (Giraud, Langou & Rozloznik 2005) over a complex64 basis and Givens
-    rotations tracking the residual in complex128, until the estimate
+    cycle head holds only the basis, the twin and its preconditioner and
+    x (and b when f has no factors: every sweep reads b a row at a time,
+    see _field_rows).  Otherwise a second sweep of the stencil (not an
+    application of the operator: it forms the same r again) writes
+    r / ||r|| into the first basis vector slab by slab, the arithmetic of
+    a multiplication of the whole r, and Arnoldi runs from it on
+    v -> apply(minv(v)) of the complex64 twin of op, with classical
+    Gram-Schmidt done twice (Giraud, Langou & Rozloznik 2005) over a
+    complex64 basis and Givens rotations tracking the residual in
+    complex128, until the estimate
     falls to max(tol ||b|| / 1.5, CYCLE_REDUCTION ||r||).  Each basis
     vector is scaled by the reciprocal of its norm, a real multiplication
     (numpy divides a complex array by a real through complex division).
@@ -749,17 +810,16 @@ def _gmres(op, f, tol):
     (Carson & Higham 2018).  The twin and the basis are built at the
     first cycle.
     """
-    b = f.values
-    bnorm = np.linalg.norm(b.ravel())
-    x, its, cycles = op.preconditioner()(f).reshape(b.shape), 0, 0
+    shape = op.grid.shape
+    x, its, cycles = op.preconditioner()(f).reshape(shape), 0, 0
     while True:
-        rnorm = op.apply(x, b)
+        rnorm = op.apply(x, f)
         if not math.isfinite(rnorm) or rnorm <= tol * bnorm or its >= MAXITER:
             return x, rnorm / bnorm, its, cycles
         if not cycles:
             low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64)
             minv32 = low.preconditioner()
-            V = np.empty((RESTART + 1, b.size), np.complex64)
+            V = np.empty((RESTART + 1, op.grid.size), np.complex64)
         cycles += 1
         # aim a third below tol, so that the next head's complex128
         # residual, not a cycle of one or two more steps, ends the solve
@@ -769,8 +829,8 @@ def _gmres(op, f, tol):
         g = np.zeros(RESTART + 1, complex)
         g[0] = 1.0
         # the residual again, slab by slab, scaled into the first basis row
-        V0 = V[0].reshape(b.shape)
-        for s, e, r in op._residuals(x, b):
+        V0 = V[0].reshape(shape)
+        for s, e, r in op._residuals(x, f):
             np.multiply(r, 1 / rnorm, out=V0[s:e])
         del r  # the sweep's slab buffer, alive through the cycle otherwise
         for j in range(min(RESTART, MAXITER - its)):
@@ -800,7 +860,7 @@ def _gmres(op, f, tol):
         # the cycle solved for r / ||r||, so its complex64 correction is of
         # unit size whatever the scale of f; it is rescaled in complex128,
         # slab by slab
-        z = minv32(V[:k].T @ y).reshape(b.shape)
+        z = minv32(V[:k].T @ y).reshape(shape)
         for s, e in _slabs(op.grid, 16):
             x[s:e] += np.multiply(rnorm, z[s:e], dtype=complex)
         del z  # alive through the next cycle otherwise

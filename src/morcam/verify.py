@@ -107,7 +107,7 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
         yield sl.of(drv) * sl.u2
         yield sl.of(disc.V) * sl.u2
         xdotg = np.conj(sl.g_r)
-        fs = sl.of(f.values)
+        fs = f.rows(sl.rows.start, sl.rows.stop)
         yield np.real(fs * xdotg)
         yield np.real(fs * np.conj(sl.u))
         yield np.imag(sl.u * xdotg)

@@ -551,10 +551,11 @@ def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
     assert operator_calls == {"apply": 0, "precond": 0}  # no solve started
 
 
-def test_potential_undefined_at_every_node_is_exit_3(tmp_path):
+def test_potential_undefined_at_every_node_is_exit_3(tmp_path, operator_calls):
     # every node lies within 1e-14 of the origin, where coulomb's d_r V is
-    # not defined: a DomainError, which ended in a traceback with exit 1.
-    # It is raised where the identity first samples d_r V, after the solve.
+    # not defined: a DomainError, which ended in a traceback with exit 1,
+    # and then in exit 3 after a whole solve.  The run tries the 2^n
+    # central nodes through d_r V before it solves.
     code, out = run(tmp_path, {**TINY, "run": "verify-identity",
                                "potential": {"V": {"name": "coulomb"}},
                                "grid": {"L": 1.0e-15, "h": 1.0e-15}})
@@ -562,6 +563,43 @@ def test_potential_undefined_at_every_node_is_exit_3(tmp_path):
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
     assert doc["detail"] == "evaluation at x = 0 is not defined"
+    assert operator_calls == {"apply": 0, "precond": 0}
+
+
+def test_magnetic_potential_undefined_at_every_node_is_exit_3(tmp_path, operator_calls):
+    # every node lies within 1e-12 of the z-axis, where ex14 is singular:
+    # B_tau, which the identity samples, was refused after a solve of 3
+    # operator applications; the central nodes are tried before it
+    code, out = run(tmp_path, {**TINY, "run": "verify-identity",
+                               "potential": {"A": {"name": "ex14"}},
+                               "grid": {"L": 1.0e-12, "h": 1.0e-12}})
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert doc["detail"] == "this potential is singular on the z-axis"
+    assert operator_calls == {"apply": 0, "precond": 0}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:datum is not supported")
+def test_datum_whose_squares_underflow_is_solved(tmp_path):
+    # the squares of a wave of amplitude 1e-200 underflow, so its norm
+    # read 0: the relative residual 0/0 was a RuntimeWarning (a traceback
+    # under this test's filter) and otherwise a solver error, exit 4.  The
+    # solve scales the datum by a power of two and u back, so u is the
+    # unit wave's solution times 1e-200
+    doc = {**TINY, "run": "solve", "lambda": 1.0, "eps": 0.5, "tol": 1e-10}
+    fields = []
+    for amplitude in (1.0, 1.0e-200):
+        case = tmp_path / str(amplitude)
+        case.mkdir()
+        code, out = run(case, {**doc, "f": {"name": "wave", "amplitude": amplitude}})
+        assert code == 0
+        assert json.loads((out / "solve.json").read_text())["result"]["residual"] <= 1e-10
+        fields.append(load_field(out / "solution.field").values)
+    unit, tiny = fields
+    assert np.abs(tiny).max() > 0
+    np.testing.assert_allclose(tiny, 1.0e-200 * unit, rtol=1e-8, atol=0)
 
 
 def test_sweep_on_a_grid_of_one_shell_is_exit_3(tmp_path, operator_calls, monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import warnings
 
@@ -372,16 +373,44 @@ def test_separable_datum_matches_the_node_formula(name, n):
 
 
 def test_free_discretization_and_datum_hold_only_the_datum(traced_memory):
-    # no node array and no zero V stay held: what a free pair's
-    # discretization and a wave datum keep is the datum (33 bytes per node
-    # beyond it when the grid cached its points and V was grid-sized)
+    # no node array, no zero V and no grid-sized datum stay held: a free
+    # pair's discretization and a wave datum keep the datum's 1-D factors
+    # (33 bytes per node beyond a grid-sized datum when the grid cached its
+    # points and V was grid-sized, and 16 more when the datum kept its
+    # values besides its factors)
     grid = RadialGrid(3, 8.0, 0.5)
     made = []
     held, _ = traced_memory(lambda: made.extend(
         (Discretization(grid, PotentialPair(3)), make_datum(grid, "wave"))))
     disc, f = made
-    assert disc.V.ndim == 0
-    assert held - f.values.nbytes < grid.size
+    assert disc.V.ndim == 0 and f.factors is not None
+    assert held < grid.size
+
+
+@pytest.mark.parametrize("name", ["gaussian", "point", "wave"])
+def test_separable_datum_holds_less_than_a_byte_a_node(traced_memory, name):
+    grid = RadialGrid(3, 8.0, 0.5)
+    held, _ = traced_memory(lambda: make_datum(grid, name))
+    assert held < grid.size
+
+
+@pytest.mark.parametrize("name", ["gaussian", "point", "wave"])
+def test_datum_rows_are_the_bits_of_the_whole_outer_product(name):
+    # rows(s, e) takes the products of make_datum's outer product in its
+    # order, so rows read by slabs of the whole grid, of 3 rows (m = 16 is
+    # not a multiple) and of 1 row give the same bits
+    grid = RadialGrid(3, 4.0, 0.5)
+    spec = {"name": name, "amplitude": -1.7, "center": [0.4, -0.3, 0.7]}
+    if name == "wave":
+        spec["k"] = 2.5
+    f = make_datum(grid, spec)
+    whole = functools.reduce(np.multiply.outer, f.factors)
+    assert whole.dtype == np.complex128
+    for rows in (grid.m, 3, 1):
+        got = np.concatenate([f.rows(s, min(s + rows, grid.m))
+                              for s in range(0, grid.m, rows)])
+        assert np.array_equal(got, whole)
+    assert np.array_equal(f.values, whole)
 
 
 @pytest.mark.parametrize("A, V, what", [
@@ -684,9 +713,13 @@ def test_in_place_preconditioner_equals_the_stacked_transform(n, dtype, free,
 
 
 def test_shell_datum_keeps_no_factors():
+    # the shell is not separable: it keeps its values, and its rows are
+    # views of them
     grid = small_grid()
     f = make_datum(grid, "shell")
     assert f.factors is None
+    assert np.shares_memory(f.rows(3, 5), f.values)
+    assert np.array_equal(f.rows(3, 5), f.values[3:5])
     disc = Discretization(grid, PotentialPair(3))
     minv = DiscreteOperator(disc, 1.0, 0.3).preconditioner()
     assert np.array_equal(minv(f), minv(f.values.ravel()))
@@ -832,9 +865,13 @@ def test_solve_does_not_depend_on_the_scale_of_f():
 
 def test_solve_peak_memory(traced_memory):
     # transient allocations of a solve, in grid-sized complex128 arrays:
-    # 56.3 measured, of which the 101 complex64 basis vectors are 50.5; a
+    # 56.2 measured, of which the 101 complex64 basis vectors are 50.5; a
     # complex128 basis alone would be 101, and one more grid-sized
-    # complex128 temporary would pass the bound
+    # complex128 temporary would pass the bound.  The datum's values are
+    # formed inside the solve, for its start only, and dropped (they were
+    # made before the trace when make_datum kept them), and the cycle
+    # heads read its rows one at a time into a row buffer, so the peak is
+    # the same as then
     grid = RadialGrid(3, 8.0, 0.5)
     prob = build_problem(example_field("ex13"), 1.0, 0.1,
                          {"name": "gaussian", "width": 1.0}, grid)
@@ -846,15 +883,16 @@ def test_solve_peak_memory(traced_memory):
 
 
 def test_free_solve_peak_memory(traced_memory, monkeypatch):
-    # a free solve holds the datum and the solution: the start transforms
-    # in its own output and its head sums the squares of the residual
-    # slab by slab.  Beyond those two arrays it allocates slab scratch:
-    # 5.6 slabs measured (the two planar buffers of two slabs each, the
-    # table of a column block, the spectrum's outer product of n - 1
-    # factors and the sine matrices).  With slabs of 1/16 of a grid array
-    # the parent's two stacked real buffers (3.27 grid arrays beyond the
-    # datum at 256 KiB slabs, 2.26 here) and a grid-sized residual at the
-    # head both fail the bound
+    # a free solve of a separable datum holds only the solution: the datum
+    # keeps its 1-D factors, the start transforms in its own output and
+    # every sweep reads the datum a row at a time.  Beyond the solution it
+    # allocates slab scratch: 5.7 slabs measured (the two planar buffers
+    # of two slabs each, the table of a column block, the spectrum's outer
+    # product of n - 1 factors, the sine matrices and a row buffer).
+    # With slabs of 1/16 of a grid array, a grid-sized datum (21.3 slabs
+    # beyond the solution when make_datum kept the datum's values), two
+    # stacked real buffers in the preconditioner and a grid-sized residual
+    # at the head each fail the bound
     grid = RadialGrid(3, 8.0, 0.5)
     monkeypatch.setattr(resolvent, "SLAB_BYTES", grid.size)
     disc = Discretization(grid, PotentialPair(3))
@@ -866,8 +904,8 @@ def test_free_solve_peak_memory(traced_memory, monkeypatch):
 
     _, peak = traced_memory(solve_wave)
     f, u = made
-    assert u.iterations == 0
-    assert peak <= f.values.nbytes + grid.size * 16 + 8 * resolvent.SLAB_BYTES
+    assert u.iterations == 0 and f.factors is not None
+    assert peak <= grid.size * 16 + 8 * resolvent.SLAB_BYTES
 
 
 def test_solve_does_not_depend_on_the_slab_size(operator_calls, monkeypatch):
@@ -901,8 +939,8 @@ def test_apply_gives_the_residual_norm_without_a_grid_array(traced_memory,
     disc = Discretization(grid, random_pair(3, 17))
     op = DiscreteOperator(disc, 1.0, 0.3)
     spread = np.exp(3 * np.random.default_rng(18).standard_normal(grid.shape))
-    u, rhs = spread * random_field(grid, 18).values, random_field(grid, 19).values
-    expect = np.linalg.norm(rhs - op.apply(u))
+    u, rhs = spread * random_field(grid, 18).values, random_field(grid, 19)
+    expect = np.linalg.norm(rhs.values - op.apply(u))
     row = grid.size // grid.m * 16
     norms = []
     for rows in (grid.m, 3, 1):

@@ -251,6 +251,25 @@ def test_epsilon_sweep_computes_dual_norm_once(monkeypatch):
         theorem_rhs(dyadic_dual(f), 1.0, eps).total for eps in (1.0, 0.5, 0.25)]
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")  # eps below the floor
+def test_free_sweep_peak_memory(traced_memory, monkeypatch):
+    # a free sweep of a separable datum holds one grid-sized array at a
+    # time, each eps's solution, besides slab scratch: the datum keeps its
+    # 1-D factors, and the solve, the estimate and N(f) read it a row at a
+    # time.  With slabs of 1/16 of a grid array, 6.6 slabs measured beyond
+    # the solution, and 22.2 (one more grid array) when make_datum kept
+    # the datum's values
+    grid = RadialGrid(3, 8.0, 0.5)
+    monkeypatch.setattr(resolvent, "SLAB_BYTES", grid.size)
+    made = []
+    _, peak = traced_memory(lambda: made.append(epsilon_sweep(
+        PotentialPair(3), 1.0, {"name": "wave", "width": 2.0, "k": 3.5},
+        [1.0, 0.1, 0.01], grid, tol=1e-9)))
+    [rep] = made
+    assert len(rep.entries) == 3 and not rep.errors
+    assert peak <= grid.size * 16 + 8 * resolvent.SLAB_BYTES
+
+
 # --- resonance functionals ---------------------------------------------------
 
 

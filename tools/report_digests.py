@@ -1,9 +1,10 @@
 """Print one SHA-256 per report file of a fixed set of scenarios.
 
 The scenarios are the seed-0 scenario of each workload of
-perfbench/workloads.py and the three small ones of EXTRA, which reach
-what no workload runs: the ex14 built-in and the admissibility,
-fields-check and solve run types.  Each is written into a temporary
+perfbench/workloads.py and the four small ones of EXTRA, which reach
+what no workload runs: the ex14 built-in, the admissibility,
+fields-check and solve run types, and a datum that is not separable
+(the shell, which keeps its values where the others keep 1-D factors).  Each is written into a temporary
 directory and run through morcam.cli.main with --json-only; every file
 it writes is hashed, a solve's binary solution.field included.  The
 temporary directory's path is masked in every file before it is
@@ -38,7 +39,7 @@ from morcam.cli import main as morcam_main  # noqa: E402
 MASK = b"<dir>"
 
 _EX14 = {"A": {"name": "ex14"}}
-#: The scenarios besides the workloads', each about a second.
+#: The scenarios besides the workloads', each about a second or less.
 EXTRA = {
     "ex14_admissibility": {
         "n": 3, "run": "admissibility", "grid": {"L": 2.0, "h": 0.5},
@@ -51,6 +52,11 @@ EXTRA = {
         "n": 3, "run": "solve", "grid": {"L": 4.0, "h": 0.5},
         "potential": {**_EX14, "V": {"name": "coulomb", "c": 0.5}},
         "lambda": 1.0, "eps": 0.5,
+    },
+    "shell_identity": {
+        "n": 3, "run": "verify-identity", "grid": {"L": 5.0, "h": 0.25},
+        "potential": {"A": {"name": "ex13"}, "V": {"name": "exp_screened", "amplitude": 0.3}},
+        "lambda": 1.0, "eps": 1.0, "f": {"name": "shell", "radius": 1.5, "width": 0.5},
     },
 }
 
