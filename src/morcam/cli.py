@@ -36,7 +36,8 @@ from .fields import (BUILTIN_POTENTIALS, make_potential_pair, radial_derivative_
                      trapping_component)
 from .grids import RadialGrid, point_array, save_field
 from .multipliers import check_estimate_parameters
-from .resolvent import DATUM_BUILTINS, build_problem, check_memory, solve
+from .resolvent import (DATUM_BUILTINS, build_problem, check_memory,
+                        check_resolvent_parameters, solve)
 from .verify import epsilon_sweep, identity_scan
 
 RUN_TYPES = {
@@ -182,6 +183,8 @@ def _run_admissibility(p, out_dir: Path):
 
 
 def _problem(p):
+    # before the grid is sampled
+    check_resolvent_parameters(p["lambda"], p["eps"], p["tol"])
     pp, grid = _build(p)
     return build_problem(pp, p["lambda"], p["eps"], p["f"], grid)
 

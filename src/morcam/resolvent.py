@@ -28,10 +28,15 @@ of an array (its hops carry no product), and a V or d_r V that samples
 to zero is 0-d.
 One edge rule, _hops, says which hop along which axis reaches which rows
 of a slab, with which phase and which halo row along axis 0; the stencil
-and covariant_gradient both read it.  An application of the stencil
-allocates its output and slab-sized scratch, not grid-sized temporaries,
-and an operator keeps no diagonal: apply forms 2n/h^2 + V - lambda - i
-eps per slab from the sampled V.  The preconditioner allocates its
+and covariant_gradient both read it.  Every hop is a shift of the slab's
+flattened, contiguous rows by the axis's stride; along axes 1..n-1 the
+shift wraps across the layer the hop must not reach, which its reader
+keeps as it was.  An application of the stencil allocates its output and
+slab-sized scratch, not grid-sized temporaries, and an operator keeps no
+grid-sized array: apply forms 2n/h^2 + V - lambda - i eps per slab from
+the sampled V and reads the link phases of the discretization, which
+the complex64 twin casts row range by row range into one slab buffer,
+so each phase is held once, in complex128.  The preconditioner allocates its
 output and transforms it in place, slab by slab along axis 0 and by
 column blocks across it, with two buffers of two slabs as scratch.  The
 complex128 preconditioner is called once, for the start: it keeps no
@@ -39,13 +44,13 @@ table and forms 1/(mu - lambda - i eps) per column block in that call.
 A solve reads the datum f one row of axis 0 at a time into a row buffer
 it reuses (ScalarField.rows, _field_rows), so a separable datum, kept as
 its 1-D factors, is never formed whole except for the start of a solve
-that is not free, which transforms it and drops it.  A cycle head sums the squares of the residual f - Au slab
-by slab, and only when the cycle runs sweeps the stencil again to write
-the scaled residual into the first basis vector.  A free solve of a
-separable datum therefore holds the solution besides slab scratch, and a
-cycle head holds the Krylov basis, the complex64 twin (the casts of the
-link phases, the preconditioner tables) and the iterate, and the datum
-only when it is not separable.
+that is not free, which transforms it and drops it.  A cycle head sums
+the squares of the residual f - Au slab by slab, and only when the cycle
+runs sweeps the stencil again to write the scaled residual into the
+first basis vector.  A free solve of a separable datum therefore holds
+the solution besides slab scratch, and a cycle head holds the Krylov
+basis, the complex64 twin's preconditioner tables and the iterate, and
+the datum only when it is not separable.
 
 After a solve, radial_sweep evaluates the radial densities of the
 estimate and the identity checks in one more sweep: per slab it forms
@@ -56,6 +61,7 @@ held for the whole grid.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import os
@@ -118,18 +124,18 @@ SCALE_RANGE = 400
 #: densities with theirs).
 _WORK_NODE_BYTES = 32 * 8
 #: Grid-sized complex128 arrays a solve holds besides its Krylov basis: the
-#: link phases of the axes whose phases are not all 1 and their complex64
-#: casts, V, the datum when it is not separable (a separable one keeps its
-#: 1-D factors), the solution, and the temporaries of both operators and
-#: both preconditioners.  By tracemalloc over a 32^3 solve with
-#: exp_screened(0.3), the problem built inside the trace: with an A that is
-#: nonzero on all three axes, 10.2 for a gaussian datum and 11.25 for the
-#: shell, which keeps its values; with ex13, whose z-phases are all 1, 8.8
-#: and 9.8.  The peak is in an application of the complex64 twin, whose
-#: slab scratch covers the whole grid at 32^3; with slabs of 1/16 of a grid
-#: array, as on every grid this check can refuse, the four read 8.8, 9.8,
-#: 7.3 and 8.3.
-WORK_VECTORS = 11
+#: link phases of the axes whose phases are not all 1 (the complex64 twin
+#: casts them slab by slab and keeps no copy), V, the datum when it is not
+#: separable (a separable one keeps its 1-D factors), the solution, and the
+#: temporaries of both operators and both preconditioners.  By tracemalloc
+#: over a 32^3 solve with exp_screened(0.3), the problem built inside the
+#: trace: with an A that is nonzero on all three axes, 8.9 for a gaussian
+#: datum and 9.9 for the shell, which keeps its values; with ex13, whose
+#: z-phases are all 1, 7.9 and 8.9.  The peak is in an application of the
+#: complex64 twin, whose slab scratch covers the whole grid at 32^3; with
+#: slabs of 1/16 of a grid array, as on every grid this check can refuse,
+#: the four read 7.1, 8.1, 6.1 and 7.1.
+WORK_VECTORS = 10
 
 
 def epsilon_floor(L: float, lam: float) -> float:
@@ -140,16 +146,30 @@ def epsilon_floor(L: float, lam: float) -> float:
     return 2.0 / L * math.sqrt(lam + 1.0 / (L * L))
 
 
+#: float32's largest value, the largest lambda and |eps| a solve takes
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def check_resolvent_parameters(lam: float | None = None,
                                eps: float | None = None,
                                tol: float | None = None) -> None:
-    """Raise ParameterError unless lambda is finite and >= 0, eps is
-    finite and nonzero and the solve tolerance tol is finite and
-    positive; None skips a check."""
-    if lam is not None and not (math.isfinite(lam) and lam >= 0):
-        raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
-    if eps is not None and not (math.isfinite(eps) and eps != 0):
-        raise ParameterError(f"eps must be finite and nonzero, got {eps}")
+    """Raise ParameterError unless lambda is >= 0, eps is nonzero, both
+    at most FLOAT32_MAX in modulus, and the solve tolerance tol is finite
+    and positive; None skips a check.
+
+    The bound is the complex64 twin's: its diagonal is (2n/h^2 + V) -
+    lambda - i eps, formed in float64 and cast.  2n/h^2 + V lies in
+    (0, 4n/h^2] (V is capped at 1/h^2), which RadialGrid keeps at most
+    FLOAT32_MAX, so the real part lies in [-lambda, 4n/h^2] and both parts
+    cast to finite float32 values exactly when lambda and |eps| are at
+    most FLOAT32_MAX.  The preconditioner's table squares mu - lambda and
+    eps in float64, far inside its range."""
+    if lam is not None and not 0 <= lam <= FLOAT32_MAX:
+        raise ParameterError(f"lambda must be >= 0 and at most {FLOAT32_MAX!r} "
+                             f"(float32's largest value), got {lam}")
+    if eps is not None and not 0 < abs(eps) <= FLOAT32_MAX:
+        raise ParameterError(f"eps must be nonzero with |eps| at most {FLOAT32_MAX!r} "
+                             f"(float32's largest value), got {eps}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tol must be finite and positive, got {tol}")
 
@@ -245,12 +265,12 @@ class Discretization:
     constant data: ``phases`` (see link_phases) is a list of one entry per
     axis, None for an axis whose phases are all 1.  Singular
     V samples are capped at 1/h^2 (with a warning) to keep the operator
-    bounded; ``capped`` marks where.  d_r V is sampled on first use and
-    kept.  Each is sampled by _sample, one slab of axis 0 at a time from
-    the 1-D node coordinates, so no grid-sized point array is formed, and
-    a V or d_r V that samples to zero at every node is kept as a 0-d zero
-    (and ``capped`` as a 0-d False), which every reader broadcasts: a free
-    pair holds no grid-sized V or d_r V.  A grid too large
+    bounded; ``capped`` marks where, a 0-d False when no node is capped.
+    d_r V is sampled on first use and kept.  Each is sampled by _sample,
+    one slab of axis 0 at a time from the 1-D node coordinates, so no
+    grid-sized point array is formed, and a V or d_r V that samples to
+    zero at every node is kept as a 0-d zero, which every reader
+    broadcasts: a free pair holds no grid-sized V or d_r V.  A grid too large
     to solve on is refused before any sampling, and a V or A that samples
     non-finite raises ParameterError.
     """
@@ -280,6 +300,8 @@ class Discretization:
                 warnings.warn(
                     f"electric potential capped at {cap:.3g} on "
                     f"{int(capped.sum())} nodes", stacklevel=2)
+            else:
+                capped = np.zeros((), bool)
         self.V = V
         self.capped = capped
         self._drv = None
@@ -304,39 +326,66 @@ class Discretization:
         return self._drv
 
 
+def _phase_rows(P, s: int, e: int):
+    """The rows s-1:e of axis 0 (from row 0 when s = 0) of the link phases
+    P of one axis (link_phases' entry): the rows _hops reads for the rows
+    s:e, a view, or None for an axis without phases."""
+    return None if P is None else P[max(s - 1, 0):e]
+
+
 def _hops(P, u: np.ndarray, k: int, s: int, e: int) -> list:
     """The two hops along axis k that reach the rows s:e of axis 0, up
-    then down, each as (dst, U, v): dst, a tuple of indices that ends with
-    a slice along axis k, indexes an array of those rows, v is the view of
-    u the hop reads into them and U the phases of its edges, or None for
-    an axis P (link_phases' entry) without phases.  The up hop reads
-    u(x + h e_k) across the edge (x, x + h e_k) with U_k(x), the down hop
-    u(x - h e_k) with U_k(x - h e_k), which its reader conjugates.  The up
-    hop's dst leaves out the box's last layer along axis k, which no up
-    hop reaches, and the down hop's its first.  Along axis 0 the edges
-    (i, i+1) that start in the rows have i in s:b, those that end there i
-    in a-1:e-1, so u is read one row past each end of the rows that lies
-    inside the box (its halo)."""
+    then down, each as (dst, U, v, edge) on flat, contiguous arrays: dst
+    slices the flattened rows, v is the piece of the flattened u the hop
+    reads into them and U the phases of its edges, read from P, the
+    phases of the rows s-1:e (see _phase_rows), or None for an axis
+    without phases.  The up hop reads u(x + h e_k) across the edge
+    (x, x + h e_k) with U_k(x), the down hop u(x - h e_k) with
+    U_k(x - h e_k), which its reader conjugates.
+
+    u and P are C-contiguous, read as flat views.  A hop is a shift of
+    the flattened rows by axis k's stride m^(n-1-k).  Along axis 0 the
+    edges (i, i+1) that start in the rows have i in s:b, those that end
+    there i in a-1:e-1, so u is read one row past each end of the rows
+    that lies inside the box (its halo), and dst leaves out the box's
+    last row (up) or its first (down).  Along any other axis dst spans
+    the rows but one stride, and its shift wraps across the box's last
+    layer along axis k (up) or its first (down): edge indexes that layer
+    of an array of the rows, which the hop must not reach, so its reader
+    keeps it as it was (edge is None along axis 0)."""
+    m, n = u.shape[0], u.ndim
+    M = u.size // m
+    flat = u.reshape(-1)
+
+    def at(i, j):
+        # the flat phases of the rows i:j, P's first row being max(s-1, 0)
+        if P is None:
+            return None
+        i, j = i - max(s - 1, 0), j - max(s - 1, 0)
+        return P[i:j].reshape(-1)
+
     if k == 0:
-        b, a = min(e, len(u) - 1), max(s, 1)
-        up, down = slice(s, b), slice(a - 1, e - 1)
-        U, W = (None, None) if P is None else (P[up], P[down])
-        return [((slice(None, b - s),), U, u[s + 1:b + 1]),
-                ((slice(a - s, None),), W, u[down])]
-    lo = (slice(None),) * k + (slice(None, -1),)
-    hi = (slice(None),) * k + (slice(1, None),)
-    U = None if P is None else P[s:e][lo]
-    return [(lo, U, u[s:e][hi]), (hi, U, u[s:e][lo])]
+        b, a = min(e, m - 1), max(s, 1)
+        return [(slice(None, (b - s) * M), at(s, b), flat[(s + 1) * M:(b + 1) * M], None),
+                (slice((a - s) * M, None), at(a - 1, e - 1), flat[(a - 1) * M:(e - 1) * M],
+                 None)]
+    st, N = m ** (n - 1 - k), (e - s) * M
+    v, U = flat[s * M:e * M], at(s, e)
+    U = None if U is None else U[:N - st]
+    layer = (slice(None),) * k
+    return [(slice(None, N - st), U, v[st:], layer + (m - 1,)),
+            (slice(st, None), U, v[:N - st], layer + (0,))]
 
 
 def _add_hop(hop: np.ndarray, U, v: np.ndarray, tmp: np.ndarray,
              conj: bool) -> None:
     """hop += v, or hop += U v (conj(U) v when conj) with the product
-    formed in the flat scratch tmp (unused when U is None)."""
+    formed in the flat scratch tmp (unused when U is None); hop, U and v
+    are flat."""
     if U is None:
         hop += v
         return
-    t = tmp.reshape(-1)[:v.size].reshape(v.shape)
+    t = tmp.reshape(-1)[:v.size]
     if conj:
         np.conj(U, out=t)
         t *= v
@@ -354,12 +403,13 @@ class DiscreteOperator:
     link phase (none along an axis whose phases are all 1), and
     preconditioner() inverts the free stencil in the eigenbasis
     _dirichlet_eigenpairs gives along each axis.  It keeps no grid-sized
-    array it can form per slab: apply forms the diagonal 2n/h^2 + V(x) -
-    lambda - i eps slab by slab from disc.V.  lambda and eps are checked by
-    check_resolvent_parameters.  dtype (complex128 or complex64) is the
-    precision of the link phases it keeps (cast from disc.phases), of the
-    diagonal, of the preconditioner's tables and of every vector apply and
-    the preconditioner take and return.
+    array: apply forms the diagonal 2n/h^2 + V(x) - lambda - i eps slab by
+    slab from disc.V and reads the link phases from disc.phases, the
+    complex64 twin casting each slab's rows of them into one slab buffer.
+    lambda and eps are checked by check_resolvent_parameters.  dtype
+    (complex128 or complex64) is the precision of the phases and the
+    diagonal apply multiplies by, of the preconditioner's tables and of
+    every vector apply and the preconditioner take and return.
     """
 
     def __init__(self, disc: Discretization, lam: float, eps: float,
@@ -371,10 +421,8 @@ class DiscreteOperator:
         self.lam = lam
         self.eps = eps
         self.dtype = np.dtype(dtype)
-        self._phases = [None if p is None else p.astype(self.dtype, copy=False)
-                        for p in disc.phases]
         # whether any hop carries a product, and so needs _sweep's scratch
-        self._phased = any(p is not None for p in self._phases)
+        self._phased = any(p is not None for p in disc.phases)
 
     def apply(self, u: np.ndarray, rhs: ScalarField | None = None):
         """(-Delta_A^h + V - lambda - i eps)u in one sweep of slabs of
@@ -385,7 +433,7 @@ class DiscreteOperator:
         the value does not depend on the slab size and nothing grid-sized
         is allocated."""
         g = self.grid
-        u = np.asarray(u, self.dtype).reshape(g.shape)
+        u = np.ascontiguousarray(u, self.dtype).reshape(g.shape)
         if rhs is None:
             out = np.empty(g.shape, self.dtype)
             for _ in self._sweep(u, out):
@@ -413,9 +461,11 @@ class DiscreteOperator:
         of the slab, and hop/h^2 is subtracted.  The slab's complex
         diagonal is formed in that scratch: its real part (2n/h^2 + V) -
         lambda in float64 (once when V is 0-d), cast to the dtype, and
-        -eps, the values a complex cast of the whole diagonal holds.  Every
-        sum is taken in the order of a whole-array sweep, so the values do
-        not depend on the slab size."""
+        -eps, the values a complex cast of the whole diagonal holds.  Phases
+        not of the dtype are cast, one axis at a time, into one buffer of a
+        slab and a row that every slab reuses (see _add_hops), the values a
+        cast of the whole array holds.  Every sum is taken in the order of
+        a whole-array sweep, so the values do not depend on the slab size."""
         g, dtype, eps = self.grid, self.dtype, self.eps
         slabs = _slabs(g, dtype.itemsize)
         # hop sums the slab's hops; each product U u is formed in tmp (an
@@ -423,6 +473,11 @@ class DiscreteOperator:
         hop = np.empty((slabs[0][1],) + g.shape[1:], dtype)
         tmp = np.empty_like(hop) if self._phased else None
         buf = np.empty_like(hop) if out is None else None
+        # the phase rows of one axis at a time, cast to the dtype when
+        # disc.phases holds another
+        cast = None
+        if any(p is not None and p.dtype != dtype for p in self.disc.phases):
+            cast = np.empty((slabs[0][1] + 1,) + g.shape[1:], dtype)
         V, c = self.disc.V, 2 * g.n / g.h ** 2
         # the real diagonal (2n/h^2 + V) - lambda in float64, cast to the
         # dtype by its assignment to slab.real (rounding once, as a cast of
@@ -440,20 +495,34 @@ class DiscreteOperator:
             slab.imag = -eps
             np.multiply(slab, u[s:e], out=w)
             slab[...] = 0
-            self._add_hops(slab, tmp, u, s, e)
+            self._add_hops(slab, tmp, cast, u, s, e)
             slab *= scale
             w -= slab
             yield s, e, w
 
-    def _add_hops(self, hop, tmp, u, s, e):
+    def _add_hops(self, hop, tmp, cast, u, s, e):
         """Add to hop, the rows s:e of axis 0, the hop along each axis k
         in turn: U_k(x) u(x + h e_k) for the edges (x, x + h e_k) that
         start in those rows, then conj(U_k(x - h e_k)) u(x - h e_k) for
-        the edges that end there."""
+        the edges that end there.  The hops read the rows s-1:e of the
+        axis's phases (see _phase_rows): views of disc.phases when they
+        are of the dtype, otherwise their cast into cast, the buffer of a
+        slab and a row that _sweep reuses.  A hop runs on the flattened
+        rows and the layer it must not reach is copied before and put back
+        after it, so every node gets the additions of a whole-array
+        sweep."""
+        flat = hop.reshape(-1)
         # an axis without phases hops without a product
-        for k, Pk in enumerate(self._phases):
-            for (dst, U, v), conj in zip(_hops(Pk, u, k, s, e), (False, True)):
-                _add_hop(hop[dst], U, v, tmp, conj)
+        for k, P in enumerate(self.disc.phases):
+            P = _phase_rows(P, s, e)
+            if P is not None and P.dtype != self.dtype:
+                cast[:len(P)] = P
+                P = cast[:len(P)]
+            for (dst, U, v, edge), conj in zip(_hops(P, u, k, s, e), (False, True)):
+                kept = None if edge is None else hop[edge].copy()
+                _add_hop(flat[dst], U, v, tmp, conj)
+                if kept is not None:
+                    hop[edge] = kept
 
     # --- free-operator preconditioner ------------------------------------
 
@@ -641,19 +710,7 @@ class ResolventProblem:
         if grid != self.disc.grid:
             raise ParameterError("datum and discretization grids differ")
         self.op = DiscreteOperator(self.disc, self.lam, self.eps)
-        # the datum's maximum and its maximum on the nodes with |x_k| >
-        # L - 2h for some k, the two outer index layers at each end of
-        # every axis, one row of axis 0 at a time
-        layers = [0, 1, grid.m - 2, grid.m - 1]
-        fmax = edge = 0.0
-        mod = np.empty((1,) + grid.shape[1:])
-        for i, _, r in _field_rows(self.f):
-            a = np.abs(r, out=mod)
-            fmax = max(fmax, a.max())
-            outer = [a] if i in layers else [np.take(a, layers, axis=k)
-                                             for k in range(1, grid.n)]
-            edge = max(edge, *(o.max() for o in outer))
-        if fmax > 0 and edge > 1e-10 * fmax:
+        if _reaches_boundary(self.f):
             warnings.warn(
                 "datum is not supported at distance >= 2h from the box "
                 "boundary; Dirichlet truncation error is uncontrolled",
@@ -663,6 +720,31 @@ class ResolventProblem:
     @property
     def grid(self) -> RadialGrid:
         return self.f.grid
+
+    def at(self, eps: float) -> "ResolventProblem":
+        """This problem at another eps: the same discretization and datum,
+        whose boundary check (see _reaches_boundary) is not repeated."""
+        prob = copy.copy(self)
+        prob.eps = eps
+        prob.op = DiscreteOperator(self.disc, self.lam, eps)
+        return prob
+
+
+def _reaches_boundary(f: ScalarField) -> bool:
+    """Whether the datum's maximum on the nodes with |x_k| > L - 2h for
+    some k, the two outer index layers at each end of every axis, exceeds
+    1e-10 of its maximum; read one row of axis 0 at a time."""
+    grid = f.grid
+    layers = [0, 1, grid.m - 2, grid.m - 1]
+    fmax = edge = 0.0
+    mod = np.empty((1,) + grid.shape[1:])
+    for i, _, r in _field_rows(f):
+        a = np.abs(r, out=mod)
+        fmax = max(fmax, a.max())
+        outer = [a] if i in layers else [np.take(a, layers, axis=k)
+                                         for k in range(1, grid.n)]
+        edge = max(edge, *(o.max() for o in outer))
+    return fmax > 0 and edge > 1e-10 * fmax
 
 
 DATUM_BUILTINS = {
@@ -873,8 +955,8 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
     link phases, (U_k(x) u(x+h e_k) - conj(U_k(x-h e_k)) u(x-h e_k))/2h
     (no product along an axis whose phases are None, see link_phases),
     on the rows s:e = rows of axis 0 (all rows when None), written into
-    out (a complex array of shape (e - s, m, ..., m)) when given;
-    Dirichlet zero is assumed outside the box.  The hops are the
+    out (a C-contiguous complex array of shape (e - s, m, ..., m)) when
+    given; Dirichlet zero is assumed outside the box.  The hops are the
     stencil's (see _hops): along axis 0 the rows read u one row past each
     end of the range that lies inside the box.  The difference is written
     in place and scaled by the real 1/2h (no complex division), so a row's
@@ -885,15 +967,25 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
     s, e = (0, grid.m) if rows is None else rows
     if out is None:
         out = np.empty((e - s,) + grid.shape[1:], complex)
-    (up, U, v), (down, W, w) = _hops(disc.phases[k], u.values, k, s, e)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    flat = out.reshape(-1)
+    (up, U, v, last), (down, W, w, first) = _hops(
+        _phase_rows(disc.phases[k], s, e), u.values, k, s, e)
     if U is None:
-        out[up] = v
+        flat[up] = v
     else:
-        np.multiply(U, v, out=out[up])
-    # the layer no up hop reaches
-    *axes, top = up
-    out[(*axes, slice(top.stop, None))] = 0
-    out[down] -= w if W is None else np.conj(W) * w
+        np.multiply(U, v, out=flat[up])
+    # the layer no up hop reaches: the rows past up along axis 0, else
+    # the layer its shift wraps across
+    if last is None:
+        flat[up.stop:] = 0
+    else:
+        out[last] = 0
+    kept = None if first is None else out[first].copy()
+    flat[down] -= w if W is None else np.conj(W) * w
+    if kept is not None:
+        out[first] = kept
     out *= 1 / (2 * grid.h)
     return out
 

@@ -287,14 +287,18 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                   delta: float | None = None, tol: float = 1e-10) -> SweepReport:
     """Solve the resolvent problem for each eps and collect estimate
     ratios.  Solver failures are recorded per entry and the sweep
-    continues.  lambda, tol, the eps values (at least one, each finite
-    and positive), M, delta and, in 3D, the radial shells the estimate's
-    sphere sup needs are checked before any sampling or solve."""
+    continues.  lambda, tol, the eps values (at least one, each positive
+    and at most FLOAT32_MAX, see check_resolvent_parameters), M, delta
+    and, in 3D, the radial shells the estimate's sphere sup needs are
+    checked before any sampling or solve.  The datum's boundary check is
+    made once for the sweep (see ResolventProblem.at)."""
     check_resolvent_parameters(lam=lam, tol=tol)
     eps_list = list(eps_list)
-    if not eps_list or not all(math.isfinite(e) and e > 0 for e in eps_list):
+    if not eps_list or not all(e > 0 for e in eps_list):
         raise ParameterError(
-            f"eps values must be finite and positive, at least one, got {eps_list}")
+            f"eps values must be positive, at least one, got {eps_list}")
+    for e in eps_list:
+        check_resolvent_parameters(eps=e)
     check_estimate_parameters(M, delta)
     check_lhs_grid(grid)
     floor = epsilon_floor(grid.L, lam)
@@ -314,16 +318,17 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
         report.notes.append(INADMISSIBLE_NOTE)
     if lam == 0:
         report.notes.append(LAMBDA_ZERO_NOTE)
-    for eps in sorted(eps_list, reverse=True):
+    eps_list = sorted(eps_list, reverse=True)
+    prob = ResolventProblem(disc=disc, lam=lam, eps=eps_list[0], f=f)
+    for eps in eps_list:
         try:
-            prob = ResolventProblem(disc=disc, lam=lam, eps=eps, f=f)
-            u = solve(prob, tol=tol)
+            u = solve(prob.at(eps), tol=tol)
             lhs, rhs, ratio = estimate_report(u, dual, disc, lam, eps, adm,
                                               M=M, delta=delta)
             report.add(eps, lhs.total, rhs.total, ratio,
                        iterations=u.iterations, cycles=u.cycles)
-            # free this eps's operator and solution before the next solve
-            del prob, u
+            # free this eps's solution before the next solve
+            del u
         except SolverError as exc:
             report.errors[eps] = str(exc)
     return report

@@ -602,6 +602,35 @@ def test_datum_whose_squares_underflow_is_solved(tmp_path):
     np.testing.assert_allclose(tiny, 1.0e-200 * unit, rtol=1e-8, atol=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:datum is not supported")
+@pytest.mark.parametrize("key", ["lambda", "eps"])
+def test_lambda_and_eps_past_the_float32_range_are_exit_3(tmp_path, operator_calls, key):
+    # the complex64 twin holds lambda and eps in its diagonal: lambda 1e300
+    # overflowed in the preconditioner's table, eps 1e200 in the twin's
+    # cast (each a traceback under this test's filter).  float32's largest
+    # value solves; the next float above it, either sign for eps, is
+    # refused before any solve
+    top = float(np.finfo(np.float32).max)
+    doc = {**TINY, "run": "solve", "potential": {"A": {"name": "ex13"}}}
+    for i, value in enumerate((top, -top)[:1 + (key == "eps")]):
+        case = tmp_path / f"ok{i}"
+        case.mkdir()
+        code, out = run(case, {**doc, key: value})
+        assert code == 0
+        assert json.loads((out / "solve.json").read_text())["result"]["residual"] <= 1e-6
+    calls = operator_calls["apply"]
+    beyond = float(np.nextafter(top, math.inf))
+    for i, value in enumerate((beyond, -beyond)[:1 + (key == "eps")]):
+        case = tmp_path / f"refused{i}"
+        case.mkdir()
+        code, out = run(case, {**doc, key: value})
+        assert code == 3
+        doc_err = json.loads((out / "error.json").read_text())
+        assert doc_err["error"] == "parameter" and key in doc_err["detail"]
+    assert operator_calls["apply"] == calls
+
+
 def test_sweep_on_a_grid_of_one_shell_is_exit_3(tmp_path, operator_calls, monkeypatch):
     # L/h = 1 leaves one radial shell, and the sphere sup scans shells 2
     # and up: refused with the sweep's other checks, before the

@@ -1,4 +1,5 @@
 import cmath
+import copy
 import functools
 import math
 import warnings
@@ -108,6 +109,30 @@ def test_slab_apply_equals_the_whole_array_sweep(n, dtype, phases, grid_V,
         assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_twin_apply_equals_the_twin_of_phases_cast_whole(n, monkeypatch):
+    # the complex64 twin keeps no phases: each slab casts the rows s-1:e it
+    # reads (a halo row along axis 0) from the discretization's complex128
+    # phases into one buffer.  A cast rounds each value on its own, so
+    # apply has the bits of the twin of a discretization whose phases were
+    # cast to complex64 whole, read as they are, at every slab size: the
+    # whole grid (m = 8 below one slab), 3 rows and 1 row
+    grid = RadialGrid(n, 2.0, 0.5)
+    disc = Discretization(grid, random_pair(n, 21))
+    cast = copy.copy(disc)
+    cast.phases = [p.astype(np.complex64) for p in disc.phases]
+    twin, ref = (DiscreteOperator(d, 0.7, -0.3, np.complex64) for d in (disc, cast))
+    u = random_field(grid, 22).values.astype(np.complex64)
+    expect = ref.apply(u).view(np.uint32)
+    row = u.nbytes // grid.m
+    assert resolvent.SLAB_BYTES // row > grid.m
+    for rows in (None, 3, 1):
+        if rows is not None:
+            monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * row)
+        for op in (twin, ref):
+            assert np.array_equal(op.apply(u).view(np.uint32), expect)
+
+
 def slab_diagonal(op):
     """The complex diagonal op.apply forms slab by slab, read as op.apply
     of a field of ones with its hops left out (times 1 + 0j, which changes
@@ -164,25 +189,27 @@ def test_unit_phase_axes_equal_an_all_ones_array(n, dtype, monkeypatch):
 
 def test_operator_keeps_no_unit_phase_axis_and_no_diagonal(traced_memory):
     # ex13's z phases are all 1, so its discretization holds two complex128
-    # phase arrays, not three; an operator forms its diagonal per slab from
-    # the grid-sized V, so the complex128 one (whose phases are the
-    # discretization's) holds nothing grid-sized and the complex64 twin
-    # only the complex64 casts of the two phase arrays (a kept real
-    # diagonal was 8 and 4 bytes a node more)
+    # phase arrays, not three, and V; nothing is capped, so no mask.  An
+    # operator forms its diagonal per slab from the grid-sized V and reads
+    # its phases from the discretization's, so neither the complex128 one
+    # nor the complex64 twin, which casts the phases slab by slab, holds
+    # anything grid-sized (the twin's casts of the two phase arrays were 8
+    # bytes a node, a kept real diagonal 8 and 4 more)
     grid = RadialGrid(3, 8.0, 0.5)
     pp = make_potential_pair(3, {"name": "ex13"}, {"name": "exp_screened", "amplitude": 0.3})
     made = []
     held, _ = traced_memory(lambda: made.append(Discretization(grid, pp)))
     [disc] = made
     phase_bytes = grid.size * 16
-    # V is one float64 array more; a third phase array would pass the bound
-    assert 2 * phase_bytes <= held - disc.V.nbytes < 2.25 * phase_bytes
+    assert [p is None for p in disc.phases] == [False, False, True]
+    assert np.ndim(disc.capped) == 0 and not disc.capped
+    # V is one float64 array more; a third phase array, or a bool mask of
+    # the capped nodes, would pass the bound
+    assert 2 * phase_bytes <= held - disc.V.nbytes < 2 * phase_bytes + grid.size
     for dtype in (np.complex128, np.complex64):
         held, _ = traced_memory(lambda: made.append(DiscreteOperator(disc, 1.0, 0.3, dtype)))
         op = made[-1]
-        kept = [p for p in op._phases if p is not None]
-        assert len(kept) == 2
-        assert held - sum(p.nbytes for p in kept if p.dtype == np.complex64) < grid.size
+        assert held < grid.size
         assert not any(isinstance(a, np.ndarray) and a.size == grid.size
                        for a in vars(op).values())
 
@@ -193,6 +220,28 @@ def test_operator_parameter_checks():
                      (1.0, np.nan), (1.0, np.inf), (1.0, -np.inf)):
         with pytest.raises(ParameterError):
             DiscreteOperator(disc, lam=lam, eps=eps)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_twin_holds_lambda_and_eps_up_to_the_float32_range():
+    # lambda and |eps| up to float32's largest value are held by the
+    # complex64 twin's diagonal and tables: an Arnoldi step apply(minv(v))
+    # of a unit vector is finite and, the diagonal dominating, v to 1e-4
+    # (the table's entries, near 1/lambda, are subnormal float32 values
+    # of about 21 bits); the next float above is refused
+    top = float(np.finfo(np.float32).max)
+    grid = RadialGrid(3, 2.0, 0.5)
+    disc = Discretization(grid, example_field("ex13"))
+    v = random_field(grid, 3).values.ravel().astype(np.complex64)
+    v /= np.linalg.norm(v)
+    for lam, eps in ((top, 1.0), (1.0, top), (1.0, -top), (top, top)):
+        op = DiscreteOperator(disc, lam, eps, np.complex64)
+        w = op.apply(op.preconditioner()(v)).ravel()
+        assert np.linalg.norm(w - v) <= 1e-4
+    beyond = float(np.nextafter(top, math.inf))
+    for lam, eps in ((beyond, 1.0), (1.0, beyond), (1.0, -beyond)):
+        with pytest.raises(ParameterError, match="float32"):
+            DiscreteOperator(disc, lam, eps, np.complex64)
 
 
 def test_singular_potential_capped_with_warning():
@@ -865,13 +914,14 @@ def test_solve_does_not_depend_on_the_scale_of_f():
 
 def test_solve_peak_memory(traced_memory):
     # transient allocations of a solve, in grid-sized complex128 arrays:
-    # 56.2 measured, of which the 101 complex64 basis vectors are 50.5; a
+    # 55.4 measured, of which the 101 complex64 basis vectors are 50.5; a
     # complex128 basis alone would be 101, and one more grid-sized
-    # complex128 temporary would pass the bound.  The datum's values are
-    # formed inside the solve, for its start only, and dropped (they were
-    # made before the trace when make_datum kept them), and the cycle
-    # heads read its rows one at a time into a row buffer, so the peak is
-    # the same as then
+    # complex128 temporary would pass the bound, as would the twin's
+    # complex64 casts of ex13's two phase arrays (56.2 when the twin kept
+    # them; it now casts the rows of each slab into one slab buffer, which
+    # at 32^3 covers the grid).  The datum's values are formed inside the
+    # solve, for its start only, and dropped, and the cycle heads read its
+    # rows one at a time into a row buffer
     grid = RadialGrid(3, 8.0, 0.5)
     prob = build_problem(example_field("ex13"), 1.0, 0.1,
                          {"name": "gaussian", "width": 1.0}, grid)
@@ -879,7 +929,7 @@ def test_solve_peak_memory(traced_memory):
     _, peak = traced_memory(lambda: made.append(solve(prob, tol=1e-10)))
     [u] = made
     assert u.iterations >= 20
-    assert peak < 57 * grid.size * 16
+    assert peak < 56 * grid.size * 16
 
 
 def test_free_solve_peak_memory(traced_memory, monkeypatch):

@@ -219,6 +219,26 @@ def test_epsilon_sweep_samples_link_phases_once(link_phase_calls):
     assert len(link_phase_calls) == 1
 
 
+def test_epsilon_sweep_checks_the_datum_support_once(monkeypatch):
+    # the boundary check reads the whole datum; it belongs to the datum and
+    # the grid, so a sweep makes it once, not once per eps, and still warns
+    scans = []
+    reaches = resolvent._reaches_boundary
+
+    def counted(f):
+        scans.append(f)
+        return reaches(f)
+
+    monkeypatch.setattr(resolvent, "_reaches_boundary", counted)
+    grid = RadialGrid(3, 4.0, 0.5)
+    with pytest.warns(UserWarning, match="boundary") as record:
+        rep = epsilon_sweep(PotentialPair(3), 1.0, {"name": "gaussian", "width": 3.0},
+                            [1.0, 0.5, 0.25], grid, tol=1e-8)
+    assert len(rep.entries) == 3
+    assert len(scans) == 1
+    assert sum("boundary" in str(w.message) for w in record) == 1
+
+
 def test_epsilon_sweep_samples_radial_derivative_once(radial_derivative_samples):
     # the admissibility quadrature samples d_r V off the grid through its
     # own binding, which the fixture does not count; the grid's slabs of
