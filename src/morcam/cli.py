@@ -36,8 +36,8 @@ from .fields import (BUILTIN_POTENTIALS, make_potential_pair, radial_derivative_
                      trapping_component)
 from .grids import RadialGrid, point_array, save_field
 from .multipliers import check_estimate_parameters
-from .resolvent import (DATUM_BUILTINS, build_problem, check_memory,
-                        check_resolvent_parameters, solve)
+from .resolvent import (DATUM_BUILTINS, SCALE_RANGE, build_problem, check_datum,
+                        check_memory, check_resolvent_parameters, solve)
 from .verify import epsilon_sweep, identity_scan
 
 RUN_TYPES = {
@@ -197,15 +197,28 @@ def _run_solve(p, out_dir: Path):
         "residual": float(u.residual),
         "iterations": u.iterations,
         "cycles": u.cycles,
-        "l2_norm": math.sqrt(u.l2_norm_sq()),
+        "l2_norm": _l2_norm(u),
         "snapshot": str(snap),
     }
+
+
+def _l2_norm(u) -> float:
+    """The L2 norm of the solution u; when u's largest real or imaginary
+    part is below 2^-SCALE_RANGE, taken on u scaled by the power of two
+    that brings that part into [1/2, 1) (as solve scales its datum), so
+    that its squares do not underflow."""
+    top = float(np.abs(u.values.view(np.float64)).max())
+    if not 0 < top < 2.0 ** -SCALE_RANGE:
+        return math.sqrt(u.l2_norm_sq())
+    k = min(-math.frexp(top)[1], 1023)
+    return math.sqrt(u.scaled(2.0 ** k).l2_norm_sq()) * 2.0 ** -k
 
 
 def _run_verify_identity(p, out_dir: Path):
     M = 1.0 if p["M"] is None else p["M"]
     check_estimate_parameters(M=M, beta=p["beta"], n=p["n"])
     prob = _problem(p)
+    check_datum(prob.f)
     # the identity samples d_r V (when there is a V) and B_tau (when there
     # is an A) at every node; the 2^n central nodes, nearest the origin and
     # the z-axis where the built-ins are singular, are tried before the

@@ -36,10 +36,6 @@ def point_array(axes) -> np.ndarray:
     return out
 
 
-#: log2 of float32's largest value
-_LG_FLOAT32_MAX = math.log2(float(np.finfo(np.float32).max))
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Uniform cell-centered grid on [-L, L]^n with spacing h.
@@ -48,9 +44,9 @@ class RadialGrid:
     L/h must be a positive integer, (n L^2)^2 and h^n positive normal
     floats (h^n only on a grid of fewer than 2^63 nodes: a larger one
     cannot be sampled, and the memory checks of whatever would sample it
-    refuse it first), and 4n/h^2 at most float32's largest value.  Radial
-    bins collect the nodes of one radius (see slab_bins); radial shells
-    are bins of thickness h in |x|, shell k collecting nodes with
+    refuse it first).  A solve's bound on 4n/h^2 is Discretization's.
+    Radial bins collect the nodes of one radius (see slab_bins); radial
+    shells are bins of thickness h in |x|, shell k collecting nodes with
     k*h <= |x| < (k+1)*h.
     """
 
@@ -67,21 +63,16 @@ class RadialGrid:
         ratio = self.L / self.h
         if not (0.5 < ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):
             raise GridError(f"L/h must be a positive integer, got {ratio}")
-        # n L^2 bounds |x|^2 (and its square the fields' |x|^4), 4n/h^2 the
-        # stencil's diagonal, which every GMRES cycle casts to complex64
-        # (and its square the preconditioner's table, so far inside the
-        # float range), and h^n the cell volume, taken in log2 so that the
-        # check cannot overflow; h^n is judged only on a grid of fewer than
-        # 2^63 nodes, as no larger one can be sampled
-        lg_n, lg_h = math.log2(self.n), math.log2(self.h)
-        cell = self.n * lg_h if self.n * math.log2(self.m) < 63 else 0.0
-        for key, lg, top in (("L", 2 * (lg_n + 2 * math.log2(self.L)), 1024),
-                             ("h", 2 + lg_n - 2 * lg_h, _LG_FLOAT32_MAX), ("h", cell, 1024)):
-            # above log2 of the smallest positive normal float, below top
-            if not -1022 < lg < top:
+        # n L^2 bounds |x|^2 (and its square the fields' |x|^4) and h^n is
+        # the cell volume, taken in log2 so that the check cannot overflow;
+        # h^n is judged only on a grid of fewer than 2^63 nodes, as no
+        # larger one can be sampled
+        cell = self.n * math.log2(self.h) if self.n * math.log2(self.m) < 63 else 0.0
+        for key, lg in (("L", 2 * (math.log2(self.n) + 2 * math.log2(self.L))), ("h", cell)):
+            # the log2 of a positive normal float
+            if not -1022 < lg < 1024:
                 raise GridError(f"{key}={getattr(self, key)!r} is outside the float range: "
-                                f"(n L^2)^2 and h^n must be positive normal floats and "
-                                f"4n/h^2 at most float32's largest value (n={self.n})")
+                                f"(n L^2)^2 and h^n must be positive normal floats (n={self.n})")
 
     @property
     def m(self) -> int:

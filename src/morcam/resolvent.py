@@ -27,16 +27,18 @@ constant data: an axis whose link phases are all 1 keeps None in place
 of an array (its hops carry no product), and a V or d_r V that samples
 to zero is 0-d.
 One edge rule, _hops, says which hop along which axis reaches which rows
-of a slab, with which phase and which halo row along axis 0; the stencil
-and covariant_gradient both read it.  Every hop is a shift of the slab's
-flattened, contiguous rows by the axis's stride; along axes 1..n-1 the
-shift wraps across the layer the hop must not reach, which its reader
-keeps as it was.  An application of the stencil allocates its output and
-slab-sized scratch, not grid-sized temporaries, and an operator keeps no
-grid-sized array: apply forms 2n/h^2 + V - lambda - i eps per slab from
-the sampled V and reads the link phases of the discretization, which
-the complex64 twin casts row range by row range into one slab buffer,
-so each phase is held once, in complex128.  The preconditioner allocates its
+of a slab, with which phase rows (cast for the complex64 twin) and which
+halo row along axis 0, and one routine, _add_hop, adds a hop; the stencil
+and covariant_gradient both call them.  Every hop is a shift of the
+slab's flattened, contiguous rows by the axis's stride; along axes
+1..n-1 the shift wraps across the layer the hop must not reach, which
+_add_hop puts back as it was.  An application of the stencil allocates
+its output and slab-sized scratch, not grid-sized temporaries, and an
+operator keeps no grid-sized array: apply forms 2n/h^2 + V - lambda -
+i eps per slab from the sampled V and reads the link phases of the
+discretization, which the complex64 twin casts row range by row range
+into one slab buffer, so each phase is held once, in complex128.  The
+preconditioner allocates its
 output and transforms it in place, slab by slab along axis 0 and by
 column blocks across it, with two buffers of two slabs as scratch.  The
 complex128 preconditioner is called once, for the start: it keeps no
@@ -89,6 +91,7 @@ __all__ = [
     "epsilon_floor",
     "check_resolvent_parameters",
     "check_memory",
+    "check_datum",
 ]
 
 #: GMRES restart length: a solve keeps RESTART + 1 complex64 Krylov basis
@@ -159,7 +162,7 @@ def check_resolvent_parameters(lam: float | None = None,
 
     The bound is the complex64 twin's: its diagonal is (2n/h^2 + V) -
     lambda - i eps, formed in float64 and cast.  2n/h^2 + V lies in
-    (0, 4n/h^2] (V is capped at 1/h^2), which RadialGrid keeps at most
+    (0, 4n/h^2] (V is capped at 1/h^2), which Discretization keeps below
     FLOAT32_MAX, so the real part lies in [-lambda, 4n/h^2] and both parts
     cast to finite float32 values exactly when lambda and |eps| are at
     most FLOAT32_MAX.  The preconditioner's table squares mu - lambda and
@@ -271,13 +274,19 @@ class Discretization:
     grid-sized point array is formed, and a V or d_r V that samples to
     zero at every node is kept as a 0-d zero, which every reader
     broadcasts: a free pair holds no grid-sized V or d_r V.  A grid too large
-    to solve on is refused before any sampling, and a V or A that samples
-    non-finite raises ParameterError.
+    to solve on, or whose 4n/h^2 is not below float32's largest value (the
+    complex64 twin's diagonal holds it), is refused before any sampling,
+    and a V or A that samples non-finite raises ParameterError.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
         if pp.n != grid.n:
             raise ParameterError("potential and grid dimensions differ")
+        # 2n/h^2 + V, at most 4n/h^2, is the complex64 twin's diagonal (see
+        # check_resolvent_parameters), taken in log2 so that it cannot overflow
+        if not math.log2(4 * grid.n) - 2 * math.log2(grid.h) < math.log2(FLOAT32_MAX):
+            raise ParameterError(f"h={grid.h!r} is outside the float range of a solve: "
+                                 f"4n/h^2 must be below float32's largest value (n={grid.n})")
         # a solve holds RESTART + 1 complex64 Krylov basis vectors and
         # WORK_VECTORS complex128 work vectors of grid.size values
         check_memory(grid.n * math.log2(grid.m)
@@ -326,22 +335,16 @@ class Discretization:
         return self._drv
 
 
-def _phase_rows(P, s: int, e: int):
-    """The rows s-1:e of axis 0 (from row 0 when s = 0) of the link phases
-    P of one axis (link_phases' entry): the rows _hops reads for the rows
-    s:e, a view, or None for an axis without phases."""
-    return None if P is None else P[max(s - 1, 0):e]
-
-
-def _hops(P, u: np.ndarray, k: int, s: int, e: int) -> list:
+def _hops(P, u: np.ndarray, k: int, s: int, e: int, cast=None) -> list:
     """The two hops along axis k that reach the rows s:e of axis 0, up
     then down, each as (dst, U, v, edge) on flat, contiguous arrays: dst
     slices the flattened rows, v is the piece of the flattened u the hop
-    reads into them and U the phases of its edges, read from P, the
-    phases of the rows s-1:e (see _phase_rows), or None for an axis
-    without phases.  The up hop reads u(x + h e_k) across the edge
-    (x, x + h e_k) with U_k(x), the down hop u(x - h e_k) with
-    U_k(x - h e_k), which its reader conjugates.
+    reads into them and U the phases of its edges, or None when P, the
+    phases of axis k (link_phases' entry), is None.  U is read from P's
+    rows s-1:e (from row 0 when s = 0), a view, or their cast into the
+    caller's buffer cast (of a slab and a row) when it is given.  The up
+    hop reads u(x + h e_k) across the edge (x, x + h e_k) with U_k(x), the
+    down hop u(x - h e_k) with U_k(x - h e_k), which _add_hop conjugates.
 
     u and P are C-contiguous, read as flat views.  A hop is a shift of
     the flattened rows by axis k's stride m^(n-1-k).  Along axis 0 the
@@ -351,18 +354,22 @@ def _hops(P, u: np.ndarray, k: int, s: int, e: int) -> list:
     last row (up) or its first (down).  Along any other axis dst spans
     the rows but one stride, and its shift wraps across the box's last
     layer along axis k (up) or its first (down): edge indexes that layer
-    of an array of the rows, which the hop must not reach, so its reader
-    keeps it as it was (edge is None along axis 0)."""
+    of an array of the rows, which the hop must not reach, so _add_hop
+    puts it back as it was (edge is None along axis 0)."""
     m, n = u.shape[0], u.ndim
     M = u.size // m
     flat = u.reshape(-1)
+    r = max(s - 1, 0)
+    if P is not None:
+        P = P[r:e]
+        if cast is not None:
+            cast[:len(P)] = P
+            P = cast[:len(P)]
+        P = P.reshape(-1)
 
     def at(i, j):
-        # the flat phases of the rows i:j, P's first row being max(s-1, 0)
-        if P is None:
-            return None
-        i, j = i - max(s - 1, 0), j - max(s - 1, 0)
-        return P[i:j].reshape(-1)
+        # the flat phases of the rows i:j, P's first row being r
+        return None if P is None else P[(i - r) * M:(j - r) * M]
 
     if k == 0:
         b, a = min(e, m - 1), max(s, 1)
@@ -377,21 +384,28 @@ def _hops(P, u: np.ndarray, k: int, s: int, e: int) -> list:
             (slice(st, None), U, v[:N - st], layer + (0,))]
 
 
-def _add_hop(hop: np.ndarray, U, v: np.ndarray, tmp: np.ndarray,
-             conj: bool) -> None:
-    """hop += v, or hop += U v (conj(U) v when conj) with the product
-    formed in the flat scratch tmp (unused when U is None); hop, U and v
-    are flat."""
-    if U is None:
-        hop += v
-        return
-    t = tmp.reshape(-1)[:v.size]
-    if conj:
-        np.conj(U, out=t)
-        t *= v
-    else:
-        np.multiply(U, v, out=t)
-    hop += t
+def _add_hop(out: np.ndarray, hop, tmp, conj: bool, sign: int = 1) -> None:
+    """Add the hop (dst, U, v, edge) of _hops to out, the C-contiguous
+    array of its rows: out's flattened rows dst get U v (conj(U) v when
+    conj) added, or subtracted when sign is -1, the product formed in the
+    flat scratch tmp (unused when U is None: v is added as it is), and
+    out's layer edge, which the shift wraps across, is put back as it
+    was.  This is the only code that adds a hop: the stencil and the
+    covariant gradient both call it."""
+    dst, U, v, edge = hop
+    kept = None if edge is None else out[edge].copy()
+    if U is not None:
+        t = tmp.reshape(-1)[:v.size]
+        if conj:
+            np.conj(U, out=t)
+            t *= v
+        else:
+            np.multiply(U, v, out=t)
+        v = t
+    rows = out.reshape(-1)[dst]
+    (np.add if sign > 0 else np.subtract)(rows, v, out=rows)
+    if kept is not None:
+        out[edge] = kept
 
 
 class DiscreteOperator:
@@ -461,11 +475,13 @@ class DiscreteOperator:
         of the slab, and hop/h^2 is subtracted.  The slab's complex
         diagonal is formed in that scratch: its real part (2n/h^2 + V) -
         lambda in float64 (once when V is 0-d), cast to the dtype, and
-        -eps, the values a complex cast of the whole diagonal holds.  Phases
-        not of the dtype are cast, one axis at a time, into one buffer of a
-        slab and a row that every slab reuses (see _add_hops), the values a
-        cast of the whole array holds.  Every sum is taken in the order of
-        a whole-array sweep, so the values do not depend on the slab size."""
+        -eps, the values a complex cast of the whole diagonal holds.  Each
+        of the 2n hops is added by _add_hop, the hops of _hops along each
+        axis in turn, up then down.  Phases not of the dtype are cast by
+        _hops, one axis at a time, into one buffer of a slab and a row that
+        every slab reuses, the values a cast of the whole array holds.
+        Every sum is taken in the order of a whole-array sweep, so the
+        values do not depend on the slab size."""
         g, dtype, eps = self.grid, self.dtype, self.eps
         slabs = _slabs(g, dtype.itemsize)
         # hop sums the slab's hops; each product U u is formed in tmp (an
@@ -495,34 +511,14 @@ class DiscreteOperator:
             slab.imag = -eps
             np.multiply(slab, u[s:e], out=w)
             slab[...] = 0
-            self._add_hops(slab, tmp, cast, u, s, e)
+            # U_k(x) u(x + h e_k), then conj(U_k(x - h e_k)) u(x - h e_k)
+            for k, P in enumerate(self.disc.phases):
+                up, down = _hops(P, u, k, s, e, cast)
+                _add_hop(slab, up, tmp, False)
+                _add_hop(slab, down, tmp, True)
             slab *= scale
             w -= slab
             yield s, e, w
-
-    def _add_hops(self, hop, tmp, cast, u, s, e):
-        """Add to hop, the rows s:e of axis 0, the hop along each axis k
-        in turn: U_k(x) u(x + h e_k) for the edges (x, x + h e_k) that
-        start in those rows, then conj(U_k(x - h e_k)) u(x - h e_k) for
-        the edges that end there.  The hops read the rows s-1:e of the
-        axis's phases (see _phase_rows): views of disc.phases when they
-        are of the dtype, otherwise their cast into cast, the buffer of a
-        slab and a row that _sweep reuses.  A hop runs on the flattened
-        rows and the layer it must not reach is copied before and put back
-        after it, so every node gets the additions of a whole-array
-        sweep."""
-        flat = hop.reshape(-1)
-        # an axis without phases hops without a product
-        for k, P in enumerate(self.disc.phases):
-            P = _phase_rows(P, s, e)
-            if P is not None and P.dtype != self.dtype:
-                cast[:len(P)] = P
-                P = cast[:len(P)]
-            for (dst, U, v, edge), conj in zip(_hops(P, u, k, s, e), (False, True)):
-                kept = None if edge is None else hop[edge].copy()
-                _add_hop(flat[dst], U, v, tmp, conj)
-                if kept is not None:
-                    hop[edge] = kept
 
     # --- free-operator preconditioner ------------------------------------
 
@@ -800,6 +796,18 @@ def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
     return ResolventProblem(disc=disc, lam=float(lam), eps=float(eps), f=f)
 
 
+def check_datum(f: ScalarField) -> None:
+    """Raise ParameterError when the norm of the datum f, summed from the
+    squares of its rows as solve sums it (see _row_norm), is below
+    2^-SCALE_RANGE.  solve takes such a datum scaled, but the estimate and
+    the identity square the solution as it is, so their reports would
+    read 0 on both sides, a check that cannot fail."""
+    norm = _row_norm(_field_rows(f))
+    if norm < 2.0 ** -SCALE_RANGE:
+        raise ParameterError(f"the datum's norm {norm!r} is below 2^-{SCALE_RANGE}: "
+                             f"the squares of its solution underflow")
+
+
 def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
     """Solve -Hu + (lambda + i eps)u = f to relative apply-residual <= tol.
 
@@ -820,7 +828,8 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
     [1/2, 1) (above 2^-SCALE_RANGE, for a subnormal part), and u is
     scaled back by 2^-k; any other datum is solved as it is.  A tol that
     is not finite and positive raises ParameterError before any operator
-    application; nonconvergence, a non-finite residual included, raises
+    application (a tiny datum does not: check_datum is the estimate's and
+    the identity's); nonconvergence, a non-finite residual included, raises
     SolverError (with the achieved residual).
     """
     check_resolvent_parameters(tol=tol)
@@ -958,9 +967,10 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
     out (a C-contiguous complex array of shape (e - s, m, ..., m)) when
     given; Dirichlet zero is assumed outside the box.  The hops are the
     stencil's (see _hops): along axis 0 the rows read u one row past each
-    end of the range that lies inside the box.  The difference is written
-    in place and scaled by the real 1/2h (no complex division), so a row's
-    value does not depend on the range."""
+    end of the range that lies inside the box.  out is filled with zeros,
+    the up hop added and the down hop subtracted by _add_hop, the
+    stencil's hop adder, and out scaled by the real 1/2h (no complex
+    division), so a row's value does not depend on the range."""
     grid = u.grid
     if grid != disc.grid:
         raise ParameterError("field and discretization grids differ")
@@ -969,23 +979,11 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
         out = np.empty((e - s,) + grid.shape[1:], complex)
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    flat = out.reshape(-1)
-    (up, U, v, last), (down, W, w, first) = _hops(
-        _phase_rows(disc.phases[k], s, e), u.values, k, s, e)
-    if U is None:
-        flat[up] = v
-    else:
-        np.multiply(U, v, out=flat[up])
-    # the layer no up hop reaches: the rows past up along axis 0, else
-    # the layer its shift wraps across
-    if last is None:
-        flat[up.stop:] = 0
-    else:
-        out[last] = 0
-    kept = None if first is None else out[first].copy()
-    flat[down] -= w if W is None else np.conj(W) * w
-    if kept is not None:
-        out[first] = kept
+    tmp = None if disc.phases[k] is None else np.empty_like(out)
+    up, down = _hops(disc.phases[k], u.values, k, s, e)
+    out[...] = 0
+    _add_hop(out, up, tmp, False)
+    _add_hop(out, down, tmp, True, -1)
     out *= 1 / (2 * grid.h)
     return out
 

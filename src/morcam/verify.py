@@ -19,7 +19,7 @@ from .grids import RadialGrid, ScalarField
 from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters,
                           make_phi, make_varphi)
 from .norms import check_lhs_grid, dyadic_dual, theorem_lhs, theorem_rhs
-from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
+from .resolvent import (DiscreteOperator, Discretization, ResolventProblem, check_datum,
                         check_resolvent_parameters, epsilon_floor, make_datum,
                         radial_sweep, solve)
 
@@ -165,15 +165,15 @@ def identity_scan(u: ScalarField, f: ScalarField, disc: Discretization,
 
 
 def manufactured_identity(pp: PotentialPair, grid: RadialGrid, u_fn,
-                          lam: float, eps: float, M: float = 1.0,
-                          beta: float = 1e-3):
+                          lam: float, eps: float):
     """Sample a prescribed smooth u, manufacture f = -H^h u + (lam+i eps)u
-    with the discrete operator, and scan the identity."""
+    with the discrete operator, and scan the identity with identity_scan's
+    M and beta."""
     disc = Discretization(grid, pp)
     u = ScalarField.from_callable(grid, u_fn)
     op = DiscreteOperator(disc, lam, eps)
     f = ScalarField(grid, -op.apply(u.values))
-    return identity_scan(u, f, disc, lam, eps, M=M, beta=beta)
+    return identity_scan(u, f, disc, lam, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +290,9 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
     continues.  lambda, tol, the eps values (at least one, each positive
     and at most FLOAT32_MAX, see check_resolvent_parameters), M, delta
     and, in 3D, the radial shells the estimate's sphere sup needs are
-    checked before any sampling or solve.  The datum's boundary check is
-    made once for the sweep (see ResolventProblem.at)."""
+    checked before any sampling or solve, and the datum's norm (see
+    check_datum) before any solve.  The datum's boundary check is made
+    once for the sweep (see ResolventProblem.at)."""
     check_resolvent_parameters(lam=lam, tol=tol)
     eps_list = list(eps_list)
     if not eps_list or not all(e > 0 for e in eps_list):
@@ -311,6 +312,7 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                 stacklevel=2)
     disc = Discretization(grid, pp)
     f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
+    check_datum(f)
     dual = dyadic_dual(f)
     adm = admissibility_report(pp)
     report = SweepReport()

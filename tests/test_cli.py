@@ -532,14 +532,15 @@ _MAGNETIC = {"A": {"name": "ex13"}, "V": {"name": "exp_screened", "amplitude": 0
     # overflow there (n L^2 squared underflows first at 1e-100, at 2e-77
     # it does not)
     ("solve", {"grid": {"L": 1.0e-100, "h": 1.0e-100}}, "L=1e-100 is outside the float range"),
-    ("solve", {"grid": {"L": 2.0e-77, "h": 2.0e-77}}, "h=2e-77 is outside the float range"),
+    ("solve", {"grid": {"L": 2.0e-77, "h": 2.0e-77}}, "h=2e-77 is outside the float range of a solve"),
     # 4n/h^2 past float32's largest value: an overflow casting the stencil's
     # diagonal to complex64, and with warnings not errors a solver error
-    # with a NaN residual, exit 4
+    # with a NaN residual, exit 4.  Refused by the discretization, which
+    # every solve builds, before any sampling
     ("verify-identity", {"grid": {"L": 1.0e-70, "h": 1.0e-70}, "potential": _MAGNETIC},
-     "h=1e-70 is outside the float range"),
+     "h=1e-70 is outside the float range of a solve"),
     ("verify-identity", {"grid": {"L": 3.0e-77, "h": 3.0e-77}, "potential": _MAGNETIC},
-     "h=3e-77 is outside the float range"),
+     "h=3e-77 is outside the float range of a solve"),
 ])
 def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
                                               run_type, bad, named):
@@ -587,19 +588,55 @@ def test_datum_whose_squares_underflow_is_solved(tmp_path):
     # read 0: the relative residual 0/0 was a RuntimeWarning (a traceback
     # under this test's filter) and otherwise a solver error, exit 4.  The
     # solve scales the datum by a power of two and u back, so u is the
-    # unit wave's solution times 1e-200
+    # unit wave's solution times 1e-200.  Its l2_norm, whose squares
+    # underflow too, read 0; it is taken on u scaled by a power of two
     doc = {**TINY, "run": "solve", "lambda": 1.0, "eps": 0.5, "tol": 1e-10}
-    fields = []
+    fields, norms = [], []
     for amplitude in (1.0, 1.0e-200):
         case = tmp_path / str(amplitude)
         case.mkdir()
         code, out = run(case, {**doc, "f": {"name": "wave", "amplitude": amplitude}})
         assert code == 0
-        assert json.loads((out / "solve.json").read_text())["result"]["residual"] <= 1e-10
+        result = json.loads((out / "solve.json").read_text())["result"]
+        assert result["residual"] <= 1e-10
         fields.append(load_field(out / "solution.field").values)
+        norms.append(result["l2_norm"])
     unit, tiny = fields
     assert np.abs(tiny).max() > 0
     np.testing.assert_allclose(tiny, 1.0e-200 * unit, rtol=1e-8, atol=0)
+    assert norms[1] > 0
+    np.testing.assert_allclose(norms[1], 1.0e-200 * norms[0], rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("run_type", ["sweep", "verify-identity"])
+def test_datum_whose_squares_underflow_is_refused_by_estimate_runs(tmp_path, operator_calls,
+                                                                   run_type):
+    # the estimate and the identity square the solution as it is: a wave
+    # of amplitude 1e-200 was solved and reported lhs = rhs = ratio = 0 (a
+    # sweep, blow_up false) or lhs_total = rhs_total = residual_rel = 0,
+    # with exit 0.  Its norm is below 2^-400, refused before any solve
+    code, out = run(tmp_path, {**TINY, "run": run_type, "lambda": 1.0, "eps": 0.5,
+                               "eps_list": [1.0, 0.5],
+                               "f": {"name": "wave", "amplitude": 1.0e-200}})
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert "the datum's norm" in doc["detail"] and "2^-400" in doc["detail"]
+    assert operator_calls == {"apply": 0, "precond": 0}
+
+
+def test_grid_past_the_twin_range_is_refused_only_by_solves(tmp_path):
+    # 4n/h^2 past float32's largest value is a bound of the complex64
+    # twin's diagonal, which only solves build: an admissibility and a
+    # fields-check run take such an h (at L = 2, 4e70 nodes an axis, which
+    # neither samples)
+    grid = {"L": 2.0, "h": 1.0e-70}
+    for run_type in ("admissibility", "fields-check"):
+        case = tmp_path / run_type
+        case.mkdir()
+        code, _ = run(case, {**TINY, "run": run_type, "grid": grid,
+                             "potential": {"V": {"name": "exp_screened"}}})
+        assert code == 0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
