@@ -25,4 +25,4 @@ from .resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                         radial_sweep, solve)
 from .verify import (IdentityReport, SweepReport, epsilon_sweep,
                      estimate_report, identity_residual, identity_scan,
-                     manufactured_identity, resonance_functionals)
+                     manufactured_identity)

@@ -32,13 +32,13 @@ import yaml
 from . import __version__
 from .admissibility import admissibility_report
 from .errors import AccuracyError, DomainError, ParameterError, SolverError
-from .fields import (BUILTIN_POTENTIALS, make_potential_pair, radial_derivative_parts,
-                     trapping_component)
+from .fields import (BUILTIN_POTENTIALS, finite_number, make_potential_pair,
+                     radial_derivative_parts, trapping_component)
 from .grids import RadialGrid, point_array, save_field
 from .multipliers import check_estimate_parameters
-from .resolvent import (DATUM_BUILTINS, SCALE_RANGE, build_problem, check_datum,
-                        check_memory, check_resolvent_parameters, solve)
-from .verify import epsilon_sweep, identity_scan
+from .resolvent import (DATUM_BUILTINS, build_problem, check_datum, check_memory,
+                        check_resolvent_parameters, scale_exponent, solve)
+from .verify import IDENTITY_BETA, epsilon_sweep, identity_scan
 
 RUN_TYPES = {
     "fields-check": "max and mean |B_tau| over random sample points",
@@ -54,7 +54,7 @@ _DEFAULTS = {
     "eps_list": [1.0, 0.1, 0.01],
     "f": {"name": "gaussian"},
     "M": None,
-    "beta": 1e-3,
+    "beta": IDENTITY_BETA,
     "delta": None,
     "tol": 1e-10,
     "seed": 0,
@@ -126,11 +126,9 @@ def _number(value, key: str, least: int | None = None):
     """The scenario value of key as a finite float, or, given least, as
     an int >= least.  A bool, a string, a list, a mapping, None, a value
     that is not finite or a count that is not such an integer raises
-    ParameterError naming key.  Other ranges are the library's checks."""
-    # abs(value) <= max is False for NaN, +-inf and an int past the float
-    # range, whose float() would raise
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
+    ParameterError naming key (see fields.finite_number).  Other ranges
+    are the library's checks."""
+    if not finite_number(value):
         raise ParameterError(f"{key} must be a finite number, got {value!r}")
     if least is not None and (value != int(value) or value < least):
         raise ParameterError(f"{key} must be an integer >= {least}, got {value!r}")
@@ -203,20 +201,17 @@ def _run_solve(p, out_dir: Path):
 
 
 def _l2_norm(u) -> float:
-    """The L2 norm of the solution u; when u's largest real or imaginary
-    part is below 2^-SCALE_RANGE, taken on u scaled by the power of two
-    that brings that part into [1/2, 1) (as solve scales its datum), so
-    that its squares do not underflow."""
-    top = float(np.abs(u.values.view(np.float64)).max())
-    if not 0 < top < 2.0 ** -SCALE_RANGE:
-        return math.sqrt(u.l2_norm_sq())
-    k = min(-math.frexp(top)[1], 1023)
-    return math.sqrt(u.scaled(2.0 ** k).l2_norm_sq()) * 2.0 ** -k
+    """The L2 norm of the solution u, taken on u scaled by 2^k, k =
+    resolvent.scale_exponent(u) (as solve scales its datum), so that the
+    squares of a tiny u do not underflow."""
+    k = scale_exponent(u)
+    if k:
+        u = u.scaled(2.0 ** k)
+    return math.sqrt(u.l2_norm_sq()) * 2.0 ** -k
 
 
 def _run_verify_identity(p, out_dir: Path):
-    M = 1.0 if p["M"] is None else p["M"]
-    check_estimate_parameters(M=M, beta=p["beta"], n=p["n"])
+    check_estimate_parameters(M=p["M"], beta=p["beta"], n=p["n"])
     prob = _problem(p)
     check_datum(prob.f)
     # the identity samples d_r V (when there is a V) and B_tau (when there
@@ -224,14 +219,13 @@ def _run_verify_identity(p, out_dir: Path):
     # the z-axis where the built-ins are singular, are tried before the
     # solve, so that a potential undefined there is refused up front
     pp, grid = prob.disc.pp, prob.grid
-    centre = grid.coords_1d[grid.m // 2 - 1:grid.m // 2 + 1]
-    near = point_array([centre] * grid.n)
+    near = point_array([grid.coords_1d[grid.central]] * grid.n)
     if pp.V is not None or pp.dV_r is not None:
         radial_derivative_parts(pp, near)
     if pp.A is not None:
         trapping_component(pp, near)
     u = solve(prob, tol=p["tol"])
-    rep = identity_scan(u, prob.f, prob.disc, p["lambda"], p["eps"], M=M, beta=p["beta"])
+    rep = identity_scan(u, prob.f, prob.disc, p["lambda"], p["eps"], M=p["M"], beta=p["beta"])
     return rep.to_json()
 
 

@@ -363,6 +363,14 @@ _ELECTRIC = {
 }
 
 
+def finite_number(value) -> bool:
+    """Whether value is a finite real number: a bool is not one, nor an
+    int past the float range."""
+    # abs(v) <= max is False for NaN, +-inf and an int past the float range
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
 def resolve_builtin(spec, defaults: dict, what: str):
     """(name, params) of a built-in spec: a name, or a mapping with "name"
     and parameter overrides.  defaults maps each built-in's name to its
@@ -386,9 +394,7 @@ def resolve_builtin(spec, defaults: dict, what: str):
         if value is None and defaults[name][key] is None:
             continue
         entries = value if key == "center" and isinstance(value, list) else [value]
-        # abs(v) <= max is False for NaN, +-inf and an int past the float range
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   and abs(v) <= sys.float_info.max for v in entries):
+        if not all(map(finite_number, entries)):
             raise ParameterError(f"parameter {key} of {what} '{name}' must be "
                                  f"a finite number, got {value!r}")
     return name, {**defaults[name], **params}

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["RadialGrid", "ScalarField", "point_array", "save_field", "load_field"]
+__all__ = ["RadialGrid", "ScalarField", "point_array", "check_same_grid", "save_field",
+           "load_field"]
 
 
 class GridError(ParameterError):
@@ -188,11 +189,23 @@ class RadialGrid:
         r = self.bin_radii
         return float(sums[(r >= R - self.h / 2) & (r < R + self.h / 2)].sum() / self.h)
 
+    @property
+    def central(self) -> slice:
+        """The indexes of the central two nodes of an axis: along every
+        axis they give the 2^n nodes nearest the origin."""
+        return slice(self.m // 2 - 1, self.m // 2 + 1)
+
     def interpolate_origin(self, values: np.ndarray) -> complex:
         """Multilinear interpolation to x = 0 (plain average of the 2^n
         symmetric nearest nodes, the central two of every axis)."""
-        near = slice(self.m // 2 - 1, self.m // 2 + 1)
-        return complex(values[(near,) * self.n].ravel().mean())
+        return complex(values[(self.central,) * self.n].ravel().mean())
+
+
+def check_same_grid(a: RadialGrid, b: RadialGrid) -> None:
+    """Raise ParameterError unless a and b are the same grid: the one check
+    of every reader that takes two arguments on grids."""
+    if a != b:
+        raise ParameterError(f"arguments on different grids: {a} and {b}")
 
 
 class ScalarField:

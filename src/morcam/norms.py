@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import MorcamError, ParameterError
-from .grids import RadialGrid, ScalarField
+from .grids import RadialGrid, ScalarField, check_same_grid
 from .multipliers import check_estimate_parameters
 from .resolvent import (Discretization, check_memory, check_resolvent_parameters,
                         radial_sweep)
@@ -88,8 +88,7 @@ def dyadic_dual(f: ScalarField):
 
 def duality_gap(f: ScalarField, g: ScalarField):
     """Both sides of the discrete duality |int f conj(g)| <= |||g||| N(f)."""
-    if f.grid != g.grid:
-        raise MorcamError("duality_gap needs fields on a shared grid")
+    check_same_grid(f.grid, g.grid)
     lhs = abs(f.grid.integrate(f.values * np.conj(g.values)))
     mc, _ = morrey_campanato(g)
     nf, _ = dyadic_dual(f)
@@ -254,6 +253,13 @@ def hardy_ratio(u: ScalarField, disc: Discretization) -> float:
 # ---------------------------------------------------------------------------
 
 
+def origin_sq(u: ScalarField) -> float:
+    """|u(0)|^2, u(0) interpolated from the 2^n central nodes (see
+    RadialGrid.interpolate_origin): the estimate's origin term and the
+    mass the identity pairs with the origin atom of the bilaplacian."""
+    return abs(u.grid.interpolate_origin(u.values)) ** 2
+
+
 def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
                 delta: float) -> NormReport:
     """Itemized left-hand side of the a priori estimate.
@@ -295,7 +301,7 @@ def theorem_lhs(u: ScalarField, disc: Discretization, lam: float, M: float,
     tangential = float(sums[1] @ (1 / r))
 
     if n == 3:
-        rep.values["origin_sq"] = abs(grid.interpolate_origin(u.values)) ** 2
+        rep.values["origin_sq"] = origin_sq(u)
 
     rep.values["drV_minus"] = rep.values["V_minus"] = 0.0
     if potential:

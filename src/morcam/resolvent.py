@@ -63,12 +63,11 @@ held for the whole grid.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,7 +75,7 @@ import numpy as np
 from .errors import ParameterError, SolverError
 from .fields import (PotentialPair, radial_derivative_parts, resolve_builtin,
                      trapping_component)
-from .grids import RadialGrid, ScalarField, point_array
+from .grids import RadialGrid, ScalarField, check_same_grid, point_array
 
 __all__ = [
     "Discretization",
@@ -92,6 +91,7 @@ __all__ = [
     "check_resolvent_parameters",
     "check_memory",
     "check_datum",
+    "scale_exponent",
 ]
 
 #: GMRES restart length: a solve keeps RESTART + 1 complex64 Krylov basis
@@ -695,35 +695,17 @@ def _sine_rest(x: np.ndarray, bufs, S: np.ndarray, out=None) -> np.ndarray:
 
 @dataclass
 class ResolventProblem:
+    """-Hu + (lambda + i eps)u = f on disc's grid, as solve takes it: a
+    plain record, which solve checks."""
+
     disc: Discretization
     lam: float
     eps: float
     f: ScalarField
-    op: DiscreteOperator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        grid = self.f.grid
-        if grid != self.disc.grid:
-            raise ParameterError("datum and discretization grids differ")
-        self.op = DiscreteOperator(self.disc, self.lam, self.eps)
-        if _reaches_boundary(self.f):
-            warnings.warn(
-                "datum is not supported at distance >= 2h from the box "
-                "boundary; Dirichlet truncation error is uncontrolled",
-                # 3 skips __post_init__ and the generated __init__
-                stacklevel=3)
 
     @property
     def grid(self) -> RadialGrid:
         return self.f.grid
-
-    def at(self, eps: float) -> "ResolventProblem":
-        """This problem at another eps: the same discretization and datum,
-        whose boundary check (see _reaches_boundary) is not repeated."""
-        prob = copy.copy(self)
-        prob.eps = eps
-        prob.op = DiscreteOperator(self.disc, self.lam, eps)
-        return prob
 
 
 def _reaches_boundary(f: ScalarField) -> bool:
@@ -752,6 +734,23 @@ DATUM_BUILTINS = {
 
 
 def make_datum(grid: RadialGrid, spec) -> ScalarField:
+    """The datum of a run on grid, from spec: a ScalarField on grid, taken
+    as it is (one on another grid raises ParameterError), or a built-in
+    (see _builtin_datum).  Either way it is scanned once for support near
+    the box boundary (see _reaches_boundary), with a warning when it has
+    any, however many eps a run solves it at."""
+    if isinstance(spec, ScalarField):
+        check_same_grid(spec.grid, grid)
+        f = spec
+    else:
+        f = _builtin_datum(grid, spec)
+    if _reaches_boundary(f):
+        warnings.warn("datum is not supported at distance >= 2h from the box "
+                      "boundary; Dirichlet truncation error is uncontrolled", stacklevel=2)
+    return f
+
+
+def _builtin_datum(grid: RadialGrid, spec) -> ScalarField:
     """Built-in data: gaussian / shell bump / point-like bump / wave
     packet, named as resolve_builtin takes them, with DATUM_BUILTINS'
     defaults.  The gaussian, point and wave data are separable: each is
@@ -788,12 +787,10 @@ def make_datum(grid: RadialGrid, spec) -> ScalarField:
 
 def build_problem(pp: PotentialPair, lam: float, eps: float, f_spec,
                   grid: RadialGrid) -> ResolventProblem:
-    """Assemble the problem of pp on grid (sampled once, see
-    Discretization) for the datum f_spec: a ScalarField on grid, or a
-    built-in datum spec as make_datum takes it."""
-    disc = Discretization(grid, pp)
-    f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
-    return ResolventProblem(disc=disc, lam=float(lam), eps=float(eps), f=f)
+    """The problem of pp on grid (sampled once, see Discretization) for
+    the datum make_datum(grid, f_spec); lam and eps are solve's to check."""
+    return ResolventProblem(Discretization(grid, pp), float(lam), float(eps),
+                            make_datum(grid, f_spec))
 
 
 def check_datum(f: ScalarField) -> None:
@@ -806,6 +803,16 @@ def check_datum(f: ScalarField) -> None:
     if norm < 2.0 ** -SCALE_RANGE:
         raise ParameterError(f"the datum's norm {norm!r} is below 2^-{SCALE_RANGE}: "
                              f"the squares of its solution underflow")
+
+
+def scale_exponent(f: ScalarField) -> int:
+    """The k of the power of two 2^k that brings the largest real or
+    imaginary part of f into [1/2, 1) when that part is positive and below
+    2^-SCALE_RANGE, else 0.  k is at most 1023, for 2^1023, the largest
+    power of two a float holds, takes even a subnormal part above
+    2^-SCALE_RANGE.  The parts are read one row of axis 0 at a time."""
+    top = max(np.abs(r.view(np.float64)).max() for _, _, r in _field_rows(f))
+    return min(-math.frexp(top)[1], 1023) if 0 < top < 2.0 ** -SCALE_RANGE else 0
 
 
 def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
@@ -823,31 +830,31 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
     -u reads f in place instead of a negated copy; negation is exact, so u
     is the same as from the system with right-hand side -f.  ||f|| is
     summed from the squares of f's rows (see _row_norm).  A datum whose
-    norm is below 2^-SCALE_RANGE is zero (u = 0) or solved scaled by the
-    power of two 2^k that brings its largest real or imaginary part into
-    [1/2, 1) (above 2^-SCALE_RANGE, for a subnormal part), and u is
-    scaled back by 2^-k; any other datum is solved as it is.  A tol that
-    is not finite and positive raises ParameterError before any operator
-    application (a tiny datum does not: check_datum is the estimate's and
-    the identity's); nonconvergence, a non-finite residual included, raises
-    SolverError (with the achieved residual).
+    norm is below 2^-SCALE_RANGE is zero (u = 0) or solved scaled by
+    2^k, k = scale_exponent(f), and u is scaled back by 2^-k; any other
+    datum is solved as it is.  A tol that is not finite and positive, a
+    datum and a discretization on different grids, and a lambda or eps
+    that DiscreteOperator refuses raise ParameterError before f is read,
+    the zero datum included (a tiny datum does not: check_datum is the
+    estimate's and the identity's); nonconvergence, a non-finite residual
+    included, raises SolverError (with the achieved residual).  The
+    problem's one complex128 operator is built here.
     """
     check_resolvent_parameters(tol=tol)
     grid, f = prob.grid, prob.f
+    check_same_grid(grid, prob.disc.grid)
+    op = DiscreteOperator(prob.disc, prob.lam, prob.eps)
     bnorm, k = _row_norm(_field_rows(f)), 0
     if bnorm < 2.0 ** -SCALE_RANGE:
-        # the largest real or imaginary part of f
-        top = max(np.abs(r.view(np.float64)).max() for _, _, r in _field_rows(f))
-        if top == 0:
+        # f's largest part is at most its norm, so k is 0 only for f = 0
+        k = scale_exponent(f)
+        if k == 0:
             u = ScalarField.zeros(grid)
             u.residual, u.iterations, u.cycles = 0.0, 0, 0
             return u
-        # 2^1023, the largest power of two a float holds, takes even a
-        # subnormal part above 2^-SCALE_RANGE
-        k = min(-math.frexp(top)[1], 1023)
         f = f.scaled(2.0 ** k)
         bnorm = _row_norm(_field_rows(f))
-    x, res, its, cycles = _gmres(prob.op, f, bnorm, tol)
+    x, res, its, cycles = _gmres(op, f, bnorm, tol)
     if not res <= tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
@@ -972,8 +979,7 @@ def covariant_gradient(u: ScalarField, disc: Discretization, k: int,
     stencil's hop adder, and out scaled by the real 1/2h (no complex
     division), so a row's value does not depend on the range."""
     grid = u.grid
-    if grid != disc.grid:
-        raise ParameterError("field and discretization grids differ")
+    check_same_grid(grid, disc.grid)
     s, e = (0, grid.m) if rows is None else rows
     if out is None:
         out = np.empty((e - s,) + grid.shape[1:], complex)
@@ -1025,8 +1031,7 @@ def radial_sweep(u: ScalarField, disc: Discretization, densities: Callable,
     and a node's values do not depend on the slab size; only the order of
     the bin sums does."""
     grid = u.grid
-    if grid != disc.grid:
-        raise ParameterError("field and discretization grids differ")
+    check_same_grid(grid, disc.grid)
     n, c = grid.n, grid.coords_1d
     slabs = _slabs(grid, _WORK_NODE_BYTES)
     shape = (slabs[0][1],) + grid.shape[1:]

@@ -1,7 +1,7 @@
 """Term-by-term evaluation of the multiplier identity on discrete
-solutions, assembly of the a priori estimate, epsilon sweeps, and the
-zero-resonance diagnostics.  The identity's densities are binned in one
-resolvent.radial_sweep over slabs of the grid.
+solutions, assembly of the a priori estimate, and epsilon sweeps.  The
+identity's densities are binned in one resolvent.radial_sweep over slabs
+of the grid.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .admissibility import AdmissibilityReport, admissibility_report
-from .errors import MorcamError, ParameterError, SolverError
+from .errors import ParameterError, SolverError
 from .fields import PotentialPair
-from .grids import RadialGrid, ScalarField
+from .grids import RadialGrid, ScalarField, check_same_grid
 from .multipliers import (Multiplier, SymmetricWeight, check_estimate_parameters,
                           make_phi, make_varphi)
-from .norms import check_lhs_grid, dyadic_dual, theorem_lhs, theorem_rhs
+from .norms import check_lhs_grid, dyadic_dual, origin_sq, theorem_lhs, theorem_rhs
 from .resolvent import (DiscreteOperator, Discretization, ResolventProblem, check_datum,
                         check_resolvent_parameters, epsilon_floor, make_datum,
                         radial_sweep, solve)
@@ -31,7 +31,6 @@ __all__ = [
     "manufactured_identity",
     "estimate_report",
     "epsilon_sweep",
-    "resonance_functionals",
 ]
 
 
@@ -91,8 +90,7 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     slab when A is present), and each scale evaluates its radial profiles
     on the bin radii.
     """
-    if u.grid != f.grid:
-        raise MorcamError("u and f must share a grid")
+    check_same_grid(u.grid, f.grid)
     grid = u.grid
     h, r = grid.h, grid.bin_radii
     trapping = disc.pp.A is not None
@@ -117,7 +115,7 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     sums = radial_sweep(u, disc, densities, trapping)
     s_g2, s_gr2, s_gtau2, s_u2, s_drv, s_V, s_fxg, s_fu, s_uxg = sums[:9]
     s_trap = sums[9] if trapping else None
-    origin = abs(grid.interpolate_origin(u.values)) ** 2
+    origin = origin_sq(u)
 
     reports = []
     for mult, weight in scales:
@@ -153,11 +151,17 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     return reports
 
 
+#: The symmetric-weight constant beta of identity_scan when none is given.
+IDENTITY_BETA = 1e-3
+
+
 def identity_scan(u: ScalarField, f: ScalarField, disc: Discretization,
-                  lam: float, eps: float, M: float = 1.0, beta: float = 1e-3):
+                  lam: float, eps: float, M: float | None = None,
+                  beta: float = IDENTITY_BETA):
     """Evaluate the identity at the multiplier scales R = L/8, L/4 and
     L/2 and return the worst-residual report (the identity holds for
-    every R)."""
+    every R).  M None is 1."""
+    M = 1.0 if M is None else M
     n, L = u.grid.n, u.grid.L
     scales = [(make_phi(n, R, M), make_varphi(n, R, beta)) for R in (L / 8, L / 4, L / 2)]
     reports = identity_residual(u, f, disc, lam, eps, scales)
@@ -291,8 +295,8 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
     and at most FLOAT32_MAX, see check_resolvent_parameters), M, delta
     and, in 3D, the radial shells the estimate's sphere sup needs are
     checked before any sampling or solve, and the datum's norm (see
-    check_datum) before any solve.  The datum's boundary check is made
-    once for the sweep (see ResolventProblem.at)."""
+    check_datum) before any solve.  The datum is made, and checked for
+    support near the boundary, once for the sweep (see make_datum)."""
     check_resolvent_parameters(lam=lam, tol=tol)
     eps_list = list(eps_list)
     if not eps_list or not all(e > 0 for e in eps_list):
@@ -311,7 +315,7 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                 "1/Im sqrt(lambda + i eps), so box truncation error may dominate",
                 stacklevel=2)
     disc = Discretization(grid, pp)
-    f = f_spec if isinstance(f_spec, ScalarField) else make_datum(grid, f_spec)
+    f = make_datum(grid, f_spec)
     check_datum(f)
     dual = dyadic_dual(f)
     adm = admissibility_report(pp)
@@ -320,11 +324,9 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
         report.notes.append(INADMISSIBLE_NOTE)
     if lam == 0:
         report.notes.append(LAMBDA_ZERO_NOTE)
-    eps_list = sorted(eps_list, reverse=True)
-    prob = ResolventProblem(disc=disc, lam=lam, eps=eps_list[0], f=f)
-    for eps in eps_list:
+    for eps in sorted(eps_list, reverse=True):
         try:
-            u = solve(prob.at(eps), tol=tol)
+            u = solve(ResolventProblem(disc, lam, eps, f), tol=tol)
             lhs, rhs, ratio = estimate_report(u, dual, disc, lam, eps, adm,
                                               M=M, delta=delta)
             report.add(eps, lhs.total, rhs.total, ratio,
@@ -335,29 +337,3 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
             report.errors[eps] = str(exc)
     return report
 
-
-def resonance_functionals(u: ScalarField, disc: Discretization,
-                          R_list=None) -> dict:
-    """Zero-resonance diagnostics: sup and largest-R value of
-    (1/R) int_{|x|<=R} [|V| + <x>^-2] |u|^2, plus int |V| |u|^2, with V
-    the operator's, capped as in disc.V."""
-    grid = u.grid
-    if grid != disc.grid:
-        raise ParameterError("field and discretization grids differ")
-    if R_list is None:
-        R_list = [R for R in (2.0, 4.0, grid.L / 2, grid.L) if R > 1]
-    if not R_list or min(R_list) <= 1 or max(R_list) > grid.L * math.sqrt(grid.n):
-        raise MorcamError("R_list must lie in (1, sqrt(n) L]")
-    r = grid.bin_radii
-    u2 = u.abs2()
-    s_V = grid.bin_sums(np.abs(disc.V) * u2)
-    dens = s_V + grid.bin_sums(u2) / (1 + r ** 2)
-    out_vals = {R: float(dens[r <= R].sum()) / R for R in sorted(R_list)}
-    largest = max(out_vals)
-    return {
-        "sup": max(out_vals.values()),
-        "at_largest_R": out_vals[largest],
-        "largest_R": largest,
-        "per_R": out_vals,
-        "V_mass": float(s_V.sum()),
-    }

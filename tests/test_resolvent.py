@@ -584,12 +584,11 @@ def test_radial_derivative_that_samples_to_zero_is_kept_zero_dimensional(
 
 def test_problem_takes_the_datum_maximum_slab_by_slab(traced_memory):
     # the boundary check reads the datum's maximum one slab at a time, so
-    # building a problem allocates a fraction of one grid-sized array
-    # (np.abs of the whole datum was half a complex128 one)
+    # making a datum of a field allocates a fraction of one grid-sized
+    # array (np.abs of the whole datum was half a complex128 one)
     grid = RadialGrid(3, 8.0, 0.25)
-    disc = Discretization(grid, PotentialPair(3))
     f = make_datum(grid, "gaussian")
-    _, peak = traced_memory(lambda: ResolventProblem(disc, 1.0, 1.0, f))
+    _, peak = traced_memory(lambda: make_datum(grid, f))
     assert peak < 0.25 * grid.size * 16
 
 
@@ -608,12 +607,9 @@ def test_problem_warns_on_boundary_supported_datum():
     with pytest.warns(UserWarning, match="boundary"):
         build_problem(PotentialPair(3), 1.0, 1.0,
                       {"name": "gaussian", "width": 6.0}, grid)
-    # the warning names the line that builds the problem, not the
-    # dataclass's generated __init__
-    disc = Discretization(grid, PotentialPair(3))
-    f = make_datum(grid, {"name": "gaussian", "width": 6.0})
+    # the warning names the line that makes the datum
     with pytest.warns(UserWarning, match="boundary") as record:
-        ResolventProblem(disc=disc, lam=1.0, eps=1.0, f=f)
+        make_datum(grid, {"name": "gaussian", "width": 6.0})
     assert record[0].filename == __file__
 
 
@@ -621,7 +617,6 @@ def test_problem_warns_on_boundary_supported_datum():
 def test_boundary_warning_reads_the_two_outer_layers(n):
     # the nodes with |x_k| > L - 2h are index layers 0, 1, m-2 and m-1
     grid = RadialGrid(n, 2.0, 0.5)
-    disc = Discretization(grid, PotentialPair(n))
     m = grid.m
     for layer, warns in ((1, True), (m - 2, True), (2, False), (m - 3, False)):
         for k in range(n):
@@ -632,17 +627,19 @@ def test_boundary_warning_reads_the_two_outer_layers(n):
             vals[tuple(idx)] = 1.0
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                ResolventProblem(disc=disc, lam=1.0, eps=1.0,
-                                 f=ScalarField(grid, vals))
+                make_datum(grid, ScalarField(grid, vals))
             assert any("boundary" in str(w.message) for w in caught) == warns
 
 
-def test_problem_parameter_checks():
+def test_problem_parameter_checks(operator_calls):
+    # a problem is a plain record: solve refuses its eps = 0 and lambda < 0
+    # before any operator application
     grid = small_grid()
-    with pytest.raises(ParameterError):
-        build_problem(PotentialPair(3), 1.0, 0.0, "point", grid)
-    with pytest.raises(ParameterError):
-        build_problem(PotentialPair(3), -1.0, 1.0, "point", grid)
+    with pytest.raises(ParameterError, match="eps"):
+        solve(build_problem(PotentialPair(3), 1.0, 0.0, "point", grid))
+    with pytest.raises(ParameterError, match="lambda"):
+        solve(build_problem(PotentialPair(3), -1.0, 1.0, "point", grid))
+    assert operator_calls == {"apply": 0, "precond": 0}
     with pytest.raises(ParameterError):
         build_problem(PotentialPair(4), 1.0, 1.0, "point", grid)
 
@@ -696,7 +693,8 @@ def test_free_solve_matches_exact_spectral_inverse():
     grid = small_grid(h=0.25)
     prob = build_problem(PotentialPair(3), 1.0, 0.5, "point", grid)
     u = solve(prob, tol=1e-12)
-    exact = prob.op.preconditioner()((-prob.f.values).ravel()).reshape(grid.shape)
+    op = DiscreteOperator(prob.disc, prob.lam, prob.eps)
+    exact = op.preconditioner()((-prob.f.values).ravel()).reshape(grid.shape)
     scale = np.abs(exact).max()
     assert np.abs(u.values - exact).max() < 1e-9 * scale
 
@@ -889,12 +887,13 @@ def test_solve_refines_below_single_precision(operator_dtypes):
     # most a factor 1 / CYCLE_REDUCTION
     prob = magnetic_point_problem(0.25)
     u = solve(prob, tol=1e-13)
+    assert operator_dtypes == [np.complex128, np.complex64]
     b = -prob.f.values
-    res = np.linalg.norm(prob.op.apply(u.values) - b) / np.linalg.norm(b)
+    op = DiscreteOperator(prob.disc, prob.lam, prob.eps)
+    res = np.linalg.norm(op.apply(u.values) - b) / np.linalg.norm(b)
     assert res <= 1e-13
     assert u.residual == pytest.approx(res)
     assert u.cycles >= 3
-    assert operator_dtypes == [np.complex128, np.complex64]
 
 
 def test_solve_does_not_depend_on_the_scale_of_f():
@@ -1012,7 +1011,8 @@ def test_solve_reaches_requested_residual():
     prob = build_problem(pp, 1.0, 0.25, "point", grid)
     u = solve(prob, tol=1e-10)
     b = -prob.f.values
-    res = np.linalg.norm(prob.op.apply(u.values) - b) / np.linalg.norm(b)
+    op = DiscreteOperator(prob.disc, prob.lam, prob.eps)
+    res = np.linalg.norm(op.apply(u.values) - b) / np.linalg.norm(b)
     assert res <= 1e-10
     assert u.residual == pytest.approx(res)
 

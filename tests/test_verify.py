@@ -10,12 +10,12 @@ from morcam.errors import MorcamError, ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, make_varphi
-from morcam.norms import dyadic_dual, hardy_ratio, theorem_lhs, theorem_rhs
-from morcam.resolvent import (DiscreteOperator, Discretization, build_problem, make_datum,
-                              solve)
+from morcam.norms import duality_gap, dyadic_dual, hardy_ratio, theorem_lhs, theorem_rhs
+from morcam.resolvent import (DiscreteOperator, Discretization, ResolventProblem, build_problem,
+                              covariant_gradient, make_datum, radial_sweep, solve)
 from morcam.verify import (IdentityReport, SweepReport, epsilon_sweep,
                            estimate_report, identity_residual, identity_scan,
-                           manufactured_identity, resonance_functionals)
+                           manufactured_identity)
 from oracles import swirl, zero_V_reference
 
 
@@ -37,6 +37,25 @@ def test_identity_trivial_on_zero_solution():
                               [(mult, weight)])
     assert rep.lhs_total == 0.0 and rep.rhs_total == 0.0
     assert rep.residual_abs == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda a, b, disc: make_datum(a.grid, b), id="make_datum"),
+    pytest.param(lambda a, b, disc: solve(ResolventProblem(disc, 1.0, 1.0, b)), id="solve"),
+    pytest.param(lambda a, b, disc: covariant_gradient(b, disc, 0), id="covariant_gradient"),
+    pytest.param(lambda a, b, disc: radial_sweep(b, disc, lambda sl: [sl.u2]),
+                 id="radial_sweep"),
+    pytest.param(lambda a, b, disc: identity_residual(a, b, disc, 1.0, 1.0, []),
+                 id="identity_residual"),
+    pytest.param(lambda a, b, disc: duality_gap(a, b), id="duality_gap"),
+])
+def test_grid_mismatch_is_a_parameter_error(call):
+    # every entry point that takes two arguments on grids refuses two
+    # different grids with the one ParameterError
+    a = ScalarField.zeros(RadialGrid(3, 2.0, 0.5))
+    b = ScalarField.zeros(RadialGrid(3, 2.0, 0.25))
+    with pytest.raises(ParameterError, match="different grids"):
+        call(a, b, Discretization(a.grid, PotentialPair(3)))
 
 
 def test_identity_grid_mismatch_rejected():
@@ -219,9 +238,11 @@ def test_epsilon_sweep_samples_link_phases_once(link_phase_calls):
     assert len(link_phase_calls) == 1
 
 
-def test_epsilon_sweep_checks_the_datum_support_once(monkeypatch):
+def test_epsilon_sweep_checks_the_datum_support_once(monkeypatch, operator_dtypes):
     # the boundary check reads the whole datum; it belongs to the datum and
-    # the grid, so a sweep makes it once, not once per eps, and still warns
+    # the grid, so a sweep makes it once, not once per eps, and still warns.
+    # Each eps builds one operator of each precision, the complex128 one in
+    # its solve and the complex64 twin at its first cycle
     scans = []
     reaches = resolvent._reaches_boundary
 
@@ -232,11 +253,13 @@ def test_epsilon_sweep_checks_the_datum_support_once(monkeypatch):
     monkeypatch.setattr(resolvent, "_reaches_boundary", counted)
     grid = RadialGrid(3, 4.0, 0.5)
     with pytest.warns(UserWarning, match="boundary") as record:
-        rep = epsilon_sweep(PotentialPair(3), 1.0, {"name": "gaussian", "width": 3.0},
+        rep = epsilon_sweep(example_field("ex13"), 1.0, {"name": "gaussian", "width": 3.0},
                             [1.0, 0.5, 0.25], grid, tol=1e-8)
-    assert len(rep.entries) == 3
+    assert len(rep.entries) == 3 and not rep.errors
     assert len(scans) == 1
     assert sum("boundary" in str(w.message) for w in record) == 1
+    assert operator_dtypes.count(np.complex128) == operator_dtypes.count(np.complex64) == 3
+    assert len(operator_dtypes) == 6
 
 
 def test_epsilon_sweep_samples_radial_derivative_once(radial_derivative_samples):
@@ -290,52 +313,9 @@ def test_free_sweep_peak_memory(traced_memory, monkeypatch):
     assert peak <= grid.size * 16 + 8 * resolvent.SLAB_BYTES
 
 
-# --- resonance functionals ---------------------------------------------------
-
-
-def test_resonance_functionals_decay_for_compact_u():
-    grid = RadialGrid(3, 8.0, 0.25)
-    u = ScalarField.from_callable(
-        grid, lambda X: np.exp(-2.0 * np.sum(X ** 2, axis=-1)) + 0j)
-    pp = make_potential_pair(3, None, {"name": "gaussian", "amplitude": 1.0})
-    out = resonance_functionals(u, Discretization(grid, pp), R_list=[2.0, 4.0, 8.0])
-    # the mass saturates, so the 1/R functional decays roughly like 1/R
-    assert out["per_R"][4.0] < out["per_R"][2.0]
-    assert out["per_R"][8.0] < out["per_R"][4.0]
-    assert out["at_largest_R"] == out["per_R"][8.0]
-    assert out["largest_R"] == 8.0
-    assert out["sup"] == max(out["per_R"].values())
-    assert out["V_mass"] > 0
-
-
-def test_resonance_functionals_validate_radii():
-    grid = RadialGrid(3, 4.0, 0.5)
-    u = ScalarField.from_callable(grid, bump)
-    disc = Discretization(grid, PotentialPair(3))
-    with pytest.raises(MorcamError):
-        resonance_functionals(u, disc, R_list=[0.5, 2.0])
-    with pytest.raises(MorcamError):
-        resonance_functionals(u, disc, R_list=[100.0])
-    with pytest.raises(ParameterError):
-        resonance_functionals(u, Discretization(RadialGrid(3, 4.0, 0.25), PotentialPair(3)))
-
-
-def test_resonance_functionals_read_the_capped_potential():
-    # coulomb c = -10 exceeds the cap 1/h^2 = 4 inside r = 2.5; the
-    # uncapped V would give V_mass 29.32
-    grid = RadialGrid(3, 4.0, 0.5)
-    pp = make_potential_pair(3, None, {"name": "coulomb", "c": -10.0})
-    with pytest.warns(UserWarning, match="capped"):
-        disc = Discretization(grid, pp)
-    u = ScalarField(grid, np.exp(-np.sum(grid.points ** 2, axis=-1)))
-    out = resonance_functionals(u, disc)
-    assert out["V_mass"] == pytest.approx(7.87, abs=5e-3)
-
-
 def test_readers_take_a_zero_potential_as_a_grid_sized_zero():
-    # a V that samples to zero is kept 0-d; theorem_lhs, identity_residual,
-    # resonance_functionals and radial_derivative read it as they read a
-    # grid-sized zero array
+    # a V that samples to zero is kept 0-d; theorem_lhs, identity_residual
+    # and radial_derivative read it as they read a grid-sized zero array
     grid = RadialGrid(3, 4.0, 0.25)
     pp = make_potential_pair(3, {"name": "ex13"}, {"name": "gaussian", "amplitude": 0.0})
     disc, ref = Discretization(grid, pp), zero_V_reference(grid, pp)
@@ -349,7 +329,6 @@ def test_readers_take_a_zero_potential_as_a_grid_sized_zero():
     [a] = identity_residual(u, f, disc, 1.0, 0.5, scales)
     [b] = identity_residual(u, f, ref, 1.0, 0.5, scales)
     assert (a.lhs_terms, a.rhs_terms) == (b.lhs_terms, b.rhs_terms)
-    assert resonance_functionals(u, disc) == resonance_functionals(u, ref)
 
 
 # --- the slab sweep against the whole-array references -------------------------

@@ -1,10 +1,11 @@
 """Print one SHA-256 per report file of a fixed set of scenarios.
 
 The scenarios are the seed-0 scenario of each workload of
-perfbench/workloads.py and the four small ones of EXTRA, which reach
+perfbench/workloads.py and the five small ones of EXTRA, which reach
 what no workload runs: the ex14 built-in, the admissibility,
 fields-check and solve run types, and a datum that is not separable
-(the shell, which keeps its values where the others keep 1-D factors).  Each is written into a temporary
+(the shell, which keeps its values where the others keep 1-D factors)
+in an identity run and in a sweep.  Each is written into a temporary
 directory and run through morcam.cli.main with --json-only; every file
 it writes is hashed, a solve's binary solution.field included.  The
 temporary directory's path is masked in every file before it is
@@ -57,6 +58,10 @@ EXTRA = {
         "n": 3, "run": "verify-identity", "grid": {"L": 5.0, "h": 0.25},
         "potential": {"A": {"name": "ex13"}, "V": {"name": "exp_screened", "amplitude": 0.3}},
         "lambda": 1.0, "eps": 1.0, "f": {"name": "shell", "radius": 1.5, "width": 0.5},
+    },
+    "shell_sweep": {
+        "n": 3, "run": "sweep", "grid": {"L": 4.0, "h": 0.5}, "potential": {"A": {"name": "ex13"}},
+        "lambda": 1.0, "eps_list": [2.0, 1.0], "f": {"name": "shell", "radius": 1.5, "width": 0.5},
     },
 }
 
