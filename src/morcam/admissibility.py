@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import (PotentialPair, _check_points, _radial_contraction,
-                     magnetic_matrix, radial_derivative_parts, sq_norm)
+                     magnetic_matrix, radial_derivative_parts, sq_norm,
+                     trapping_component)
 from .norms import mixed_radial_norm, weighted_sup_norm
 
 __all__ = [
@@ -68,8 +69,10 @@ def compute_constants(pp: PotentialPair):
     n = 3: mixed radial norms of |B_tau|, (d_r V)_+, <x>^-1 V_+ with
     exponents (3/2, p=2), (2, p=1), (2, p=1).  n >= 4: weighted sup norms
     with exponents 2, 3, 3, both on the fixed quadrature of morcam.norms
-    (QUAD_R_MAX, QUAD_DR, QUAD_DIRS).  A constant whose potential is
-    absent is 0; +inf propagates as a value.
+    (QUAD_R_MAX, QUAD_DR, QUAD_DIRS).  A pair's closed-form B_tau is
+    taken as it is; otherwise B_tau comes from the field matrix.  The
+    weights of a V_radial pair's V are sampled on one ray.  A constant
+    whose potential is absent is 0; +inf propagates as a value.
     """
     # Noise in B_tau scales with the full field magnitude; left in, it
     # mimics a divergent integrand for non-trapping fields.  It is
@@ -79,6 +82,8 @@ def compute_constants(pp: PotentialPair):
     cutoff = 1e-9 if pp.A_jac is not None else 1e-6
 
     def btau_mag(X):
+        if pp.B_tau is not None:
+            return np.sqrt(sq_norm(trapping_component(pp, X)))
         B = magnetic_matrix(pp, X)
         mag = np.sqrt(sq_norm(_radial_contraction(X, B)))
         scale = np.sqrt(sq_norm(B.reshape(B.shape[:-2] + (-1,))))
@@ -88,16 +93,18 @@ def compute_constants(pp: PotentialPair):
         X = _check_points(pp, X, require_nonzero=True)
         return np.maximum(pp.eval_V(X), 0.0) / np.sqrt(1 + sq_norm(X))
 
-    # (potential the constant needs, weight, 3D (exponent, p), n >= 4 exponent)
+    # (potential the constant needs, weight, whether the weight is radial,
+    # 3D (exponent, p), n >= 4 exponent)
     rows = [
-        (pp.A, btau_mag, (1.5, 2), 2.0),
-        (pp.V, lambda X: np.maximum(radial_derivative_parts(pp, X), 0.0), (2.0, 1), 3.0),
-        (pp.V, v_plus_screened, (2.0, 1), 3.0),
+        (pp.A, btau_mag, False, (1.5, 2), 2.0),
+        (pp.V, lambda X: np.maximum(radial_derivative_parts(pp, X), 0.0), pp.V_radial,
+         (2.0, 1), 3.0),
+        (pp.V, v_plus_screened, pp.V_radial, (2.0, 1), 3.0),
     ]
     return tuple(0.0 if part is None
-                 else mixed_radial_norm(w, p, e3, 3) if pp.n == 3
-                 else weighted_sup_norm(w, e, pp.n)
-                 for part, w, (e3, p), e in rows)
+                 else mixed_radial_norm(w, p, e3, 3, radial) if pp.n == 3
+                 else weighted_sup_norm(w, e, pp.n, radial)
+                 for part, w, radial, (e3, p), e in rows)
 
 
 def check_condition_3d(C1: float, C2: float, C3: float = math.nan) -> AdmissibilityReport:

@@ -43,18 +43,25 @@ def sq_norm(x: np.ndarray) -> np.ndarray:
 @dataclass
 class PotentialPair:
     """Magnetic potential A and electric potential V with optional
-    analytic derivatives.
+    closed forms of their derived quantities.
 
     A_jac, when supplied, returns the Jacobian J[..., i, j] = dA^i/dx_j.
-    dV_r returns the radial derivative grad V . x/|x|.  domain_check may
-    raise DomainError for points where the potentials are singular.
+    B_tau returns the trapping component (x/|x|) B itself, which
+    trapping_component then takes in place of differentiating A (ex13
+    declares its zeros).  dV_r returns the radial derivative
+    grad V . x/|x|.  V_radial declares that V, and so d_r V, depends on
+    |x| alone (every electric built-in), so that the admissibility
+    quadrature samples their weights on one ray.  domain_check may raise
+    DomainError for points where the potentials are singular.
     """
 
     n: int
     A: Optional[Callable] = None
     V: Optional[Callable] = None
     A_jac: Optional[Callable] = None
+    B_tau: Optional[Callable] = None
     dV_r: Optional[Callable] = None
+    V_radial: bool = False
     domain_check: Optional[Callable] = None
 
     def __post_init__(self):
@@ -142,11 +149,14 @@ def trapping_component(pp: PotentialPair, x: np.ndarray) -> np.ndarray:
     """Trapping (tangential) component B_tau(x) = (x/|x|) B(x).
 
     In three dimensions this equals (x/|x|) x curl A.  B_tau . x = 0 by
-    antisymmetry of B.  Formed _TRAPPING_CHUNK points at a time, so
-    neither the Jacobian nor the (..., n, n) field matrix is ever held
-    for all points.
+    antisymmetry of B.  The pair's closed-form B_tau when it has one,
+    after the same point checks; otherwise formed _TRAPPING_CHUNK points
+    at a time, so neither the Jacobian nor the (..., n, n) field matrix
+    is ever held for all points.
     """
     x = _check_points(pp, x, require_nonzero=True)
+    if pp.B_tau is not None:
+        return np.asarray(pp.B_tau(x), float)
     out = np.zeros(x.shape)
     if pp.A is None:
         return out
@@ -237,7 +247,12 @@ def _swirl(k: int, tol: float, message: str) -> dict:
     """The PotentialPair keywords A, A_jac and domain_check of the swirl
     A = (-y, x, 0)/q on R^3, where q is the sum of the squares of the
     first k coordinates: k = 3 gives ex13, k = 2 ex14.  domain_check
-    raises DomainError with message where q < tol."""
+    raises DomainError with message where q < tol.  For k = 3 also
+    B_tau, identically zero: A is then e_3 x x/|x|^2, whose curl
+    2z x/|x|^4 is parallel to x, so B_tau = (x/|x|) x curl A = 0.  ex14's
+    B_tau, zero off the z-axis too, is left to the Jacobian, which reads
+    its rounding noise as a divergent C1 (see
+    admissibility.compute_constants)."""
 
     def sq(x):
         # einsum for k = 3, whose bits the reports carry: X*X + Y*Y + Z*Z
@@ -274,7 +289,10 @@ def _swirl(k: int, tol: float, message: str) -> dict:
         if np.any(sq(np.asarray(x, float)) < tol):
             raise DomainError(message)
 
-    return {"A": A, "A_jac": A_jac, "domain_check": domain_check}
+    keywords = {"A": A, "A_jac": A_jac, "domain_check": domain_check}
+    if k == 3:
+        keywords["B_tau"] = lambda x: np.zeros(x.shape)
+    return keywords
 
 
 #: The PotentialPair keywords of each closed-form magnetic built-in.
@@ -288,9 +306,10 @@ def example_field(kind: str, *, h=None, omega=None, alpha=None) -> PotentialPair
     """Closed-form non-trapping magnetic potentials.
 
     kind "ex13": A = (-y, x, 0)/(x^2+y^2+z^2), divergence-free with
-    B_tau = 0.  kind "ex14": A = (-y, x, 0)/(x^2+y^2), a pure gauge away
-    from the z-axis (its field matrix is zero there; the field carries a
-    line singularity that is not differentiated numerically).  These two
+    B_tau = 0, which it declares.  kind "ex14": A = (-y, x, 0)/(x^2+y^2),
+    a pure gauge away from the z-axis (its field matrix is zero there; the
+    field carries a line singularity that is not differentiated
+    numerically).  These two
     are the built-ins of the same names, with their analytic Jacobians.
     kind "ex14_family": A is evaluated by Biot-Savart quadrature of the
     axially modulated field B(y) = h(y/|y| . omega) |y|^(-alpha) y/|y|.
@@ -404,6 +423,7 @@ def make_potential_pair(n: int, A_spec=None, V_spec=None) -> PotentialPair:
     """Assemble a PotentialPair from built-ins named in BUILTIN_POTENTIALS.
 
     A_spec/V_spec are resolved by resolve_builtin; None means "zero".
+    Every electric built-in is a function of |x|, so V_radial is set.
     """
 
     def builtins(kind):
@@ -424,4 +444,4 @@ def make_potential_pair(n: int, A_spec=None, V_spec=None) -> PotentialPair:
     if v_name != "zero":
         V, dV_r = map(_radial, _ELECTRIC[v_name](**v_par))
 
-    return PotentialPair(n, V=V, dV_r=dV_r, **magnetic)
+    return PotentialPair(n, V=V, dV_r=dV_r, V_radial=True, **magnetic)

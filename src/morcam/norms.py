@@ -128,14 +128,19 @@ def _grows_at_an_end(blocks: np.ndarray, grows: Callable) -> bool:
 
 #: The mixed-norm quadrature: radii (k + 1/2) QUAD_DR up to QUAD_R_MAX,
 #: each sphere sampled in QUAD_DIRS fixed directions (a Fibonacci sphere
-#: in 3D, normal samples of seed QUAD_SEED above), the radii evaluated
-#: QUAD_BLOCK at a time.  QUAD_BLOCK bounds the memory of w's temporaries
-#: (an n x n field matrix per point for |B_tau|).
+#: in 3D, normal samples of seed QUAD_SEED above), or a radial weight on
+#: the one ray r e_1, where |x| = r exactly.  w is evaluated on whole
+#: radii of at most QUAD_BLOCK points at a time (one radius at least),
+#: which bounds the memory of its temporaries (an n x n Jacobian and
+#: field matrix per point for |B_tau|).  Blocks of 64 radii of 240
+#: directions took ex14's constants from 0.15-0.18 s at 256 radii to
+#: 0.10-0.11 s on one core of a 2-core Xeon, and every value is the same
+#: at any block size; the 4096 points of a ray take one block.
 QUAD_R_MAX = 64.0
 QUAD_DR = 1.0 / 64.0
 QUAD_DIRS = 240
 QUAD_SEED = 7
-QUAD_BLOCK = 256
+QUAD_BLOCK = 64 * 240
 
 
 def _directions(n: int) -> np.ndarray:
@@ -152,32 +157,37 @@ def _directions(n: int) -> np.ndarray:
     return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 
-def _sphere_sups(w: Callable, n: int, weight_exponent: float):
+def _sphere_sups(w: Callable, n: int, weight_exponent: float, radial: bool):
     """The quadrature radii and, per radius r, r^e times the max of w
-    over the direction sample, for the weight exponent e, evaluating w
-    on QUAD_BLOCK radii at a time.  A block of points that would not fit
-    in physical memory (n in the thousands) raises ParameterError before
-    any is formed."""
+    over the direction sample (w(r e_1) for a radial w), for the weight
+    exponent e, evaluating w on QUAD_BLOCK points at a time.  A block of
+    points that would not fit in physical memory (n in the thousands)
+    raises ParameterError before any is formed."""
+    count = 1 if radial else QUAD_DIRS
+    radii = np.arange(QUAD_DR / 2, QUAD_R_MAX, QUAD_DR)
+    step = max(1, QUAD_BLOCK // count)
     # a block of points, n coordinates each, sets the peak: by tracemalloc
     # 1.05 to 1.1 of it at n = 50 and 100, 2.4 to 3 at n = 3 and 4
-    check_memory(math.log2(QUAD_BLOCK * QUAD_DIRS * n * 8),
+    check_memory(math.log2(min(step, radii.size) * count * n * 8),
                  f"a radial quadrature in {n} dimensions")
-    dirs = _directions(n)
-    radii = np.arange(QUAD_DR / 2, QUAD_R_MAX, QUAD_DR)
+    dirs = np.eye(1, n) if radial else _directions(n)
     sups = np.empty(radii.size)
-    for lo in range(0, radii.size, QUAD_BLOCK):
-        r = radii[lo:lo + QUAD_BLOCK]
+    for lo in range(0, radii.size, step):
+        r = radii[lo:lo + step]
         vals = np.asarray(w(r[:, None, None] * dirs[None, :, :]), float)
-        if vals.shape != (r.size, dirs.shape[0]):
+        if vals.shape != (r.size, count):
             raise MorcamError("w must return one value per sample point")
-        sups[lo:lo + QUAD_BLOCK] = vals.max(axis=1)
+        sups[lo:lo + step] = vals.max(axis=1)
     return radii, radii ** weight_exponent * sups
 
 
-def mixed_radial_norm(w: Callable, p: int, weight_exponent: float, n: int) -> float:
+def mixed_radial_norm(w: Callable, p: int, weight_exponent: float, n: int,
+                      radial: bool = False) -> float:
     """Mixed norm ( int_0^inf sup_{|x|=r} (|x|^e w(x))^p dr )^(1/p).
 
-    w must be a vectorized nonnegative map on R^n.  p is 1 or 2.  A +inf
+    w must be a vectorized nonnegative map on R^n.  p is 1 or 2.  A
+    radial w (a function of |x| alone) is sampled on one ray, which
+    makes the norm the 1-D integral of its profile.  A +inf
     result signals a divergent integral, whose truncation is not a stable
     approximation of a finite value: the dyadic block at an end of the
     sampled range still holds at least 0.9 of its neighbour's, both above
@@ -186,7 +196,7 @@ def mixed_radial_norm(w: Callable, p: int, weight_exponent: float, n: int) -> fl
     """
     if p not in (1, 2):
         raise ParameterError(f"p must be 1 or 2, got {p}")
-    radii, sup_r = _sphere_sups(w, n, weight_exponent)
+    radii, sup_r = _sphere_sups(w, n, weight_exponent, radial)
     contributions = sup_r ** p * QUAD_DR
     blocks = _dyadic_blocks(radii, contributions, sup=False)
     sig = 1e-10 * blocks.sum()
@@ -196,12 +206,14 @@ def mixed_radial_norm(w: Callable, p: int, weight_exponent: float, n: int) -> fl
     return total if p == 1 else math.sqrt(total)
 
 
-def weighted_sup_norm(w: Callable, weight_exponent: float, n: int) -> float:
-    """sup over R^n of |x|^e w(x) on the radial/angular sample, with +inf
-    when the radial profile of the sup still grows at either end of the
-    sampled range (see _grows_at_an_end): the end block's sup is more than
-    1.05 times its neighbour's and above 1e-10 of the largest."""
-    radii, sup_r = _sphere_sups(w, n, weight_exponent)
+def weighted_sup_norm(w: Callable, weight_exponent: float, n: int,
+                      radial: bool = False) -> float:
+    """sup over R^n of |x|^e w(x) on the radial/angular sample (one ray
+    for a radial w), with +inf when the radial profile of the sup still
+    grows at either end of the sampled range (see _grows_at_an_end): the
+    end block's sup is more than 1.05 times its neighbour's and above
+    1e-10 of the largest."""
+    radii, sup_r = _sphere_sups(w, n, weight_exponent, radial)
     blocks = _dyadic_blocks(radii, sup_r, sup=True)
     sig = 1e-10 * blocks.max()
     if _grows_at_an_end(blocks, lambda a, b: a > sig and a > 1.05 * b):

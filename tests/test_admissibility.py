@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from morcam import norms
 from morcam.admissibility import (admissibility_report, check_condition_3d,
                                   check_condition_nd, compute_constants)
 from morcam.errors import ParameterError
@@ -12,13 +13,14 @@ from oracles import condition_value_3d, dense_grid_minimum, swirl
 
 rng = np.random.default_rng(11)
 
-# the constants below are computed on a lighter quadrature
-pytestmark = pytest.mark.usefixtures("light_quadrature")
+#: the constants of the tests so marked are computed on a lighter quadrature
+light = pytest.mark.usefixtures("light_quadrature")
 
 
 # --- constants from concrete potentials --------------------------------------
 
 
+@light
 def test_constants_nontrapping_vortex():
     pp = make_potential_pair(3, {"name": "ex13"}, None)
     C1, C2, C3 = compute_constants(pp)
@@ -36,6 +38,7 @@ def rotation_4d(x):
     return (x @ J.T) / np.sum(x ** 2, axis=-1)[..., None]
 
 
+@light
 @pytest.mark.parametrize("n, A", [(3, make_potential_pair(3, {"name": "ex13"}).A),
                                   (4, rotation_4d)], ids=["ex13", "rotation_4d"])
 def test_non_trapping_field_without_jacobian_gets_C1_zero(n, A):
@@ -48,6 +51,7 @@ def test_non_trapping_field_without_jacobian_gets_C1_zero(n, A):
     assert admissibility_report(PotentialPair(n, A=A)).admissible
 
 
+@light
 def test_trapping_field_without_jacobian_keeps_its_C1():
     # the swirl's B_tau is of the size of B: the difference Jacobian's
     # cutoff leaves a finite nonzero C1 (2.0 at the default quadrature)
@@ -56,6 +60,7 @@ def test_trapping_field_without_jacobian_keeps_its_C1():
     assert not admissibility_report(PotentialPair(3, A=swirl)).admissible
 
 
+@light
 def test_constants_attractive_coulomb_diverge():
     pp = make_potential_pair(3, None, {"name": "coulomb", "c": -1.0})
     C1, C2, C3 = compute_constants(pp)
@@ -66,6 +71,7 @@ def test_constants_attractive_coulomb_diverge():
     assert any("infinite" in note for note in rep.notes)
 
 
+@light
 def test_constants_inverse_square_4d():
     pp = make_potential_pair(4, None, {"name": "inverse_square", "c": -1.0})
     C1, C2, C3 = compute_constants(pp)
@@ -78,6 +84,7 @@ def test_constants_inverse_square_4d():
     assert not rep.admissible
 
 
+@light
 @pytest.mark.parametrize("n, C2_ref", [(3, 0.581344), (4, 1.118703), (5, 1.118703)])
 def test_drv_vanishing_beyond_a_radius_gives_finite_C2(n, C2_ref):
     # V = 0.4 exp(-(|x| - 2)^2): (d_r V)_+ is exactly 0 beyond r = 2 while
@@ -97,11 +104,60 @@ def test_drv_vanishing_beyond_a_radius_gives_finite_C2(n, C2_ref):
     assert admissibility_report(pp).admissible
 
 
+@light
 def test_screened_potential_admissible():
     pp = make_potential_pair(3, None, {"name": "exp_screened", "amplitude": 0.3})
     rep = admissibility_report(pp)
     assert rep.admissible
     assert rep.value < 1.0
+
+
+@light
+def test_constants_do_not_depend_on_the_quadrature_block(monkeypatch):
+    # no point's value and no radius's max depends on how many points a
+    # block holds; 7 radii a block leave a ragged last block, on the
+    # sphere sample (ex14's Jacobian, the swirl's differences) and on the
+    # ray of a radial V
+    pairs = [make_potential_pair(3, {"name": "ex14"}, {"name": "exp_screened", "amplitude": 0.3}),
+             PotentialPair(3, A=swirl)]
+    default = [compute_constants(pp) for pp in pairs]
+    monkeypatch.setattr(norms, "QUAD_BLOCK", 7 * norms.QUAD_DIRS)
+    assert [compute_constants(pp) for pp in pairs] == default
+
+
+#: C1 of each magnetic built-in: ex13's B_tau is zero, and ex14's
+#: Jacobian reads the rounding noise of its zero field as divergent
+#: (ROADMAP item 9)
+VERDICT_A = {"none": (None, 0.0), "ex13": ({"name": "ex13"}, 0.0),
+             "ex14": ({"name": "ex14"}, math.inf)}
+#: (C2, C3) of each electric built-in at its defaults, as the 240-direction
+#: sample read them before a radial V was sampled on one ray: coulomb's
+#: r^2 (d_r V)_+ = 1 and inverse_square's r^2 V_+/<x> ~ 1/r make their
+#: integrals diverge, and gaussian(-1)'s C2 sits just under the threshold 1
+VERDICT_V = {
+    "none": (None, 0.0, 0.0),
+    "coulomb": ({"name": "coulomb"}, math.inf, 0.0),
+    "inverse_square": ({"name": "inverse_square"}, 0.0, math.inf),
+    "gaussian(-1)": ({"name": "gaussian", "amplitude": -1.0}, 0.9999999991306543, 0.0),
+    "gaussian(+1)": ({"name": "gaussian", "amplitude": 1.0}, 0.0, 0.3017250806094692),
+    "exp_screened": ({"name": "exp_screened"}, 0.0, 0.3785503761988506),
+}
+
+
+@pytest.mark.parametrize("v", VERDICT_V)
+@pytest.mark.parametrize("a", VERDICT_A)
+def test_builtin_verdict_table(a, v):
+    # on the default quadrature: C1 bit for bit, every 0 or inf exactly,
+    # a finite C2 or C3 to the few ulps the one ray moves it
+    (A, C1), (V, C2, C3) = VERDICT_A[a], VERDICT_V[v]
+    rep = admissibility_report(make_potential_pair(3, A, V))
+    assert rep.C1 == C1
+    for got, want in ((rep.C2, C2), (rep.C3, C3)):
+        if want in (0.0, math.inf):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert rep.admissible == (a != "ex14" and v not in ("coulomb", "inverse_square"))
 
 
 # --- 3D condition, closed form vs oracle -------------------------------------

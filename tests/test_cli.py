@@ -513,7 +513,7 @@ _MAGNETIC = {"A": {"name": "ex13"}, "V": {"name": "exp_screened", "amplitude": 0
     # message; 8^(10^12) nodes: m**n never finished
     ("solve", {"n": 400}, "a solve on a grid of 8^400 nodes"),
     ("sweep", {"n": 1.0e12}, "a solve on a grid of 8^1000000000000 nodes"),
-    # a (256, 240, n) block of quadrature points: MemoryError traceback
+    # a block of quadrature points, n coordinates each: MemoryError traceback
     ("admissibility", {"n": 1.0e12, "potential": {"V": {"name": "coulomb"}}},
      "a radial quadrature in 1000000000000 dimensions"),
     # n L^2 past the float range: an OverflowError traceback from 1/h^2

@@ -126,7 +126,9 @@ def test_trapping_matches_the_field_matrix_formula(pp):
 
 
 def test_trapping_orthogonal_to_x():
-    pp = example_field("ex13")
+    # ex13's B_tau from its analytic Jacobian, not its declared zeros
+    ex13 = example_field("ex13")
+    pp = PotentialPair(3, A=ex13.A, A_jac=ex13.A_jac)
     pts = random_points(200)
     bt = trapping_component(pp, pts)
     dots = np.einsum("ij,ij->i", bt, pts)
@@ -137,6 +139,12 @@ def test_trapping_rejects_origin():
     pp = PotentialPair(3, A=lambda x: np.asarray(x, float))
     with pytest.raises(DomainError):
         trapping_component(pp, np.zeros(3))
+
+
+def test_declared_trapping_rejects_origin():
+    # ex13's declared B_tau is read after the same point checks
+    with pytest.raises(DomainError):
+        trapping_component(example_field("ex13"), np.zeros(3))
 
 
 # --- example fields ----------------------------------------------------------

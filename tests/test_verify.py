@@ -45,8 +45,9 @@ def test_identity_trivial_on_zero_solution():
     pytest.param(lambda a, b, disc: covariant_gradient(b, disc, 0), id="covariant_gradient"),
     pytest.param(lambda a, b, disc: radial_sweep(b, disc, lambda sl: [sl.u2]),
                  id="radial_sweep"),
-    pytest.param(lambda a, b, disc: identity_residual(a, b, disc, 1.0, 1.0, []),
-                 id="identity_residual"),
+    pytest.param(lambda a, b, disc: identity_residual(
+        a, b, disc, 1.0, 1.0, [(make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))]),
+        id="identity_residual"),
     pytest.param(lambda a, b, disc: duality_gap(a, b), id="duality_gap"),
 ])
 def test_grid_mismatch_is_a_parameter_error(call):

@@ -1,16 +1,17 @@
 """Print one SHA-256 per report file of a fixed set of scenarios.
 
 The scenarios are the seed-0 scenario of each workload of
-perfbench/workloads.py and the five small ones of EXTRA, which reach
+perfbench/workloads.py and the seven small ones of EXTRA, which reach
 what no workload runs: the ex14 built-in, the admissibility,
-fields-check and solve run types, and a datum that is not separable
-(the shell, which keeps its values where the others keep 1-D factors)
-in an identity run and in a sweep.  Each is written into a temporary
-directory and run through morcam.cli.main with --json-only; every file
-it writes is hashed, a solve's binary solution.field included.  The
-temporary directory's path is masked in every file before it is
-hashed, so two checkouts of code that writes the same reports print the
-same lines.  BLAS and OpenMP run on one thread, set before numpy loads,
+fields-check and solve run types, ex13's declared B_tau and a radial
+V's one-ray quadrature in those two run types, and a datum that is not
+separable (the shell, which keeps its values where the others keep 1-D
+factors) in an identity run and in a sweep.  Each is written into a
+temporary directory and run through morcam.cli.main with --json-only;
+every file it writes is hashed, a solve's binary solution.field
+included.  The temporary directory's path is masked in every file
+before it is hashed, so two checkouts of code that writes the same
+reports print the same lines.  BLAS and OpenMP run on one thread, set before numpy loads,
 because GMRES step counts depend on the thread count.  Run from
 anywhere:
 
@@ -39,6 +40,7 @@ from morcam.cli import main as morcam_main  # noqa: E402
 
 MASK = b"<dir>"
 
+_EX13 = {"A": {"name": "ex13"}}
 _EX14 = {"A": {"name": "ex14"}}
 #: The scenarios besides the workloads', each about a second or less.
 EXTRA = {
@@ -49,6 +51,15 @@ EXTRA = {
     "ex14_fields_check": {
         "n": 3, "run": "fields-check", "grid": {"L": 2.0, "h": 0.5}, "potential": _EX14,
     },
+    # the default gaussian (amplitude -1) has C2 = 0.99999999913, just
+    # under the threshold
+    "ex13_admissibility": {
+        "n": 3, "run": "admissibility", "grid": {"L": 2.0, "h": 0.5},
+        "potential": {**_EX13, "V": {"name": "gaussian"}},
+    },
+    "ex13_fields_check": {
+        "n": 3, "run": "fields-check", "grid": {"L": 2.0, "h": 0.5}, "potential": _EX13,
+    },
     "ex14_solve": {
         "n": 3, "run": "solve", "grid": {"L": 4.0, "h": 0.5},
         "potential": {**_EX14, "V": {"name": "coulomb", "c": 0.5}},
@@ -56,11 +67,11 @@ EXTRA = {
     },
     "shell_identity": {
         "n": 3, "run": "verify-identity", "grid": {"L": 5.0, "h": 0.25},
-        "potential": {"A": {"name": "ex13"}, "V": {"name": "exp_screened", "amplitude": 0.3}},
+        "potential": {**_EX13, "V": {"name": "exp_screened", "amplitude": 0.3}},
         "lambda": 1.0, "eps": 1.0, "f": {"name": "shell", "radius": 1.5, "width": 0.5},
     },
     "shell_sweep": {
-        "n": 3, "run": "sweep", "grid": {"L": 4.0, "h": 0.5}, "potential": {"A": {"name": "ex13"}},
+        "n": 3, "run": "sweep", "grid": {"L": 4.0, "h": 0.5}, "potential": _EX13,
         "lambda": 1.0, "eps_list": [2.0, 1.0], "f": {"name": "shell", "radius": 1.5, "width": 0.5},
     },
 }
