@@ -21,8 +21,8 @@ pts = rng.standard_normal((500, 3))
 pts *= rng.uniform(0.5, 4.0, (500, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
 
 B = magnetic_matrix(pp, pts)
-# B_tau from the field matrix; trapping_component returns the zeros that
-# ex13 declares
+# B_tau from the field matrix; ex13 declares non_trapping, so
+# trapping_component returns zeros for it without forming B
 bt = np.einsum("pi,pij->pj", pts / np.linalg.norm(pts, axis=1, keepdims=True), B)
 print("vortex field |B| range:   [%.3f, %.3f]"
       % (np.linalg.norm(B, axis=(1, 2)).min(), np.linalg.norm(B, axis=(1, 2)).max()))

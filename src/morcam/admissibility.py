@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import (PotentialPair, _check_points, _radial_contraction,
-                     magnetic_matrix, radial_derivative_parts, sq_norm,
-                     trapping_component)
+                     magnetic_matrix, radial_derivative_parts, sq_norm)
 from .norms import mixed_radial_norm, weighted_sup_norm
 
 __all__ = [
@@ -69,10 +68,11 @@ def compute_constants(pp: PotentialPair):
     n = 3: mixed radial norms of |B_tau|, (d_r V)_+, <x>^-1 V_+ with
     exponents (3/2, p=2), (2, p=1), (2, p=1).  n >= 4: weighted sup norms
     with exponents 2, 3, 3, both on the fixed quadrature of morcam.norms
-    (QUAD_R_MAX, QUAD_DR, QUAD_DIRS).  A pair's closed-form B_tau is
-    taken as it is; otherwise B_tau comes from the field matrix.  The
-    weights of a V_radial pair's V are sampled on one ray.  A constant
-    whose potential is absent is 0; +inf propagates as a value.
+    (QUAD_R_MAX, QUAD_DR, QUAD_DIRS).  B_tau comes from the field
+    matrix; a pair that declares non_trapping has no C1 to measure, as a
+    pair without A has none.  The weights of a V_radial pair's V are
+    sampled on one ray.  A constant whose potential is absent (or, for
+    C1, declared zero) is 0; +inf propagates as a value.
     """
     # Noise in B_tau scales with the full field magnitude; left in, it
     # mimics a divergent integrand for non-trapping fields.  It is
@@ -82,8 +82,6 @@ def compute_constants(pp: PotentialPair):
     cutoff = 1e-9 if pp.A_jac is not None else 1e-6
 
     def btau_mag(X):
-        if pp.B_tau is not None:
-            return np.sqrt(sq_norm(trapping_component(pp, X)))
         B = magnetic_matrix(pp, X)
         mag = np.sqrt(sq_norm(_radial_contraction(X, B)))
         scale = np.sqrt(sq_norm(B.reshape(B.shape[:-2] + (-1,))))
@@ -96,7 +94,7 @@ def compute_constants(pp: PotentialPair):
     # (potential the constant needs, weight, whether the weight is radial,
     # 3D (exponent, p), n >= 4 exponent)
     rows = [
-        (pp.A, btau_mag, False, (1.5, 2), 2.0),
+        (pp.A if pp.samples_trapping else None, btau_mag, False, (1.5, 2), 2.0),
         (pp.V, lambda X: np.maximum(radial_derivative_parts(pp, X), 0.0), pp.V_radial,
          (2.0, 1), 3.0),
         (pp.V, v_plus_screened, pp.V_radial, (2.0, 1), 3.0),

@@ -214,10 +214,13 @@ def _run_verify_identity(p, out_dir: Path):
     check_estimate_parameters(M=p["M"], beta=p["beta"], n=p["n"])
     prob = _problem(p)
     check_datum(prob.f)
-    # the identity samples d_r V (when there is a V) and B_tau (when there
-    # is an A) at every node; the 2^n central nodes, nearest the origin and
-    # the z-axis where the built-ins are singular, are tried before the
-    # solve, so that a potential undefined there is refused up front
+    # the 2^n central nodes, nearest the origin and the z-axis where the
+    # built-ins are singular, are tried before the solve, so that a
+    # potential undefined there is refused up front: through d_r V, which
+    # the identity samples at every node (when there is a V), and through
+    # B_tau for every A.  The identity samples no B_tau of a non_trapping
+    # A, and the link phases sample A with no domain check, so for such an
+    # A this try is the run's one domain check of A before the solve
     pp, grid = prob.disc.pp, prob.grid
     near = point_array([grid.coords_1d[grid.central]] * grid.n)
     if pp.V is not None or pp.dV_r is not None:

@@ -46,27 +46,33 @@ class PotentialPair:
     closed forms of their derived quantities.
 
     A_jac, when supplied, returns the Jacobian J[..., i, j] = dA^i/dx_j.
-    B_tau returns the trapping component (x/|x|) B itself, which
-    trapping_component then takes in place of differentiating A (ex13
-    declares its zeros).  dV_r returns the radial derivative
-    grad V . x/|x|.  V_radial declares that V, and so d_r V, depends on
-    |x| alone (every electric built-in), so that the admissibility
-    quadrature samples their weights on one ray.  domain_check may raise
-    DomainError for points where the potentials are singular.
+    non_trapping declares that the trapping component (x/|x|) B is zero
+    wherever A is defined (ex13 declares it), so that no reader samples
+    it.  dV_r returns the radial derivative grad V . x/|x|.  V_radial
+    declares that V, and so d_r V, depends on |x| alone (every electric
+    built-in), so that the admissibility quadrature samples their weights
+    on one ray.  domain_check may raise DomainError for points where the
+    potentials are singular.
     """
 
     n: int
     A: Optional[Callable] = None
     V: Optional[Callable] = None
     A_jac: Optional[Callable] = None
-    B_tau: Optional[Callable] = None
     dV_r: Optional[Callable] = None
+    non_trapping: bool = False
     V_radial: bool = False
     domain_check: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n < 3:
             raise ParameterError(f"dimension must be >= 3, got {self.n}")
+
+    @property
+    def samples_trapping(self) -> bool:
+        """Whether B_tau is formed from A: there is an A, and it does not
+        declare non_trapping."""
+        return self.A is not None and not self.non_trapping
 
     def eval_A(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
@@ -139,9 +145,11 @@ def _radial_contraction(x: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 #: Points per block of trapping_component, which bounds the Jacobian and
-#: field matrix held at once.  Of 1024, 4096, 16384 and 65536 points and
-#: no blocking, 4096 was fastest on an 80^3 grid: 42 ms against 66 ms
-#: unblocked, on one core of a Xeon with 2 MiB of L2 per core.
+#: field matrix held at once where B_tau is formed from A: for ex14 and
+#: any A that does not declare non_trapping, in the identity and in
+#: fields-check.  4096 was the fastest of 1024, 4096, 16384 and 65536
+#: points and no blocking on ex13's 80^3 identity grid, before ex13
+#: declared non_trapping, on one core of a Xeon with 2 MiB of L2 per core.
 _TRAPPING_CHUNK = 4096
 
 
@@ -149,16 +157,14 @@ def trapping_component(pp: PotentialPair, x: np.ndarray) -> np.ndarray:
     """Trapping (tangential) component B_tau(x) = (x/|x|) B(x).
 
     In three dimensions this equals (x/|x|) x curl A.  B_tau . x = 0 by
-    antisymmetry of B.  The pair's closed-form B_tau when it has one,
-    after the same point checks; otherwise formed _TRAPPING_CHUNK points
-    at a time, so neither the Jacobian nor the (..., n, n) field matrix
-    is ever held for all points.
+    antisymmetry of B.  Zeros, after the point checks, for a pair without
+    A or one that declares non_trapping; otherwise formed
+    _TRAPPING_CHUNK points at a time, so neither the Jacobian nor the
+    (..., n, n) field matrix is ever held for all points.
     """
     x = _check_points(pp, x, require_nonzero=True)
-    if pp.B_tau is not None:
-        return np.asarray(pp.B_tau(x), float)
     out = np.zeros(x.shape)
-    if pp.A is None:
+    if not pp.samples_trapping:
         return out
     xs, outs = x.reshape(-1, pp.n), out.reshape(-1, pp.n)
     for start in range(0, len(xs), _TRAPPING_CHUNK):
@@ -244,14 +250,14 @@ def biot_savart(B_fn: Callable, x) -> np.ndarray:
 
 
 def _swirl(k: int, tol: float, message: str) -> dict:
-    """The PotentialPair keywords A, A_jac and domain_check of the swirl
-    A = (-y, x, 0)/q on R^3, where q is the sum of the squares of the
-    first k coordinates: k = 3 gives ex13, k = 2 ex14.  domain_check
-    raises DomainError with message where q < tol.  For k = 3 also
-    B_tau, identically zero: A is then e_3 x x/|x|^2, whose curl
-    2z x/|x|^4 is parallel to x, so B_tau = (x/|x|) x curl A = 0.  ex14's
-    B_tau, zero off the z-axis too, is left to the Jacobian, which reads
-    its rounding noise as a divergent C1 (see
+    """The PotentialPair keywords A, A_jac, domain_check and non_trapping
+    of the swirl A = (-y, x, 0)/q on R^3, where q is the sum of the
+    squares of the first k coordinates: k = 3 gives ex13, k = 2 ex14.
+    domain_check raises DomainError with message where q < tol.
+    non_trapping is declared for k = 3 only: A is then e_3 x x/|x|^2,
+    whose curl 2z x/|x|^4 is parallel to x, so B_tau = (x/|x|) x curl A
+    = 0.  ex14's B_tau, zero off the z-axis too, is left to the Jacobian,
+    which reads its rounding noise as a divergent C1 (see
     admissibility.compute_constants)."""
 
     def sq(x):
@@ -289,10 +295,7 @@ def _swirl(k: int, tol: float, message: str) -> dict:
         if np.any(sq(np.asarray(x, float)) < tol):
             raise DomainError(message)
 
-    keywords = {"A": A, "A_jac": A_jac, "domain_check": domain_check}
-    if k == 3:
-        keywords["B_tau"] = lambda x: np.zeros(x.shape)
-    return keywords
+    return {"A": A, "A_jac": A_jac, "domain_check": domain_check, "non_trapping": k == 3}
 
 
 #: The PotentialPair keywords of each closed-form magnetic built-in.

@@ -87,13 +87,14 @@ def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,
     surface integrals.  eps carries the sign of the absorption.  The
     scale-independent densities are summed per radial bin once for all
     scales, in one radial_sweep over slabs of the grid (B_tau sampled per
-    slab when A is present), and each scale evaluates its radial profiles
-    on the bin radii.
+    slab when the pair's samples_trapping holds; the trapping term is 0
+    otherwise), and each scale evaluates its radial profiles on the bin
+    radii.
     """
     check_same_grid(u.grid, f.grid)
     grid = u.grid
     h, r = grid.h, grid.bin_radii
-    trapping = disc.pp.A is not None
+    trapping = disc.pp.samples_trapping
     drv = disc.radial_derivative()
 
     def densities(sl):
@@ -291,10 +292,10 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
                   delta: float | None = None, tol: float = 1e-10) -> SweepReport:
     """Solve the resolvent problem for each eps and collect estimate
     ratios.  Solver failures are recorded per entry and the sweep
-    continues.  lambda, tol, the eps values (at least one, each positive
-    and at most FLOAT32_MAX, see check_resolvent_parameters), M, delta
-    and, in 3D, the radial shells the estimate's sphere sup needs are
-    checked before any sampling or solve, and the datum's norm (see
+    continues.  lambda, tol, the eps values (at least one, distinct, each
+    positive and at most FLOAT32_MAX, see check_resolvent_parameters), M,
+    delta and, in 3D, the radial shells the estimate's sphere sup needs
+    are checked before any sampling or solve, and the datum's norm (see
     check_datum) before any solve.  The datum is made, and checked for
     support near the boundary, once for the sweep (see make_datum)."""
     check_resolvent_parameters(lam=lam, tol=tol)
@@ -302,6 +303,8 @@ def epsilon_sweep(pp: PotentialPair, lam: float, f_spec, eps_list,
     if not eps_list or not all(e > 0 for e in eps_list):
         raise ParameterError(
             f"eps values must be positive, at least one, got {eps_list}")
+    if len(set(eps_list)) < len(eps_list):
+        raise ParameterError(f"eps values must be distinct, got {eps_list}")
     for e in eps_list:
         check_resolvent_parameters(eps=e)
     check_estimate_parameters(M, delta)

@@ -57,6 +57,21 @@ def radial_derivative_samples(monkeypatch):
 
 
 @pytest.fixture
+def trapping_samples(monkeypatch):
+    """A list that gains the node shape of each sampling of B_tau made
+    through morcam.resolvent's binding of trapping_component."""
+    shapes = []
+    original = resolvent.trapping_component
+
+    def counted(pp, x, *args, **kwargs):
+        shapes.append(x.shape[:-1])
+        return original(pp, x, *args, **kwargs)
+
+    monkeypatch.setattr(resolvent, "trapping_component", counted)
+    return shapes
+
+
+@pytest.fixture
 def operator_calls(monkeypatch):
     """Counts of DiscreteOperator.apply calls ("apply") and of calls to
     the callables DiscreteOperator.preconditioner returns ("precond")."""

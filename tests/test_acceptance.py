@@ -37,7 +37,8 @@ def _random_points(count, lo=0.3, hi=4.0, seed=None):
 
 def test_01_trapping_component(capsys):
     pts = _random_points(1000, seed=1)
-    # B_tau derived from ex13's analytic Jacobian, not its declared zeros
+    # B_tau derived from ex13's analytic Jacobian, without its non_trapping
+    # declaration
     ex13 = example_field("ex13")
     exact = PotentialPair(3, A=ex13.A, A_jac=ex13.A_jac, domain_check=ex13.domain_check)
     m_exact = np.linalg.norm(trapping_component(exact, pts), axis=1).max()

@@ -60,6 +60,21 @@ def test_trapping_field_without_jacobian_keeps_its_C1():
     assert not admissibility_report(PotentialPair(3, A=swirl)).admissible
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_declared_non_trapping_pair_samples_nothing_for_C1(n):
+    # C1 of a pair that declares B_tau = 0 is 0 without a sample of A or
+    # of its Jacobian, as for a pair without A
+    calls = []
+
+    def spy(name):
+        return lambda x: calls.append(name)
+
+    pp = PotentialPair(n, A=spy("A"), A_jac=spy("A_jac"), non_trapping=True)
+    assert compute_constants(pp) == (0.0, 0.0, 0.0)
+    assert calls == []
+    assert admissibility_report(pp).C1 == 0.0
+
+
 @light
 def test_constants_attractive_coulomb_diverge():
     pp = make_potential_pair(3, None, {"name": "coulomb", "c": -1.0})
@@ -125,39 +140,54 @@ def test_constants_do_not_depend_on_the_quadrature_block(monkeypatch):
     assert [compute_constants(pp) for pp in pairs] == default
 
 
-#: C1 of each magnetic built-in: ex13's B_tau is zero, and ex14's
+#: C1 of each magnetic built-in: ex13 declares its B_tau zero, and ex14's
 #: Jacobian reads the rounding noise of its zero field as divergent
-#: (ROADMAP item 9)
-VERDICT_A = {"none": (None, 0.0), "ex13": ({"name": "ex13"}, 0.0),
-             "ex14": ({"name": "ex14"}, math.inf)}
-#: (C2, C3) of each electric built-in at its defaults, as the 240-direction
-#: sample read them before a radial V was sampled on one ray: coulomb's
-#: r^2 (d_r V)_+ = 1 and inverse_square's r^2 V_+/<x> ~ 1/r make their
-#: integrals diverge, and gaussian(-1)'s C2 sits just under the threshold 1
+#: (ROADMAP item 9).  Both are 3D potentials only
+VERDICT_A = {"none": (None, 0.0), "zero": ({"name": "zero"}, 0.0),
+             "ex13": ({"name": "ex13"}, 0.0), "ex14": ({"name": "ex14"}, math.inf)}
+#: (C2, C3) of each electric built-in at its defaults, in 3D and for
+#: n = 4 and 5, as the 240-direction sample read them before a radial V
+#: was sampled on one ray.  In 3D, coulomb's r^2 (d_r V)_+ = 1 and
+#: inverse_square's r^2 V_+/<x> ~ 1/r make their integrals diverge, and
+#: gaussian(-1)'s C2 sits just under the threshold 1.  For n >= 4 the
+#: weighted sups do not depend on n: coulomb's r^3 (d_r V)_+ = r grows,
+#: and inverse_square's r^3 V_+/<x> = r/<r> reaches 0.99988 at the
+#: quadrature's largest radius
 VERDICT_V = {
-    "none": (None, 0.0, 0.0),
-    "coulomb": ({"name": "coulomb"}, math.inf, 0.0),
-    "inverse_square": ({"name": "inverse_square"}, 0.0, math.inf),
-    "gaussian(-1)": ({"name": "gaussian", "amplitude": -1.0}, 0.9999999991306543, 0.0),
-    "gaussian(+1)": ({"name": "gaussian", "amplitude": 1.0}, 0.0, 0.3017250806094692),
-    "exp_screened": ({"name": "exp_screened"}, 0.0, 0.3785503761988506),
+    "none": (None, (0.0, 0.0), (0.0, 0.0)),
+    "coulomb": ({"name": "coulomb"}, (math.inf, 0.0), (math.inf, 0.0)),
+    "inverse_square": ({"name": "inverse_square"}, (0.0, math.inf),
+                       (0.0, 0.999877922237829)),
+    "gaussian(-1)": ({"name": "gaussian", "amplitude": -1.0},
+                     (0.9999999991306543, 0.0), (1.0826822164778698, 0.0)),
+    "gaussian(+1)": ({"name": "gaussian", "amplitude": 1.0},
+                     (0.0, 0.3017250806094692), (0.0, 0.26699509754377265)),
+    "exp_screened": ({"name": "exp_screened"},
+                     (0.0, 0.3785503761988506), (0.0, 0.23236275598943154)),
 }
 
 
-@pytest.mark.parametrize("v", VERDICT_V)
-@pytest.mark.parametrize("a", VERDICT_A)
-def test_builtin_verdict_table(a, v):
+@pytest.mark.parametrize("a, v, n", [
+    pytest.param(a, v, n, id=f"{a}-{v}" if n == 3 else f"{a}-{v}-n{n}")
+    for n in (3, 4, 5) for a in VERDICT_A for v in VERDICT_V])
+def test_builtin_verdict_table(a, v, n):
     # on the default quadrature: C1 bit for bit, every 0 or inf exactly,
-    # a finite C2 or C3 to the few ulps the one ray moves it
-    (A, C1), (V, C2, C3) = VERDICT_A[a], VERDICT_V[v]
-    rep = admissibility_report(make_potential_pair(3, A, V))
+    # a finite C2 or C3 to the few ulps the one ray moves it; ex13 and
+    # ex14 refuse n != 3
+    (A, C1), (V, *electric) = VERDICT_A[a], VERDICT_V[v]
+    if n != 3 and a in ("ex13", "ex14"):
+        with pytest.raises(ParameterError, match="3D potential"):
+            make_potential_pair(n, A, V)
+        return
+    rep = admissibility_report(make_potential_pair(n, A, V))
     assert rep.C1 == C1
-    for got, want in ((rep.C2, C2), (rep.C3, C3)):
+    for got, want in zip((rep.C2, rep.C3), electric[n != 3]):
         if want in (0.0, math.inf):
             assert got == want
         else:
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-    assert rep.admissible == (a != "ex14" and v not in ("coulomb", "inverse_square"))
+    inadmissible = {"coulomb", "inverse_square"} if n == 3 else {"coulomb"}
+    assert rep.admissible == (a != "ex14" and v not in inadmissible)
 
 
 # --- 3D condition, closed form vs oracle -------------------------------------

@@ -261,6 +261,8 @@ def test_bad_parameter_is_exit_3(tmp_path):
     ("sweep", {"seed": float("inf")}),
     # an empty ladder swept nothing and exited 0
     ("sweep", {"eps_list": []}),
+    # a repeated eps ran two identical solves and wrote two entries
+    ("sweep", {"eps_list": [1.0, 1.0]}),
 ])
 def test_nonfinite_or_zero_parameter_is_exit_3(tmp_path, monkeypatch, operator_calls,
                                                run_type, bad):

@@ -126,7 +126,8 @@ def test_trapping_matches_the_field_matrix_formula(pp):
 
 
 def test_trapping_orthogonal_to_x():
-    # ex13's B_tau from its analytic Jacobian, not its declared zeros
+    # ex13's B_tau from its analytic Jacobian, without its non_trapping
+    # declaration
     ex13 = example_field("ex13")
     pp = PotentialPair(3, A=ex13.A, A_jac=ex13.A_jac)
     pts = random_points(200)

@@ -90,7 +90,7 @@ def test_manufactured_identity_magnetic_and_electric():
 
 
 def test_trapping_term_negligible_for_nontrapping_vortex():
-    # ex13 has B_tau = 0, so the trapping term is rounding noise
+    # ex13 has B_tau = 0, so the trapping term is at most rounding noise
     pp = example_field("ex13")
     grid = RadialGrid(3, 8.0, 0.25)
     u = ScalarField.from_callable(grid, bump)
@@ -100,6 +100,27 @@ def test_trapping_term_negligible_for_nontrapping_vortex():
     [with_b] = identity_residual(u, f, disc, 0.0, 1.0, scales)
     scale = sum(abs(v) for v in with_b.lhs_terms.values())
     assert abs(with_b.lhs_terms["trapping"]) < 1e-8 * scale
+
+
+def test_identity_samples_no_trapping_component_where_it_is_declared_zero(
+        monkeypatch, trapping_samples):
+    # ex13 declares B_tau = 0: the slab sweep samples no B_tau and the
+    # trapping term is 0.0 exactly.  ex14 does not declare it, so its B_tau
+    # is sampled once per slab (3-row slabs of the m = 8 grid)
+    grid = RadialGrid(3, 2.0, 0.5)
+    u = ScalarField.from_callable(grid, bump)
+    scales = [(make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))]
+    monkeypatch.setattr(resolvent, "SLAB_BYTES", 3 * resolvent._WORK_NODE_BYTES * grid.m ** 2)
+    for name, slabs in (("ex13", 0), ("ex14", 3)):
+        disc = Discretization(grid, make_potential_pair(3, {"name": name}, None))
+        f = ScalarField(grid, -DiscreteOperator(disc, 1.0, 1.0).apply(u.values))
+        trapping_samples.clear()
+        [rep] = identity_residual(u, f, disc, 1.0, 1.0, scales)
+        assert len(trapping_samples) == slabs, name
+        assert sum(shape[0] for shape in trapping_samples) == (grid.m if slabs else 0)
+        assert all(shape[1:] == grid.shape[1:] for shape in trapping_samples)
+        if not slabs:
+            assert rep.lhs_terms["trapping"] == 0.0
 
 
 def test_identity_scan_picks_worst_scale():
@@ -225,7 +246,8 @@ def test_epsilon_sweep_runs_and_warns_below_floor():
 
 def test_epsilon_sweep_rejects_nonpositive_eps():
     grid = RadialGrid(3, 4.0, 0.5)
-    for eps_list in ([1.0, -0.1], [0.0], [1.0, math.nan], [math.inf]):
+    # a repeated eps solved twice and kept one error message for both
+    for eps_list in ([1.0, -0.1], [0.0], [1.0, math.nan], [math.inf], [1.0, 1.0]):
         with pytest.raises(ParameterError):
             epsilon_sweep(PotentialPair(3), 1.0, "point", eps_list, grid)
 
