@@ -13,7 +13,7 @@ the limit M -> infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,18 +48,7 @@ class AdmissibilityReport:
         return self.threshold - self.value
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "C1": self.C1,
-            "C2": self.C2,
-            "C3": self.C3,
-            "value": self.value,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "optimal_M": self.optimal_M,
-            "admissible": self.admissible,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "margin": self.margin}
 
 
 def compute_constants(pp: PotentialPair):

@@ -32,9 +32,8 @@ import yaml
 from . import __version__
 from .admissibility import admissibility_report
 from .errors import AccuracyError, DomainError, ParameterError, SolverError
-from .fields import (BUILTIN_POTENTIALS, finite_number, make_potential_pair,
-                     radial_derivative_parts, trapping_component)
-from .grids import RadialGrid, point_array, save_field
+from .fields import BUILTIN_POTENTIALS, finite_number, make_potential_pair, trapping_component
+from .grids import RadialGrid, save_field
 from .multipliers import check_estimate_parameters
 from .resolvent import (DATUM_BUILTINS, build_problem, check_datum, check_memory,
                         check_resolvent_parameters, scale_exponent, solve)
@@ -214,19 +213,6 @@ def _run_verify_identity(p, out_dir: Path):
     check_estimate_parameters(M=p["M"], beta=p["beta"], n=p["n"])
     prob = _problem(p)
     check_datum(prob.f)
-    # the 2^n central nodes, nearest the origin and the z-axis where the
-    # built-ins are singular, are tried before the solve, so that a
-    # potential undefined there is refused up front: through d_r V, which
-    # the identity samples at every node (when there is a V), and through
-    # B_tau for every A.  The identity samples no B_tau of a non_trapping
-    # A, and the link phases sample A with no domain check, so for such an
-    # A this try is the run's one domain check of A before the solve
-    pp, grid = prob.disc.pp, prob.grid
-    near = point_array([grid.coords_1d[grid.central]] * grid.n)
-    if pp.V is not None or pp.dV_r is not None:
-        radial_derivative_parts(pp, near)
-    if pp.A is not None:
-        trapping_component(pp, near)
     u = solve(prob, tol=p["tol"])
     rep = identity_scan(u, prob.f, prob.disc, p["lambda"], p["eps"], M=p["M"], beta=p["beta"])
     return rep.to_json()

@@ -13,6 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -164,17 +165,13 @@ class RadialGrid:
     def integrate(self, values: np.ndarray) -> complex | float:
         return values.sum() * self.cell_volume
 
-    def bin_sums(self, values) -> np.ndarray:
+    def bin_sums(self, rows: Callable) -> np.ndarray:
         """Sum of real node values * h^n per radial bin, binned one row of
-        axis 0 at a time (see slab_bins).  values is an array of the
-        grid's shape or a callable that gives the values of the rows s:e
-        of axis 0 as rows(s, e), called for one row at a time."""
-        if not callable(values):
-            a = np.asarray(values, float).reshape(self.shape)
-            values = lambda s, e: a[s:e]
+        axis 0 at a time (see slab_bins): rows(s, e) gives the values of
+        the rows s:e of axis 0, called for one row at a time."""
         sums = np.zeros(self.n_bins)
         for i in range(self.m):
-            sums += np.bincount(self.slab_bins(i, i + 1), weights=np.ravel(values(i, i + 1)),
+            sums += np.bincount(self.slab_bins(i, i + 1), weights=np.ravel(rows(i, i + 1)),
                                 minlength=self.n_bins)
         return sums * self.cell_volume
 

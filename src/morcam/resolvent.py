@@ -25,7 +25,10 @@ sampler, _sample, takes the samples of A, V and d_r V per slab from the
 slab whose samples are not constant, so nothing grid-sized is kept for
 constant data: an axis whose link phases are all 1 keeps None in place
 of an array (its hops carry no product), and a V or d_r V that samples
-to zero is 0-d.
+to zero is 0-d.  The sampling is also the one domain gate of a pair on
+a grid: Discretization tries d_r V and B_tau at the 2^n central nodes
+once the samples are checked, so a pair undefined there is refused
+before any operator exists, in every run that solves.
 One edge rule, _hops, says which hop along which axis reaches which rows
 of a slab, with which phase rows (cast for the complex64 twin) and which
 halo row along axis 0, and one routine, _add_hop, adds a hop; the stencil
@@ -266,10 +269,10 @@ class Discretization:
     The operator, the covariant gradient and the identity and estimate
     checks all read the same samples.  Nothing grid-sized is kept for
     constant data: ``phases`` (see link_phases) is a list of one entry per
-    axis, None for an axis whose phases are all 1.  Singular
-    V samples are capped at 1/h^2 (with a warning) to keep the operator
-    bounded; ``capped`` marks where, a 0-d False when no node is capped.
-    d_r V is sampled on first use and kept.  Each is sampled by _sample,
+    axis, None for an axis whose phases are all 1.  Singular V samples are
+    capped at 1/h^2 to keep the operator bounded, with a warning that
+    counts the capped nodes slab by slab; no mask of them is kept.  d_r V
+    is sampled on first use and kept.  Each is sampled by _sample,
     one slab of axis 0 at a time from the 1-D node coordinates, so no
     grid-sized point array is formed, and a V or d_r V that samples to
     zero at every node is kept as a 0-d zero, which every reader
@@ -277,6 +280,13 @@ class Discretization:
     to solve on, or whose 4n/h^2 is not below float32's largest value (the
     complex64 twin's diagonal holds it), is refused before any sampling,
     and a V or A that samples non-finite raises ParameterError.
+
+    This is also the one domain gate of a pair on a grid.  After the
+    samples' checks the pair is tried at the 2^n central nodes, nearest
+    the origin and the z-axis where the built-ins are singular: through
+    d_r V when there is a V (or dV_r) and through B_tau when there is an
+    A.  A pair undefined there raises DomainError before any operator
+    exists, so every run that solves refuses it the same way.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
@@ -297,27 +307,30 @@ class Discretization:
         self.phases = link_phases(grid, pp)
         V = _sample(grid, lambda s, e: _finite(
             pp.eval_V(_slab_points(grid, s, e)), "electric potential V"), 0)
-        cap = 1.0 / grid.h ** 2
+        # the domain gate comes after the samples' checks, so that a V that
+        # samples inf is refused as such, not met as inf - inf in the
+        # central difference of d_r V
+        near = point_array([grid.coords_1d[grid.central]] * grid.n)
+        if pp.V is not None or pp.dV_r is not None:
+            radial_derivative_parts(pp, near)
+        if pp.A is not None:
+            trapping_component(pp, near)
         if V is None:
-            V, capped = np.zeros(()), np.zeros((), bool)
+            V = np.zeros(())
         else:
-            capped = np.empty(grid.shape, bool)
+            cap, capped = 1.0 / grid.h ** 2, 0
             for s, e in _slabs(grid, _WORK_NODE_BYTES):
-                np.greater(np.abs(V[s:e]), cap, out=capped[s:e])
+                capped += np.count_nonzero(np.abs(V[s:e]) > cap)
                 np.clip(V[s:e], -cap, cap, out=V[s:e])
-            if capped.any():
-                warnings.warn(
-                    f"electric potential capped at {cap:.3g} on "
-                    f"{int(capped.sum())} nodes", stacklevel=2)
-            else:
-                capped = np.zeros((), bool)
+            if capped:
+                warnings.warn(f"electric potential capped at {cap:.3g} on "
+                              f"{capped} nodes", stacklevel=2)
         self.V = V
-        self.capped = capped
         self._drv = None
 
     def radial_derivative(self) -> np.ndarray:
-        """d_r V at the nodes, zero where the cap bit (the capped V is
-        flat there), or a 0-d zero when it samples to zero everywhere (a
+        """d_r V at the nodes, zero where the capped V sits at +-1/h^2 (it
+        is flat there), or a 0-d zero when it samples to zero everywhere (a
         pair with neither V nor dV_r is not sampled).  Sampled by _sample
         on the first call; later calls return the same read-only array."""
         if self._drv is None:
@@ -328,8 +341,10 @@ class Discretization:
                     pp, _slab_points(grid, s, e)), 0)
             if drv is None:
                 drv = np.zeros(())
-            else:
-                drv[self.capped] = 0.0
+            elif self.V.ndim:
+                cap = 1.0 / grid.h ** 2
+                for s, e in _slabs(grid, _WORK_NODE_BYTES):
+                    drv[s:e][np.abs(self.V[s:e]) == cap] = 0.0
             drv.flags.writeable = False
             self._drv = drv
         return self._drv
@@ -561,9 +576,9 @@ class DiscreteOperator:
         g, dtype = self.grid, self.dtype
         m, shape, real = g.m, g.shape, np.finfo(dtype).dtype
         lam, eps = self.lam, self.eps
-        # only a free operator's solve is its start; any other solve takes
-        # the dense transform, one preconditioner call of many, so its
-        # steps keep their rounding
+        # every solve calls the complex128 inverse once, for its start, and
+        # the complex64 twin serves its cycles; a start that is not free
+        # takes the dense transform only so that it keeps its bits
         free = not self._phased and self.disc.V.ndim == 0
         S, mu = _dirichlet_eigenpairs(m, g.h)
         S = S.astype(real, copy=False)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,16 +63,8 @@ class IdentityReport:
         return self.residual_abs / max(scale, 1e-300)
 
     def to_json(self) -> dict:
-        return {
-            "lhs_terms": {k: float(v) for k, v in self.lhs_terms.items()},
-            "rhs_terms": {k: float(v) for k, v in self.rhs_terms.items()},
-            "lhs_total": float(self.lhs_total),
-            "rhs_total": float(self.rhs_total),
-            "residual_abs": float(self.residual_abs),
-            "residual_rel": float(self.residual_rel),
-            "h": self.h,
-            "R": self.R,
-        }
+        return {**asdict(self), "lhs_total": self.lhs_total, "rhs_total": self.rhs_total,
+                "residual_abs": self.residual_abs, "residual_rel": self.residual_rel}
 
 
 def identity_residual(u: ScalarField, f: ScalarField, disc: Discretization,

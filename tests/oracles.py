@@ -71,7 +71,7 @@ def zero_V_reference(grid, pp):
     """pp's discretization with V held as a grid-sized zero array, the
     form morcam keeps as a 0-d zero."""
     ref = Discretization(grid, pp)
-    ref.V, ref.capped = np.zeros(grid.shape), np.zeros(grid.shape, bool)
+    ref.V = np.zeros(grid.shape)
     return ref
 
 

@@ -557,8 +557,8 @@ def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
 def test_potential_undefined_at_every_node_is_exit_3(tmp_path, operator_calls):
     # every node lies within 1e-14 of the origin, where coulomb's d_r V is
     # not defined: a DomainError, which ended in a traceback with exit 1,
-    # and then in exit 3 after a whole solve.  The run tries the 2^n
-    # central nodes through d_r V before it solves.
+    # and then in exit 3 after a whole solve.  The discretization tries the
+    # 2^n central nodes through d_r V before any operator exists.
     code, out = run(tmp_path, {**TINY, "run": "verify-identity",
                                "potential": {"V": {"name": "coulomb"}},
                                "grid": {"L": 1.0e-15, "h": 1.0e-15}})
@@ -572,7 +572,7 @@ def test_potential_undefined_at_every_node_is_exit_3(tmp_path, operator_calls):
 def test_magnetic_potential_undefined_at_every_node_is_exit_3(tmp_path, operator_calls):
     # every node lies within 1e-12 of the z-axis, where ex14 is singular:
     # B_tau, which the identity samples, was refused after a solve of 3
-    # operator applications; the central nodes are tried before it
+    # operator applications; the discretization tries the central nodes
     code, out = run(tmp_path, {**TINY, "run": "verify-identity",
                                "potential": {"A": {"name": "ex14"}},
                                "grid": {"L": 1.0e-12, "h": 1.0e-12}})
@@ -580,6 +580,34 @@ def test_magnetic_potential_undefined_at_every_node_is_exit_3(tmp_path, operator
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
     assert doc["detail"] == "this potential is singular on the z-axis"
+    assert operator_calls == {"apply": 0, "precond": 0}
+
+
+@pytest.mark.parametrize("run_type", ["solve", "sweep", "verify-identity"])
+@pytest.mark.parametrize("potential, L, h, detail", [
+    ({"V": {"name": "coulomb"}}, 4.0e-15, 1.0e-15, "evaluation at x = 0 is not defined"),
+    ({"A": {"name": "ex13"}}, 4.0e-15, 1.0e-15, "evaluation at x = 0 is not defined"),
+    ({"A": {"name": "ex14"}}, 4.0e-13, 1.0e-13, "this potential is singular on the z-axis"),
+    ({"A": {"name": "ex14"}, "V": {"name": "coulomb"}}, 4.0e-13, 1.0e-13,
+     "this potential is singular on the z-axis"),
+], ids=["coulomb", "ex13", "ex14", "ex14+coulomb"])
+@pytest.mark.filterwarnings("ignore:eps=")
+def test_pair_undefined_on_the_grid_is_refused_before_any_solve(
+        tmp_path, operator_calls, run_type, potential, L, h, detail):
+    # the central nodes lie within 1e-14 of the origin (coulomb's d_r V,
+    # ex13's B_tau) or near the z-axis (ex14's).  A solve was reported
+    # with exit 0, an ex14 sweep too (its lhs 8.4e-51), and ex14 + coulomb
+    # was refused only after a whole solve; only verify-identity tried the
+    # central nodes.  Every run that solves samples the pair through
+    # Discretization, which tries them before any operator exists.  The
+    # grids have 8 nodes an axis, so the sweep's estimate has the 3
+    # radial shells it checks for first
+    code, out = run(tmp_path, {**TINY, "run": run_type, "potential": potential,
+                               "grid": {"L": L, "h": h}})
+    assert code == 3
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "parameter"
+    assert doc["detail"] == detail
     assert operator_calls == {"apply": 0, "precond": 0}
 
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from morcam import resolvent
 from morcam.errors import ParameterError, SolverError
 from morcam.fields import (PotentialPair, example_field, make_potential_pair,
-                           trapping_component)
-from morcam.grids import RadialGrid, ScalarField
+                           radial_derivative_parts, trapping_component)
+from morcam.grids import RadialGrid, ScalarField, point_array
 from morcam.resolvent import (DiscreteOperator, Discretization, ResolventProblem,
                               build_problem, covariant_gradient, epsilon_floor,
                               link_phases, make_datum, solve)
@@ -67,7 +67,6 @@ def test_zero_potential_is_kept_zero_dimensional(V, A, dtype):
     pp = make_potential_pair(3, A, V)
     disc = Discretization(grid, pp)
     assert disc.V.ndim == 0 and disc.V == 0
-    assert np.ndim(disc.capped) == 0 and not disc.capped
     op = DiscreteOperator(disc, 0.7, 0.3, dtype)
     ref = DiscreteOperator(zero_V_reference(grid, pp), 0.7, 0.3, dtype)
     # the diagonal formed from the 0-d V is the grid-sized one's, cast
@@ -192,7 +191,7 @@ def test_unit_phase_axes_equal_an_all_ones_array(n, dtype, monkeypatch):
 
 def test_operator_keeps_no_unit_phase_axis_and_no_diagonal(traced_memory):
     # ex13's z phases are all 1, so its discretization holds two complex128
-    # phase arrays, not three, and V; nothing is capped, so no mask.  An
+    # phase arrays, not three, and V, and no mask of capped nodes.  An
     # operator forms its diagonal per slab from the grid-sized V and reads
     # its phases from the discretization's, so neither the complex128 one
     # nor the complex64 twin, which casts the phases slab by slab, holds
@@ -205,7 +204,6 @@ def test_operator_keeps_no_unit_phase_axis_and_no_diagonal(traced_memory):
     [disc] = made
     phase_bytes = grid.size * 16
     assert [p is None for p in disc.phases] == [False, False, True]
-    assert np.ndim(disc.capped) == 0 and not disc.capped
     # V is one float64 array more; a third phase array, or a bool mask of
     # the capped nodes, would pass the bound
     assert 2 * phase_bytes <= held - disc.V.nbytes < 2 * phase_bytes + grid.size
@@ -277,7 +275,7 @@ def test_discretization_samples_V_once(monkeypatch):
 @pytest.mark.parametrize("V", [None, {"name": "gaussian", "amplitude": 0.0}],
                          ids=["free", "samples_to_zero"])
 def test_zero_V_allocates_no_grid_array(traced_memory, V):
-    # V and capped are allocated at the first slab where V is not zero, so
+    # V is allocated at the first slab where it is not zero, so
     # a V that samples to zero everywhere takes the sampling's working set
     # of about one slab (0.66 and 0.90 slabs measured, 0.04 and 0.06
     # complex128 grid arrays); a float64 V and a bool mask filled only to
@@ -288,7 +286,6 @@ def test_zero_V_allocates_no_grid_array(traced_memory, V):
     _, peak = traced_memory(lambda: made.append(Discretization(grid, pp)))
     [disc] = made
     assert disc.V.ndim == 0 and disc.V == 0
-    assert disc.capped.ndim == 0 and not disc.capped
     assert peak < resolvent.SLAB_BYTES
 
 
@@ -500,6 +497,8 @@ def test_slab_sampling_equals_whole_grid_sampling(monkeypatch, traced_memory, pp
     # link phases, V (capped: the custom V reaches -30 < -1/h^2 = -16) and
     # d_r V sampled slab by slab from the 1-D coordinates are the
     # whole-grid samples to the bit, from as many eval_A and eval_V points
+    # besides those of d_r V and B_tau on the 2^n central nodes, which
+    # Discretization tries for a pair undefined there
     grid = RadialGrid(3, 3.0, 0.25)
     points = {"A": 0, "V": 0}
     for key in points:
@@ -524,6 +523,9 @@ def test_slab_sampling_equals_whole_grid_sampling(monkeypatch, traced_memory, pp
     # one grid array (whole-grid sampling peaked at twice what it held)
     assert peak - held < grid.size * 16 / 2
     sampled, points = points, {"A": 0, "V": 0}
+    near = point_array([grid.coords_1d[grid.central]] * grid.n)
+    radial_derivative_parts(pp, near)
+    trapping_component(pp, near)
     phases, V, ref_drv = whole_grid_samples(grid, pp)
     assert sampled == points
     # an axis kept as None is one whose whole-grid phases are all 1
@@ -569,7 +571,9 @@ def test_pair_without_V_keeps_a_zero_dimensional_radial_derivative(
 def test_radial_derivative_that_samples_to_zero_is_kept_zero_dimensional(
         radial_derivative_samples):
     # a gaussian V of amplitude 0 comes with its analytic d_r V: both are
-    # sampled at every node, both sample to zero, and both are kept 0-d
+    # sampled at every node, both sample to zero, and both are kept 0-d;
+    # d_r V is also tried on the 2^n central nodes, two rows of axis 0,
+    # when the pair is sampled
     grid = small_grid()
     for A in (None, "ex13"):
         pp = make_potential_pair(3, A, {"name": "gaussian", "amplitude": 0.0})
@@ -579,7 +583,7 @@ def test_radial_derivative_that_samples_to_zero_is_kept_zero_dimensional(
         assert disc.V.ndim == 0
         assert drv.ndim == 0 and drv == 0 and not drv.flags.writeable
         assert disc.radial_derivative() is drv
-    assert sum(shape[0] for shape in radial_derivative_samples) == 2 * grid.m
+    assert sum(shape[0] for shape in radial_derivative_samples) == 2 * (grid.m + 2)
 
 
 def test_problem_takes_the_datum_maximum_slab_by_slab(traced_memory):

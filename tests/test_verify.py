@@ -288,14 +288,17 @@ def test_epsilon_sweep_checks_the_datum_support_once(monkeypatch, operator_dtype
 def test_epsilon_sweep_samples_radial_derivative_once(radial_derivative_samples):
     # the admissibility quadrature samples d_r V off the grid through its
     # own binding, which the fixture does not count; the grid's slabs of
-    # axis 0 are sampled once, for all three eps
+    # axis 0 are sampled once, for all three eps, after the 2^n central
+    # nodes that Discretization tries for a pair undefined there
     grid = RadialGrid(3, 4.0, 0.5)
     pp = make_potential_pair(3, None, {"name": "gaussian", "amplitude": -1.0})
     rep = epsilon_sweep(pp, 1.0, {"name": "gaussian", "width": 0.6},
                         [1.0, 0.5, 0.25], grid, tol=1e-8)
     assert len(rep.entries) == 3
-    assert sum(shape[0] for shape in radial_derivative_samples) == grid.m
-    assert all(shape[1:] == grid.shape[1:] for shape in radial_derivative_samples)
+    central, *slabs = radial_derivative_samples
+    assert central == (2,) * grid.n
+    assert sum(shape[0] for shape in slabs) == grid.m
+    assert all(shape[1:] == grid.shape[1:] for shape in slabs)
 
 
 def test_epsilon_sweep_computes_dual_norm_once(monkeypatch):
@@ -414,7 +417,7 @@ def test_post_solve_densities_allocate_less_than_one_grid_array(traced_memory):
         _, peak = traced_memory(call)
         assert peak < grid.size * 16
     # and the grid keeps nothing grid-sized for its radial bins
-    grid.bin_sums(u.abs2())
+    grid.bin_sums(u.abs2)
     assert all(np.size(v) < grid.size for v in vars(grid).values())
 
 

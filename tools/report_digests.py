@@ -1,14 +1,15 @@
 """Print one SHA-256 per report file of a fixed set of scenarios.
 
 The scenarios are the seed-0 scenario of each workload of
-perfbench/workloads.py and the eight small ones of EXTRA, which reach
+perfbench/workloads.py and the nine small ones of EXTRA, which reach
 what no workload runs: the ex14 built-in, the admissibility,
 fields-check and solve run types, ex13's non_trapping declaration and a
 radial V's one-ray quadrature in those two run types, the identity's
 sampled B_tau density (ex14's; ex13 declares its B_tau zero, so the
-workloads sample none), and a datum that is not separable (the shell,
-which keeps its values where the others keep 1-D factors) in an
-identity run and in a sweep.  Each is written into a
+workloads sample none), a V capped at 1/h^2 (with the d_r V zeroed
+where it is), and a datum that is not separable (the shell, which keeps
+its values where the others keep 1-D factors) in an identity run and
+in a sweep.  Each is written into a
 temporary directory and run through morcam.cli.main with --json-only;
 every file it writes is hashed, a solve's binary solution.field
 included.  The temporary directory's path is masked in every file
@@ -72,6 +73,13 @@ EXTRA = {
         "potential": {**_EX14, "V": {"name": "exp_screened", "amplitude": 0.3}},
         "lambda": 1.0, "eps": 1.0,
         "f": {"name": "gaussian", "width": 1.0, "center": [0.3, 0.2, 0.1]},
+    },
+    # inverse_square's c/|x|^2 (c = 1) exceeds 1/h^2 = 4 at the 8 central
+    # nodes, the one scenario in which the cap bites
+    "capped_identity": {
+        "n": 3, "run": "verify-identity", "grid": {"L": 4.0, "h": 0.5},
+        "potential": {**_EX13, "V": {"name": "inverse_square"}},
+        "lambda": 1.0, "eps": 1.0,
     },
     "shell_identity": {
         "n": 3, "run": "verify-identity", "grid": {"L": 5.0, "h": 0.25},
