@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 from .admissibility import (AdmissibilityReport, admissibility_report,
                             check_condition_3d, check_condition_nd,
                             compute_constants)
-from .errors import (AccuracyError, DomainError, MorcamError, ParameterError,
-                     SolverError)
-from .fields import (PotentialPair, biot_savart, example_field, magnetic_matrix,
+from .errors import DomainError, MorcamError, ParameterError, SolverError
+from .fields import (PotentialPair, example_field, magnetic_matrix,
                      make_potential_pair, radial_derivative_parts,
                      trapping_component)
 from .grids import RadialGrid, ScalarField, load_field, save_field

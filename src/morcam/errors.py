@@ -13,10 +13,6 @@ class ParameterError(MorcamError):
     """A numeric parameter is outside its documented range."""
 
 
-class AccuracyError(MorcamError):
-    """A quadrature or refinement failed to reach the requested tolerance."""
-
-
 class SolverError(MorcamError):
     """Iterative linear solve did not converge."""
 

@@ -10,7 +10,6 @@ B_tau(x) = (x/|x|) B(x).
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -18,14 +17,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 
 __all__ = [
     "PotentialPair",
     "magnetic_matrix",
     "trapping_component",
     "radial_derivative_parts",
-    "biot_savart",
     "example_field",
     "make_potential_pair",
     "BUILTIN_POTENTIALS",
@@ -187,64 +185,6 @@ def radial_derivative_parts(pp: PotentialPair, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Biot-Savart quadrature
-# ---------------------------------------------------------------------------
-
-
-#: The Biot-Savart quadrature: a tensor-product midpoint rule on the ball
-#: |y| <= BALL_R, the singularity excised in a ball of radius 2 * cell
-#: diameter around the evaluation point, starting from BALL_CELLS cells
-#: per axis and doubling them until two levels agree to BALL_RTOL, at most
-#: BALL_LEVELS levels.
-BALL_R = 6.0
-BALL_CELLS = 48
-BALL_RTOL = 1e-3
-BALL_LEVELS = 3
-
-
-def _biot_savart_level(B_fn, x, m):
-    """The Biot-Savart midpoint rule on m cells per axis."""
-    h = 2 * BALL_R / m
-    c = -BALL_R + (np.arange(m) + 0.5) * h
-    Y = np.stack(np.meshgrid(c, c, c, indexing="ij"), axis=-1).reshape(-1, 3)
-    mask = np.sum(Y ** 2, axis=1) <= BALL_R * BALL_R
-    d = Y - x
-    dist2 = np.sum(d ** 2, axis=1)
-    r_cut = 2.0 * h * math.sqrt(3.0)
-    mask &= dist2 >= r_cut * r_cut
-    Y = Y[mask]
-    d = d[mask]
-    dist = np.sqrt(dist2[mask])
-    Bv = np.asarray(B_fn(Y), float)
-    kern = -d / dist[:, None] ** 3  # (x - y)/|x - y|^3
-    return np.cross(kern, Bv).sum(axis=0) * h ** 3 / (4 * math.pi)
-
-
-def biot_savart(B_fn: Callable, x) -> np.ndarray:
-    """Vector potential A(x) = (1/4 pi) int (x-y)/|x-y|^3 x B(y) dy.
-
-    B_fn must be vectorized over point arrays (..., 3) -> (..., 3) and
-    decay fast enough that the truncated ball captures the integral.
-    Raises AccuracyError when two successive refinements disagree by more
-    than BALL_RTOL (relative to max(1, |A|)).
-    """
-    x = np.asarray(x, float)
-    if x.shape != (3,):
-        raise DomainError("biot_savart evaluates at a single 3D point")
-    prev = _biot_savart_level(B_fn, x, BALL_CELLS)
-    for level in range(1, BALL_LEVELS):
-        cur = _biot_savart_level(B_fn, x, BALL_CELLS << level)
-        scale = max(1.0, float(np.linalg.norm(cur)))
-        if np.linalg.norm(cur - prev) <= BALL_RTOL * scale:
-            return cur
-        prev = cur
-    raise AccuracyError(
-        f"Biot-Savart quadrature did not converge to rtol={BALL_RTOL} "
-        f"within {BALL_LEVELS} refinement levels"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Built-in potentials
 # ---------------------------------------------------------------------------
 
@@ -305,46 +245,61 @@ _MAGNETIC = {
 }
 
 
-def example_field(kind: str, *, h=None, omega=None, alpha=None) -> PotentialPair:
+#: The node count of the Gauss-Legendre rule with which ex14_family
+#: integrates its profile h: exact for a polynomial h up to degree 63.  The
+#: rule is formed per family, so that importing morcam loads no
+#: numpy.polynomial (1.8 MiB of peak RSS in a CLI run).
+_GAUSS_ORDER = 32
+
+
+def example_field(kind: str, *, h=None, omega=None) -> PotentialPair:
     """Closed-form non-trapping magnetic potentials.
 
     kind "ex13": A = (-y, x, 0)/(x^2+y^2+z^2), divergence-free with
     B_tau = 0, which it declares.  kind "ex14": A = (-y, x, 0)/(x^2+y^2),
     a pure gauge away from the z-axis (its field matrix is zero there; the
     field carries a line singularity that is not differentiated
-    numerically).  These two
-    are the built-ins of the same names, with their analytic Jacobians.
-    kind "ex14_family": A is evaluated by Biot-Savart quadrature of the
-    axially modulated field B(y) = h(y/|y| . omega) |y|^(-alpha) y/|y|.
+    numerically).  These two are the built-ins of the same names, with
+    their analytic Jacobians.
+
+    kind "ex14_family": the field B(y) = h(y/|y| . omega) y/|y|^3 of a
+    vectorized profile h on [-1, 1] (an odd one, say) and an axis omega
+    (normalized here), with the potential
+    A(x) = H(x/|x| . omega) (omega x x)/|omega x x|^2, where
+    H(c) = int_c^1 h(s) ds is taken by the Gauss-Legendre rule mapped onto
+    [c, 1].  B is parallel to y, so the family declares non_trapping;
+    h(s) = 2s with omega = e_3 is ex13.  An h whose integral over [-1, 1]
+    is not zero to rounding is refused: its A would carry a Dirac string on
+    the -omega axis.  So are an h that is not callable and an omega that
+    is not a finite nonzero 3-vector.  domain_check raises DomainError on
+    the omega axis, the origin included.
     """
     if kind in _MAGNETIC:
         return PotentialPair(3, **_MAGNETIC[kind])
-    if kind == "ex14_family":
-        if h is None or omega is None or alpha is None:
-            raise ParameterError("ex14_family needs h, omega, alpha")
-        if not (1.0 < alpha < 4.0):
-            raise ParameterError(
-                f"alpha={alpha} outside (1, 4): the defining integral diverges"
-            )
-        omega = np.asarray(omega, float)
-        omega = omega / np.linalg.norm(omega)
+    if kind != "ex14_family":
+        raise ParameterError(f"unknown example field kind: {kind}")
+    omega = np.asarray(omega, float)
+    if not callable(h) or omega.shape != (3,) or not 0 < np.linalg.norm(omega) < np.inf:
+        raise ParameterError("ex14_family needs a callable h and a finite nonzero 3-vector omega")
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+    hs = np.asarray(h(nodes), float)
+    if not abs(hs @ weights) <= 1e-12 * (np.abs(hs) @ weights):
+        raise ParameterError("ex14_family needs an h whose integral over [-1, 1] is 0")
+    omega = omega / np.linalg.norm(omega)
 
-        def B_dir(Y):
-            Y = np.asarray(Y, float)
-            r = np.sqrt(sq_norm(Y))
-            r = np.where(r < 1e-300, 1e-300, r)
-            yhat = Y / r[..., None]
-            g = np.asarray(h(yhat @ omega), float) * r ** (-alpha)
-            return g[..., None] * yhat
+    def A(x):
+        x = np.asarray(x, float)
+        c = (x @ omega / np.sqrt(sq_norm(x)))[..., None]
+        # H(c) = int_c^1 h(s) ds, the rule's nodes mapped onto [c, 1]
+        H = (1 - c[..., 0]) / 2 * (np.asarray(h(c + (1 - c) * (1 + nodes) / 2), float) @ weights)
+        w = np.cross(omega, x)
+        return (H / sq_norm(w))[..., None] * w
 
-        def A_fn(X):
-            X = np.asarray(X, float)
-            flat = X.reshape(-1, 3)
-            out = np.array([biot_savart(B_dir, p) for p in flat])
-            return out.reshape(X.shape)
+    def domain_check(x):
+        if np.any(sq_norm(np.cross(omega, np.asarray(x, float))) < 1e-24):
+            raise DomainError("this potential is singular on its omega-axis")
 
-        return PotentialPair(3, A=A_fn)
-    raise ParameterError(f"unknown example field kind: {kind}")
+    return PotentialPair(3, A=A, domain_check=domain_check, non_trapping=True)
 
 
 # --- electric built-ins -----------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from morcam.admissibility import (admissibility_report, check_condition_3d,
                                   compute_constants)
-from morcam.fields import (PotentialPair, biot_savart, example_field,
+from morcam.fields import (PotentialPair, example_field, magnetic_matrix,
                            make_potential_pair, trapping_component)
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, sphere_area
@@ -50,32 +50,39 @@ def test_01_trapping_component(capsys):
             f"finite-difference {m_fd:.2e} <= 1e-6")
 
 
-def test_02_biot_savart_symmetry(capsys):
-    def B_radial(Y):
-        Y = np.asarray(Y, float)
-        r = np.maximum(np.sqrt(np.sum(Y ** 2, axis=-1)), 1e-300)
-        return np.exp(-r ** 2)[..., None] * (Y / r[..., None])
+def test_02_field_family_potential(capsys):
+    # the family's closed-form A, its declaration set aside so that its
+    # field matrix and B_tau come from central differences, against the
+    # field b = h(yhat . omega) y/|y|^3 it claims, as [b x] (the matrix
+    # whose product with v is b x v), at seeded points off the omega axis
+    def h(s):
+        return s / (1 + s ** 2)
 
-    pts = []
-    for t in (0.5, 1.0, 1.7):
-        for k in range(3):
-            for s in (1.0, -1.0):
-                p = np.zeros(3)
-                p[k] = s * t
-                pts.append(p)
-    pts.append(np.array([0.0, 0.0, 2.3]))
-    pts.append(np.array([0.0, 0.0, -2.3]))
-    worst_radial = max(np.linalg.norm(biot_savart(B_radial, p)) for p in pts)
-
-    fam = example_field("ex14_family", h=lambda s: s / (1 + s ** 2),
-                        omega=(0.0, 0.0, 1.0), alpha=2.0)
-    worst_axis = max(
-        np.linalg.norm(fam.eval_A(np.array([0.0, 0.0, t])))
-        for t in (0.5, 1.0, 2.0))
-    ok = worst_radial <= 1e-6 and worst_axis <= 1e-6
-    _report(capsys, 2, "purely radial and axial field families induce no potential",
-            ok, f"radial-field max ||A|| {worst_radial:.2e} at 20 points, "
-                f"family on-axis max {worst_axis:.2e}, both <= 1e-6")
+    worst_curl = worst_flip = worst_tau = 0.0
+    for omega in ((0.0, 0.0, 1.0), (1.0, 2.0, -0.5)):
+        fam = example_field("ex14_family", h=h, omega=omega)
+        undeclared = PotentialPair(3, A=fam.A, domain_check=fam.domain_check)
+        w = np.asarray(omega) / np.linalg.norm(omega)
+        pts = _random_points(1000, seed=2)
+        yhat = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        pts = pts[np.linalg.norm(np.cross(w, yhat), axis=1) >= 0.1]
+        yhat = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        b = h(yhat @ w)[:, None] * yhat / np.sum(pts ** 2, axis=1, keepdims=True)
+        b_cross = np.cross(b[:, None, :], np.eye(3)).swapaxes(1, 2)
+        scale = np.abs(b_cross).max()
+        B = magnetic_matrix(undeclared, pts)
+        worst_curl = max(worst_curl, np.abs(B - b_cross).max() / scale)
+        worst_flip = max(worst_flip, np.abs(-B - b_cross).max() / scale)
+        worst_tau = max(worst_tau, np.abs(trapping_component(undeclared, pts)).max() / scale)
+    pts = _random_points(1000, seed=3)
+    ex13_A = example_field("ex13").eval_A(pts)
+    member = example_field("ex14_family", h=lambda s: 2 * s, omega=(0.0, 0.0, 1.0))
+    ex13_gap = np.abs(member.eval_A(pts) - ex13_A).max() / np.abs(ex13_A).max()
+    ok = worst_curl <= 1e-6 and worst_tau <= 1e-6 and ex13_gap <= 1e-12 and worst_flip > 1.0
+    _report(capsys, 2, "the field family's closed-form A has curl B and B_tau = 0", ok,
+            f"field-matrix error {worst_curl:.1e} <= 1e-6 (-A reads {worst_flip:.2f} > 1), "
+            f"max|B_tau| {worst_tau:.1e} <= 1e-6, relative to max|b| for two axes; "
+            f"h = 2s against ex13's A {ex13_gap:.1e} <= 1e-12")
 
 
 def test_03_multiplier_calculus(capsys):

@@ -554,32 +554,25 @@ def test_malformed_value_is_exit_3_naming_it(tmp_path, operator_calls,
     assert operator_calls == {"apply": 0, "precond": 0}  # no solve started
 
 
-def test_potential_undefined_at_every_node_is_exit_3(tmp_path, operator_calls):
-    # every node lies within 1e-14 of the origin, where coulomb's d_r V is
-    # not defined: a DomainError, which ended in a traceback with exit 1,
-    # and then in exit 3 after a whole solve.  The discretization tries the
-    # 2^n central nodes through d_r V before any operator exists.
-    code, out = run(tmp_path, {**TINY, "run": "verify-identity",
-                               "potential": {"V": {"name": "coulomb"}},
-                               "grid": {"L": 1.0e-15, "h": 1.0e-15}})
+@pytest.mark.parametrize("potential, L, detail", [
+    ({"V": {"name": "coulomb"}}, 1.0e-15, "evaluation at x = 0 is not defined"),
+    ({"A": {"name": "ex14"}}, 1.0e-12, "this potential is singular on the z-axis"),
+], ids=["coulomb", "ex14"])
+def test_pair_undefined_at_every_node_is_exit_3(tmp_path, operator_calls,
+                                                potential, L, detail):
+    # grids of 2 nodes an axis (h = L), every node within 1e-14 of the
+    # origin, where coulomb's d_r V is not defined, or within 1e-12 of the
+    # z-axis, where ex14 is singular.  The coulomb run ended in a traceback
+    # with exit 1, then in exit 3 after a whole solve; ex14's B_tau, which
+    # the identity samples, was refused after a solve of 3 operator
+    # applications.  The discretization tries the 2^n central nodes before
+    # any operator exists
+    code, out = run(tmp_path, {**TINY, "run": "verify-identity", "potential": potential,
+                               "grid": {"L": L, "h": L}})
     assert code == 3
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "parameter"
-    assert doc["detail"] == "evaluation at x = 0 is not defined"
-    assert operator_calls == {"apply": 0, "precond": 0}
-
-
-def test_magnetic_potential_undefined_at_every_node_is_exit_3(tmp_path, operator_calls):
-    # every node lies within 1e-12 of the z-axis, where ex14 is singular:
-    # B_tau, which the identity samples, was refused after a solve of 3
-    # operator applications; the discretization tries the central nodes
-    code, out = run(tmp_path, {**TINY, "run": "verify-identity",
-                               "potential": {"A": {"name": "ex14"}},
-                               "grid": {"L": 1.0e-12, "h": 1.0e-12}})
-    assert code == 3
-    doc = json.loads((out / "error.json").read_text())
-    assert doc["error"] == "parameter"
-    assert doc["detail"] == "this potential is singular on the z-axis"
+    assert doc["detail"] == detail
     assert operator_calls == {"apply": 0, "precond": 0}
 
 
@@ -611,13 +604,12 @@ def test_pair_undefined_on_the_grid_is_refused_before_any_solve(
     assert operator_calls == {"apply": 0, "precond": 0}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:datum is not supported")
 def test_datum_whose_squares_underflow_is_solved(tmp_path):
     # the squares of a wave of amplitude 1e-200 underflow, so its norm
     # read 0: the relative residual 0/0 was a RuntimeWarning (a traceback
-    # under this test's filter) and otherwise a solver error, exit 4.  The
-    # solve scales the datum by a power of two and u back, so u is the
+    # under the suite's warning filters) and otherwise a solver error, exit
+    # 4.  The solve scales the datum by a power of two and u back, so u is the
     # unit wave's solution times 1e-200.  Its l2_norm, whose squares
     # underflow too, read 0; it is taken on u scaled by a power of two
     doc = {**TINY, "run": "solve", "lambda": 1.0, "eps": 0.5, "tol": 1e-10}
@@ -669,15 +661,14 @@ def test_grid_past_the_twin_range_is_refused_only_by_solves(tmp_path):
         assert code == 0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:datum is not supported")
 @pytest.mark.parametrize("key", ["lambda", "eps"])
 def test_lambda_and_eps_past_the_float32_range_are_exit_3(tmp_path, operator_calls, key):
     # the complex64 twin holds lambda and eps in its diagonal: lambda 1e300
     # overflowed in the preconditioner's table, eps 1e200 in the twin's
-    # cast (each a traceback under this test's filter).  float32's largest
-    # value solves; the next float above it, either sign for eps, is
-    # refused before any solve
+    # cast (each a traceback under the suite's warning filters).  float32's
+    # largest value solves; the next float above it, either sign for eps,
+    # is refused before any solve
     top = float(np.finfo(np.float32).max)
     doc = {**TINY, "run": "solve", "potential": {"A": {"name": "ex13"}}}
     for i, value in enumerate((top, -top)[:1 + (key == "eps")]):
@@ -783,5 +774,5 @@ def test_any_value_ends_in_a_documented_exit_code(tmp_path_factory, small_machin
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code, out = run(tmp, doc, extra=["--json-only"])
-    assert code in (0, 2, 3, 4, 5)
+    assert code in (0, 2, 3, 4)
     assert (code == 0) == (not (out / "error.json").exists())

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from morcam.errors import AccuracyError, DomainError, ParameterError
-from morcam.fields import (PotentialPair, biot_savart, example_field,
-                           jacobian_fd, magnetic_matrix, make_potential_pair,
+from morcam.errors import DomainError, ParameterError
+from morcam.fields import (PotentialPair, example_field, jacobian_fd,
+                           magnetic_matrix, make_potential_pair,
                            radial_derivative_parts, trapping_component)
 
 rng = np.random.default_rng(42)
@@ -191,9 +191,25 @@ def test_ex14_axis_is_domain_error():
         pp.domain_check(np.array([0.0, 0.0, 2.0]))
 
 
-def test_ex14_family_needs_convergent_alpha():
+@pytest.mark.parametrize("h, omega", [
+    (lambda s: 1 + s, (0.0, 0.0, 1.0)),
+    (None, (0.0, 0.0, 1.0)), (lambda s: s, None), (lambda s: s, (0.0, 0.0, 0.0)),
+    (lambda s: s, (math.nan, 0.0, 1.0)), (lambda s: s, (0.0, 1.0)),
+], ids=["nonzero_integral", "no_h", "no_omega", "zero_omega", "nan_omega", "short_omega"])
+def test_ex14_family_refuses_bad_parameters(h, omega):
+    # h = 1 + s integrates to 2 over [-1, 1]: its A would carry a Dirac
+    # string on the -omega axis.  A zero or NaN omega normalized to NaN, so
+    # that A read NaN everywhere and the axis check passed every point
     with pytest.raises(ParameterError):
-        example_field("ex14_family", h=lambda s: s, omega=(0, 0, 1), alpha=5.0)
+        example_field("ex14_family", h=h, omega=omega)
+
+
+@pytest.mark.parametrize("point", [[2.0, 4.0, -1.0], [-0.5, -1.0, 0.25], [0.0, 0.0, 0.0]],
+                         ids=["omega_axis", "minus_omega_axis", "origin"])
+def test_ex14_family_axis_is_domain_error(point):
+    pp = example_field("ex14_family", h=lambda s: s, omega=(1.0, 2.0, -0.5))
+    with pytest.raises(DomainError):
+        pp.domain_check(np.array(point))
 
 
 # --- radial derivative parts -------------------------------------------------
@@ -212,37 +228,6 @@ def test_radial_parts_coulomb_signs():
 
     att = make_potential_pair(3, None, {"name": "coulomb", "c": -1.0})
     assert np.isclose(radial_derivative_parts(att, np.array([0.0, 2.0, 0.0])), 0.25)
-
-
-# --- Biot-Savart -------------------------------------------------------------
-
-
-def test_biot_savart_zero_field():
-    A = biot_savart(lambda Y: np.zeros_like(np.asarray(Y, float)),
-                    np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(A, 0.0)
-
-
-def test_biot_savart_radial_field_vanishes_on_axes():
-    def B_radial(Y):
-        Y = np.asarray(Y, float)
-        r = np.maximum(np.sqrt(np.sum(Y ** 2, axis=-1)), 1e-300)
-        return np.exp(-r ** 2)[..., None] * (Y / r[..., None])
-
-    for p in ([0.0, 0.0, 1.3], [0.7, 0.0, 0.0], [0.0, -2.1, 0.0]):
-        A = biot_savart(B_radial, np.array(p))
-        assert np.linalg.norm(A) < 1e-10
-
-
-def test_biot_savart_nonconvergence_raises(coarse_biot_savart):
-    # a field too rough for a single refinement at loose settings
-    def B_spiky(Y):
-        Y = np.asarray(Y, float)
-        r = np.maximum(np.sqrt(np.sum(Y ** 2, axis=-1)), 1e-300)
-        return (np.sin(40 * r) / r ** 2)[..., None] * (Y / r[..., None])
-
-    with pytest.raises(AccuracyError):
-        biot_savart(B_spiky, np.array([0.4, 0.2, 0.1]))
 
 
 # --- builders ----------------------------------------------------------------

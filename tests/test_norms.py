@@ -203,13 +203,6 @@ def test_duality_random_pairs(grid, decay, seed):
         assert lhs <= rhs * (1 + 1e-10)
 
 
-def test_duality_grid_mismatch():
-    f = ScalarField.zeros(RadialGrid(3, 2.0, 0.5))
-    g = ScalarField.zeros(RadialGrid(3, 2.0, 0.25))
-    with pytest.raises(MorcamError):
-        duality_gap(f, g)
-
-
 # --- mixed radial norms ------------------------------------------------------
 
 

@@ -223,7 +223,6 @@ def test_operator_parameter_checks():
             DiscreteOperator(disc, lam=lam, eps=eps)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_twin_holds_lambda_and_eps_up_to_the_float32_range():
     # lambda and |eps| up to float32's largest value are held by the
     # complex64 twin's diagonal and tables: an Arnoldi step apply(minv(v))

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from morcam import resolvent, verify
 from morcam.admissibility import admissibility_report
-from morcam.errors import MorcamError, ParameterError
+from morcam.errors import ParameterError
 from morcam.fields import PotentialPair, example_field, make_potential_pair
 from morcam.grids import RadialGrid, ScalarField
 from morcam.multipliers import make_phi, make_varphi
@@ -57,14 +57,6 @@ def test_grid_mismatch_is_a_parameter_error(call):
     b = ScalarField.zeros(RadialGrid(3, 2.0, 0.25))
     with pytest.raises(ParameterError, match="different grids"):
         call(a, b, Discretization(a.grid, PotentialPair(3)))
-
-
-def test_identity_grid_mismatch_rejected():
-    a = ScalarField.zeros(RadialGrid(3, 4.0, 0.5))
-    b = ScalarField.zeros(RadialGrid(3, 4.0, 0.25))
-    with pytest.raises(MorcamError):
-        identity_residual(a, b, Discretization(a.grid, PotentialPair(3)), 1.0, 1.0,
-                          [(make_phi(3, 1.0, 1.0), make_varphi(3, 1.0, 1e-3))])
 
 
 def test_manufactured_identity_refines_under_h():
