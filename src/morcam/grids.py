@@ -42,7 +42,9 @@ def point_array(axes) -> np.ndarray:
 class RadialGrid:
     """Uniform cell-centered grid on [-L, L]^n with spacing h.
 
-    1-D node coordinates are -L + (i + 1/2)h for i = 0..m-1 with m = 2L/h;
+    1-D node coordinates are (i + 1/2 - m/2)h for i = 0..m-1 with m = 2L/h,
+    -L + (i + 1/2)h but exactly antisymmetric, coords_1d[::-1] ==
+    -coords_1d, whatever h is;
     L/h must be a positive integer, (n L^2)^2 and h^n positive normal
     floats (h^n only on a grid of fewer than 2^63 nodes: a larger one
     cannot be sampled, and the memory checks of whatever would sample it
@@ -95,8 +97,10 @@ class RadialGrid:
 
     @cached_property
     def coords_1d(self) -> np.ndarray:
+        # i + 1/2 - m/2 is exact, so the one rounding of its product with h
+        # keeps the mirror image of every node's coordinate exact
         i = np.arange(self.m)
-        return -self.L + (i + 0.5) * self.h
+        return (i + (0.5 - self.m // 2)) * self.h
 
     @property
     def points(self) -> np.ndarray:

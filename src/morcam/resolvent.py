@@ -57,6 +57,22 @@ the solution besides slab scratch, and a cycle head holds the Krylov
 basis, the complex64 twin's preconditioner tables and the iterate, and
 the datum only when it is not separable.
 
+A problem even in the last axis to the bit is solved on half the box
+(_z_even says which): n >= 2, the last axis's link phases all 1, and
+every other axis's phases, V and the datum equal to their mirror image
+along the last axis.  Its solution is even too, so the solve runs the
+same GMRES on the half box, the last axis's indexes m/2..m-1, and
+unfolds u onto the grid in place.  Each axis of the box has its own
+1-D description, a node count, a forward and an inverse matrix and
+eigenvalues (_box_axes): the whole box's axes are all (S, S, mu), and
+the half box's last axis takes the sine modes even about the middle,
+X = sqrt(2) S[m/2:, ::2], with eigenvalues mu[::2].  Its stencil reads
+the mirror node, which is the node itself, below the first layer
+(_hops).  The half box holds half the bytes of every Krylov vector,
+and the complex64 cycles' rounding cannot stray into the odd modes,
+which the whole box's GMRES spends steps removing.  Every other
+problem takes the whole box, to the bit of a solve without the rule.
+
 After a solve, radial_sweep evaluates the radial densities of the
 estimate and the identity checks in one more sweep: per slab it forms
 the covariant gradient (one halo row along axis 0), |grad_A u|^2 and
@@ -204,7 +220,7 @@ def _sample(grid: RadialGrid, at: Callable, constant):
     when every slab's samples equal constant: the array is allocated,
     holding constant, at the first slab whose samples do not."""
     out = None
-    for s, e in _slabs(grid, _WORK_NODE_BYTES):
+    for s, e in _slabs(grid.shape, _WORK_NODE_BYTES):
         x = at(s, e)
         if out is None:
             if (x == constant).all():
@@ -214,21 +230,30 @@ def _sample(grid: RadialGrid, at: Callable, constant):
     return out
 
 
-def _slabs(grid: RadialGrid, node_bytes: int) -> list:
-    """The row ranges (s, e) of the slabs of axis 0 that hold SLAB_BYTES
-    at node_bytes bytes a node, at least one row each."""
-    m = grid.m
-    rows = min(m, max(1, SLAB_BYTES // (node_bytes * (grid.size // m))))
+def _slabs(shape: tuple, node_bytes: int) -> list:
+    """The row ranges (s, e) of the slabs of axis 0 of an array of shape
+    that hold SLAB_BYTES at node_bytes bytes a node, at least one row
+    each."""
+    m = shape[0]
+    rows = min(m, max(1, SLAB_BYTES // (node_bytes * math.prod(shape[1:]))))
     return [(s, min(s + rows, m)) for s in range(0, m, rows)]
 
 
-def _field_rows(f: ScalarField):
+def _box_rows(f: ScalarField, s: int, e: int, out=None, half: bool = False):
+    """f.rows(s, e, out), with half its part on the half box, the last
+    axis's upper half m/2: (a view)."""
+    r = f.rows(s, e, out)
+    return r[..., f.grid.m // 2:] if half else r
+
+
+def _field_rows(f: ScalarField, half: bool = False):
     """Yield (i, i + 1, r) for each row i of axis 0: r the samples of f on
-    that row, read by f.rows into one row buffer that the next row reuses
-    (a field with factors allocates no row of its own)."""
+    that row (on the half box with half, see _box_rows), read by f.rows
+    into one row buffer that the next row reuses (a field with factors
+    allocates no row of its own)."""
     row = np.empty((1,) + f.grid.shape[1:], complex)
     for i in range(f.grid.m):
-        yield i, i + 1, f.rows(i, i + 1, row)
+        yield i, i + 1, _box_rows(f, i, i + 1, row, half)
 
 
 def _slab_points(grid: RadialGrid, s: int, e: int, k: int | None = None):
@@ -287,6 +312,10 @@ class Discretization:
     d_r V when there is a V (or dV_r) and through B_tau when there is an
     A.  A pair undefined there raises DomainError before any operator
     exists, so every run that solves refuses it the same way.
+
+    half() gives the samples of the half box of a pair even in the last
+    axis, copied on first use and kept, so that the solves of every eps
+    share them.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
@@ -319,7 +348,7 @@ class Discretization:
             V = np.zeros(())
         else:
             cap, capped = 1.0 / grid.h ** 2, 0
-            for s, e in _slabs(grid, _WORK_NODE_BYTES):
+            for s, e in _slabs(grid.shape, _WORK_NODE_BYTES):
                 capped += np.count_nonzero(np.abs(V[s:e]) > cap)
                 np.clip(V[s:e], -cap, cap, out=V[s:e])
             if capped:
@@ -327,6 +356,7 @@ class Discretization:
                               f"{capped} nodes", stacklevel=2)
         self.V = V
         self._drv = None
+        self._half = None
 
     def radial_derivative(self) -> np.ndarray:
         """d_r V at the nodes, zero where the capped V sits at +-1/h^2 (it
@@ -343,18 +373,47 @@ class Discretization:
                 drv = np.zeros(())
             elif self.V.ndim:
                 cap = 1.0 / grid.h ** 2
-                for s, e in _slabs(grid, _WORK_NODE_BYTES):
+                for s, e in _slabs(grid.shape, _WORK_NODE_BYTES):
                     drv[s:e][np.abs(self.V[s:e]) == cap] = 0.0
             drv.flags.writeable = False
             self._drv = drv
         return self._drv
 
+    def half(self):
+        """The samples of the half box, the last axis's upper half m/2:,
+        as (phases, V), or None when the pair is not even in the last
+        axis: when n < 2, when the last axis's phases are not all 1, or
+        when another axis's phases or V differ from their mirror image
+        along the last axis in any bit.  On the first call the samples are
+        compared with their mirror slab by slab and, when they pass,
+        contiguous copies of their halves are made; either answer is
+        kept, so that every solve of this sampling shares the copies."""
+        if self._half is None:
+            arrays = [a for a in self.phases[:-1] + [self.V] if a is not None and a.ndim]
+            even = (self.grid.n >= 2 and self.phases[-1] is None
+                    and all(_mirror_equal(a) for a in arrays))
+            mid = self.grid.m // 2
 
-def _hops(P, u: np.ndarray, k: int, s: int, e: int, cast=None) -> list:
+            def cut(a):
+                return a if a is None or a.ndim == 0 else np.ascontiguousarray(a[..., mid:])
+
+            self._half = ([cut(p) for p in self.phases], cut(self.V)) if even else ()
+        return self._half or None
+
+
+def _mirror_equal(a: np.ndarray) -> bool:
+    """Whether the grid-sized array a equals its mirror image along the
+    last axis, a[..., ::-1], in every value, compared slab by slab."""
+    return all(np.array_equal(a[s:e], a[s:e, ..., ::-1])
+               for s, e in _slabs(a.shape, _WORK_NODE_BYTES))
+
+
+def _hops(P, u: np.ndarray, k: int, s: int, e: int, cast=None,
+          mirror: bool = False) -> list:
     """The two hops along axis k that reach the rows s:e of axis 0, up
-    then down, each as (dst, U, v, edge) on flat, contiguous arrays: dst
-    slices the flattened rows, v is the piece of the flattened u the hop
-    reads into them and U the phases of its edges, or None when P, the
+    then down, each as (dst, U, v, edge, back) on flat, contiguous arrays:
+    dst slices the flattened rows, v is the piece of the flattened u the
+    hop reads into them and U the phases of its edges, or None when P, the
     phases of axis k (link_phases' entry), is None.  U is read from P's
     rows s-1:e (from row 0 when s = 0), a view, or their cast into the
     caller's buffer cast (of a slab and a row) when it is given.  The up
@@ -362,16 +421,21 @@ def _hops(P, u: np.ndarray, k: int, s: int, e: int, cast=None) -> list:
     down hop u(x - h e_k) with U_k(x - h e_k), which _add_hop conjugates.
 
     u and P are C-contiguous, read as flat views.  A hop is a shift of
-    the flattened rows by axis k's stride m^(n-1-k).  Along axis 0 the
-    edges (i, i+1) that start in the rows have i in s:b, those that end
-    there i in a-1:e-1, so u is read one row past each end of the rows
-    that lies inside the box (its halo), and dst leaves out the box's
-    last row (up) or its first (down).  Along any other axis dst spans
-    the rows but one stride, and its shift wraps across the box's last
-    layer along axis k (up) or its first (down): edge indexes that layer
-    of an array of the rows, which the hop must not reach, so _add_hop
-    puts it back as it was (edge is None along axis 0)."""
-    m, n = u.shape[0], u.ndim
+    the flattened rows by axis k's stride, the product of the lengths of
+    the axes after k.  Along axis 0 the edges (i, i+1) that start in the
+    rows have i in s:b, those that end there i in a-1:e-1, so u is read
+    one row past each end of the rows that lies inside the box (its
+    halo), and dst leaves out the box's last row (up) or its first
+    (down).  Along any other axis dst spans the rows but one stride, and
+    its shift wraps across the box's last layer along axis k (up) or its
+    first (down): edge indexes that layer of an array of the rows, which
+    the hop must not reach, so _add_hop puts it back as it was (edge is
+    None along axis 0).  With mirror (the last axis of the half box,
+    whose phases are None) the down hop at the first layer reads the
+    mirror node across the box's middle, which is the node itself: back
+    is u's first layer on the rows, which _add_hop adds there in place of
+    zero; back is None otherwise."""
+    m = u.shape[0]
     M = u.size // m
     flat = u.reshape(-1)
     r = max(s - 1, 0)
@@ -388,26 +452,29 @@ def _hops(P, u: np.ndarray, k: int, s: int, e: int, cast=None) -> list:
 
     if k == 0:
         b, a = min(e, m - 1), max(s, 1)
-        return [(slice(None, (b - s) * M), at(s, b), flat[(s + 1) * M:(b + 1) * M], None),
+        return [(slice(None, (b - s) * M), at(s, b), flat[(s + 1) * M:(b + 1) * M], None, None),
                 (slice((a - s) * M, None), at(a - 1, e - 1), flat[(a - 1) * M:(e - 1) * M],
-                 None)]
-    st, N = m ** (n - 1 - k), (e - s) * M
+                 None, None)]
+    st, N = math.prod(u.shape[k + 1:]), (e - s) * M
     v, U = flat[s * M:e * M], at(s, e)
     U = None if U is None else U[:N - st]
     layer = (slice(None),) * k
-    return [(slice(None, N - st), U, v[st:], layer + (m - 1,)),
-            (slice(st, None), U, v[:N - st], layer + (0,))]
+    first = layer + (0,)
+    back = u[s:e][first] if mirror else None
+    return [(slice(None, N - st), U, v[st:], layer + (u.shape[k] - 1,), None),
+            (slice(st, None), U, v[:N - st], first, back)]
 
 
 def _add_hop(out: np.ndarray, hop, tmp, conj: bool, sign: int = 1) -> None:
-    """Add the hop (dst, U, v, edge) of _hops to out, the C-contiguous
-    array of its rows: out's flattened rows dst get U v (conj(U) v when
-    conj) added, or subtracted when sign is -1, the product formed in the
-    flat scratch tmp (unused when U is None: v is added as it is), and
-    out's layer edge, which the shift wraps across, is put back as it
-    was.  This is the only code that adds a hop: the stencil and the
+    """Add the hop (dst, U, v, edge, back) of _hops to out, the
+    C-contiguous array of its rows: out's flattened rows dst get U v
+    (conj(U) v when conj) added, or subtracted when sign is -1, the
+    product formed in the flat scratch tmp (unused when U is None: v is
+    added as it is), and out's layer edge, which the shift wraps across,
+    is put back as it was, with back added (subtracted) when it is not
+    None.  This is the only code that adds a hop: the stencil and the
     covariant gradient both call it."""
-    dst, U, v, edge = hop
+    dst, U, v, edge, back = hop
     kept = None if edge is None else out[edge].copy()
     if U is not None:
         t = tmp.reshape(-1)[:v.size]
@@ -417,9 +484,12 @@ def _add_hop(out: np.ndarray, hop, tmp, conj: bool, sign: int = 1) -> None:
         else:
             np.multiply(U, v, out=t)
         v = t
+    add = np.add if sign > 0 else np.subtract
     rows = out.reshape(-1)[dst]
-    (np.add if sign > 0 else np.subtract)(rows, v, out=rows)
+    add(rows, v, out=rows)
     if kept is not None:
+        if back is not None:
+            add(kept, back, out=kept)
         out[edge] = kept
 
 
@@ -439,10 +509,17 @@ class DiscreteOperator:
     (complex128 or complex64) is the precision of the phases and the
     diagonal apply multiplies by, of the preconditioner's tables and of
     every vector apply and the preconditioner take and return.
+
+    With half the box is the half box of a pair even in the last axis
+    (see Discretization.half, which must not be None): the last axis's
+    upper half m/2:, of shape ``shape``, with the mirror node across the
+    middle in place of zero below its first layer (see _hops) and the
+    z-even sine modes as its eigenbasis (see _box_axes).  Vectors are of
+    that shape.
     """
 
     def __init__(self, disc: Discretization, lam: float, eps: float,
-                 dtype=np.complex128):
+                 dtype=np.complex128, half: bool = False):
         lam, eps = float(lam), float(eps)
         check_resolvent_parameters(lam, eps)
         self.disc = disc
@@ -450,8 +527,18 @@ class DiscreteOperator:
         self.lam = lam
         self.eps = eps
         self.dtype = np.dtype(dtype)
+        self.half = half
+        g = self.grid
+        self.shape = g.shape[:-1] + (g.m // 2,) if half else g.shape
+        self.size = math.prod(self.shape)
         # whether any hop carries a product, and so needs _sweep's scratch
-        self._phased = any(p is not None for p in disc.phases)
+        self._phased = any(p is not None for p in self._samples()[0])
+
+    def _samples(self):
+        """The link phases and V of the box: the discretization's, or on
+        the half box their halves (Discretization.half).  Read, not kept,
+        so that an operator holds no grid-sized array."""
+        return self.disc.half() if self.half else (self.disc.phases, self.disc.V)
 
     def apply(self, u: np.ndarray, rhs: ScalarField | None = None):
         """(-Delta_A^h + V - lambda - i eps)u in one sweep of slabs of
@@ -461,10 +548,9 @@ class DiscreteOperator:
         summed from the squares of its rows of axis 0 (see _row_norm), so
         the value does not depend on the slab size and nothing grid-sized
         is allocated."""
-        g = self.grid
-        u = np.ascontiguousarray(u, self.dtype).reshape(g.shape)
+        u = np.ascontiguousarray(u, self.dtype).reshape(self.shape)
         if rhs is None:
-            out = np.empty(g.shape, self.dtype)
+            out = np.empty(self.shape, self.dtype)
             for _ in self._sweep(u, out):
                 pass
             return out
@@ -478,7 +564,7 @@ class DiscreteOperator:
         for s, e, w in self._sweep(u):
             for i in range(s, e):
                 r = w[i - s:i - s + 1]
-                np.subtract(rhs.rows(i, i + 1, row), r, out=r)
+                np.subtract(_box_rows(rhs, i, i + 1, row, self.half), r, out=r)
             yield s, e, w
 
     def _sweep(self, u: np.ndarray, out: np.ndarray | None = None):
@@ -497,19 +583,20 @@ class DiscreteOperator:
         every slab reuses, the values a cast of the whole array holds.
         Every sum is taken in the order of a whole-array sweep, so the
         values do not depend on the slab size."""
-        g, dtype, eps = self.grid, self.dtype, self.eps
-        slabs = _slabs(g, dtype.itemsize)
+        g, dtype, eps, shape = self.grid, self.dtype, self.eps, self.shape
+        slabs = _slabs(shape, dtype.itemsize)
         # hop sums the slab's hops; each product U u is formed in tmp (an
         # operator without phases has no products)
-        hop = np.empty((slabs[0][1],) + g.shape[1:], dtype)
+        hop = np.empty((slabs[0][1],) + shape[1:], dtype)
         tmp = np.empty_like(hop) if self._phased else None
         buf = np.empty_like(hop) if out is None else None
         # the phase rows of one axis at a time, cast to the dtype when
-        # disc.phases holds another
+        # the samples hold another
+        phases, V = self._samples()
         cast = None
-        if any(p is not None and p.dtype != dtype for p in self.disc.phases):
-            cast = np.empty((slabs[0][1] + 1,) + g.shape[1:], dtype)
-        V, c = self.disc.V, 2 * g.n / g.h ** 2
+        if any(p is not None and p.dtype != dtype for p in phases):
+            cast = np.empty((slabs[0][1] + 1,) + shape[1:], dtype)
+        c = 2 * g.n / g.h ** 2
         # the real diagonal (2n/h^2 + V) - lambda in float64, cast to the
         # dtype by its assignment to slab.real (rounding once, as a cast of
         # the whole diagonal does): a slab buffer, or its one value
@@ -527,8 +614,8 @@ class DiscreteOperator:
             np.multiply(slab, u[s:e], out=w)
             slab[...] = 0
             # U_k(x) u(x + h e_k), then conj(U_k(x - h e_k)) u(x - h e_k)
-            for k, P in enumerate(self.disc.phases):
-                up, down = _hops(P, u, k, s, e, cast)
+            for k, P in enumerate(phases):
+                up, down = _hops(P, u, k, s, e, cast, self.half and k == g.n - 1)
                 _add_hop(slab, up, tmp, False)
                 _add_hop(slab, down, tmp, True)
             slab *= scale
@@ -538,11 +625,12 @@ class DiscreteOperator:
     # --- free-operator preconditioner ------------------------------------
 
     def preconditioner(self) -> Callable:
-        """The exact inverse of the free shifted operator (A = V = 0),
-        v -> S diag(1/(mu - lambda - i eps)) S v with the sine matrix S
-        along every axis and mu the n-fold sum of the 1-D eigenvalues
-        (see _dirichlet_eigenpairs), acting on flat vectors of the
-        operator's dtype.
+        """The exact inverse of the free shifted operator (A = V = 0) on
+        the box, v -> X diag(1/(mu - lambda - i eps)) X^T v with the
+        eigenbasis X of each axis's 1-D second difference and mu the
+        n-fold sum of the axes' eigenvalues (see _box_axes: the sine
+        matrix S along every axis of the whole box), acting on flat
+        vectors of the operator's dtype.
 
         A call allocates its complex output and transforms it in place in
         four sweeps, with two buffers of two slabs of the dtype as
@@ -566,35 +654,40 @@ class DiscreteOperator:
         once per Arnoldi step, so it keeps the table by column blocks,
         cast to float32.  A complex128 one is the start of a solve, called
         once, so it keeps nothing grid-sized and each call forms the table
-        block by block as it multiplies: the same values either way.  v
+        block by block as it multiplies: the same values either way.  On
+        the half box the start's output is the first half of a buffer of
+        the whole grid's size, which solve unfolds in place (_unfold).  v
         may also be a ScalarField.  When this operator is free and the
-        field has factors f_k, the callable takes the spectrum S v as the
-        outer product of the 1-D transforms S f_k, formed slab by slab in
-        place of the products of sweeps 1 and 2; otherwise it transforms
-        the field's values, formed whole for the call when the field has
-        factors and dropped after sweep 1."""
-        g, dtype = self.grid, self.dtype
-        m, shape, real = g.m, g.shape, np.finfo(dtype).dtype
+        field has factors f_k, the callable takes the spectrum X^T v as the
+        outer product of the 1-D transforms X_k^T f_k, formed slab by slab
+        in place of the products of sweeps 1 and 2; otherwise it
+        transforms the field's values on the box, formed whole for the
+        call when the field has factors and dropped after sweep 1."""
+        dtype, shape, half = self.dtype, self.shape, self.half
+        m, real = shape[0], np.finfo(dtype).dtype
         lam, eps = self.lam, self.eps
         # every solve calls the complex128 inverse once, for its start, and
         # the complex64 twin serves its cycles; a start that is not free
         # takes the dense transform only so that it keeps its bits
-        free = not self._phased and self.disc.V.ndim == 0
-        S, mu = _dirichlet_eigenpairs(m, g.h)
-        S = S.astype(real, copy=False)
-        slabs = _slabs(g, dtype.itemsize)
+        free = not self._phased and self._samples()[1].ndim == 0
+        axes = _box_axes(self.grid, half, real)
+        (F0, B0, mu0), rest = axes[0], axes[1:]
+        slabs = _slabs(shape, dtype.itemsize)
         # M nodes a row of axis 0; the column blocks (c, d) of the rows'
         # nodes hold as many nodes as a slab
-        M = g.size // m
+        M = self.size // m
         cols = slabs[0][1] * M // m
         blocks = [(c, min(c + cols, M)) for c in range(0, M, cols)]
+        # the start's output on the half box is the first half of a buffer
+        # of the whole grid's size, which solve unfolds u into
+        buffer_size = self.grid.size if half and dtype == np.complex128 else self.size
 
         def table(c, d, s=0, e=m):
             # the table on the columns c:d of the rows s:e, mu summed over
             # the axes in order as a broadcast outer sum adds them
             t = np.zeros((e - s, d - c))
-            t += mu[s:e, None]
-            for i in np.unravel_index(np.arange(c, d), shape[1:]):
+            t += mu0[s:e, None]
+            for (_, _, mu), i in zip(rest, np.unravel_index(np.arange(c, d), shape[1:])):
                 t += mu[i]
             t -= lam
             q = t * t
@@ -618,9 +711,11 @@ class DiscreteOperator:
             if isinstance(v, ScalarField):
                 if free and v.factors is not None:
                     factors = v.factors
+                    if half:
+                        factors = factors[:-1] + (factors[-1][v.grid.m // 2:],)
                 else:
-                    v = v.values
-            out = np.empty(shape, dtype)
+                    v = _box_rows(v, 0, m, half=half)
+            out = np.empty(buffer_size, dtype)[:self.size].reshape(shape)
             # out's memory, 2M reals a row of axis 0: the interleaved
             # complex values, or between the sweeps the row's real parts
             # ahead of its imaginary parts (split); halves views the split
@@ -638,18 +733,18 @@ class DiscreteOperator:
             bufs = [scratch((e - s, 2) + shape[1:]) for s, e in slabs]
             if factors is None:
                 v = np.ascontiguousarray(v, dtype).reshape(shape)
-                np.matmul(S, v.view(real).reshape(m, 2 * M), out=rows)
+                np.matmul(F0, v.view(real).reshape(m, 2 * M), out=rows)
                 # read once: a datum formed from its factors for this call
                 # is dropped here
                 v = None
             else:
-                spec = [S @ f for f in factors]
+                spec = [F @ f for (F, _, _), f in zip(axes, factors)]
                 head = functools.reduce(np.multiply.outer, spec[:-1], np.ones(()))
             for (s, e), (a, b) in zip(slabs, bufs):
                 o = out[s:e]
                 if factors is None:
                     a[:, 0], a[:, 1] = o.real, o.imag
-                    _sine_rest(a, (b, a), S, out=split[s:e])
+                    _sine_rest(a, (b, a), rest, False, out=split[s:e])
                 else:
                     t = b.reshape(-1).view(dtype).reshape(o.shape)
                     np.multiply(head[s:e, ..., None], spec[-1], out=t)
@@ -668,9 +763,9 @@ class DiscreteOperator:
                 # re has been read; it holds each im product in turn
                 y_re -= np.multiply(im, inv_im, out=re)
                 y_im += np.multiply(im, inv_re, out=re)
-                np.matmul(S, y, out=block)
+                np.matmul(B0, y, out=block)
             for (s, e), b in zip(slabs, bufs):
-                x = _sine_rest(split[s:e], b, S)
+                x = _sine_rest(split[s:e], b, rest, True)
                 o = out[s:e]
                 o.real, o.imag = x[:, 0], x[:, 1]
             return out.ravel()
@@ -689,21 +784,47 @@ def _dirichlet_eigenpairs(m: int, h: float):
     return S, (2 - 2 * np.cos(math.pi * k / (m + 1))) / h ** 2
 
 
-def _sine_rest(x: np.ndarray, bufs, S: np.ndarray, out=None) -> np.ndarray:
-    """Apply S along the grid axes 1..n-1 of x, a slab's rows of axis 0
-    with their real and imaginary parts apart, shape (rows, 2, m, ..., m):
-    one matrix product per axis, written into the two buffers of x's shape
-    in bufs in turn and the last into out when given.  Returns the array
-    holding the result."""
-    m = S.shape[0]
+def _box_axes(grid: RadialGrid, half: bool, real=np.float64) -> list:
+    """The 1-D description of each axis of the box, (forward, inverse,
+    mu): the matrix that takes values to the coefficients of the axis's
+    eigenbasis, the matrix that takes them back, both cast to the float
+    type real, and the eigenvalues; the node count is len(mu).  An axis
+    of the whole box is (S, S, mu) of _dirichlet_eigenpairs.  With half
+    the last axis is the half box's: its eigenvectors are the sine modes
+    even about the box's middle, the odd k, restricted to the upper half,
+    X = sqrt(2) S[m/2:, ::2] (formed in float64), with eigenvalues
+    mu[::2].  X is orthogonal but not symmetric: (X^T, X, mu[::2]).  Each
+    basis is orthogonal, so each matrix's transpose is the other one of
+    its pair."""
+    S, mu = _dirichlet_eigenpairs(grid.m, grid.h)
+    axes = [(S.astype(real, copy=False),) * 2 + (mu,)] * grid.n
+    if half:
+        X = math.sqrt(2.0) * S[grid.m // 2:, ::2]
+        axes[-1] = (np.ascontiguousarray(X.T, real), X.astype(real, copy=False), mu[::2])
+    return axes
+
+
+def _sine_rest(x: np.ndarray, bufs, axes, inverse: bool, out=None) -> np.ndarray:
+    """Apply the forward matrices of axes (the inverse ones with inverse)
+    along the grid axes 1..n-1 of x, a slab's rows of axis 0 with their
+    real and imaginary parts apart, shape (rows, 2, m_1, ..., m_n-1), axes
+    holding the descriptions of _box_axes for axes 1..n-1: one matrix
+    product per axis, written into the two buffers of x's shape in bufs in
+    turn and the last into out when given.  Along the last axis the
+    product is taken from the right, by the transpose of the matrix, which
+    is the other matrix of its pair.  Returns the array holding the
+    result."""
     n = x.ndim - 1
+    shape = x.shape[2:]
     for k in range(1, n):
+        forward, back, _ = axes[k - 1]
         y = out if k == n - 1 and out is not None else bufs[(k - 1) % 2]
         if k == n - 1:
-            np.matmul(x.reshape(-1, m), S, out=y.reshape(-1, m))
+            right = forward if inverse else back
+            np.matmul(x.reshape(-1, shape[-1]), right, out=y.reshape(-1, shape[-1]))
         else:
-            batch = (-1, m, m ** (n - 1 - k))
-            np.matmul(S, x.reshape(batch), out=y.reshape(batch))
+            batch = (-1, shape[k - 1], math.prod(shape[k:]))
+            np.matmul(back if inverse else forward, x.reshape(batch), out=y.reshape(batch))
         x = y
     return x
 
@@ -849,17 +970,24 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
     2^k, k = scale_exponent(f), and u is scaled back by 2^-k; any other
     datum is solved as it is.  A tol that is not finite and positive, a
     datum and a discretization on different grids, and a lambda or eps
-    that DiscreteOperator refuses raise ParameterError before f is read,
+    that DiscreteOperator refuses raise ParameterError before the solve,
     the zero datum included (a tiny datum does not: check_datum is the
     estimate's and the identity's); nonconvergence, a non-finite residual
     included, raises SolverError (with the achieved residual).  The
     problem's one complex128 operator is built here.
+
+    A problem even in the last axis (see _z_even) is solved on the half
+    box, the last axis's upper half, and u unfolded onto the grid
+    (_unfold).  f's norm and the residual are then the half box's, whose
+    ratio is the whole box's: an even field's squared norm is twice its
+    half's.
     """
     check_resolvent_parameters(tol=tol)
     grid, f = prob.grid, prob.f
     check_same_grid(grid, prob.disc.grid)
-    op = DiscreteOperator(prob.disc, prob.lam, prob.eps)
-    bnorm, k = _row_norm(_field_rows(f)), 0
+    half = _z_even(prob)
+    op = DiscreteOperator(prob.disc, prob.lam, prob.eps, half=half)
+    bnorm, k = _row_norm(_field_rows(f, half)), 0
     if bnorm < 2.0 ** -SCALE_RANGE:
         # f's largest part is at most its norm, so k is 0 only for f = 0
         k = scale_exponent(f)
@@ -868,16 +996,62 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
             u.residual, u.iterations, u.cycles = 0.0, 0, 0
             return u
         f = f.scaled(2.0 ** k)
-        bnorm = _row_norm(_field_rows(f))
+        bnorm = _row_norm(_field_rows(f, half))
     x, res, its, cycles = _gmres(op, f, bnorm, tol)
     if not res <= tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
             achieved_residual=res)
     x *= -(2.0 ** -k)
+    if half:
+        x = _unfold(x, grid)
     u = ScalarField(grid, x.reshape(grid.shape))
     u.residual, u.iterations, u.cycles = res, its, cycles
     return u
+
+
+def _z_even(prob: ResolventProblem) -> bool:
+    """Whether solve takes prob on the half box: the pair even in the last
+    axis to the bit (Discretization.half is not None, which needs n >= 2)
+    and the datum too, its last factor equal to its mirror image or, for
+    a field with values, every row of axis 0 equal to its mirror along
+    the last axis.  Its solution is then even in the last axis, and the
+    half box holds all of it."""
+    f = prob.f
+    if f.factors is not None:
+        last = f.factors[-1]
+        even = np.array_equal(last, last[::-1])
+    else:
+        even = all(np.array_equal(r, r[..., ::-1]) for _, _, r in _field_rows(f))
+    return even and prob.disc.half() is not None
+
+
+def _unfold(x: np.ndarray, grid: RadialGrid) -> np.ndarray:
+    """The grid's values of a half-box solution x, the first half of the
+    buffer of the whole grid's size that the start allocated (see
+    DiscreteOperator.preconditioner), unfolded in place in that buffer,
+    flat: each line along the last axis, m/2 values at its index i in x,
+    becomes its mirror image followed by itself at i m.  The lines i in
+    [a, b), b <= 2a, read the buffer's values [a m/2, b m/2) and write
+    [a m, b m), which lie apart, so the blocks [ceil(b/2), b) move from
+    the end down to line 1 with no copy, and line 0 writes its upper
+    half and then its mirror from that."""
+    buf = x.base
+    if buf is None or buf.size != 2 * x.size:
+        raise ValueError("a half-box solution is unfolded in the buffer its start allocated")
+    buf = buf.reshape(-1)
+    m, mid = grid.m, grid.m // 2
+    b = buf.size // m
+    while b > 1:
+        a = (b + 1) // 2
+        src = buf[a * mid:b * mid].reshape(-1, mid)
+        dst = buf[a * m:b * m].reshape(-1, m)
+        dst[:, mid:] = src
+        dst[:, :mid] = src[:, ::-1]
+        b = a
+    buf[mid:m] = buf[:mid]
+    buf[:mid] = buf[mid:m][::-1]
+    return buf
 
 
 def _row_norm(slabs) -> float:
@@ -897,8 +1071,8 @@ def _gmres(op, f, bnorm, tol):
     ||b - op.apply(x)|| <= tol ||b||, after MAXITER iterations or at the
     first non-finite residual norm (a cycle whose Givens estimate is not
     finite ends at once, and the next cycle head returns).  Returns x (of
-    the grid's shape), its relative residual, the number of Arnoldi steps
-    and the number of cycles.
+    the operator's box shape), its relative residual, the number of
+    Arnoldi steps and the number of cycles.
 
     Every cycle, the first included, begins with the norm of the
     complex128 true residual r = b - Ax, op.apply(x, f), which sums the
@@ -923,16 +1097,16 @@ def _gmres(op, f, bnorm, tol):
     (Carson & Higham 2018).  The twin and the basis are built at the
     first cycle.
     """
-    shape = op.grid.shape
+    shape = op.shape
     x, its, cycles = op.preconditioner()(f).reshape(shape), 0, 0
     while True:
         rnorm = op.apply(x, f)
         if not math.isfinite(rnorm) or rnorm <= tol * bnorm or its >= MAXITER:
             return x, rnorm / bnorm, its, cycles
         if not cycles:
-            low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64)
+            low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64, op.half)
             minv32 = low.preconditioner()
-            V = np.empty((RESTART + 1, op.grid.size), np.complex64)
+            V = np.empty((RESTART + 1, op.size), np.complex64)
         cycles += 1
         # aim a third below tol, so that the next head's complex128
         # residual, not a cycle of one or two more steps, ends the solve
@@ -974,7 +1148,7 @@ def _gmres(op, f, bnorm, tol):
         # unit size whatever the scale of f; it is rescaled in complex128,
         # slab by slab
         z = minv32(V[:k].T @ y).reshape(shape)
-        for s, e in _slabs(op.grid, 16):
+        for s, e in _slabs(shape, 16):
             x[s:e] += np.multiply(rnorm, z[s:e], dtype=complex)
         del z  # alive through the next cycle otherwise
 
@@ -1048,7 +1222,7 @@ def radial_sweep(u: ScalarField, disc: Discretization, densities: Callable,
     grid = u.grid
     check_same_grid(grid, disc.grid)
     n, c = grid.n, grid.coords_1d
-    slabs = _slabs(grid, _WORK_NODE_BYTES)
+    slabs = _slabs(grid.shape, _WORK_NODE_BYTES)
     shape = (slabs[0][1],) + grid.shape[1:]
     buf, g_r, bg = np.empty((3,) + shape, complex)
     g2, sq = np.empty((2,) + shape)

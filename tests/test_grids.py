@@ -18,6 +18,22 @@ def test_grid_basic_geometry():
     assert np.isclose(grid.radii.min(), grid.h * math.sqrt(3) / 2)
 
 
+@pytest.mark.parametrize("L, h", [(12.0, 0.5), (5.0, 0.125), (16.0, 0.5), (1.0, 0.25),
+                                  (6.0, 0.3), (0.7, 0.1), (2.1, 0.3), (4.9, 0.7), (3.0, 0.1)])
+def test_node_coordinates_are_exactly_antisymmetric(L, h):
+    # (i + 1/2 - m/2) h rounds once, so every node's mirror image is a node
+    # to the bit, which the half-box solve of a mirror-even problem needs;
+    # -L + (i + 1/2) h rounds twice and is not mirror-exact for h = 0.1,
+    # 0.3 or 0.7.  On a dyadic grid the two forms give the same bits
+    grid = RadialGrid(3, L, h)
+    c = grid.coords_1d
+    assert np.array_equal(c[::-1], -c)
+    old = -L + (np.arange(grid.m) + 0.5) * h
+    assert np.abs(c - old).max() <= 4 * np.finfo(float).eps * L
+    if h in (0.5, 0.25, 0.125):
+        assert np.array_equal(c, old)
+
+
 def test_grid_rejects_bad_spacing():
     with pytest.raises(GridError):
         RadialGrid(3, 8.0, 0.3)

@@ -857,31 +857,44 @@ def test_free_solve_costs_one_preconditioner_and_one_apply(operator_calls,
     assert operator_dtypes == [np.complex128]
 
 
-def magnetic_point_problem(eps, grid=None):
+#: the datum centres of the boxes a solve takes: a point datum centred at
+#: the origin is even in z, so its solve takes the half box; one centred at
+#: z = 0.5 is not, and takes the whole box
+CENTRES = {"half": 0.0, "whole": [0.0, 0.0, 0.5]}
+
+
+def magnetic_point_problem(eps, grid=None, box="half"):
     pp = make_potential_pair(3, {"name": "ex13"}, {"name": "gaussian", "amplitude": 0.5})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the point datum reaches the boundary
-        return build_problem(pp, 1.0, eps, "point", grid or small_grid())
+        return build_problem(pp, 1.0, eps, {"name": "point", "center": CENTRES[box]},
+                             grid or small_grid())
 
 
-# measured operator applications per eps
-MAGNETIC_APPLICATIONS = {1.0: 18, 0.25: 23, 0.05: 26}
+# measured operator applications per eps, on the half box (the centred
+# datum) and on the whole box (the datum at z = 0.5)
+MAGNETIC_APPLICATIONS = {"half": {1.0: 18, 0.25: 23, 0.05: 25},
+                         "whole": {1.0: 19, 0.25: 24, 0.05: 28}}
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.05])
 def test_magnetic_solve_application_count(operator_calls, eps):
     # pinned at the measured count: a change to the start, the cycle cut or
-    # the cycles' precision must not cost iterations unnoticed.  Each
-    # Arnoldi step applies the operator and the preconditioner once, each
-    # cycle adds one of each (its true residual, its correction), and the
-    # start minv(f) and the final residual check add one more
-    prob = magnetic_point_problem(eps)
-    u = solve(prob, tol=1e-10)
-    assert u.residual <= 1e-10
-    count = MAGNETIC_APPLICATIONS[eps]
-    assert operator_calls == {"apply": count, "precond": count}
-    assert 1 + u.iterations + u.cycles == count
-    assert u.cycles >= 1
+    # the cycles' precision must not cost iterations unnoticed, on either
+    # box.  Each Arnoldi step applies the operator and the preconditioner
+    # once, each cycle adds one of each (its true residual, its
+    # correction), and the start minv(f) and the final residual check add
+    # one more
+    for box, counts in MAGNETIC_APPLICATIONS.items():
+        prob = magnetic_point_problem(eps, box=box)
+        assert resolvent._z_even(prob) == (box == "half")
+        operator_calls.update(apply=0, precond=0)
+        u = solve(prob, tol=1e-10)
+        assert u.residual <= 1e-10
+        count = counts[eps]
+        assert operator_calls == {"apply": count, "precond": count}
+        assert 1 + u.iterations + u.cycles == count
+        assert u.cycles >= 1
 
 
 def test_solve_refines_below_single_precision(operator_dtypes):
@@ -918,23 +931,30 @@ def test_solve_does_not_depend_on_the_scale_of_f():
 
 
 def test_solve_peak_memory(traced_memory):
-    # transient allocations of a solve, in grid-sized complex128 arrays:
-    # 55.4 measured, of which the 101 complex64 basis vectors are 50.5; a
-    # complex128 basis alone would be 101, and one more grid-sized
-    # complex128 temporary would pass the bound, as would the twin's
-    # complex64 casts of ex13's two phase arrays (56.2 when the twin kept
-    # them; it now casts the rows of each slab into one slab buffer, which
-    # at 32^3 covers the grid).  The datum's values are formed inside the
-    # solve, for its start only, and dropped, and the cycle heads read its
-    # rows one at a time into a row buffer
+    # transient allocations of a solve, in grid-sized complex128 arrays.
+    # On the whole box (the datum off the plane z = 0) 55.4 measured, of
+    # which the 101 complex64 basis vectors are 50.5; a complex128 basis
+    # alone would be 101, and one more grid-sized complex128 temporary
+    # would pass the bound, as would the twin's complex64 casts of ex13's
+    # two phase arrays (56.2 when the twin kept them; it now casts the rows
+    # of each slab into one slab buffer, which at 32^3 covers the grid).
+    # The datum's values are formed inside the solve, for its start only,
+    # and dropped, and the cycle heads read its rows one at a time into a
+    # row buffer.  On the half box (the centred datum, even in z) 29.9
+    # measured: the basis of half-box vectors is 25.3, the iterate a
+    # buffer of the whole grid (1), and the half copies of the phases and
+    # V are made inside the solve; a basis of whole-grid vectors (55.4
+    # measured when this solve took the whole box) or one more grid-sized
+    # temporary would pass the bound
     grid = RadialGrid(3, 8.0, 0.5)
-    prob = build_problem(example_field("ex13"), 1.0, 0.1,
-                         {"name": "gaussian", "width": 1.0}, grid)
-    made = []
-    _, peak = traced_memory(lambda: made.append(solve(prob, tol=1e-10)))
-    [u] = made
-    assert u.iterations >= 20
-    assert peak < 56 * grid.size * 16
+    for centre, bound in (([0.0, 0.0, 0.5], 56), (0.0, 30.5)):
+        prob = build_problem(example_field("ex13"), 1.0, 0.1,
+                             {"name": "gaussian", "width": 1.0, "center": centre}, grid)
+        made = []
+        _, peak = traced_memory(lambda: made.append(solve(prob, tol=1e-10)))
+        [u] = made
+        assert u.iterations >= 20
+        assert peak < bound * grid.size * 16
 
 
 def test_free_solve_peak_memory(traced_memory, monkeypatch):
@@ -966,18 +986,164 @@ def test_free_solve_peak_memory(traced_memory, monkeypatch):
 def test_solve_does_not_depend_on_the_slab_size(operator_calls, monkeypatch):
     # apply, the preconditioners and the head's residual norm (summed from
     # the squares of the rows of axis 0) give the same values at every
-    # slab size, so a solve takes the same steps to the same u
-    base = solve(magnetic_point_problem(0.25), tol=1e-10)
-    counts = dict(operator_calls)
-    grid = base.grid
-    for rows in (3, 1):
-        monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * grid.size // grid.m * 8)
+    # slab size, so a solve takes the same steps to the same u, on either
+    # box (the half box's rows hold half as many nodes)
+    slab_bytes = resolvent.SLAB_BYTES
+    for box in ("half", "whole"):
+        monkeypatch.setattr(resolvent, "SLAB_BYTES", slab_bytes)
         operator_calls.update(apply=0, precond=0)
-        u = solve(magnetic_point_problem(0.25), tol=1e-10)
-        assert operator_calls == counts
-        assert (u.iterations, u.cycles, u.residual) == (
-            base.iterations, base.cycles, base.residual)
-        assert np.array_equal(u.values, base.values)
+        base = solve(magnetic_point_problem(0.25, box=box), tol=1e-10)
+        counts = dict(operator_calls)
+        grid = base.grid
+        for rows in (3, 1):
+            monkeypatch.setattr(resolvent, "SLAB_BYTES", rows * grid.size // grid.m * 8)
+            operator_calls.update(apply=0, precond=0)
+            u = solve(magnetic_point_problem(0.25, box=box), tol=1e-10)
+            assert operator_calls == counts
+            assert (u.iterations, u.cycles, u.residual) == (
+                base.iterations, base.cycles, base.residual)
+            assert np.array_equal(u.values, base.values)
+
+
+# --- the half box of a problem even in the last axis ---------------------------
+
+
+def even_pair(n, seed):
+    """A smooth random (A, V) on R^n even in the last coordinate to the
+    bit, with A's last component zero."""
+    r = np.random.default_rng(seed)
+    c, a = r.standard_normal(n), r.uniform(-3.0, 3.0)
+
+    def A(X):
+        out = np.sin(X + c) * np.exp(-X[..., -1:] ** 2)
+        out[..., -1] = 0.0
+        return out
+
+    return PotentialPair(n, A=A, V=lambda X: a * np.exp(-np.sum(X ** 2, axis=-1)))
+
+
+def even_values(grid, seed):
+    """Random values equal to their mirror image along the last axis."""
+    v = random_field(grid, seed).values
+    return v + v[..., ::-1]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_half_box_apply_is_the_upper_half_of_the_whole_box_apply(n, dtype):
+    # below its first layer the half box's stencil reads the mirror node,
+    # which on an even field holds the value the whole box's stencil reads
+    # there, and adds it in the same order: its rows are the upper half of
+    # the whole box's to the bit
+    grid = RadialGrid(n, 2.0, 0.5)
+    disc = Discretization(grid, even_pair(n, 20))
+    assert disc.half() is not None
+    u = even_values(grid, 21).astype(dtype)
+    whole = DiscreteOperator(disc, 0.7, -0.3, dtype).apply(u)
+    half = DiscreteOperator(disc, 0.7, -0.3, dtype, half=True)
+    got = half.apply(np.ascontiguousarray(u[..., grid.m // 2:]))
+    assert got.dtype == dtype and got.shape == half.shape
+    assert np.array_equal(got, whole[..., grid.m // 2:])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("dtype, rtol", [(np.complex128, 1e-13), (np.complex64, 1e-5)])
+def test_half_box_preconditioner_is_the_whole_box_inverse_of_the_even_field(n, dtype,
+                                                                            rtol):
+    # the z-even sine modes X = sqrt(2) S[m/2:, ::2] span the even fields'
+    # halves, so the half box's inverse is the whole box's on them; it also
+    # inverts the half box's free operator, and takes the spectrum of an
+    # even separable field from its factors
+    grid = RadialGrid(n, 2.0, 0.5)
+    mid = grid.m // 2
+    disc = Discretization(grid, PotentialPair(n))
+    v = even_values(grid, 22)
+    whole = DiscreteOperator(disc, 0.7, -0.3, dtype)
+    half = DiscreteOperator(disc, 0.7, -0.3, dtype, half=True)
+    expect = whole.preconditioner()(v.astype(dtype)).reshape(grid.shape)[..., mid:]
+    got = half.preconditioner()(np.ascontiguousarray(v[..., mid:], dtype))
+    assert got.dtype == dtype and got.size == half.size
+    np.testing.assert_allclose(got.reshape(half.shape), expect, rtol=0,
+                               atol=rtol * np.abs(expect).max())
+    back = half.apply(got)
+    np.testing.assert_allclose(back, v[..., mid:], rtol=0, atol=10 * rtol * np.abs(v).max())
+    f = make_datum(grid, {"name": "wave", "width": 0.7,
+                          "center": [0.3, -0.2, 0.1][:n - 1] + [0.0]})
+    assert f.factors is not None
+    minv = half.preconditioner()
+    expect = minv(np.ascontiguousarray(f.values[..., mid:]))
+    np.testing.assert_allclose(minv(f), expect, rtol=0, atol=rtol * np.abs(expect).max())
+
+
+def test_unfold_mirrors_each_line_in_place():
+    # the half box's values, the first half of a buffer of the grid's
+    # size, become the whole grid's: each line along the last axis its
+    # mirror image followed by itself, in the same buffer
+    for n, m in ((2, 6), (3, 4), (3, 10)):
+        grid = RadialGrid(n, m / 4, 0.5)
+        whole = even_values(grid, 23)
+        buf = np.empty(grid.size, complex)
+        x = buf[:grid.size // 2].reshape(grid.shape[:-1] + (m // 2,))
+        x[...] = whole[..., m // 2:]
+        got = resolvent._unfold(x, grid)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got.reshape(grid.shape), whole)
+
+
+def whole_box(monkeypatch):
+    """Turn the half box off: every solve takes the whole box."""
+    monkeypatch.setattr(resolvent, "_z_even", lambda prob: False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(A=st.sampled_from([None, "ex13", "ex14"]),
+       V=st.sampled_from([None, {"name": "exp_screened", "amplitude": 0.3},
+                          {"name": "gaussian", "amplitude": 0.5}]),
+       datum=st.sampled_from(["gaussian", "point", "wave", "shell"]),
+       lam=st.floats(0.0, 4.0), eps=st.floats(0.05, 2.0), sign=st.sampled_from([1.0, -1.0]))
+def test_half_box_solve_is_the_whole_box_solve(A, V, datum, lam, eps, sign):
+    # a pair and a datum even in z solve on the half box; the unfolded u is
+    # even to the bit, meets the whole box's residual bound and matches the
+    # whole box's solve to the forward bound of the benchmark's reference
+    # check, twice tol times the condition number (4n/h^2 + lambda)/eps
+    grid, tol = RadialGrid(3, 3.0, 0.5), 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # data reaching the boundary
+        prob = build_problem(make_potential_pair(3, A and {"name": A}, V), lam, sign * eps,
+                             datum, grid)
+    assert resolvent._z_even(prob)
+    u = solve(prob, tol=tol)
+    assert np.array_equal(u.values, u.values[..., ::-1])
+    b = prob.f.values
+    op = DiscreteOperator(prob.disc, prob.lam, prob.eps)
+    res = np.linalg.norm(op.apply(u.values) + b) / np.linalg.norm(b)
+    assert res <= tol
+    assert res == pytest.approx(u.residual, rel=1e-3)
+    with pytest.MonkeyPatch.context() as mp:
+        whole_box(mp)
+        ref = solve(prob, tol=tol)
+    bound = 2 * tol * (4 * 3 / grid.h ** 2 + lam) / eps
+    assert np.linalg.norm(u.values - ref.values) <= bound * np.linalg.norm(ref.values)
+
+
+@pytest.mark.parametrize("pp, centre", [
+    (make_potential_pair(3, {"name": "ex13"}, {"name": "exp_screened", "amplitude": 0.3}),
+     [0.0, 0.0, 0.3]),
+    (example_field("ex14_family", h=lambda s: s ** 3 - 0.6 * s, omega=(0.3, -0.2, 1.0)),
+     0.0),
+], ids=["off-centre-datum", "tilted-omega"])
+def test_problems_that_are_not_even_take_the_whole_box(pp, centre, monkeypatch):
+    # a datum off the plane z = 0, or a tilted omega, whose A_z is not 0,
+    # breaks the mirror symmetry: the solve takes the whole box, to the
+    # bit of a solve with the half box turned off
+    grid = RadialGrid(3, 3.0, 0.5)
+    prob = build_problem(pp, 1.0, 0.3, {"name": "gaussian", "width": 0.8, "center": centre},
+                         grid)
+    assert not resolvent._z_even(prob)
+    assert (prob.disc.phases[-1] is None) == (prob.disc.half() is not None)
+    u = solve(prob, tol=1e-10)
+    whole_box(monkeypatch)
+    assert np.array_equal(u.values, solve(prob, tol=1e-10).values)
 
 
 def test_apply_gives_the_residual_norm_without_a_grid_array(traced_memory,
