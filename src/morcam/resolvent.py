@@ -57,21 +57,30 @@ the solution besides slab scratch, and a cycle head holds the Krylov
 basis, the complex64 twin's preconditioner tables and the iterate, and
 the datum only when it is not separable.
 
-A problem even in the last axis to the bit is solved on half the box
-(_z_even says which): n >= 2, the last axis's link phases all 1, and
-every other axis's phases, V and the datum equal to their mirror image
-along the last axis.  Its solution is even too, so the solve runs the
-same GMRES on the half box, the last axis's indexes m/2..m-1, and
-unfolds u onto the grid in place.  Each axis of the box has its own
-1-D description, a node count, a forward and an inverse matrix and
-eigenvalues (_box_axes): the whole box's axes are all (S, S, mu), and
-the half box's last axis takes the sine modes even about the middle,
-X = sqrt(2) S[m/2:, ::2], with eigenvalues mu[::2].  Its stencil reads
-the mirror node, which is the node itself, below the first layer
-(_hops).  The half box holds half the bytes of every Krylov vector,
-and the complex64 cycles' rounding cannot stray into the odd modes,
-which the whole box's GMRES spends steps removing.  Every other
-problem takes the whole box, to the bit of a solve without the rule.
+A solve takes the smallest box that holds its problem's symmetries
+(_box says which).  A problem even to the bit in the last axis (the
+last axis's link phases all 1, and every other axis's phases, V and the
+datum equal to their mirror image along it) is solved on the half box,
+the last axis's indexes m/2..m-1; a problem even under the half turn
+(x_0, x_1) -> (-x_0, -x_1) about the last axis (V, the datum and the
+phases of axes 2..n-1 equal to their image, those of axes 0 and 1
+conjugate to the image of their reversed edges) on the half-turn
+box, axis 0's indexes m/2..m-1; a problem with both on the box of both,
+a quarter of the grid; every other problem on the whole box, to the bit
+of a solve without the rule.  The solution has the problem's
+symmetries, so the solve runs the same GMRES on the box and unfolds u
+onto the grid in place.  Each axis of the box has its own 1-D
+description, a node count, a forward and an inverse matrix and
+eigenvalues (_box_axes): the whole box's axes are all (S, S, mu), the
+half box's last axis takes the sine modes even about the middle,
+X = sqrt(2) S[m/2:, ::2], with eigenvalues mu[::2], and the half-turn
+box's axis 0 takes the modes whose parity matches that of axis 1's
+mode.  Below its first layer the stencil reads the mirror node in place
+of zero: on the half box the node itself, on the half-turn box the
+first row's node m-1-j along axis 1, across the edge conjugate to the
+one into it (_hops).  Each halving halves the bytes of every Krylov
+vector, and the complex64 cycles' rounding cannot stray into the odd
+modes, which a larger box's GMRES spends steps removing.
 
 After a solve, radial_sweep evaluates the radial densities of the
 estimate and the identity checks in one more sweep: per slab it forms
@@ -239,21 +248,24 @@ def _slabs(shape: tuple, node_bytes: int) -> list:
     return [(s, min(s + rows, m)) for s in range(0, m, rows)]
 
 
-def _box_rows(f: ScalarField, s: int, e: int, out=None, half: bool = False):
-    """f.rows(s, e, out), with half its part on the half box, the last
-    axis's upper half m/2: (a view)."""
-    r = f.rows(s, e, out)
-    return r[..., f.grid.m // 2:] if half else r
+def _box_rows(f: ScalarField, s: int, e: int, out=None, half: bool = False,
+              turn: bool = False):
+    """The rows s:e of axis 0 of f on a box of DiscreteOperator:
+    f.rows(s, e, out), or with turn the rows m/2 + s:m/2 + e, with half
+    their part on the last axis's upper half m/2: (a view)."""
+    mid = f.grid.m // 2
+    r = f.rows(s + mid * turn, e + mid * turn, out)
+    return r[..., mid:] if half else r
 
 
-def _field_rows(f: ScalarField, half: bool = False):
-    """Yield (i, i + 1, r) for each row i of axis 0: r the samples of f on
-    that row (on the half box with half, see _box_rows), read by f.rows
-    into one row buffer that the next row reuses (a field with factors
-    allocates no row of its own)."""
+def _field_rows(f: ScalarField, half: bool = False, turn: bool = False):
+    """Yield (i, i + 1, r) for each row i of axis 0 of a box (see
+    _box_rows): r the samples of f on that row, read by f.rows into one
+    row buffer that the next row reuses (a field with factors allocates
+    no row of its own)."""
     row = np.empty((1,) + f.grid.shape[1:], complex)
-    for i in range(f.grid.m):
-        yield i, i + 1, _box_rows(f, i, i + 1, row, half)
+    for i in range(f.grid.m // 2 if turn else f.grid.m):
+        yield i, i + 1, _box_rows(f, i, i + 1, row, half, turn)
 
 
 def _slab_points(grid: RadialGrid, s: int, e: int, k: int | None = None):
@@ -313,9 +325,10 @@ class Discretization:
     A.  A pair undefined there raises DomainError before any operator
     exists, so every run that solves refuses it the same way.
 
-    half() gives the samples of the half box of a pair even in the last
-    axis, copied on first use and kept, so that the solves of every eps
-    share them.
+    even() says whether the pair is even to the bit in the last axis or
+    under the half turn about it, and box() gives the samples of the box a
+    solve of such a pair takes, copied on first use and kept, so that the
+    solves of every eps share them.
     """
 
     def __init__(self, grid: RadialGrid, pp: PotentialPair):
@@ -356,7 +369,8 @@ class Discretization:
                               f"{capped} nodes", stacklevel=2)
         self.V = V
         self._drv = None
-        self._half = None
+        self._even = {}
+        self._boxes = {}
 
     def radial_derivative(self) -> np.ndarray:
         """d_r V at the nodes, zero where the capped V sits at +-1/h^2 (it
@@ -379,33 +393,69 @@ class Discretization:
             self._drv = drv
         return self._drv
 
-    def half(self):
-        """The samples of the half box, the last axis's upper half m/2:,
-        as (phases, V), or None when the pair is not even in the last
-        axis: when n < 2, when the last axis's phases are not all 1, or
-        when another axis's phases or V differ from their mirror image
-        along the last axis in any bit.  On the first call the samples are
-        compared with their mirror slab by slab and, when they pass,
-        contiguous copies of their halves are made; either answer is
-        kept, so that every solve of this sampling shares the copies."""
-        if self._half is None:
-            arrays = [a for a in self.phases[:-1] + [self.V] if a is not None and a.ndim]
-            even = (self.grid.n >= 2 and self.phases[-1] is None
-                    and all(_mirror_equal(a) for a in arrays))
+    def even(self, turn: bool = False) -> bool:
+        """Whether the pair equals its image to the bit under the mirror
+        z -> -z of the last axis, or with turn under the half turn
+        (x_0, x_1) -> (-x_0, -x_1) about it: V and the phases of every
+        axis the map keeps equal their image, and the phases of an axis
+        whose edges it reverses are conjugate to their image's (see
+        _image_equal) or, for the mirror, all 1 (None).  A pair has n >= 3,
+        so the half turn's axes 0 and 1 are not the last.  Compared slab by
+        slab on the first call and kept."""
+        if turn not in self._even:
+            axes = (0, 1) if turn else (self.grid.n - 1,)
+            arrays = [(p, k if k in axes else None) for k, p in enumerate(self.phases)]
+            self._even[turn] = (turn or self.phases[-1] is None) and all(
+                a is None or a.ndim == 0 or _image_equal(a, axes, edge)
+                for a, edge in arrays + [(self.V, None)])
+        return self._even[turn]
+
+    def box(self, half: bool = False, turn: bool = False):
+        """The link phases and V of a box of DiscreteOperator, as (phases,
+        V): the discretization's own on the whole box, else their parts on
+        the box, the last axis's upper half m/2: with half and axis 0's
+        upper half with turn, where axis 0's phases keep one row more,
+        m/2 - 1, the edges into the box from its image.  A part is a view
+        when it is contiguous (axis 0's rows alone) and a contiguous copy
+        otherwise, made on first use and kept; a None or 0-d sample is
+        kept as it is."""
+        if not (half or turn):
+            return self.phases, self.V
+        if (half, turn) not in self._boxes:
             mid = self.grid.m // 2
 
-            def cut(a):
-                return a if a is None or a.ndim == 0 else np.ascontiguousarray(a[..., mid:])
+            def cut(a, first):
+                if a is None or a.ndim == 0:
+                    return a
+                return np.ascontiguousarray(a[first * turn:, ..., mid * half:])
 
-            self._half = ([cut(p) for p in self.phases], cut(self.V)) if even else ()
-        return self._half or None
+            self._boxes[half, turn] = ([cut(p, mid - (k == 0)) for k, p in enumerate(self.phases)],
+                                       cut(self.V, mid))
+        return self._boxes[half, turn]
 
 
-def _mirror_equal(a: np.ndarray) -> bool:
-    """Whether the grid-sized array a equals its mirror image along the
-    last axis, a[..., ::-1], in every value, compared slab by slab."""
-    return all(np.array_equal(a[s:e], a[s:e, ..., ::-1])
-               for s, e in _slabs(a.shape, _WORK_NODE_BYTES))
+def _image_equal(a: np.ndarray, axes: tuple, edge: int | None = None) -> bool:
+    """Whether the grid-sized array a equals its image under the reversal
+    of the given axes, a[..., m-1-i, ...] along each, in every value,
+    compared slab by slab along axis 0.  With edge, a holds the link
+    phases of that axis (one of axes), whose edge (i, i+1) the reversal
+    maps onto (m-2-i, m-1-i) run backwards, so along it a[i] is compared
+    with the conjugate of a[m-2-i], for i < m - 1."""
+    m = a.shape[0]
+    lo = [slice(None)] * a.ndim
+    hi = [slice(None)] * a.ndim
+    for k in axes:
+        lo[k] = slice(None, m - (k == edge))
+        hi[k] = slice(m - 1 - (k == edge), None, -1)
+    rows = m - (edge == 0)
+    for s, e in _slabs((rows,) + a.shape[1:], _WORK_NODE_BYTES):
+        img = a[rows - e:rows - s][::-1] if 0 in axes else a[s:e]
+        img = img[(slice(None),) + tuple(hi[1:])]
+        if edge is not None:
+            img = np.conj(img)
+        if not np.array_equal(a[s:e][(slice(None),) + tuple(lo[1:])], img):
+            return False
+    return True
 
 
 def _hops(P, u: np.ndarray, k: int, s: int, e: int, cast=None,
@@ -429,18 +479,26 @@ def _hops(P, u: np.ndarray, k: int, s: int, e: int, cast=None,
     (down).  Along any other axis dst spans the rows but one stride, and
     its shift wraps across the box's last layer along axis k (up) or its
     first (down): edge indexes that layer of an array of the rows, which
-    the hop must not reach, so _add_hop puts it back as it was (edge is
-    None along axis 0).  With mirror (the last axis of the half box,
-    whose phases are None) the down hop at the first layer reads the
-    mirror node across the box's middle, which is the node itself: back
-    is u's first layer on the rows, which _add_hop adds there in place of
-    zero; back is None otherwise."""
+    the hop must not reach, so _add_hop puts it back as it was.
+
+    With mirror the box's first layer along axis k has a mirror node
+    below it in place of Dirichlet zero, and the down hop reads it there:
+    back is (its phases, its values), which _add_hop adds at edge, and is
+    None otherwise.  On the half box's last axis (phases None) the mirror
+    node is the node itself.  Along axis 0 of the half-turn box, P holds
+    one row more ahead of the box's first, the edges into the box from its
+    image, and the mirror node of the first row's node j is the first
+    row's node m-1-j along axis 1 (the half turn's image, the twisted
+    mirror)."""
     m = u.shape[0]
     M = u.size // m
     flat = u.reshape(-1)
-    r = max(s - 1, 0)
+    # with the twisted mirror P's row r + 1 holds the edges that start in
+    # u's row r, from r = -1
+    lead = int(mirror and k == 0)
+    r = max(s - 1, -lead)
     if P is not None:
-        P = P[r:e]
+        P = P[r + lead:e + lead]
         if cast is not None:
             cast[:len(P)] = P
             P = cast[:len(P)]
@@ -452,15 +510,19 @@ def _hops(P, u: np.ndarray, k: int, s: int, e: int, cast=None,
 
     if k == 0:
         b, a = min(e, m - 1), max(s, 1)
+        back = None
+        if mirror and s == 0:
+            U = at(-1, 0)
+            back = (None if U is None else U.reshape(u.shape[1:]), u[0, ::-1])
         return [(slice(None, (b - s) * M), at(s, b), flat[(s + 1) * M:(b + 1) * M], None, None),
                 (slice((a - s) * M, None), at(a - 1, e - 1), flat[(a - 1) * M:(e - 1) * M],
-                 None, None)]
+                 None if back is None else 0, back)]
     st, N = math.prod(u.shape[k + 1:]), (e - s) * M
     v, U = flat[s * M:e * M], at(s, e)
     U = None if U is None else U[:N - st]
     layer = (slice(None),) * k
     first = layer + (0,)
-    back = u[s:e][first] if mirror else None
+    back = (None, u[s:e][first]) if mirror else None
     return [(slice(None, N - st), U, v[st:], layer + (u.shape[k] - 1,), None),
             (slice(st, None), U, v[:N - st], first, back)]
 
@@ -470,26 +532,31 @@ def _add_hop(out: np.ndarray, hop, tmp, conj: bool, sign: int = 1) -> None:
     C-contiguous array of its rows: out's flattened rows dst get U v
     (conj(U) v when conj) added, or subtracted when sign is -1, the
     product formed in the flat scratch tmp (unused when U is None: v is
-    added as it is), and out's layer edge, which the shift wraps across,
-    is put back as it was, with back added (subtracted) when it is not
+    added as it is), and out's layer edge, which the shift wraps across
+    or does not reach, is put back as it was, with the hop across the
+    mirror, back = (U, v), added (subtracted) as U v or v when it is not
     None.  This is the only code that adds a hop: the stencil and the
     covariant gradient both call it."""
     dst, U, v, edge, back = hop
     kept = None if edge is None else out[edge].copy()
-    if U is not None:
-        t = tmp.reshape(-1)[:v.size]
+    add = np.add if sign > 0 else np.subtract
+
+    def product(U, v):
+        if U is None:
+            return v
+        t = tmp.reshape(-1)[:v.size].reshape(v.shape)
         if conj:
             np.conj(U, out=t)
             t *= v
         else:
             np.multiply(U, v, out=t)
-        v = t
-    add = np.add if sign > 0 else np.subtract
+        return t
+
     rows = out.reshape(-1)[dst]
-    add(rows, v, out=rows)
+    add(rows, product(U, v), out=rows)
     if kept is not None:
         if back is not None:
-            add(kept, back, out=kept)
+            add(kept, product(*back), out=kept)
         out[edge] = kept
 
 
@@ -511,15 +578,17 @@ class DiscreteOperator:
     every vector apply and the preconditioner take and return.
 
     With half the box is the half box of a pair even in the last axis
-    (see Discretization.half, which must not be None): the last axis's
-    upper half m/2:, of shape ``shape``, with the mirror node across the
-    middle in place of zero below its first layer (see _hops) and the
-    z-even sine modes as its eigenbasis (see _box_axes).  Vectors are of
-    that shape.
+    (Discretization.even()), the last axis's upper half m/2:, and with
+    turn the half-turn box of a pair even under the half turn about the
+    last axis (even(turn=True)), axis 0's upper half m/2:; either, or
+    both, of shape ``shape``.  Below the box's first layer along the
+    halved axis the stencil reads the mirror node in place of zero (see
+    _hops), and the preconditioner's eigenbasis holds only the modes even
+    under the map (see _box_axes).  Vectors are of the box's shape.
     """
 
     def __init__(self, disc: Discretization, lam: float, eps: float,
-                 dtype=np.complex128, half: bool = False):
+                 dtype=np.complex128, half: bool = False, turn: bool = False):
         lam, eps = float(lam), float(eps)
         check_resolvent_parameters(lam, eps)
         self.disc = disc
@@ -528,17 +597,17 @@ class DiscreteOperator:
         self.eps = eps
         self.dtype = np.dtype(dtype)
         self.half = half
+        self.turn = turn
         g = self.grid
-        self.shape = g.shape[:-1] + (g.m // 2,) if half else g.shape
+        self.shape = (g.m // (1 + turn),) + g.shape[1:-1] + (g.m // (1 + half),)
         self.size = math.prod(self.shape)
         # whether any hop carries a product, and so needs _sweep's scratch
         self._phased = any(p is not None for p in self._samples()[0])
 
     def _samples(self):
-        """The link phases and V of the box: the discretization's, or on
-        the half box their halves (Discretization.half).  Read, not kept,
-        so that an operator holds no grid-sized array."""
-        return self.disc.half() if self.half else (self.disc.phases, self.disc.V)
+        """The link phases and V of the box (Discretization.box).  Read,
+        not kept, so that an operator holds no grid-sized array."""
+        return self.disc.box(self.half, self.turn)
 
     def apply(self, u: np.ndarray, rhs: ScalarField | None = None):
         """(-Delta_A^h + V - lambda - i eps)u in one sweep of slabs of
@@ -564,7 +633,7 @@ class DiscreteOperator:
         for s, e, w in self._sweep(u):
             for i in range(s, e):
                 r = w[i - s:i - s + 1]
-                np.subtract(_box_rows(rhs, i, i + 1, row, self.half), r, out=r)
+                np.subtract(_box_rows(rhs, i, i + 1, row, self.half, self.turn), r, out=r)
             yield s, e, w
 
     def _sweep(self, u: np.ndarray, out: np.ndarray | None = None):
@@ -615,7 +684,8 @@ class DiscreteOperator:
             slab[...] = 0
             # U_k(x) u(x + h e_k), then conj(U_k(x - h e_k)) u(x - h e_k)
             for k, P in enumerate(phases):
-                up, down = _hops(P, u, k, s, e, cast, self.half and k == g.n - 1)
+                mirror = self.turn if k == 0 else self.half and k == g.n - 1
+                up, down = _hops(P, u, k, s, e, cast, mirror)
                 _add_hop(slab, up, tmp, False)
                 _add_hop(slab, down, tmp, True)
             slab *= scale
@@ -626,26 +696,26 @@ class DiscreteOperator:
 
     def preconditioner(self) -> Callable:
         """The exact inverse of the free shifted operator (A = V = 0) on
-        the box, v -> X diag(1/(mu - lambda - i eps)) X^T v with the
-        eigenbasis X of each axis's 1-D second difference and mu the
-        n-fold sum of the axes' eigenvalues (see _box_axes: the sine
-        matrix S along every axis of the whole box), acting on flat
-        vectors of the operator's dtype.
+        the box, v -> X diag(1/(mu - lambda - i eps)) X^T v with X the
+        box's eigenbasis and mu the sum of its 1-D eigenvalues (see
+        _box_axes: the sine matrix S along every axis of the whole box, and
+        on the half-turn box a basis along axis 0 for each parity of axis
+        1's modes), acting on flat vectors of the operator's dtype.
 
         A call allocates its complex output and transforms it in place in
-        four sweeps, with two buffers of two slabs of the dtype as
-        scratch: (1) the product along axis 0, from v's rows (real and
-        imaginary parts interleaved, one real matrix) into the output's;
-        (2) per slab of axis 0, the products along axes 1..n-1 in the
-        scratch, the last written back into the slab's rows with their
-        real parts ahead of their imaginary parts; (3) per column block of
-        those rows (as many nodes as a slab), the table's multiplication
-        and the inverse product along axis 0, the block copied into the
-        scratch first (ufuncs run slower on strided views) and its
-        product written back; (4) per slab, the inverse products along
-        axes 1..n-1, interleaved back into the output.  Each product and
-        each table entry takes the values and the order of a whole-array
-        transform (forward along axes 0..n-1, the table, inverse along
+        three sweeps, with two buffers of two slabs of the dtype as
+        scratch: (1) per slab of axis 0, v's rows with their real and
+        imaginary parts apart and the products along axes 1..n-1 in the
+        scratch, the last written into the output's rows with their real
+        parts ahead of their imaginary parts; (2) per column block of
+        those rows (as many nodes as a slab, all of one parity group),
+        the product along axis 0, the table's multiplication and the
+        inverse product along axis 0, the block copied into the scratch
+        first (ufuncs run slower on strided views) and its product written
+        back; (3) per slab, the inverse products along axes 1..n-1,
+        interleaved back into the output.  Each product and each table
+        entry takes the values and the order of a whole-array transform
+        (forward along axes 1..n-1 and then 0, the table, inverse along
         0..n-1), so the result does not depend on the slab size.
 
         The table 1/(d - i eps), d = mu - lambda, is formed as its real and
@@ -655,38 +725,41 @@ class DiscreteOperator:
         cast to float32.  A complex128 one is the start of a solve, called
         once, so it keeps nothing grid-sized and each call forms the table
         block by block as it multiplies: the same values either way.  On
-        the half box the start's output is the first half of a buffer of
-        the whole grid's size, which solve unfolds in place (_unfold).  v
-        may also be a ScalarField.  When this operator is free and the
-        field has factors f_k, the callable takes the spectrum X^T v as the
-        outer product of the 1-D transforms X_k^T f_k, formed slab by slab
-        in place of the products of sweeps 1 and 2; otherwise it
-        transforms the field's values on the box, formed whole for the
-        call when the field has factors and dropped after sweep 1."""
-        dtype, shape, half = self.dtype, self.shape, self.half
+        a box smaller than the grid the start's output is the head of a
+        buffer of the whole grid's size, which solve unfolds in place
+        (_unfold).  v may also be a ScalarField.  When this operator is
+        free and the field has factors f_k, the callable takes the
+        spectrum X^T v as the outer product of the 1-D transforms X_k^T
+        f_k (axis 0's by parity group), formed slab by slab in place of
+        the products of sweep 1 and of axis 0; otherwise it transforms the
+        field's values on the box, formed whole for the call when the
+        field has factors and dropped after sweep 1."""
+        dtype, shape, half, turn = self.dtype, self.shape, self.half, self.turn
         m, real = shape[0], np.finfo(dtype).dtype
         lam, eps = self.lam, self.eps
         # every solve calls the complex128 inverse once, for its start, and
         # the complex64 twin serves its cycles; a start that is not free
         # takes the dense transform only so that it keeps its bits
         free = not self._phased and self._samples()[1].ndim == 0
-        axes = _box_axes(self.grid, half, real)
-        (F0, B0, mu0), rest = axes[0], axes[1:]
+        groups, rest = _box_axes(self.grid, half, turn, real)
         slabs = _slabs(shape, dtype.itemsize)
-        # M nodes a row of axis 0; the column blocks (c, d) of the rows'
-        # nodes hold as many nodes as a slab
+        # M nodes a row of axis 0, an equal share w of them in each group
+        # of axis 0's basis; the column blocks (c, d) of the rows' nodes
+        # hold as many nodes as a slab, each within one group g
         M = self.size // m
-        cols = slabs[0][1] * M // m
-        blocks = [(c, min(c + cols, M)) for c in range(0, M, cols)]
-        # the start's output on the half box is the first half of a buffer
-        # of the whole grid's size, which solve unfolds u into
-        buffer_size = self.grid.size if half and dtype == np.complex128 else self.size
+        cols, w = slabs[0][1] * M // m, M // len(groups)
+        blocks = [(c, min(c + cols, (g + 1) * w), g) for g in range(len(groups))
+                  for c in range(g * w, (g + 1) * w, cols)]
+        # the start's output on a box smaller than the grid is the head of
+        # a buffer of the whole grid's size, which solve unfolds u into
+        buffer_size = self.grid.size if (half or turn) and dtype == np.complex128 else self.size
 
-        def table(c, d, s=0, e=m):
-            # the table on the columns c:d of the rows s:e, mu summed over
-            # the axes in order as a broadcast outer sum adds them
+        def table(c, d, g, s=0, e=m):
+            # the table on the columns c:d (of group g) of the rows s:e, mu
+            # summed over the axes in order as a broadcast outer sum adds
+            # them
             t = np.zeros((e - s, d - c))
-            t += mu0[s:e, None]
+            t += groups[g][2][s:e, None]
             for (_, _, mu), i in zip(rest, np.unravel_index(np.arange(c, d), shape[1:])):
                 t += mu[i]
             t -= lam
@@ -699,22 +772,22 @@ class DiscreteOperator:
         kept = None
         if dtype == np.complex64:
             # formed by row ranges whose two float64 parts hold SLAB_BYTES
-            kept = [np.empty((2, m, d - c), real) for c, d in blocks]
-            for (c, d), k in zip(blocks, kept):
+            kept = [np.empty((2, m, d - c), real) for c, d, _ in blocks]
+            for (c, d, g), k in zip(blocks, kept):
                 rows = max(1, SLAB_BYTES // (16 * (d - c)))
                 for s in range(0, m, rows):
                     e = min(s + rows, m)
-                    k[0, s:e], k[1, s:e] = table(c, d, s, e)
+                    k[0, s:e], k[1, s:e] = table(c, d, g, s, e)
 
         def minv(v):
             factors = None
             if isinstance(v, ScalarField):
                 if free and v.factors is not None:
-                    factors = v.factors
-                    if half:
-                        factors = factors[:-1] + (factors[-1][v.grid.m // 2:],)
+                    mid = v.grid.m // 2
+                    factors = list(v.factors)
+                    factors[0], factors[-1] = factors[0][mid * turn:], factors[-1][mid * half:]
                 else:
-                    v = _box_rows(v, 0, m, half=half)
+                    v = _box_rows(v, 0, m, half=half, turn=turn)
             out = np.empty(buffer_size, dtype)[:self.size].reshape(shape)
             # out's memory, 2M reals a row of axis 0: the interleaved
             # complex values, or between the sweeps the row's real parts
@@ -733,41 +806,53 @@ class DiscreteOperator:
             bufs = [scratch((e - s, 2) + shape[1:]) for s, e in slabs]
             if factors is None:
                 v = np.ascontiguousarray(v, dtype).reshape(shape)
-                np.matmul(F0, v.view(real).reshape(m, 2 * M), out=rows)
-                # read once: a datum formed from its factors for this call
-                # is dropped here
-                v = None
             else:
-                spec = [F @ f for (F, _, _), f in zip(axes, factors)]
-                head = functools.reduce(np.multiply.outer, spec[:-1], np.ones(()))
+                spec = [F @ f for (F, _, _), f in zip(rest, factors[1:])]
+                # each group's head: axis 0's spectrum in its basis times
+                # the spectra of axes 1..n-2, of axis 1 the group's share
+                heads = []
+                for g, (F, _, _) in enumerate(groups):
+                    part = [F @ factors[0]] + spec[:-1]
+                    if len(part) > 1:
+                        k = len(part[1]) // len(groups)
+                        part[1] = part[1][g * k:(g + 1) * k]
+                    heads.append(functools.reduce(np.multiply.outer, part, np.ones(())))
             for (s, e), (a, b) in zip(slabs, bufs):
-                o = out[s:e]
                 if factors is None:
-                    a[:, 0], a[:, 1] = o.real, o.imag
+                    a[:, 0], a[:, 1] = v[s:e].real, v[s:e].imag
                     _sine_rest(a, (b, a), rest, False, out=split[s:e])
                 else:
-                    t = b.reshape(-1).view(dtype).reshape(o.shape)
-                    np.multiply(head[s:e, ..., None], spec[-1], out=t)
+                    t = b.reshape(-1).view(dtype).reshape((e - s,) + shape[1:])
+                    for head, part in zip(heads, np.split(t, len(heads), axis=1)):
+                        np.multiply(head[s:e, ..., None], spec[-1], out=part)
                     split[s:e, 0], split[s:e, 1] = t.real, t.imag
+            # read once: a datum formed from its factors for this call is
+            # dropped here
+            v = None
             x = y = None
-            for j, (c, d) in enumerate(blocks):
-                inv_re, inv_im = table(c, d) if kept is None else kept[j]
+            for j, (c, d, g) in enumerate(blocks):
+                F0, B0, _ = groups[g]
+                inv_re, inv_im = table(c, d, g) if kept is None else kept[j]
                 # the scratch views change only for a partial last block
                 if x is None or x.shape[2] != d - c:
                     x, y = scratch((2, m, d - c))
-                    (re, im), (y_re, y_im) = x, y
                 block = halves[:, :, c:d]
                 x[...] = block
-                np.multiply(re, inv_re, out=y_re)
-                np.multiply(re, inv_im, out=y_im)
+                a, b = x, y
+                if factors is None:
+                    np.matmul(F0, a, out=b)
+                    a, b = b, a
+                (re, im), (b_re, b_im) = a, b
+                np.multiply(re, inv_re, out=b_re)
+                np.multiply(re, inv_im, out=b_im)
                 # re has been read; it holds each im product in turn
-                y_re -= np.multiply(im, inv_im, out=re)
-                y_im += np.multiply(im, inv_re, out=re)
-                np.matmul(B0, y, out=block)
+                b_re -= np.multiply(im, inv_im, out=re)
+                b_im += np.multiply(im, inv_re, out=re)
+                np.matmul(B0, b, out=block)
             for (s, e), b in zip(slabs, bufs):
-                x = _sine_rest(split[s:e], b, rest, True)
+                z = _sine_rest(split[s:e], b, rest, True)
                 o = out[s:e]
-                o.real, o.imag = x[:, 0], x[:, 1]
+                o.real, o.imag = z[:, 0], z[:, 1]
             return out.ravel()
 
         return minv
@@ -784,24 +869,42 @@ def _dirichlet_eigenpairs(m: int, h: float):
     return S, (2 - 2 * np.cos(math.pi * k / (m + 1))) / h ** 2
 
 
-def _box_axes(grid: RadialGrid, half: bool, real=np.float64) -> list:
-    """The 1-D description of each axis of the box, (forward, inverse,
-    mu): the matrix that takes values to the coefficients of the axis's
-    eigenbasis, the matrix that takes them back, both cast to the float
-    type real, and the eigenvalues; the node count is len(mu).  An axis
-    of the whole box is (S, S, mu) of _dirichlet_eigenpairs.  With half
-    the last axis is the half box's: its eigenvectors are the sine modes
-    even about the box's middle, the odd k, restricted to the upper half,
+def _box_axes(grid: RadialGrid, half: bool, turn: bool, real=np.float64) -> tuple:
+    """(groups, rest): the 1-D descriptions of the box's axes, each
+    (forward, inverse, mu): the matrix that takes values to the
+    coefficients of an eigenbasis of the axis's second difference, the
+    matrix that takes them back, both cast to the float type real, and the
+    eigenvalues; the node count is len(mu).  rest describes axes 1..n-1,
+    and groups axis 0, one basis for each group of the columns of the
+    rows of axis 0 (their nodes in C order), which split the columns into
+    equal shares.  Every basis is orthonormal, so each matrix's transpose
+    is the other one of its pair.
+
+    On the whole box every axis is (S, S, mu) of _dirichlet_eigenpairs,
+    in one group.  The half box's last axis takes the sine modes even
+    about the box's middle, the odd k, restricted to the upper half,
     X = sqrt(2) S[m/2:, ::2] (formed in float64), with eigenvalues
-    mu[::2].  X is orthogonal but not symmetric: (X^T, X, mu[::2]).  Each
-    basis is orthogonal, so each matrix's transpose is the other one of
-    its pair."""
+    mu[::2]: (X^T, X, mu[::2]).  The half-turn box keeps the modes even
+    under the half turn, whose parities along axes 0 and 1 agree: axis 1
+    takes S with its even modes (S[:, ::2]) ahead of its odd ones, so
+    that the columns of either parity are one half of them, and axis 0
+    takes X = sqrt(2) S[m/2:, ::2] for the even half and
+    sqrt(2) S[m/2:, 1::2] for the odd one, with mu[::2] and mu[1::2]."""
     S, mu = _dirichlet_eigenpairs(grid.m, grid.h)
-    axes = [(S.astype(real, copy=False),) * 2 + (mu,)] * grid.n
+    mid = grid.m // 2
+
+    def axis(X, mu):
+        return np.ascontiguousarray(X.T, real), X.astype(real, copy=False), mu
+
+    whole = (S.astype(real, copy=False),) * 2 + (mu,)
+    groups, rest = [whole], [whole] * (grid.n - 1)
     if half:
-        X = math.sqrt(2.0) * S[grid.m // 2:, ::2]
-        axes[-1] = (np.ascontiguousarray(X.T, real), X.astype(real, copy=False), mu[::2])
-    return axes
+        rest[-1] = axis(math.sqrt(2.0) * S[mid:, ::2], mu[::2])
+    if turn:
+        order = np.r_[0:grid.m:2, 1:grid.m:2]
+        rest[0] = axis(S[:, order], mu[order])
+        groups = [axis(math.sqrt(2.0) * S[mid:, p::2], mu[p::2]) for p in (0, 1)]
+    return groups, rest
 
 
 def _sine_rest(x: np.ndarray, bufs, axes, inverse: bool, out=None) -> np.ndarray:
@@ -976,18 +1079,20 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
     included, raises SolverError (with the achieved residual).  The
     problem's one complex128 operator is built here.
 
-    A problem even in the last axis (see _z_even) is solved on the half
-    box, the last axis's upper half, and u unfolded onto the grid
-    (_unfold).  f's norm and the residual are then the half box's, whose
-    ratio is the whole box's: an even field's squared norm is twice its
-    half's.
+    A problem even in the last axis, or under the half turn about it, is
+    solved on a box that holds a half of the grid's nodes for each of the
+    two (see _box): the half box, the last axis's upper half, the
+    half-turn box, axis 0's upper half, or both, and u is unfolded onto
+    the grid (_unfold).  f's norm and the residual are then the box's,
+    whose ratio is the whole grid's: each map pairs the nodes and keeps an
+    even field's values, so its squared norm is twice its half's.
     """
     check_resolvent_parameters(tol=tol)
     grid, f = prob.grid, prob.f
     check_same_grid(grid, prob.disc.grid)
-    half = _z_even(prob)
-    op = DiscreteOperator(prob.disc, prob.lam, prob.eps, half=half)
-    bnorm, k = _row_norm(_field_rows(f, half)), 0
+    half, turn = _box(prob)
+    op = DiscreteOperator(prob.disc, prob.lam, prob.eps, half=half, turn=turn)
+    bnorm, k = _row_norm(_field_rows(f, half, turn)), 0
     if bnorm < 2.0 ** -SCALE_RANGE:
         # f's largest part is at most its norm, so k is 0 only for f = 0
         k = scale_exponent(f)
@@ -996,61 +1101,73 @@ def solve(prob: ResolventProblem, tol: float = 1e-10) -> ScalarField:
             u.residual, u.iterations, u.cycles = 0.0, 0, 0
             return u
         f = f.scaled(2.0 ** k)
-        bnorm = _row_norm(_field_rows(f, half))
+        bnorm = _row_norm(_field_rows(f, half, turn))
     x, res, its, cycles = _gmres(op, f, bnorm, tol)
     if not res <= tol:
         raise SolverError(
             f"resolvent solve did not reach relative residual {tol}",
             achieved_residual=res)
     x *= -(2.0 ** -k)
-    if half:
-        x = _unfold(x, grid)
+    if half or turn:
+        x = _unfold(x, grid, half, turn)
     u = ScalarField(grid, x.reshape(grid.shape))
     u.residual, u.iterations, u.cycles = res, its, cycles
     return u
 
 
-def _z_even(prob: ResolventProblem) -> bool:
-    """Whether solve takes prob on the half box: the pair even in the last
-    axis to the bit (Discretization.half is not None, which needs n >= 2)
-    and the datum too, its last factor equal to its mirror image or, for
-    a field with values, every row of axis 0 equal to its mirror along
-    the last axis.  Its solution is then even in the last axis, and the
-    half box holds all of it."""
-    f = prob.f
-    if f.factors is not None:
-        last = f.factors[-1]
-        even = np.array_equal(last, last[::-1])
-    else:
-        even = all(np.array_equal(r, r[..., ::-1]) for _, _, r in _field_rows(f))
-    return even and prob.disc.half() is not None
+def _box(prob: ResolventProblem) -> tuple:
+    """(half, turn): whether solve takes prob on the half box, the problem
+    being even in the last axis to the bit, and on the half-turn box, the
+    problem being even under the half turn (x_0, x_1) -> (-x_0, -x_1)
+    about the last axis.  Its solution then has the same symmetries, and
+    the box holds all of it.  The datum is checked first, as it costs
+    least (see _image_equal: a field with factors compares the factors of
+    the axes the map reverses with their mirror images), and the pair
+    only when the datum passes (Discretization.even, which keeps its
+    answer)."""
+    f, disc, n = prob.f, prob.disc, prob.grid.n
+
+    def even(axes):
+        if f.factors is not None:
+            return all(np.array_equal(f.factors[k], f.factors[k][::-1]) for k in axes)
+        return _image_equal(f.values, axes)
+
+    return even((n - 1,)) and disc.even(), even((0, 1)) and disc.even(turn=True)
 
 
-def _unfold(x: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """The grid's values of a half-box solution x, the first half of the
-    buffer of the whole grid's size that the start allocated (see
-    DiscreteOperator.preconditioner), unfolded in place in that buffer,
-    flat: each line along the last axis, m/2 values at its index i in x,
-    becomes its mirror image followed by itself at i m.  The lines i in
-    [a, b), b <= 2a, read the buffer's values [a m/2, b m/2) and write
-    [a m, b m), which lie apart, so the blocks [ceil(b/2), b) move from
-    the end down to line 1 with no copy, and line 0 writes its upper
-    half and then its mirror from that."""
+def _unfold(x: np.ndarray, grid: RadialGrid, half: bool, turn: bool) -> np.ndarray:
+    """The grid's values of a solution x on a box of DiscreteOperator, the
+    head of the buffer of the whole grid's size that the start allocated
+    (see DiscreteOperator.preconditioner), unfolded in place in that
+    buffer, flat.  With half first each line along the last axis, m/2
+    values at its index i in x, becomes its mirror image followed by
+    itself at i m.  The lines i in [a, b), b <= 2a, read the buffer's
+    values [a m/2, b m/2) and write [a m, b m), which lie apart, so the
+    blocks [ceil(b/2), b) move from the end down to line 1 with no copy,
+    and line 0 writes its upper half and then its mirror from that.  With
+    turn then the rows of axis 0, the buffer's first half, move to its
+    second half, rows m/2..m-1, and each row i < m/2 becomes row m-1-i
+    reversed along axis 1, its image under the half turn."""
     buf = x.base
-    if buf is None or buf.size != 2 * x.size:
-        raise ValueError("a half-box solution is unfolded in the buffer its start allocated")
+    if buf is None or buf.size != grid.size:
+        raise ValueError("a box's solution is unfolded in the buffer its start allocated")
     buf = buf.reshape(-1)
     m, mid = grid.m, grid.m // 2
-    b = buf.size // m
-    while b > 1:
-        a = (b + 1) // 2
-        src = buf[a * mid:b * mid].reshape(-1, mid)
-        dst = buf[a * m:b * m].reshape(-1, m)
-        dst[:, mid:] = src
-        dst[:, :mid] = src[:, ::-1]
-        b = a
-    buf[mid:m] = buf[:mid]
-    buf[:mid] = buf[mid:m][::-1]
+    if half:
+        b = x.size // mid
+        while b > 1:
+            a = (b + 1) // 2
+            src = buf[a * mid:b * mid].reshape(-1, mid)
+            dst = buf[a * m:b * m].reshape(-1, m)
+            dst[:, mid:] = src
+            dst[:, :mid] = src[:, ::-1]
+            b = a
+        buf[mid:m] = buf[:mid]
+        buf[:mid] = buf[mid:m][::-1]
+    if turn:
+        rows = buf.reshape(grid.shape)
+        rows[mid:] = rows[:mid]
+        rows[:mid] = rows[mid:][::-1, ::-1]
     return buf
 
 
@@ -1104,7 +1221,7 @@ def _gmres(op, f, bnorm, tol):
         if not math.isfinite(rnorm) or rnorm <= tol * bnorm or its >= MAXITER:
             return x, rnorm / bnorm, its, cycles
         if not cycles:
-            low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64, op.half)
+            low = DiscreteOperator(op.disc, op.lam, op.eps, np.complex64, op.half, op.turn)
             minv32 = low.preconditioner()
             V = np.empty((RESTART + 1, op.size), np.complex64)
         cycles += 1

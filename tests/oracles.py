@@ -135,13 +135,14 @@ def whole_array_apply(op, u):
     return out
 
 
-def stacked_sine_transform(x, spare, S):
+def stacked_sine_transform(x, spare, S, order=None):
     """Apply S along every grid axis of the stacked real and imaginary
-    parts x, of shape (2, m, ..., m), one matrix product per axis with
-    x and spare as alternating buffers.  Returns (result, spare)."""
+    parts x, of shape (2, m, ..., m), one matrix product per axis in the
+    order of the axes in order (0..n-1 when None) with x and spare as
+    alternating buffers.  Returns (result, spare)."""
     m = S.shape[0]
     n = x.ndim - 1
-    for k in range(n):
+    for k in range(n) if order is None else order:
         if k == n - 1:
             np.matmul(x.reshape(-1, m), S, out=spare.reshape(-1, m))
         else:
@@ -155,8 +156,8 @@ def whole_array_preconditioner(op):
     """op.preconditioner() formed on whole-grid arrays: the table
     1/(mu - lambda - i eps) as d/(d^2 + eps^2) and eps/(d^2 + eps^2) in
     float64 (cast to float32 for a complex64 op), and the transform of two
-    stacked (2, *shape) real buffers, forward along axes 0..n-1, the
-    table, then inverse along axes 0..n-1.  A free op takes a ScalarField
+    stacked (2, *shape) real buffers, forward along axes 1..n-1 and then
+    0, the table, then inverse along axes 0..n-1.  A free op takes a ScalarField
     with factors f_k as the outer product of the S f_k."""
     g, dtype = op.grid, op.dtype
     shape, real = g.shape, np.finfo(dtype).dtype
@@ -178,7 +179,7 @@ def whole_array_preconditioner(op):
         if factors is None:
             v = np.asarray(v, dtype).reshape(shape)
             a[0], a[1] = v.real, v.imag
-            a, b = stacked_sine_transform(a, b, S)
+            a, b = stacked_sine_transform(a, b, S, [*range(1, g.n), 0])
         else:
             spec = [S @ f for f in factors]
             head = functools.reduce(np.multiply.outer, spec[:-1], np.ones(()))

@@ -1,7 +1,9 @@
 import cmath
 import copy
 import functools
+import importlib.util
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -857,24 +859,27 @@ def test_free_solve_costs_one_preconditioner_and_one_apply(operator_calls,
     assert operator_dtypes == [np.complex128]
 
 
-#: the datum centres of the boxes a solve takes: a point datum centred at
-#: the origin is even in z, so its solve takes the half box; one centred at
-#: z = 0.5 is not, and takes the whole box
-CENTRES = {"half": 0.0, "whole": [0.0, 0.0, 0.5]}
+#: the datum centres of each box a solve takes, and its (half, turn) (see
+#: resolvent._box): ex13 with a radial V is even in z and under the half
+#: turn about the z-axis, and so is a point datum centred at the origin;
+#: one at z = 0.5 is not even in z, one at x = 0.3 not under the half turn
+BOXES = {"whole": ([0.3, 0.0, 0.5], (False, False)), "half": ([0.3, 0.0, 0.0], (True, False)),
+         "turn": ([0.0, 0.0, 0.5], (False, True)), "both": (0.0, (True, True))}
 
 
-def magnetic_point_problem(eps, grid=None, box="half"):
+def magnetic_point_problem(eps, grid=None, box="both"):
     pp = make_potential_pair(3, {"name": "ex13"}, {"name": "gaussian", "amplitude": 0.5})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the point datum reaches the boundary
-        return build_problem(pp, 1.0, eps, {"name": "point", "center": CENTRES[box]},
+        return build_problem(pp, 1.0, eps, {"name": "point", "center": BOXES[box][0]},
                              grid or small_grid())
 
 
-# measured operator applications per eps, on the half box (the centred
-# datum) and on the whole box (the datum at z = 0.5)
-MAGNETIC_APPLICATIONS = {"half": {1.0: 18, 0.25: 23, 0.05: 25},
-                         "whole": {1.0: 19, 0.25: 24, 0.05: 28}}
+# measured operator applications per eps on each box
+MAGNETIC_APPLICATIONS = {"whole": {1.0: 23, 0.25: 33, 0.05: 37},
+                         "half": {1.0: 22, 0.25: 31, 0.05: 34},
+                         "turn": {1.0: 18, 0.25: 21, 0.05: 23},
+                         "both": {1.0: 18, 0.25: 20, 0.05: 21}}
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.25, 0.05])
@@ -887,7 +892,7 @@ def test_magnetic_solve_application_count(operator_calls, eps):
     # one more
     for box, counts in MAGNETIC_APPLICATIONS.items():
         prob = magnetic_point_problem(eps, box=box)
-        assert resolvent._z_even(prob) == (box == "half")
+        assert resolvent._box(prob) == BOXES[box][1]
         operator_calls.update(apply=0, precond=0)
         u = solve(prob, tol=1e-10)
         assert u.residual <= 1e-10
@@ -940,14 +945,19 @@ def test_solve_peak_memory(traced_memory):
     # of each slab into one slab buffer, which at 32^3 covers the grid).
     # The datum's values are formed inside the solve, for its start only,
     # and dropped, and the cycle heads read its rows one at a time into a
-    # row buffer.  On the half box (the centred datum, even in z) 29.9
-    # measured: the basis of half-box vectors is 25.3, the iterate a
-    # buffer of the whole grid (1), and the half copies of the phases and
-    # V are made inside the solve; a basis of whole-grid vectors (55.4
-    # measured when this solve took the whole box) or one more grid-sized
-    # temporary would pass the bound
+    # row buffer.  On the half box (a datum on the plane z = 0, off the
+    # z-axis) 29.9 measured: the basis of half-box vectors is 25.3, the
+    # iterate a buffer of the whole grid (1), and the half copies of the
+    # phases and V are made inside the solve; a basis of whole-grid
+    # vectors (55.4 measured when this solve took the whole box) or one
+    # more grid-sized temporary would pass the bound.  On the half-turn
+    # box (a datum on the z-axis off that plane) 28.9 measured, of the
+    # same parts; on the box of both (the centred datum) 15.8 measured,
+    # its basis 12.6: a basis of vectors of either half box, or one more
+    # grid-sized temporary, would pass its bound
     grid = RadialGrid(3, 8.0, 0.5)
-    for centre, bound in (([0.0, 0.0, 0.5], 56), (0.0, 30.5)):
+    for centre, bound in (([0.3, 0.0, 0.5], 56), ([0.3, 0.0, 0.0], 30.5),
+                          ([0.0, 0.0, 0.5], 29.5), (0.0, 16.4)):
         prob = build_problem(example_field("ex13"), 1.0, 0.1,
                              {"name": "gaussian", "width": 1.0, "center": centre}, grid)
         made = []
@@ -986,10 +996,11 @@ def test_free_solve_peak_memory(traced_memory, monkeypatch):
 def test_solve_does_not_depend_on_the_slab_size(operator_calls, monkeypatch):
     # apply, the preconditioners and the head's residual norm (summed from
     # the squares of the rows of axis 0) give the same values at every
-    # slab size, so a solve takes the same steps to the same u, on either
-    # box (the half box's rows hold half as many nodes)
+    # slab size, so a solve takes the same steps to the same u, on every
+    # box (the half box's rows hold half as many nodes, the half-turn
+    # box's half as many rows)
     slab_bytes = resolvent.SLAB_BYTES
-    for box in ("half", "whole"):
+    for box in BOXES:
         monkeypatch.setattr(resolvent, "SLAB_BYTES", slab_bytes)
         operator_calls.update(apply=0, precond=0)
         base = solve(magnetic_point_problem(0.25, box=box), tol=1e-10)
@@ -1005,7 +1016,7 @@ def test_solve_does_not_depend_on_the_slab_size(operator_calls, monkeypatch):
             assert np.array_equal(u.values, base.values)
 
 
-# --- the half box of a problem even in the last axis ---------------------------
+# --- the boxes of a problem even in the last axis or under the half turn --------
 
 
 def even_pair(n, seed):
@@ -1022,10 +1033,41 @@ def even_pair(n, seed):
     return PotentialPair(n, A=A, V=lambda X: a * np.exp(-np.sum(X ** 2, axis=-1)))
 
 
-def even_values(grid, seed):
-    """Random values equal to their mirror image along the last axis."""
+def turn_pair(n, seed):
+    """A smooth random (A, V) on R^n, n >= 3, even to the bit in the last
+    coordinate and under the half turn (x_0, x_1) -> (-x_0, -x_1): A_0 and
+    A_1 odd under the turn, A's other components and V even, A's last
+    component zero.  Each term is a product of x_0, x_1 and squares, which
+    a dyadic grid's nodes and midpoints turn exactly."""
+    r = np.random.default_rng(seed)
+    a, c = r.uniform(-2.0, 2.0, (2, 2)), r.uniform(-2.0, 2.0, n)
+
+    def A(X):
+        x, y, z2 = X[..., 0], X[..., 1], X[..., -1] ** 2
+        g = np.exp(-np.sum(X ** 2, axis=-1))
+        out = np.zeros_like(X)
+        out[..., 0] = (a[0, 0] * x + a[0, 1] * y) * (1 + z2) * g
+        out[..., 1] = (a[1, 0] * x + a[1, 1] * y) * g
+        for k in range(2, n - 1):
+            out[..., k] = (c[k] + x * y + z2) * g
+        return out
+
+    return PotentialPair(n, A=A, V=lambda X: (c[0] + c[1] * X[..., 0] * X[..., 1])
+                         * np.exp(-np.sum(X ** 2, axis=-1)))
+
+
+def even_values(grid, seed, turn=False):
+    """Random values equal to their mirror image along the last axis, or
+    with turn to their image under the half turn, v[::-1, ::-1]."""
     v = random_field(grid, seed).values
-    return v + v[..., ::-1]
+    return v + (v[::-1, ::-1] if turn else v[..., ::-1])
+
+
+def box_of(a, half=False, turn=False):
+    """The part of the grid-sized array a on a box of DiscreteOperator,
+    contiguous: axis 0's upper half with turn, the last axis's with half."""
+    mid = a.shape[0] // 2
+    return np.ascontiguousarray(a[mid if turn else 0:, ..., mid if half else 0:])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -1037,13 +1079,35 @@ def test_half_box_apply_is_the_upper_half_of_the_whole_box_apply(n, dtype):
     # the whole box's to the bit
     grid = RadialGrid(n, 2.0, 0.5)
     disc = Discretization(grid, even_pair(n, 20))
-    assert disc.half() is not None
+    assert disc.even() and not disc.even(turn=True)
     u = even_values(grid, 21).astype(dtype)
     whole = DiscreteOperator(disc, 0.7, -0.3, dtype).apply(u)
     half = DiscreteOperator(disc, 0.7, -0.3, dtype, half=True)
     got = half.apply(np.ascontiguousarray(u[..., grid.m // 2:]))
     assert got.dtype == dtype and got.shape == half.shape
     assert np.array_equal(got, whole[..., grid.m // 2:])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_half_turn_box_apply_is_the_upper_rows_of_the_box_apply(n, dtype):
+    # below its first row the half-turn box's stencil reads the twisted
+    # mirror, conj(U_0) at row m/2 - 1 times the first row's node m-1-j,
+    # which on a field even under the half turn holds the value the box
+    # without the turn reads there, and adds it in the same order: its
+    # rows are the upper half of that box's to the bit, the half box's
+    # included
+    grid = RadialGrid(n, 2.0, 0.5)
+    disc = Discretization(grid, turn_pair(n, 24))
+    assert disc.even() and disc.even(turn=True)
+    v = even_values(grid, 25, turn=True)
+    for half in (False, True):
+        u = (v + v[..., ::-1] if half else v).astype(dtype)
+        ref = DiscreteOperator(disc, 0.7, -0.3, dtype, half=half).apply(box_of(u, half))
+        op = DiscreteOperator(disc, 0.7, -0.3, dtype, half=half, turn=True)
+        got = op.apply(box_of(u, half, turn=True))
+        assert got.dtype == dtype and got.shape == op.shape
+        assert np.array_equal(got, ref[grid.m // 2:])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -1075,24 +1139,65 @@ def test_half_box_preconditioner_is_the_whole_box_inverse_of_the_even_field(n, d
     np.testing.assert_allclose(minv(f), expect, rtol=0, atol=rtol * np.abs(expect).max())
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("dtype, rtol", [(np.complex128, 1e-13), (np.complex64, 1e-5)])
+def test_half_turn_box_preconditioner_is_the_box_inverse_of_the_even_field(n, dtype, rtol):
+    # the modes even under the half turn, those whose parities along axes
+    # 0 and 1 agree, span the even fields' upper rows, so the half-turn
+    # box's inverse, its basis along axis 0 split by the parity of axis 1's
+    # mode, is the inverse of the box without the turn on them (the half
+    # box's too); it also inverts the half-turn box's free operator, and
+    # takes the spectrum of an even separable field from its factors
+    grid = RadialGrid(n, 2.0, 0.5)
+    mid = grid.m // 2
+    disc = Discretization(grid, PotentialPair(n))
+    v = even_values(grid, 26, turn=True)
+    for half in (False, True):
+        u = v + v[..., ::-1] if half else v
+        ref = DiscreteOperator(disc, 0.7, -0.3, dtype, half=half)
+        expect = ref.preconditioner()(box_of(u, half).astype(dtype)).reshape(ref.shape)[mid:]
+        op = DiscreteOperator(disc, 0.7, -0.3, dtype, half=half, turn=True)
+        got = op.preconditioner()(box_of(u, half, turn=True).astype(dtype))
+        assert got.dtype == dtype and got.size == op.size
+        np.testing.assert_allclose(got.reshape(op.shape), expect, rtol=0,
+                                   atol=rtol * np.abs(expect).max())
+        back = op.apply(got)
+        np.testing.assert_allclose(back, box_of(u, half, turn=True), rtol=0,
+                                   atol=10 * rtol * np.abs(u).max())
+        centre = [0.0, 0.0, 0.3, -0.2][:n] if not half else 0.0
+        f = make_datum(grid, {"name": "gaussian", "width": 0.7, "amplitude": -1.3,
+                              "center": centre})
+        assert f.factors is not None
+        minv = op.preconditioner()
+        expect = minv(box_of(f.values, half, turn=True))
+        np.testing.assert_allclose(minv(f), expect, rtol=0, atol=rtol * np.abs(expect).max())
+
+
 def test_unfold_mirrors_each_line_in_place():
-    # the half box's values, the first half of a buffer of the grid's
-    # size, become the whole grid's: each line along the last axis its
-    # mirror image followed by itself, in the same buffer
-    for n, m in ((2, 6), (3, 4), (3, 10)):
+    # a box's values, the head of a buffer of the grid's size, become the
+    # whole grid's in the same buffer: on the half box each line along the
+    # last axis its mirror image followed by itself, on the half-turn box
+    # each row i < m/2 the row m-1-i reversed along axis 1
+    for n, m, half, turn in ((2, 6, True, False), (3, 4, True, False), (3, 10, True, False),
+                             (3, 4, False, True), (3, 6, True, True), (4, 4, True, True),
+                             (4, 6, False, True)):
         grid = RadialGrid(n, m / 4, 0.5)
         whole = even_values(grid, 23)
+        if turn:
+            whole = whole + whole[::-1, ::-1] if half else even_values(grid, 23, turn=True)
+        part = box_of(whole, half, turn)
         buf = np.empty(grid.size, complex)
-        x = buf[:grid.size // 2].reshape(grid.shape[:-1] + (m // 2,))
-        x[...] = whole[..., m // 2:]
-        got = resolvent._unfold(x, grid)
+        x = buf[:part.size].reshape(part.shape)
+        x[...] = part
+        got = resolvent._unfold(x, grid, half, turn)
         assert np.shares_memory(got, buf)
         assert np.array_equal(got.reshape(grid.shape), whole)
 
 
 def whole_box(monkeypatch):
-    """Turn the half box off: every solve takes the whole box."""
-    monkeypatch.setattr(resolvent, "_z_even", lambda prob: False)
+    """Turn the half box and the half-turn box off: every solve takes the
+    whole box."""
+    monkeypatch.setattr(resolvent, "_box", lambda prob: (False, False))
 
 
 @settings(max_examples=20, deadline=None)
@@ -1100,20 +1205,30 @@ def whole_box(monkeypatch):
        V=st.sampled_from([None, {"name": "exp_screened", "amplitude": 0.3},
                           {"name": "gaussian", "amplitude": 0.5}]),
        datum=st.sampled_from(["gaussian", "point", "wave", "shell"]),
+       z=st.sampled_from([0.0, 0.5]),
        lam=st.floats(0.0, 4.0), eps=st.floats(0.05, 2.0), sign=st.sampled_from([1.0, -1.0]))
-def test_half_box_solve_is_the_whole_box_solve(A, V, datum, lam, eps, sign):
-    # a pair and a datum even in z solve on the half box; the unfolded u is
-    # even to the bit, meets the whole box's residual bound and matches the
-    # whole box's solve to the forward bound of the benchmark's reference
-    # check, twice tol times the condition number (4n/h^2 + lambda)/eps
+def test_half_box_solve_is_the_whole_box_solve(A, V, datum, z, lam, eps, sign):
+    # the pairs are even in z and under the half turn about the z-axis; a
+    # datum centred on the z-axis is even under the half turn too (the
+    # wave, e^(ikx) g, is not), and even in z at z = 0 (the radial shell
+    # at every z).  The problem solves on the box of its symmetries; the
+    # unfolded u keeps them to the bit, meets the whole box's residual
+    # bound and matches the whole box's solve to the forward bound of the
+    # benchmark's reference check, twice tol times the condition number
+    # (4n/h^2 + lambda)/eps
     grid, tol = RadialGrid(3, 3.0, 0.5), 1e-10
+    spec = datum if datum == "shell" else {"name": datum, "center": [0.0, 0.0, z]}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # data reaching the boundary
         prob = build_problem(make_potential_pair(3, A and {"name": A}, V), lam, sign * eps,
-                             datum, grid)
-    assert resolvent._z_even(prob)
+                             spec, grid)
+    half, turn = resolvent._box(prob)
+    assert (half, turn) == (z == 0 or datum == "shell", datum != "wave")
     u = solve(prob, tol=tol)
-    assert np.array_equal(u.values, u.values[..., ::-1])
+    if half:
+        assert np.array_equal(u.values, u.values[..., ::-1])
+    if turn:
+        assert np.array_equal(u.values, u.values[::-1, ::-1])
     b = prob.f.values
     op = DiscreteOperator(prob.disc, prob.lam, prob.eps)
     res = np.linalg.norm(op.apply(u.values) + b) / np.linalg.norm(b)
@@ -1126,24 +1241,59 @@ def test_half_box_solve_is_the_whole_box_solve(A, V, datum, lam, eps, sign):
     assert np.linalg.norm(u.values - ref.values) <= bound * np.linalg.norm(ref.values)
 
 
-@pytest.mark.parametrize("pp, centre", [
-    (make_potential_pair(3, {"name": "ex13"}, {"name": "exp_screened", "amplitude": 0.3}),
-     [0.0, 0.0, 0.3]),
+_EX13_SCREENED = make_potential_pair(3, {"name": "ex13"},
+                                     {"name": "exp_screened", "amplitude": 0.3})
+
+
+@pytest.mark.parametrize("pp, centre, L, h, box", [
+    (_EX13_SCREENED, [0.3, 0.0, 0.3], 3.0, 0.5, (False, False)),
     (example_field("ex14_family", h=lambda s: s ** 3 - 0.6 * s, omega=(0.3, -0.2, 1.0)),
-     0.0),
-], ids=["off-centre-datum", "tilted-omega"])
-def test_problems_that_are_not_even_take_the_whole_box(pp, centre, monkeypatch):
+     0.0, 3.0, 0.5, (False, False)),
+    (_EX13_SCREENED, 0.0, 2.1, 0.3, (True, False)),
+    (_EX13_SCREENED, [0.0, 0.0, 0.3], 3.0, 0.5, (False, True)),
+], ids=["off-centre-datum", "tilted-omega", "uneven-midpoints", "z-axis-datum"])
+def test_problems_that_are_not_even_take_the_whole_box(pp, centre, L, h, box, monkeypatch):
     # a datum off the plane z = 0, or a tilted omega, whose A_z is not 0,
-    # breaks the mirror symmetry: the solve takes the whole box, to the
-    # bit of a solve with the half box turned off
-    grid = RadialGrid(3, 3.0, 0.5)
-    prob = build_problem(pp, 1.0, 0.3, {"name": "gaussian", "width": 0.8, "center": centre},
-                         grid)
-    assert not resolvent._z_even(prob)
-    assert (prob.disc.phases[-1] is None) == (prob.disc.half() is not None)
-    u = solve(prob, tol=1e-10)
-    whole_box(monkeypatch)
-    assert np.array_equal(u.values, solve(prob, tol=1e-10).values)
+    # breaks the mirror symmetry, so the solve takes the whole box along z;
+    # a datum off the z-axis, the tilted omega or a grid whose midpoints
+    # x + h/2 do not turn exactly (h = 0.3) breaks the half turn's.  Each
+    # solve is the bits of a solve with the half turn turned off, and on
+    # the half-turn box (a datum on the z-axis) it matches that solve to
+    # the forward bound of test_half_box_solve_is_the_whole_box_solve
+    grid, tol = RadialGrid(3, L, h), 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the uneven grid's datum reaches the boundary
+        prob = build_problem(pp, 1.0, 0.3, {"name": "gaussian", "width": 0.8, "center": centre},
+                             grid)
+    assert resolvent._box(prob) == box
+    assert (prob.disc.phases[-1] is None) == prob.disc.even()
+    u = solve(prob, tol=tol)
+    monkeypatch.setattr(resolvent, "_box", lambda prob: (box[0], False))
+    ref = solve(prob, tol=tol).values
+    if not box[1]:
+        assert np.array_equal(u.values, ref)
+    else:
+        bound = 2 * tol * (4 * 3 / grid.h ** 2 + 1.0) / 0.3
+        assert np.linalg.norm(u.values - ref) <= bound * np.linalg.norm(ref)
+
+
+def test_benchmark_workloads_take_both_sides_of_the_half_turn():
+    # the benchmark times a solve on the half-turn box and solves without
+    # it: identity_80's centred gaussian is even under the half turn, the
+    # sweeps' wave e^(ikx) g(x) is not; every workload is even in z
+    spec = importlib.util.spec_from_file_location(
+        "workloads", pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    boxes = {}
+    for name in workloads.BASE:
+        sc = workloads.scenario(name, 0)
+        pp = make_potential_pair(sc["n"], sc["potential"].get("A"), sc["potential"].get("V"))
+        grid = RadialGrid(sc["n"], sc["grid"]["L"], sc["grid"]["h"])
+        eps = sc["eps"] if "eps" in sc else sc["eps_list"][0]
+        boxes[name] = resolvent._box(build_problem(pp, sc["lambda"], eps, sc["f"], grid))
+    assert boxes == {"magnetic_sweep": (True, False), "identity_80": (True, True),
+                     "free_sweep": (True, False)}
 
 
 def test_apply_gives_the_residual_norm_without_a_grid_array(traced_memory,

@@ -1,15 +1,18 @@
 """Print one SHA-256 per report file of a fixed set of scenarios.
 
 The scenarios are the seed-0 scenario of each workload of
-perfbench/workloads.py and the nine small ones of EXTRA, which reach
+perfbench/workloads.py and the ten small ones of EXTRA, which reach
 what no workload runs: the ex14 built-in, the admissibility,
 fields-check and solve run types, ex13's non_trapping declaration and a
 radial V's one-ray quadrature in those two run types, the identity's
 sampled B_tau density (ex14's; ex13 declares its B_tau zero, so the
 workloads sample none), a V capped at 1/h^2 (with the d_r V zeroed
-where it is), and a datum that is not separable (the shell, which keeps
+where it is), a datum that is not separable (the shell, which keeps
 its values where the others keep 1-D factors) in an identity run and
-in a sweep.  Each is written into a
+in a sweep, and a solve on each box (see morcam.resolvent): the whole
+box (ex14_identity), the half box (magnetic_sweep), the half-turn box
+(turn_identity, a datum on the z-axis off the plane z = 0) and the box
+of both (identity_80).  Each is written into a
 temporary directory and run through morcam.cli.main with --json-only;
 every file it writes is hashed, a solve's binary solution.field
 included.  The temporary directory's path is masked in every file
@@ -85,6 +88,12 @@ EXTRA = {
         "n": 3, "run": "verify-identity", "grid": {"L": 5.0, "h": 0.25},
         "potential": {**_EX13, "V": {"name": "exp_screened", "amplitude": 0.3}},
         "lambda": 1.0, "eps": 1.0, "f": {"name": "shell", "radius": 1.5, "width": 0.5},
+    },
+    "turn_identity": {
+        "n": 3, "run": "verify-identity", "grid": {"L": 4.0, "h": 0.5},
+        "potential": {**_EX13, "V": {"name": "exp_screened", "amplitude": 0.3}},
+        "lambda": 1.0, "eps": 1.0,
+        "f": {"name": "gaussian", "width": 1.0, "center": [0.0, 0.0, 0.5]},
     },
     "shell_sweep": {
         "n": 3, "run": "sweep", "grid": {"L": 4.0, "h": 0.5}, "potential": _EX13,
